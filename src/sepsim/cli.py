@@ -59,11 +59,10 @@ def _cmd_verify(args) -> int:
                 break
     elif args.scenario:
         sc = load_scenario_file(args.scenario, args.horizon)
-        trace = run_scenario(sc)
+        text = run_scenario(sc).render()
         if args.trace_out:
-            _write(args.trace_out, trace.render())
-        parsed = parse_trace(trace.render())
-        reports.append((args.scenario, verify_trace(parsed)))
+            _write(args.trace_out, text)
+        reports.append((args.scenario, verify_trace(parse_trace(text))))
     else:
         raise UsageError("verify needs --trace or --scenario")
     text = "".join(r.render() for _, r in reports)

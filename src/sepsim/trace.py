@@ -5,18 +5,27 @@ scenario digest, notes), the canonical scenario embedded verbatim between
 scenario-begin/scenario-end (so verification is a pure function of the trace
 bytes), then one record per event, then final snapshots. Running the same
 scenario twice yields byte-identical traces.
+
+Each construction's body records are written by one encoder and read back by
+the decoder beside it, so decode(encode(records)) == records; the verifier
+works on decoded records only.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from . import __version__
-from .enumcore import PAIRING_SCHEME_ID
+from .anticomplete import run_anticomplete
+from .enumcore import PAIRING_SCHEME_ID, SeparatorSnapshot
 from .errors import UsageError
-from .scenario import Scenario, parse_scenario
+from .functionals import UseBoundedOperator
+from .nosupermax import run_nosupermax
+from .scenario import Scenario, audit_scenario, parse_scenario
+from .twodegrees import run_twodegrees
 from .upclosure import (
-    CaseTag,
     MSequenceResult,
     WttAgreementTable,
     classify_case,
@@ -28,23 +37,12 @@ from .upclosure import (
 
 HEADER = "sepsim-trace 1"
 
+_PAIRING_NOTE = "pairing greedy least-unused-cube in diagonal order"
 _NOTES = {
-    "anticomplete": (
-        "pairing greedy least-unused-cube in diagonal order",
-        "fresh numbers exceed every number recorded so far",
-    ),
-    "upclosure": (
-        "pairing greedy least-unused-cube in diagonal order",
-        "case declarations are certificates; only consistency is checked",
-    ),
-    "nosupermax": (
-        "pairing greedy least-unused-cube in diagonal order",
-        "boundary reset clause read literally across mixed stage indices",
-    ),
-    "twodegrees": (
-        "pairing greedy least-unused-cube in diagonal order",
-        "strategies run in index order; coding strategies after axiom ones",
-    ),
+    "anticomplete": "fresh numbers exceed every number recorded so far",
+    "upclosure": "case declarations are certificates; only consistency is checked",
+    "nosupermax": "boundary reset clause read literally across mixed stage indices",
+    "twodegrees": "strategies run in index order; coding strategies after axiom ones",
 }
 
 
@@ -65,7 +63,7 @@ class Trace:
             f"scenariohash {self.scenario_hash}",
             f"horizon {self.horizon}",
         ]
-        for note in _NOTES[self.construction]:
+        for note in (_PAIRING_NOTE, _NOTES[self.construction]):
             lines.append(f"note {note}")
         lines.append("scenario-begin")
         lines.extend(self.scenario_text.rstrip("\n").split("\n"))
@@ -75,77 +73,157 @@ class Trace:
         return "\n".join(lines) + "\n"
 
 
-def _fmt_events(events):
-    return " ".join(f"{e}:{t}" for e, t in sorted(events, key=lambda p: (p[1], p[0])))
+# ---------------------------------------------------------------------------
+# shared record codecs
+#
+# Decoders read the body as parse_trace splits it: one token list per line.
+
+
+def _opt(v) -> str:
+    return "-" if v is None or v == "" else str(v)
+
+
+def _opt_int(tok: str):
+    return None if tok == "-" else int(tok)
+
+
+def _ints(toks) -> tuple[int, ...]:
+    return tuple(map(int, toks))
+
+
+def _fmt_ints(values) -> str:
+    return " ".join(map(str, values))
 
 
 def _parse_events(fields):
-    out = []
-    for f in fields:
-        e, t = f.split(":")
-        out.append((int(e), int(t)))
-    return out
+    return tuple((int(e), int(t)) for e, t in (f.split(":") for f in fields))
+
+
+def encode_ev(rec) -> str:
+    """`ev <stage> <kind> <fields>` for a record (kind, stage, *fields); None
+    and the empty string are written as '-'. An anticomplete act ends with
+    its two enumeration runs, `a <ints> b <ints>`, either of which may be
+    empty."""
+    kind, stage, *fields = rec
+    runs = ""
+    if kind == "ract":
+        *fields, new_a, new_b = fields
+        runs = f" a {_fmt_ints(new_a)} b {_fmt_ints(new_b)}"
+    return f"ev {stage} {kind} {' '.join(map(_opt, fields))}{runs}".rstrip()
+
+
+def decode_ev(parts, arity) -> tuple:
+    """Inverse of encode_ev for the kinds in `arity` (kind -> field count)."""
+    kind = parts[2] if len(parts) > 2 else "-"
+    if kind not in arity:
+        raise UsageError(f"unknown event {kind} in trace body")
+    toks = parts[3:]
+    if kind == "ract":
+        ai, bi = toks.index("a"), toks.index("b")
+        runs = _ints(toks[ai + 1 : bi]), _ints(toks[bi + 1 :])
+        fields = (*_ints(toks[: ai - 1]), _opt_int(toks[ai - 1]), *runs)
+    elif kind == "axiom":
+        fields = (*_ints(toks[:-1]), "" if toks[-1] == "-" else toks[-1])
+    else:
+        fields = _ints(toks)
+    if len(fields) != arity[kind]:
+        raise UsageError(f"malformed {kind} record in trace body")
+    return (kind, int(parts[1]), *fields)
+
+
+def encode_event_log(log) -> list[str]:
+    """(records, finals) -> one ev line per record, then one `final` line per
+    named set, in the order of `finals`."""
+    records, finals = log
+    return [encode_ev(rec) for rec in records] + [
+        " ".join(["final", name, *(f"{e}:{t}" for e, t in events)])
+        for name, events in finals.items()
+    ]
+
+
+def _decode_event_log(body, arity, names):
+    records = []
+    finals = {name: () for name in names}
+    for parts in body:
+        if parts[0] == "ev":
+            records.append(decode_ev(parts, arity))
+        elif parts[0] == "final":
+            finals[parts[1]] = _parse_events(parts[2:])
+        else:
+            raise UsageError(f"unknown record {parts[0]} in trace body")
+    return records, finals
+
+
+def first_divergence(body, fresh_lines) -> str:
+    """'' when the recorded body equals the fresh run's encoded lines token
+    for token; otherwise the first record that differs, numbered from 1 (a
+    body that ends early shows the trace's `end` record there)."""
+    fresh = [line.split() for line in fresh_lines]
+    for i, (got, want) in enumerate(zip_longest(body, fresh, fillvalue=["end"])):
+        if got != want:
+            return f"record {i + 1}: {' '.join(got)} (fresh run: {' '.join(want)})"
+    return ""
 
 
 # ---------------------------------------------------------------------------
-# running
+# anticomplete: (records, {"A", "B", "D": final events})
 
 
-def run_scenario(sc: Scenario) -> Trace:
-    """Dispatch to the construction and serialize the run."""
-    trace = Trace(
-        construction=sc.construction,
-        horizon=sc.horizon,
-        scenario_text=sc.canonical(),
-        scenario_hash=sc.digest(),
-    )
-    if sc.construction == "anticomplete":
-        _run_anticomplete(sc, trace)
-    elif sc.construction == "upclosure":
-        _run_upclosure(sc, trace)
-    elif sc.construction == "nosupermax":
-        _run_nosupermax(sc, trace)
-    elif sc.construction == "twodegrees":
-        _run_twodegrees(sc, trace)
-    else:
-        raise UsageError(f"unknown construction {sc.construction}")
-    return trace
-
-
-def _run_anticomplete(sc: Scenario, trace: Trace):
-    from .anticomplete import run_anticomplete
-
+def _run_anticomplete(sc: Scenario):
     run = run_anticomplete(sc.programs_by_index(), sc.horizon)
-    for rec in run.records:
-        if rec[0] == "nact":
-            trace.body.append(f"ev {rec[1]} nact {rec[2]} {rec[3]}")
-        elif rec[0] == "rclaim":
-            trace.body.append(f"ev {rec[1]} rclaim {rec[2]} {rec[3]}")
-        elif rec[0] == "ract":
-            _, s, e, n, r, m, na, nb = rec
-            m_s = "-" if m is None else str(m)
-            a_s = " ".join(str(x) for x in na)
-            b_s = " ".join(str(x) for x in nb)
-            trace.body.append(
-                f"ev {s} ract {e} {n} {r} {m_s} a {a_s} b {b_s}".rstrip()
-            )
-    trace.body.append(f"final A {_fmt_events(run.a.freeze().events)}".rstrip())
-    trace.body.append(f"final B {_fmt_events(run.b.freeze().events)}".rstrip())
-    trace.body.append(f"final D {_fmt_events(run.d.freeze().events)}".rstrip())
+    sets = {"A": run.a, "B": run.b, "D": run.d}
+    return run.records, {name: s.freeze().events for name, s in sets.items()}
 
 
-def _run_upclosure(sc: Scenario, trace: Trace):
-    outcome = run_upclosure_pipeline(sc)
-    t = trace.body
-    t.append(f"caseok {'true' if outcome['consistent'] else 'false'}")
-    t.append("mseq " + " ".join(str(v) for v in outcome["m_values"]))
-    missing = outcome["m_missing"]
-    t.append(f"mseq-missing {'-' if missing is None else missing}")
-    t.append(f"z {outcome['z'].bits if outcome['z'] is not None else '-'}")
-    for n, bit, stage, expected in outcome["blocks"]:
-        t.append(f"block {n} {bit} {stage} {expected}")
-    for idx, value, stage, direct in outcome["recovered"]:
-        t.append(f"recover {idx} {value} {stage} {direct}")
+def decode_anticomplete(body):
+    return _decode_event_log(body, {"nact": 2, "rclaim": 2, "ract": 6}, "ABD")
+
+
+# ---------------------------------------------------------------------------
+# upclosure: the pipeline outcome of run_upclosure_pipeline
+
+
+def encode_upclosure(out) -> list[str]:
+    return [
+        f"caseok {'true' if out['consistent'] else 'false'}",
+        f"mseq {_fmt_ints(out['m_values'])}",
+        f"mseq-missing {_opt(out['m_missing'])}",
+        f"z {'-' if out['z'] is None else out['z'].bits}",
+        *(f"block {_fmt_ints(blk)}" for blk in out["blocks"]),
+        *(f"recover {_fmt_ints(rec)}" for rec in out["recovered"]),
+    ]
+
+
+def decode_upclosure(body):
+    out = {
+        "consistent": None,
+        "m_values": [],
+        "m_missing": None,
+        "z": None,
+        "blocks": [],
+        "recovered": [],
+    }
+    for parts in body:
+        kind = parts[0]
+        if kind == "caseok":
+            out["consistent"] = parts[1] == "true"
+        elif kind == "mseq":
+            out["m_values"] = list(_ints(parts[1:]))
+        elif kind == "mseq-missing":
+            out["m_missing"] = _opt_int(parts[1])
+        elif kind == "z":
+            out["z"] = None if parts[1] == "-" else SeparatorSnapshot(parts[1])
+        elif kind in ("block", "recover"):
+            out["blocks" if kind == "block" else "recovered"].append(_ints(parts[1:5]))
+        else:
+            raise UsageError(f"unknown record {kind} in trace body")
+    return out
+
+
+def _run_upclosure(sc: Scenario):
+    # a call by name, so that rebinding the module-level pipeline (as
+    # perfbench/tracing.py does to time it) also covers runs
+    return run_upclosure_pipeline(sc)
 
 
 def run_upclosure_pipeline(sc: Scenario):
@@ -192,7 +270,8 @@ def run_upclosure_pipeline(sc: Scenario):
         bit, stage = decode_block(z, a, b, values[n], values[n + 1], sc.horizon)
         out["blocks"].append((n, bit, stage, 1 if n in c_final else 0))
     if sc.case.tag == 2:
-        gamma, delta, f_op = _upclosure_ops(sc, f)
+        gamma = UseBoundedOperator(program=sc.program("gamma"), bound=f)
+        delta = UseBoundedOperator(program=sc.program("delta"), bound=f)
         table = WttAgreementTable(a, b, gamma, delta, f, sc.horizon)
         for n in range(len(values) - 1):
             got, stage = recover_m_next(
@@ -202,65 +281,122 @@ def run_upclosure_pipeline(sc: Scenario):
     return out
 
 
-def _upclosure_ops(sc: Scenario, f):
-    from .functionals import UseBoundedOperator
-
-    gamma = UseBoundedOperator(program=sc.program("gamma"), bound=f)
-    delta = UseBoundedOperator(program=sc.program("delta"), bound=f)
-    return gamma, delta, f
+# ---------------------------------------------------------------------------
+# nosupermax: (attempts, certs), one (attempt, base, horizon, records) per
+# attempt section and one (attempt, accepted, witness stage, reason, stage
+# map) per certificate; the stage map is None when no map line is recorded
 
 
-def _run_nosupermax(sc: Scenario, trace: Trace):
-    from .nosupermax import run_nosupermax
-
+def _run_nosupermax(sc: Scenario):
     result = run_nosupermax(
         sc.sets.get("A", []), sc.sets.get("B", []), sc.horizon, sc.certs
     )
-    t = trace.body
-    for i, run in enumerate(result.attempts):
-        t.append(f"attempt {run.attempt} begin {run.base} {run.horizon}")
-        for rec in run.records:
-            t.append(f"ev {rec[1]} {rec[0]} {rec[2]}")
-        t.append(f"attempt {run.attempt} end")
-        if i < len(result.cert_results):
-            cert, res = result.cert_results[i]
-            if res.accepted:
-                t.append(f"cert {cert.attempt} accepted")
-                t.append(
-                    "map " + " ".join(str(x) for x in res.stage_map)
-                )
-            else:
-                w = "-" if res.witness_stage is None else str(res.witness_stage)
-                t.append(f"cert {cert.attempt} rejected {w} {res.reason}")
-    return result
+    attempts = [(r.attempt, r.base, r.horizon, r.records) for r in result.attempts]
+    certs = []
+    for cert, res in result.cert_results:
+        stage_map = res.stage_map if res.accepted else None
+        fields = (res.accepted, res.witness_stage, res.reason, stage_map)
+        certs.append((cert.attempt, *fields))
+    return attempts, certs
 
 
-def _run_twodegrees(sc: Scenario, trace: Trace):
-    from .twodegrees import run_twodegrees
+def encode_nosupermax(log) -> list[str]:
+    attempts, certs = log
+    lines = []
+    for i, (attempt, base, horizon, records) in enumerate(attempts):
+        lines.append(f"attempt {attempt} begin {base} {horizon}")
+        lines.extend(encode_ev(rec) for rec in records)
+        lines.append(f"attempt {attempt} end")
+        if i < len(certs):
+            attempt, accepted, witness, reason, stage_map = certs[i]
+            verdict = "accepted" if accepted else f"rejected {_opt(witness)} {reason}"
+            lines.append(f"cert {attempt} {verdict}")
+            if stage_map is not None:
+                lines.append(f"map {_fmt_ints(stage_map)}")
+    return lines
 
-    run = run_twodegrees(
-        sc.sets.get("C", []),
-        sc.sets.get("K", []),
-        sc.w_events_by_index(),
-        sc.programs_by_index(),
-        sc.horizon,
+
+def decode_nosupermax(body):
+    arity = {"boundary": 1, "xin": 1, "xout": 1}
+    attempts, certs = [], []
+    current = None
+    for parts in body:
+        kind = parts[0]
+        if kind == "attempt" and parts[2] == "begin":
+            current = (int(parts[1]), int(parts[3]), int(parts[4]), [])
+        elif kind == "attempt" and parts[2] == "end":
+            if current is None:
+                raise UsageError("attempt end without a matching begin")
+            attempts.append(current)
+            current = None
+        elif kind == "ev":
+            if current is None:
+                raise UsageError("attempt event outside a section")
+            current[3].append(decode_ev(parts, arity))
+        elif kind == "cert" and parts[2] == "accepted":
+            certs.append((int(parts[1]), True, None, "", None))
+        elif kind == "cert":
+            reason = " ".join(parts[4:])
+            certs.append((int(parts[1]), False, _opt_int(parts[3]), reason, None))
+        elif kind == "map":
+            certs[-1] = (*certs[-1][:4], list(_ints(parts[1:])))
+        else:
+            raise UsageError(f"unknown record {kind} in trace body")
+    if not attempts:
+        raise UsageError("trace carries no attempts")
+    return attempts, certs
+
+
+# ---------------------------------------------------------------------------
+# twodegrees: (records, {"A", "B": final events})
+
+
+def twodegrees_inputs(sc: Scenario):
+    """TwoDegreesRun's constructor arguments, taken from the scenario."""
+    sets = sc.sets.get("C", []), sc.sets.get("K", [])
+    return (*sets, sc.w_events_by_index(), sc.programs_by_index(), sc.horizon)
+
+
+def _run_twodegrees(sc: Scenario):
+    run = run_twodegrees(*twodegrees_inputs(sc))
+    return run.records, {"A": run.a.freeze().events, "B": run.b.freeze().events}
+
+
+def decode_twodegrees(body):
+    arity = {"axiom": 5, "kill": 4, "promote": 3, "pfire": 3}
+    return _decode_event_log(body, arity, "AB")
+
+
+# ---------------------------------------------------------------------------
+# running
+
+# construction -> (runner: scenario -> records, encoder: records -> body lines)
+_CODECS = {
+    "anticomplete": (_run_anticomplete, encode_event_log),
+    "upclosure": (_run_upclosure, encode_upclosure),
+    "nosupermax": (_run_nosupermax, encode_nosupermax),
+    "twodegrees": (_run_twodegrees, encode_event_log),
+}
+
+
+def encode_run(sc: Scenario) -> list[str]:
+    """Run the scenario's construction and encode its records as body lines."""
+    if sc.construction not in _CODECS:
+        raise UsageError(f"unknown construction {sc.construction}")
+    run, encode = _CODECS[sc.construction]
+    return encode(run(sc))
+
+
+def run_scenario(sc: Scenario) -> Trace:
+    """Run the construction and serialize the run."""
+    text = sc.canonical()
+    return Trace(
+        construction=sc.construction,
+        horizon=sc.horizon,
+        scenario_text=text,
+        scenario_hash=hashlib.sha256(text.encode()).hexdigest(),
+        body=encode_run(sc),
     )
-    t = trace.body
-    for rec in run.records:
-        if rec[0] == "axiom":
-            _, s, e, m, x, gamma, prefix = rec
-            t.append(f"ev {s} axiom {e} {m} {x} {gamma} {prefix or '-'}")
-        elif rec[0] == "kill":
-            _, s, e, m, x, elem = rec
-            t.append(f"ev {s} kill {e} {m} {x} {elem}")
-        elif rec[0] == "promote":
-            _, s, e, m, x = rec
-            t.append(f"ev {s} promote {e} {m} {x}")
-        elif rec[0] == "pfire":
-            _, s, n, i, code = rec
-            t.append(f"ev {s} pfire {n} {i} {code}")
-    t.append(f"final A {_fmt_events(run.a.freeze().events)}".rstrip())
-    t.append(f"final B {_fmt_events(run.b.freeze().events)}".rstrip())
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +409,6 @@ class ParsedTrace:
     horizon: int
     scenario: Scenario
     scenario_hash: str
-    tool_version: str
-    pairing: str
     body: list[list[str]] = field(default_factory=list)
 
 
@@ -323,6 +457,7 @@ def parse_trace(text: str) -> ParsedTrace:
     scenario = parse_scenario("\n".join(scenario_lines) + "\n")
     if scenario.digest() != meta["scenariohash"]:
         raise UsageError("embedded scenario does not match the recorded digest")
+    audit_scenario(scenario)
     try:
         horizon = int(meta["horizon"])
     except ValueError:
@@ -332,7 +467,5 @@ def parse_trace(text: str) -> ParsedTrace:
         horizon=horizon,
         scenario=scenario,
         scenario_hash=meta["scenariohash"],
-        tool_version=meta.get("toolversion", ""),
-        pairing=meta.get("pairing", ""),
         body=body,
     )

@@ -26,7 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .enumcore import StageSetBuilder, pair, unpair
-from .errors import HardFault
+from .errors import HardFault, UsageError
 from .functionals import EMPTY_PROGRAM, OracleProgram, evaluate
 from .report import CheckResult
 
@@ -258,6 +258,29 @@ class TwoDegreesRun:
     def run(self):
         while self.stage < self.horizon:
             self.run_stage()
+        return self
+
+    def replay(self, records):
+        """Rebuild a finished run from its recorded events instead of
+        running the strategies; returns self."""
+        axiom_of: dict[tuple, VeAxiom] = {}
+        for rec in records:
+            kind, s, *fields = rec
+            key = tuple(fields[:3])  # (e, m, x) for axiom, kill and promote
+            if kind == "axiom":
+                axiom_of[key] = VeAxiom(*fields, created_at=s)
+                self.axioms.append(axiom_of[key])
+            elif kind == "pfire":
+                self.b.add(fields[2], s + 1)
+            elif key not in axiom_of:
+                what = "kill for" if kind == "kill" else "promotion of"
+                raise UsageError(f"{what} unknown axiom {key}")
+            elif kind == "kill":
+                axiom_of[key].death_stage = s
+            else:
+                axiom_of[key].promoted_at = s
+                self.a.add(fields[2], s + 1)
+            self.records.append(rec)
         return self
 
 

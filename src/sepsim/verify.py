@@ -3,12 +3,13 @@
 Verification is a pure function of the trace bytes: the canonical scenario
 is embedded in the trace, so the verifier can rebuild stage views, replay
 the construction where exactness demands it, and check each named invariant
-without any outside state.
+without any outside state. Body records come from the decoders in `trace`.
 """
 
 from __future__ import annotations
 
 from .anticomplete import verify_anticomplete
+from .enumcore import is_separator
 from .errors import UsageError
 from .nosupermax import (
     AttemptRun,
@@ -18,27 +19,28 @@ from .nosupermax import (
     verify_nosupermax,
 )
 from .report import CheckResult, VerificationReport
-from .trace import ParsedTrace, run_upclosure_pipeline
-from .twodegrees import TwoDegreesRun, VeAxiom, run_twodegrees, verify_twodegrees
+from .trace import (
+    ParsedTrace,
+    decode_anticomplete,
+    decode_nosupermax,
+    decode_twodegrees,
+    decode_upclosure,
+    encode_run,
+    first_divergence,
+    twodegrees_inputs,
+)
+from .twodegrees import TwoDegreesRun, verify_twodegrees
 from .upclosure import simultaneous_agreement_stages
-from .enumcore import is_separator
 
 
 def verify_trace(parsed: ParsedTrace) -> VerificationReport:
     report = VerificationReport(
         construction=parsed.construction, scenario_hash=parsed.scenario_hash
     )
+    if parsed.construction not in _VERIFIERS:
+        raise UsageError(f"unknown construction {parsed.construction}")
     try:
-        if parsed.construction == "anticomplete":
-            _verify_anticomplete_trace(parsed, report)
-        elif parsed.construction == "upclosure":
-            _verify_upclosure_trace(parsed, report)
-        elif parsed.construction == "nosupermax":
-            _verify_nosupermax_trace(parsed, report)
-        elif parsed.construction == "twodegrees":
-            _verify_twodegrees_trace(parsed, report)
-        else:
-            raise UsageError(f"unknown construction {parsed.construction}")
+        _VERIFIERS[parsed.construction](parsed, report)
     except UsageError:
         raise
     except (ValueError, IndexError, KeyError, TypeError) as exc:
@@ -46,45 +48,11 @@ def verify_trace(parsed: ParsedTrace) -> VerificationReport:
     return report
 
 
-def _want(parts, n, what):
-    if len(parts) < n:
-        raise UsageError(f"malformed {what} record in trace body")
-
-
 # ---------------------------------------------------------------------------
 
 
 def _verify_anticomplete_trace(parsed: ParsedTrace, report: VerificationReport):
-    records = []
-    finals = {}
-    for parts in parsed.body:
-        if parts[0] == "ev":
-            _want(parts, 3, "ev")
-            s = int(parts[1])
-            kind = parts[2]
-            if kind == "nact":
-                records.append(("nact", s, int(parts[3]), int(parts[4])))
-            elif kind == "rclaim":
-                records.append(("rclaim", s, int(parts[3]), int(parts[4])))
-            elif kind == "ract":
-                _want(parts, 7, "ract")
-                e, n, r = int(parts[3]), int(parts[4]), int(parts[5])
-                m = None if parts[6] == "-" else int(parts[6])
-                ai = parts.index("a")
-                bi = parts.index("b")
-                na = tuple(int(x) for x in parts[ai + 1 : bi])
-                nb = tuple(int(x) for x in parts[bi + 1 :])
-                records.append(("ract", s, e, n, r, m, na, nb))
-            else:
-                raise UsageError(f"unknown event {kind} in trace body")
-        elif parts[0] == "final":
-            finals[parts[1]] = [
-                (int(f.split(":")[0]), int(f.split(":")[1])) for f in parts[2:]
-            ]
-        else:
-            raise UsageError(f"unknown record {parts[0]} in trace body")
-    for name in ("A", "B", "D"):
-        finals.setdefault(name, [])
+    records, finals = decode_anticomplete(parsed.body)
     checks, caveats = verify_anticomplete(
         records, finals["A"], finals["B"], finals["D"], parsed.horizon
     )
@@ -97,31 +65,7 @@ def _verify_anticomplete_trace(parsed: ParsedTrace, report: VerificationReport):
 
 def _verify_upclosure_trace(parsed: ParsedTrace, report: VerificationReport):
     sc = parsed.scenario
-    recorded = {
-        "caseok": None,
-        "m_values": [],
-        "m_missing": None,
-        "z": None,
-        "blocks": [],
-        "recovered": [],
-    }
-    for parts in parsed.body:
-        if parts[0] == "caseok":
-            recorded["caseok"] = parts[1] == "true"
-        elif parts[0] == "mseq":
-            recorded["m_values"] = [int(x) for x in parts[1:]]
-        elif parts[0] == "mseq-missing":
-            recorded["m_missing"] = None if parts[1] == "-" else int(parts[1])
-        elif parts[0] == "z":
-            recorded["z"] = None if parts[1] == "-" else parts[1]
-        elif parts[0] == "block":
-            recorded["blocks"].append(tuple(int(x) for x in parts[1:5]))
-        elif parts[0] == "recover":
-            recorded["recovered"].append(tuple(int(x) for x in parts[1:5]))
-        else:
-            raise UsageError(f"unknown record {parts[0]} in trace body")
-
-    fresh = run_upclosure_pipeline(sc)
+    recorded = decode_upclosure(parsed.body)
     values = recorded["m_values"]
 
     report.checks.append(
@@ -131,28 +75,12 @@ def _verify_upclosure_trace(parsed: ParsedTrace, report: VerificationReport):
             "recorded boundaries not strictly increasing",
         )
     )
-    agree = (
-        values == fresh["m_values"]
-        and recorded["m_missing"] == fresh["m_missing"]
-        and recorded["caseok"] == fresh["consistent"]
-    )
-    report.checks.append(
-        CheckResult(
-            "pipeline-exactness",
-            agree
-            and recorded["z"] == (fresh["z"].bits if fresh["z"] else None)
-            and recorded["blocks"]
-            == [tuple(b) for b in fresh["blocks"]]
-            and recorded["recovered"] == [tuple(r) for r in fresh["recovered"]],
-            "" if agree else "trace diverges from a fresh pipeline run",
-        )
-    )
+    detail = first_divergence(parsed.body, encode_run(sc))
+    report.checks.append(CheckResult("pipeline-exactness", not detail, detail))
 
     a, b = sc.stage_set("A"), sc.stage_set("B")
-    if recorded["z"] is not None:
-        from .enumcore import SeparatorSnapshot
-
-        z = SeparatorSnapshot(recorded["z"])
+    z = recorded["z"]
+    if z is not None:
         dom_a = {e for e in a.final() if e < z.length}
         dom_b = {e for e in b.final() if e < z.length}
         report.checks.append(
@@ -214,65 +142,9 @@ def _verify_upclosure_trace(parsed: ParsedTrace, report: VerificationReport):
 # ---------------------------------------------------------------------------
 
 
-def _nosupermax_shell(attempt, base, a_events, b_events, horizon, records):
-    run = AttemptRun(attempt, base, a_events, b_events, horizon)
-    for rec in records:
-        kind, s1, val = rec
-        if kind == "boundary":
-            run._record_boundary(s1, val)
-        elif kind == "xin":
-            run.x.add(val)
-            run.x_toggles.setdefault(val, []).append(s1)
-            run.records.append(("xin", s1, val))
-        elif kind == "xout":
-            run.x.discard(val)
-            run.x_toggles.setdefault(val, []).append(s1)
-            run.records.append(("xout", s1, val))
-        else:
-            raise UsageError(f"unknown attempt event {kind}")
-    if len(run.kept_counts) != horizon:
-        raise UsageError(
-            f"attempt {attempt} carries {len(run.kept_counts)} boundary"
-            f" records for horizon {horizon}"
-        )
-    run.a_now = set(run.a_entry)
-    run.b_now = set(run.b_entry)
-    return run
-
-
 def _verify_nosupermax_trace(parsed: ParsedTrace, report: VerificationReport):
     sc = parsed.scenario
-    sections = []  # (attempt, base, horizon, records)
-    cert_lines = []  # (attempt, accepted, witness, reason)
-    maps = {}
-    current = None
-    for parts in parsed.body:
-        if parts[0] == "attempt" and parts[2] == "begin":
-            current = (int(parts[1]), int(parts[3]), int(parts[4]), [])
-        elif parts[0] == "attempt" and parts[2] == "end":
-            if current is None:
-                raise UsageError("attempt end without a matching begin")
-            sections.append(current)
-            current = None
-        elif parts[0] == "ev":
-            if current is None:
-                raise UsageError("attempt event outside a section")
-            current[3].append((parts[2], int(parts[1]), int(parts[3])))
-        elif parts[0] == "cert":
-            if parts[2] == "accepted":
-                cert_lines.append((int(parts[1]), True, None, ""))
-            else:
-                witness = None if parts[3] == "-" else int(parts[3])
-                cert_lines.append(
-                    (int(parts[1]), False, witness, " ".join(parts[4:]))
-                )
-        elif parts[0] == "map":
-            maps[len(cert_lines) - 1] = [int(x) for x in parts[1:]]
-        else:
-            raise UsageError(f"unknown record {parts[0]} in trace body")
-    if not sections:
-        raise UsageError("trace carries no attempts")
-
+    sections, recorded_certs = decode_nosupermax(parsed.body)
     window = max(1, parsed.horizon // 5)
     attempts = []
     cert_results = []
@@ -290,12 +162,14 @@ def _verify_nosupermax_trace(parsed: ParsedTrace, report: VerificationReport):
                 f" derived base {base} horizon {horizon}",
             )
         )
-        run = _nosupermax_shell(att, rec_base, a_events, b_events, rec_horizon, records)
+        run = AttemptRun.from_records(
+            att, rec_base, a_events, b_events, rec_horizon, records
+        )
         attempts.append(run)
-        if i < len(cert_lines):
+        if i < len(recorded_certs):
             cert = sc.certs[i]
             res = apply_speedup(run, cert)
-            recorded_ok = cert_lines[i][1]
+            _, recorded_ok, _, _, recorded_map = recorded_certs[i]
             agree = res.accepted == recorded_ok
             report.checks.append(
                 CheckResult(
@@ -306,9 +180,9 @@ def _verify_nosupermax_trace(parsed: ParsedTrace, report: VerificationReport):
                     f" ({res.reason})",
                 )
             )
-            if res.accepted and i in maps:
+            if res.accepted and recorded_map is not None:
                 # the bullets check downstream re-validates the recorded map
-                res.stage_map = maps[i]
+                res.stage_map = recorded_map
             cert_results.append((cert, res))
             if res.accepted:
                 a_events = res.new_a_events
@@ -331,75 +205,19 @@ def _verify_nosupermax_trace(parsed: ParsedTrace, report: VerificationReport):
 
 def _verify_twodegrees_trace(parsed: ParsedTrace, report: VerificationReport):
     sc = parsed.scenario
-    shell = TwoDegreesRun(
-        sc.sets.get("C", []),
-        sc.sets.get("K", []),
-        sc.w_events_by_index(),
-        sc.programs_by_index(),
-        sc.horizon,
+    records, _ = decode_twodegrees(parsed.body)
+    detail = first_divergence(parsed.body, encode_run(sc))
+    report.checks.append(CheckResult("run-exactness", not detail, detail))
+    checks, caveats = verify_twodegrees(
+        TwoDegreesRun(*twodegrees_inputs(sc)).replay(records)
     )
-    finals = {}
-    axiom_of = {}
-    for parts in parsed.body:
-        if parts[0] == "final":
-            finals[parts[1]] = [
-                (int(f.split(":")[0]), int(f.split(":")[1])) for f in parts[2:]
-            ]
-            continue
-        if parts[0] != "ev":
-            raise UsageError(f"unknown record {parts[0]} in trace body")
-        s = int(parts[1])
-        kind = parts[2]
-        if kind == "axiom":
-            e, m, x, gamma = (int(v) for v in parts[3:7])
-            prefix = "" if parts[7] == "-" else parts[7]
-            ax = VeAxiom(
-                e=e, m=m, x=x, gamma=gamma, prefix=prefix, created_at=s
-            )
-            shell.axioms.append(ax)
-            axiom_of[(e, m, x)] = ax
-            shell.records.append(("axiom", s, e, m, x, gamma, prefix))
-        elif kind == "kill":
-            e, m, x, elem = (int(v) for v in parts[3:7])
-            ax = axiom_of.get((e, m, x))
-            if ax is None:
-                raise UsageError(f"kill for unknown axiom ({e}, {m}, {x})")
-            ax.death_stage = s
-            shell.records.append(("kill", s, e, m, x, elem))
-        elif kind == "promote":
-            e, m, x = (int(v) for v in parts[3:6])
-            ax = axiom_of.get((e, m, x))
-            if ax is None:
-                raise UsageError(f"promotion of unknown axiom ({e}, {m}, {x})")
-            ax.promoted_at = s
-            shell.a.add(x, s + 1)
-            shell.records.append(("promote", s, e, m, x))
-        elif kind == "pfire":
-            n, i, code = (int(v) for v in parts[3:6])
-            shell.b.add(code, s + 1)
-            shell.records.append(("pfire", s, n, i, code))
-        else:
-            raise UsageError(f"unknown event {kind} in trace body")
-
-    fresh = run_twodegrees(
-        sc.sets.get("C", []),
-        sc.sets.get("K", []),
-        sc.w_events_by_index(),
-        sc.programs_by_index(),
-        sc.horizon,
-    )
-    same = fresh.records == shell.records and sorted(
-        fresh.a.freeze().events
-    ) == sorted(finals.get("A", [])) and sorted(fresh.b.freeze().events) == sorted(
-        finals.get("B", [])
-    )
-    report.checks.append(
-        CheckResult(
-            "run-exactness",
-            same,
-            "" if same else "trace diverges from a fresh run",
-        )
-    )
-    checks, caveats = verify_twodegrees(shell)
     report.checks.extend(checks)
     report.caveats.extend(caveats)
+
+
+_VERIFIERS = {
+    "anticomplete": _verify_anticomplete_trace,
+    "upclosure": _verify_upclosure_trace,
+    "nosupermax": _verify_nosupermax_trace,
+    "twodegrees": _verify_twodegrees_trace,
+}

@@ -256,10 +256,15 @@ class TestCriteria:
         for fname, expected in rows:
             text = (ROOT / "scenarios" / "faults" / fname).read_text()
             report = verify_trace(parse_trace(text))
-            failed = {c.name for c in report.failures()}
+            failed = {c.name: c.detail for c in report.failures()}
             names.add(expected)
             if expected not in failed:
-                bad.append(f"{fname}: {expected} did not fail ({failed})")
+                bad.append(f"{fname}: {expected} did not fail ({set(failed)})")
+            bad.extend(
+                f"{fname}: {name} names no counterexample"
+                for name, detail in failed.items()
+                if not detail
+            )
         announce(
             11,
             "fault injection",

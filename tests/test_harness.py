@@ -2,20 +2,40 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cli_env import cli_env
+from sepsim.anticomplete import run_anticomplete
 from sepsim.corpus import (
     anticomplete_scenario,
+    chain_certificates,
     nosupermax_scenario,
     twodegrees_scenario,
     upclosure_scenario,
 )
 from sepsim.errors import HypothesisViolation, UsageError
+from sepsim.nosupermax import run_nosupermax
 from sepsim.scenario import Scenario, load_scenario, parse_scenario
-from sepsim.trace import parse_trace, run_scenario
+from sepsim.trace import (
+    decode_anticomplete,
+    decode_nosupermax,
+    decode_twodegrees,
+    decode_upclosure,
+    encode_event_log,
+    encode_nosupermax,
+    encode_upclosure,
+    first_divergence,
+    parse_trace,
+    run_scenario,
+    run_upclosure_pipeline,
+    twodegrees_inputs,
+)
+from sepsim.twodegrees import run_twodegrees
 from sepsim.verify import verify_trace
+
+SAMPLES = Path(__file__).resolve().parents[1] / "scenarios" / "samples"
 
 MINIMAL_TWODEGREES = """\
 sepsim-scenario 1
@@ -169,6 +189,87 @@ class TestRunVerify:
             parse_trace("\n".join(lines) + "\n")
 
 
+def expected_log(sc):
+    """The run's records, taken from the construction itself, with the
+    encoder and decoder of its trace body."""
+    if sc.construction == "upclosure":
+        return run_upclosure_pipeline(sc), encode_upclosure, decode_upclosure
+    if sc.construction == "nosupermax":
+        result = run_nosupermax(
+            sc.sets.get("A", []), sc.sets.get("B", []), sc.horizon, sc.certs
+        )
+        attempts = [(r.attempt, r.base, r.horizon, r.records) for r in result.attempts]
+        certs = [
+            (
+                cert.attempt,
+                res.accepted,
+                res.witness_stage,
+                res.reason,
+                res.stage_map if res.accepted else None,
+            )
+            for cert, res in result.cert_results
+        ]
+        return (attempts, certs), encode_nosupermax, decode_nosupermax
+    if sc.construction == "anticomplete":
+        run = run_anticomplete(sc.programs_by_index(), sc.horizon)
+        sets, decode = {"A": run.a, "B": run.b, "D": run.d}, decode_anticomplete
+    else:
+        run = run_twodegrees(*twodegrees_inputs(sc))
+        sets, decode = {"A": run.a, "B": run.b}, decode_twodegrees
+    finals = {name: s.freeze().events for name, s in sets.items()}
+    return (run.records, finals), encode_event_log, decode
+
+
+def codec_scenarios():
+    """Every sample plus three corpus scenarios of each construction."""
+    samples = sorted(SAMPLES.glob("*.scn"))
+    out = [pytest.param(load_scenario(p.read_text()), id=p.stem) for p in samples]
+    for seed in (0, 3, 6):
+        out.append(pytest.param(anticomplete_scenario(seed, 300), id=f"ac-{seed}"))
+        out.append(pytest.param(twodegrees_scenario(seed, 300), id=f"td-{seed}"))
+        out.append(pytest.param(upclosure_scenario(seed, 1), id=f"up1-{seed}"))
+        out.append(pytest.param(upclosure_scenario(seed, 2), id=f"up2-{seed}"))
+    for seed in (0, 1, 3):
+        sc = nosupermax_scenario(seed, 300)
+        sc.certs = chain_certificates(sc, want=2) if seed == 1 else []
+        out.append(pytest.param(sc, id=f"nsm-{seed}"))
+    return out
+
+
+CODEC_SCENARIOS = codec_scenarios()
+
+
+class TestRecordCodecs:
+    @pytest.mark.parametrize("sc", CODEC_SCENARIOS)
+    def test_body_round_trip(self, sc):
+        log, encode, decode = expected_log(sc)
+        body = run_scenario(sc).body
+        decoded = decode([line.split() for line in body])
+        assert decoded == log
+        assert encode(decoded) == body
+
+    def test_scenarios_cover_empty_enumeration_runs(self):
+        # `a  b` (two spaces) is an anticomplete act whose two runs are empty
+        bodies = [
+            run_scenario(p.values[0]).body
+            for p in CODEC_SCENARIOS
+            if p.values[0].construction == "anticomplete"
+        ]
+        assert any(line.endswith(" a  b") for body in bodies for line in body)
+
+    def test_first_divergence_names_the_record(self):
+        body = [["caseok", "true"], ["mseq", "1", "3"]]
+        assert first_divergence(body, ["caseok true", "mseq 1 3"]) == ""
+        assert (
+            first_divergence(body, ["caseok true", "mseq 1 4"])
+            == "record 2: mseq 1 3 (fresh run: mseq 1 4)"
+        )
+        assert (
+            first_divergence(body[:1], ["caseok true", "mseq 1 3"])
+            == "record 2: end (fresh run: mseq 1 3)"
+        )
+
+
 def run_cli(args, cwd):
     return subprocess.run(
         [sys.executable, "-m", "sepsim", *args],
@@ -237,6 +338,25 @@ class TestCli:
         p.write_text(sc.canonical())
         res = run_cli(["run", "--scenario", str(p)], tmp_path)
         assert res.returncode == 3, res.stderr
+
+    def test_trace_hypothesis_violation_exit_three(self, tmp_path):
+        # the embedded scenario passes the schema and its digest matches, but
+        # the mutated gamma rule breaks the use-bound hypotheses
+        good = load_scenario((SAMPLES / "upclosure-leastpoint.scn").read_text())
+        text = run_scenario(good).render()
+        bad = parse_scenario(
+            good.canonical().replace(
+                "rule gamma 12 1 15 33 3 4 1 8 1 14 1",
+                "rule gamma 12 1 15 33 3 4 1 0 1 14 1",
+            )
+        )
+        assert bad.digest() != good.digest()
+        text = text.replace(good.canonical(), bad.canonical())
+        trace = tmp_path / "bad.trc"
+        trace.write_text(text.replace(good.digest(), bad.digest()))
+        res = run_cli(["verify", "--trace", str(trace)], tmp_path)
+        assert res.returncode == 3, res.stderr
+        assert "hypothesis violation" in res.stderr
 
     def test_violation_exit_one(self, tmp_path, scenario_file):
         trace = tmp_path / "out.trc"

@@ -392,8 +392,7 @@ class TestPipeline:
         # placed on the odd side; the audit must flag it. A file fixture
         # cannot reach this verdict because any scenario whose certificate
         # validates has a hole-free zone by construction.
-        from sepsim.nosupermax import NosupermaxResult
-        from sepsim.verify import _nosupermax_shell
+        from sepsim.nosupermax import AttemptRun, NosupermaxResult
 
         horizon = 40
         events = [
@@ -409,7 +408,7 @@ class TestPipeline:
                 records.append(("boundary", s1, 0))
             else:
                 records.append(("boundary", s1, 1))
-        shell = _nosupermax_shell(2, 3, a_events, b_events, horizon, records)
+        shell = AttemptRun.from_records(2, 3, a_events, b_events, horizon, records)
         result = NosupermaxResult(
             [shell], [detect_outcome(shell, horizon // 5)], []
         )
