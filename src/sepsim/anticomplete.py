@@ -39,7 +39,6 @@ class RStrategyState:
     e: int
     restraint: int = 0  # stage as of which the strategy was last initialized
     claimed_n: int | None = None
-    phase: str = "claiming"  # claiming | searching
     memo_epoch: int = -1
     memo_n: int = -1
     memo_wake: int = 0
@@ -282,7 +281,6 @@ def r_strategy_step(
     if st.claimed_n is None:
         n = run.fresh.fresh()
         st.claimed_n = n
-        st.phase = "searching"
         run._emit(("rclaim", s, st.e, n))
     if len(prog) == 0:
         return False
@@ -317,7 +315,6 @@ def r_strategy_step(
         for e in run.scripted:
             run._schedule(s + 1, 2 * e + 1)
     st.claimed_n = None
-    st.phase = "claiming"
     return True
 
 
@@ -392,7 +389,6 @@ class AnticompleteRun:
             st = self.rstates[idx // 2]
             st.restraint = s + 1
             st.claimed_n = None
-            st.phase = "claiming"
             st.memo_epoch = -1
 
     def _visit(self, idx: int, s: int, reset: bool, use_memo: bool) -> bool:

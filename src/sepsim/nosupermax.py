@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 
 from .errors import UsageError
-from .report import CheckResult
+from .report import CheckResult, first_counterexample, first_divergence
 
 MIN_SPEEDUP_FRACTION = 4  # accept when selected stages >= available / this
 
@@ -76,24 +76,22 @@ def boundary_update(base, old_entries, s1, x_mem, a_now, b_now, trig):
     by a fresh crossing below, or equal to s; even-indexed entries mirror
     this with "outside X". The first entry that fails (or was never defined,
     or no longer exceeds its predecessor) is reset to s and the sequence
-    ends. Returns (entries, witnesses, kept, fragile): witnesses caches one
-    in-set witness per kept entry (None when the entry survived only through
-    a crossing or the y = s escape), fragile flags such a None.
+    ends. Returns (entries, kept, fragile): fragile flags a kept entry whose
+    interval holds no number on its side of X, so that it survived only
+    through a crossing or the y = s escape.
     """
     s = s1 - 1
     new: list[int] = []
-    witnesses: list[int | None] = []
     fragile = False
     cur = base
     if cur >= s:
-        return [], [], -1, False
+        return [], -1, False
     while True:
         idx = len(new)
         old_val = old_entries[idx] if idx < len(old_entries) else None
         if old_val is None or old_val <= cur:
             new.append(s)
-            witnesses.append(None)
-            return new, witnesses, idx, fragile
+            return new, idx, fragile
         want_in = idx % 2 == 1  # odd right endpoint: witness inside X
         witness = None
         kept = False
@@ -108,14 +106,12 @@ def boundary_update(base, old_entries, s1, x_mem, a_now, b_now, trig):
                 kept = True
         if kept:
             new.append(old_val)
-            witnesses.append(witness)
             if witness is None:
                 fragile = True
             cur = old_val
             continue
         new.append(s)
-        witnesses.append(None)
-        return new, witnesses, idx, fragile
+        return new, idx, fragile
 
 
 def x_update(entries, base, s1, x_mem, a_now, b_now, trig, extra_positions=()):
@@ -164,8 +160,8 @@ def x_update(entries, base, s1, x_mem, a_now, b_now, trig, extra_positions=()):
 class AttemptRun:
     """One attempt: boundary plus X evolution over a (possibly re-indexed)
     timeline. Records one boundary record per stage and one record per X
-    membership change; a cached-witness shortcut keeps quiet stages cheap and
-    is checked against the full recomputation by the test suite."""
+    membership change; a fast step keeps quiet stages cheap and is checked
+    against the full recomputation by the test suite."""
 
     def __init__(self, attempt, base, a_events, b_events, horizon):
         self.attempt = attempt
@@ -191,7 +187,6 @@ class AttemptRun:
         self.b_now: set[int] = set()
         self.x: set[int] = set()
         self.entries: list[int] = []
-        self.witnesses: list[int | None] = []
         self.kept_counts: list[int] = []  # index s1-1 -> kept at stage s1
         self.records: list[tuple] = []
         self.x_toggles: dict[int, list[int]] = {}
@@ -264,11 +259,10 @@ class AttemptRun:
         self.a_now.update(a_new)
         self.b_now.update(b_new)
         trig = trigger_prefix(s, self.x, a_new, b_new)
-        entries, witnesses, kept, fragile = boundary_update(
+        entries, kept, fragile = boundary_update(
             self.base, self.entries, s1, self.x, self.a_now, self.b_now, trig
         )
         self.entries = entries
-        self.witnesses = witnesses
         self._record_boundary(s1, kept)
         added, removed = x_update(
             entries,
@@ -294,9 +288,7 @@ class AttemptRun:
 
     def _fast_step(self, s1):
         s = s1 - 1
-        self.witnesses[-1] = self.entries[-1]
         self.entries.append(s)
-        self.witnesses.append(None)
         self._record_boundary(s1, len(self.entries) - 1)
         idx = len(self.entries) - 1
         if s in self.a_now:
@@ -586,26 +578,56 @@ def run_nosupermax(
 # verification
 
 
-def _verify_attempt(run: AttemptRun, checks, caveats):
+def _at(seq, i):
+    return seq[i] if i < len(seq) else None
+
+
+def _timeline_check(run, ref) -> CheckResult:
+    """Attempt number, base and horizon of an attempt against its fresh
+    counterpart; a failure names only the fields that differ."""
+    got, want = ({} if r is None else vars(r) for r in (run, ref))
+    differ = [k for k in ("attempt", "base", "horizon") if got.get(k) != want.get(k)]
+
+    def show(fields):
+        return " ".join(f"{k} {fields[k]}" for k in differ) if fields else "none"
+
+    return CheckResult(
+        f"a{(run or ref).attempt}-timeline-agrees",
+        not differ,
+        f"recorded {show(got)}, fresh run {show(want)}",
+    )
+
+
+def _cert_check(got, want) -> CheckResult:
+    """A certificate's verdict, stage and reason against the fresh run's."""
+
+    def show(cert_res):
+        if cert_res is None:
+            return "none"
+        res = cert_res[1]
+        if res.accepted:
+            return "accepted"
+        stage = "" if res.witness_stage is None else f" at stage {res.witness_stage}"
+        return f"rejected{stage}" + (f" ({res.reason})" if res.reason else "")
+
+    return CheckResult(
+        f"a{(got or want)[0].attempt}-cert-outcome-agrees",
+        show(got) == show(want),
+        f"recorded {show(got)}, recomputed {show(want)}",
+    )
+
+
+def _verify_attempt(run: AttemptRun, ref: AttemptRun | None, checks):
     tag = f"a{run.attempt}"
     horizon = run.horizon
 
-    # exactness: an independent replay of the scripted events must reproduce
-    # the recorded boundary and X history bit for bit
-    replay = AttemptRun(
-        run.attempt,
-        run.base,
-        [(e, t) for e, t in run.a_entry.items()],
-        [(e, t) for e, t in run.b_entry.items()],
-        horizon,
-    ).run()
-    checks.append(
-        CheckResult(
-            f"{tag}-boundary-exactness",
-            replay.records == run.records,
-            "" if replay.records == run.records else "trace diverges from replay",
-        )
-    )
+    # exactness: the fresh run's attempt must hold the same boundary and X
+    # records, compared in their trace form
+    def ev(records):
+        return [("ev", s1, kind, val) for kind, s1, val in records]
+
+    detail = first_divergence(ev(run.records), ev(ref.records if ref else []))
+    checks.append(CheckResult(f"{tag}-boundary-exactness", not detail, detail))
 
     deltas_by_stage: dict[int, list[tuple[str, int]]] = {}
     for rec in run.records:
@@ -673,72 +695,73 @@ def _verify_attempt(run: AttemptRun, checks, caveats):
             if kind == "xin" and y in b_so_far:
                 sep_viol.append((y, s1, "B member pulled into X"))
 
-    def fail_first(name, violations, fmt):
-        if violations:
-            checks.append(CheckResult(name, False, fmt(violations[0])))
-        else:
-            checks.append(CheckResult(name, True))
-
-    fail_first(
-        f"{tag}-separator-stagewise",
-        sep_viol,
-        lambda v: f"stage {v[1]} element {v[0]} ({v[2]})",
-    )
-    fail_first(
-        f"{tag}-change-discipline",
-        disc_viol,
-        lambda v: f"element {v[0]} changed at stage {v[1]} with no cause",
-    )
-    fail_first(f"{tag}-boundary-shape", shape_viol, lambda v: f"stage {v[0]}: {v[1]}")
-
-    w_events, fwd, bwd = derive_w(run)
-    fail_first(
-        f"{tag}-w-trigger-forward",
-        fwd,
-        lambda v: f"crossing of {v[0]} at stage {v[1]} without an X change",
-    )
-    fail_first(
-        f"{tag}-w-trigger-backward",
-        bwd,
-        lambda v: f"X change at {v[0]} stage {v[1]} without a crossing below",
-    )
+    _, fwd, bwd = derive_w(run)
+    for name, violations, template in (
+        ("separator-stagewise", sep_viol, "stage {1} element {0} ({2})"),
+        (
+            "change-discipline",
+            disc_viol,
+            "element {0} changed at stage {1} with no cause",
+        ),
+        ("boundary-shape", shape_viol, "stage {0}: {1}"),
+        ("w-trigger-forward", fwd, "crossing of {0} at stage {1} without an X change"),
+        (
+            "w-trigger-backward",
+            bwd,
+            "X change at {0} stage {1} without a crossing below",
+        ),
+    ):
+        checks.append(first_counterexample(f"{tag}-{name}", violations, template))
 
 
-def verify_nosupermax(result: NosupermaxResult):
+def verify_nosupermax(result: NosupermaxResult, fresh: NosupermaxResult):
+    """Check a run (in a trace, the recorded one) against a fresh run of the
+    same scenario, then check the run's own invariants.
+
+    The fresh run is the reference for every agreement check: timelines,
+    certificate outcomes, boundary and X records, and selection maps. The
+    invariants look at `result` alone."""
     checks: list[CheckResult] = []
     caveats: list[str] = []
-    for run in result.attempts:
-        _verify_attempt(run, checks, caveats)
+    for i in range(max(len(result.attempts), len(fresh.attempts))):
+        checks.append(_timeline_check(_at(result.attempts, i), _at(fresh.attempts, i)))
+        got, want = _at(result.cert_results, i), _at(fresh.cert_results, i)
+        if got or want:
+            checks.append(_cert_check(got, want))
+    for i, run in enumerate(result.attempts):
+        _verify_attempt(run, _at(fresh.attempts, i), checks)
 
-    for cert, res in result.cert_results:
-        run = result.attempts[cert.attempt - 1]
+    for i, (cert, res) in enumerate(result.cert_results):
+        run = result.attempts[i]
         tag = f"a{cert.attempt}"
         if not res.accepted:
+            stage = "" if res.witness_stage is None else f" (stage {res.witness_stage})"
             caveats.append(
-                f"certificate for attempt {cert.attempt} rejected: {res.reason}"
-                + (
-                    f" (stage {res.witness_stage})"
-                    if res.witness_stage is not None
-                    else ""
-                )
+                f"certificate for attempt {cert.attempt} rejected: {res.reason}{stage}"
             )
             continue
-        res2 = apply_speedup(run, cert)
-        detail = f"{res2.reason} (stage {res2.witness_stage})"
-        if res2.accepted:
-            pairs = zip_longest(res.stage_map, res2.stage_map, fillvalue="none")
-            diffs = [
-                f"map position {i}: recorded {u}, recomputed {v}"
-                for i, (u, v) in enumerate(pairs)
-                if u != v
-            ]
-            detail = diffs[0] if diffs else ""
-        checks.append(CheckResult(f"{tag}-speedup-bullets", not detail, detail))
+        want = _at(fresh.cert_results, i)
+        fresh_map = want[1].stage_map if want else []
+        pairs = zip_longest(res.stage_map, fresh_map, fillvalue="none")
+        checks.append(
+            first_counterexample(
+                f"{tag}-speedup-bullets",
+                [(j, u, v) for j, (u, v) in enumerate(pairs) if u != v],
+                "map position {0}: recorded {1}, recomputed {2}",
+            )
+        )
         # census: past the settling stage, the zone between the settled point
         # and the live entry holds no permanent hole on the wrong side
+        name = f"{tag}-settled-zone-census"
+        x_ell = (
+            run.entry_value_at(cert.k - 1, cert.settling_stage) if cert.k else run.base
+        )
+        if x_ell is None:  # reachable only on corrupted records
+            detail = f"settled point undefined at stage {cert.settling_stage}"
+            checks.append(CheckResult(name, False, detail))
+            continue
         union_final = run.union_final()
         viol = []
-        x_ell = res.new_base
         for t in range(cert.settling_stage, run.horizon + 1):
             vk = run.entry_value_at(cert.k, t)
             if vk is None:
@@ -753,12 +776,8 @@ def verify_nosupermax(result: NosupermaxResult):
             if viol:
                 break
         checks.append(
-            CheckResult(
-                f"{tag}-settled-zone-census",
-                not viol,
-                f"permanent hole {viol[0][0]} on the wrong side at stage {viol[0][1]}"
-                if viol
-                else "",
+            first_counterexample(
+                name, viol, "permanent hole {0} on the wrong side at stage {1}"
             )
         )
 
@@ -792,12 +811,10 @@ def verify_nosupermax(result: NosupermaxResult):
             if in_x != (out.k % 2 == 1):
                 viol.append((y, t_ptr))
         checks.append(
-            CheckResult(
+            first_counterexample(
                 f"{tag}-hole-permission",
-                not viol,
-                f"hole {viol[0][0]} not placed per parity at stage {viol[0][1]}"
-                if viol
-                else "",
+                viol,
+                "hole {0} not placed per parity at stage {1}",
             )
         )
         caveats.append(

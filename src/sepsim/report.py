@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 
 @dataclass
@@ -21,6 +22,25 @@ class CheckResult:
         if self.passed:
             return f"check {self.name} pass"
         return f"check {self.name} fail {self.detail}".rstrip()
+
+
+def first_counterexample(name, violations, template) -> CheckResult:
+    """The check `name`: it passes when `violations` is empty, and otherwise
+    fails naming the first violation, a tuple, filled into `template`."""
+    if violations:
+        return CheckResult(name, False, template.format(*violations[0]))
+    return CheckResult(name, True)
+
+
+def first_divergence(recorded, fresh) -> str:
+    """'' when two record sequences are equal; otherwise the first record that
+    differs, numbered from 1 and shown as its fields joined by spaces (a
+    sequence that ends early shows `end` there)."""
+    for i, (got, want) in enumerate(zip_longest(recorded, fresh, fillvalue=("end",))):
+        if got != want:
+            got, want = (" ".join(map(str, rec)) for rec in (got, want))
+            return f"record {i + 1}: {got} (fresh run: {want})"
+    return ""
 
 
 @dataclass

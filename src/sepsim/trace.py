@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from itertools import zip_longest
 
 from . import __version__
 from .anticomplete import run_anticomplete
@@ -152,17 +151,6 @@ def _decode_event_log(body, arity, names):
         else:
             raise UsageError(f"unknown record {parts[0]} in trace body")
     return records, finals
-
-
-def first_divergence(body, fresh_lines) -> str:
-    """'' when the recorded body equals the fresh run's encoded lines token
-    for token; otherwise the first record that differs, numbered from 1 (a
-    body that ends early shows the trace's `end` record there)."""
-    fresh = [line.split() for line in fresh_lines]
-    for i, (got, want) in enumerate(zip_longest(body, fresh, fillvalue=["end"])):
-        if got != want:
-            return f"record {i + 1}: {' '.join(got)} (fresh run: {' '.join(want)})"
-    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -318,32 +306,46 @@ def encode_nosupermax(log) -> list[str]:
 
 def decode_nosupermax(body):
     arity = {"boundary": 1, "xin": 1, "xout": 1}
+    # the records each record may follow; None stands for the start of the
+    # body. A section may follow a section without a certificate: the
+    # verifier, not the decoder, reports a chain that differs from the fresh
+    # run's.
+    follows = {
+        "begin": (None, "end", "accepted", "map", "rejected"),
+        "ev": ("begin", "ev"),
+        "end": ("begin", "ev"),
+        "accepted": ("end",),
+        "rejected": ("end",),
+        "map": ("accepted",),
+    }
     attempts, certs = [], []
-    current = None
+    prev = None
     for parts in body:
         kind = parts[0]
-        if kind == "attempt" and parts[2] == "begin":
-            current = (int(parts[1]), int(parts[3]), int(parts[4]), [])
-        elif kind == "attempt" and parts[2] == "end":
-            if current is None:
-                raise UsageError("attempt end without a matching begin")
-            attempts.append(current)
-            current = None
-        elif kind == "ev":
-            if current is None:
-                raise UsageError("attempt event outside a section")
-            current[3].append(decode_ev(parts, arity))
-        elif kind == "cert" and parts[2] == "accepted":
-            certs.append((int(parts[1]), True, None, "", None))
+        if kind == "attempt":
+            kind = parts[2]  # begin or end
         elif kind == "cert":
+            kind = "accepted" if parts[2] == "accepted" else "rejected"
+        if kind not in follows:
+            raise UsageError(f"unknown record {parts[0]} in trace body")
+        if prev not in follows[kind]:
+            raise UsageError(f"{parts[0]} record out of place in trace body")
+        prev = kind
+        if kind == "begin":
+            attempts.append((int(parts[1]), int(parts[3]), int(parts[4]), []))
+        elif kind == "ev":
+            attempts[-1][3].append(decode_ev(parts, arity))
+        elif kind == "accepted":
+            certs.append((int(parts[1]), True, None, "", None))
+        elif kind == "rejected":
             reason = " ".join(parts[4:])
             certs.append((int(parts[1]), False, _opt_int(parts[3]), reason, None))
         elif kind == "map":
             certs[-1] = (*certs[-1][:4], list(_ints(parts[1:])))
-        else:
-            raise UsageError(f"unknown record {kind} in trace body")
-    if not attempts:
+    if prev is None:
         raise UsageError("trace carries no attempts")
+    if prev in ("begin", "ev"):
+        raise UsageError("attempt section without an end")
     return attempts, certs
 
 
@@ -458,13 +460,11 @@ def parse_trace(text: str) -> ParsedTrace:
     if scenario.digest() != meta["scenariohash"]:
         raise UsageError("embedded scenario does not match the recorded digest")
     audit_scenario(scenario)
-    try:
-        horizon = int(meta["horizon"])
-    except ValueError:
-        raise UsageError(f"malformed horizon header {meta['horizon']}")
+    if meta["horizon"] != str(scenario.horizon):
+        raise UsageError("horizon header does not match the embedded scenario")
     return ParsedTrace(
         construction=meta["construction"],
-        horizon=horizon,
+        horizon=scenario.horizon,
         scenario=scenario,
         scenario_hash=meta["scenariohash"],
         body=body,

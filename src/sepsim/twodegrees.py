@@ -22,13 +22,12 @@ enumerations performed at stage s are stamped s + 1.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .enumcore import StageSetBuilder, pair, unpair
 from .errors import HardFault, UsageError
-from .functionals import EMPTY_PROGRAM, OracleProgram, evaluate
-from .report import CheckResult
+from .functionals import EMPTY_PROGRAM, evaluate
+from .report import CheckResult, first_counterexample
 
 
 @dataclass
@@ -366,12 +365,6 @@ def verify_twodegrees(run: TwoDegreesRun):
     a_events = run.a.freeze().events
     b_events = run.b.freeze().events
 
-    def first_fail(name, violations, fmt):
-        if violations:
-            checks.append(CheckResult(name, False, fmt(violations[0])))
-        else:
-            checks.append(CheckResult(name, True))
-
     # disjointness
     inter = {e for e, _ in a_events} & {e for e, _ in b_events}
     checks.append(
@@ -402,11 +395,12 @@ def verify_twodegrees(run: TwoDegreesRun):
         want_death = min(deaths) if deaths else None
         if want_death != ax.death_stage:
             viol.append((ax, "death stage differs from the W history"))
-    first_fail(
-        "block-soundness",
-        viol,
-        lambda v: f"axiom for ({v[0].e}, {v[0].m}) at stage {v[0].created_at}:"
-        f" {v[1]}",
+    checks.append(
+        first_counterexample(
+            "block-soundness",
+            viol,
+            "axiom for ({0.e}, {0.m}) at stage {0.created_at}: {1}",
+        )
     )
 
     # witnesses clear every column code with small coordinates; the census
@@ -417,14 +411,16 @@ def verify_twodegrees(run: TwoDegreesRun):
     for ax in run.axioms:
         m_cap = max(ax.e, ax.m)
         if m_cap * m_cap * m_cap > horizon:
-            viol.append(ax)
+            viol.append((ax,))
         elif ax.x <= column_threshold(m_cap):
-            viol.append(ax)
-    first_fail(
-        "witness-threshold",
-        viol,
-        lambda v: f"axiom for ({v.e}, {v.m}) carries witness {v.x} at or"
-        f" below the column threshold",
+            viol.append((ax,))
+    checks.append(
+        first_counterexample(
+            "witness-threshold",
+            viol,
+            "axiom for ({0.e}, {0.m}) carries witness {0.x} at or below the column"
+            " threshold",
+        )
     )
 
     # axiom lifecycle: created only while uncovered and outside K; promoted
@@ -451,10 +447,8 @@ def verify_twodegrees(run: TwoDegreesRun):
                 viol.append((ax, "promotion away from the K entry stage"))
             if not ax.alive_at(ax.promoted_at):
                 viol.append((ax, "promotion of a dead axiom"))
-    first_fail(
-        "axiom-lifecycle",
-        viol,
-        lambda v: f"axiom for ({v[0].e}, {v[0].m}): {v[1]}",
+    checks.append(
+        first_counterexample("axiom-lifecycle", viol, "axiom for ({0.e}, {0.m}): {1}")
     )
 
     # promotions land in A, never while the witness sits in B
@@ -470,10 +464,8 @@ def verify_twodegrees(run: TwoDegreesRun):
         ta = a_stage.get(ax.x)
         if ta is None or ta > ax.promoted_at + 1:
             viol.append((ax.x, ax.promoted_at))
-    first_fail(
-        "promotion-clear-of-b",
-        viol,
-        lambda v: f"witness {v[0]} at stage {v[1]}",
+    checks.append(
+        first_counterexample("promotion-clear-of-b", viol, "witness {0} at stage {1}")
     )
 
     # column coding: one firing per column, at the C entry stage, least
@@ -512,8 +504,8 @@ def verify_twodegrees(run: TwoDegreesRun):
     for n, t in run.c_entry.items():
         if t < run.horizon and n not in seen_columns:
             viol.append((n, t, "column never fired"))
-    first_fail(
-        "column-coding", viol, lambda v: f"column {v[0]} stage {v[1]}: {v[2]}"
+    checks.append(
+        first_counterexample("column-coding", viol, "column {0} stage {1}: {2}")
     )
 
     # census bounds over all stages: per code, unavailability is a union of
@@ -550,10 +542,10 @@ def verify_twodegrees(run: TwoDegreesRun):
             if count > n * n and s <= horizon:
                 viol_block.append((n, s))
                 break
-    first_fail(
-        "block-census",
-        viol_block,
-        lambda v: f"column {v[0]} over bound at stage {v[1]}",
+    checks.append(
+        first_counterexample(
+            "block-census", viol_block, "column {0} over bound at stage {1}"
+        )
     )
 
     # cube censuses are monotone in the stage, so the horizon value is the max
@@ -562,10 +554,10 @@ def verify_twodegrees(run: TwoDegreesRun):
         a_count, b_count = cube_census(run, k, horizon)
         if a_count > k * k or b_count > k:
             viol_cube.append((k, horizon))
-    first_fail(
-        "cube-census",
-        viol_cube,
-        lambda v: f"cube {v[0]}^3 over bound at stage {v[1]}",
+    checks.append(
+        first_counterexample(
+            "cube-census", viol_cube, "cube {0}^3 over bound at stage {1}"
+        )
     )
 
     # round trips at the horizon; query domains are derived forward from the
@@ -583,9 +575,9 @@ def verify_twodegrees(run: TwoDegreesRun):
     n_bound = max([10] + [n + 1 for n in c_members])
     for n in range(n_bound + 1):
         if decode_c_from_b(b_members, n) != (1 if n in c_members else 0):
-            viol.append(n)
-    first_fail(
-        "roundtrip-c-from-b", viol, lambda v: f"column {v} decodes wrongly"
+            viol.append((n,))
+    checks.append(
+        first_counterexample("roundtrip-c-from-b", viol, "column {0} decodes wrongly")
     )
 
     viol = []
@@ -601,9 +593,7 @@ def verify_twodegrees(run: TwoDegreesRun):
             continue
         if bit != (1 if q in b_members else 0):
             viol.append((q, "wrong bit"))
-    first_fail(
-        "roundtrip-b-from-c", viol, lambda v: f"query {v[0]}: {v[1]}"
-    )
+    checks.append(first_counterexample("roundtrip-b-from-c", viol, "query {0}: {1}"))
 
     caveats.append(
         "axiom coverage and blocking verified at recorded stages; scripted"

@@ -1,9 +1,10 @@
 """Trace verification: re-derive every checkable invariant from a trace.
 
 Verification is a pure function of the trace bytes: the canonical scenario
-is embedded in the trace, so the verifier can rebuild stage views, replay
-the construction where exactness demands it, and check each named invariant
-without any outside state. Body records come from the decoders in `trace`.
+is embedded in the trace, so the verifier can rebuild stage views, run the
+construction once afresh where agreement checks need a reference, and check
+each named invariant without any outside state. Body records come from the
+decoders in `trace`.
 """
 
 from __future__ import annotations
@@ -14,11 +15,17 @@ from .errors import UsageError
 from .nosupermax import (
     AttemptRun,
     NosupermaxResult,
-    apply_speedup,
+    SpeedupResult,
     detect_outcome,
+    run_nosupermax,
     verify_nosupermax,
 )
-from .report import CheckResult, VerificationReport
+from .report import (
+    CheckResult,
+    VerificationReport,
+    first_counterexample,
+    first_divergence,
+)
 from .trace import (
     ParsedTrace,
     decode_anticomplete,
@@ -26,7 +33,6 @@ from .trace import (
     decode_twodegrees,
     decode_upclosure,
     encode_run,
-    first_divergence,
     twodegrees_inputs,
 )
 from .twodegrees import TwoDegreesRun, verify_twodegrees
@@ -46,6 +52,14 @@ def verify_trace(parsed: ParsedTrace) -> VerificationReport:
     except (ValueError, IndexError, KeyError, TypeError) as exc:
         raise UsageError(f"malformed trace body: {exc}")
     return report
+
+
+def _fresh_run_check(name, parsed: ParsedTrace) -> CheckResult:
+    """The recorded body against a fresh run of the embedded scenario, record
+    by record."""
+    fresh = [line.split() for line in encode_run(parsed.scenario)]
+    detail = first_divergence(parsed.body, fresh)
+    return CheckResult(name, not detail, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +89,7 @@ def _verify_upclosure_trace(parsed: ParsedTrace, report: VerificationReport):
             "recorded boundaries not strictly increasing",
         )
     )
-    detail = first_divergence(parsed.body, encode_run(sc))
-    report.checks.append(CheckResult("pipeline-exactness", not detail, detail))
+    report.checks.append(_fresh_run_check("pipeline-exactness", parsed))
 
     a, b = sc.stage_set("A"), sc.stage_set("B")
     z = recorded["z"]
@@ -90,7 +103,7 @@ def _verify_upclosure_trace(parsed: ParsedTrace, report: VerificationReport):
                 "recorded string is not a separator of the scripted sides",
             )
         )
-        viol = None
+        viol = []
         for n in range(len(values) - 1):
             if values[n + 1] >= z.length:
                 break
@@ -98,35 +111,27 @@ def _verify_upclosure_trace(parsed: ParsedTrace, report: VerificationReport):
                 z, a, b, values[n], values[n + 1], sc.horizon
             )
             if len(stages) > 0:
-                viol = (n, stages[0])
+                viol.append((n, stages[0]))
                 break
         report.checks.append(
-            CheckResult(
+            first_counterexample(
                 "mutual-exclusion",
-                viol is None,
-                f"block {viol[0]} agrees with both sides at stage {viol[1]}"
-                if viol
-                else "",
+                viol,
+                "block {0} agrees with both sides at stage {1}",
             )
         )
-    bad = [blk for blk in recorded["blocks"] if blk[1] != blk[3]]
     report.checks.append(
-        CheckResult(
+        first_counterexample(
             "roundtrip-decode",
-            not bad,
-            f"block {bad[0][0]} decoded {bad[0][1]}, target holds {bad[0][3]}"
-            if bad
-            else "",
+            [blk for blk in recorded["blocks"] if blk[1] != blk[3]],
+            "block {0} decoded {1}, target holds {3}",
         )
     )
-    bad = [r for r in recorded["recovered"] if r[1] != r[3]]
     report.checks.append(
-        CheckResult(
+        first_counterexample(
             "boundary-recovery",
-            not bad,
-            f"recovered boundary {bad[0][0]} as {bad[0][1]}, direct value {bad[0][3]}"
-            if bad
-            else "",
+            [r for r in recorded["recovered"] if r[1] != r[3]],
+            "recovered boundary {0} as {1}, direct value {3}",
         )
     )
     if recorded["m_missing"] is not None:
@@ -145,57 +150,26 @@ def _verify_upclosure_trace(parsed: ParsedTrace, report: VerificationReport):
 def _verify_nosupermax_trace(parsed: ParsedTrace, report: VerificationReport):
     sc = parsed.scenario
     sections, recorded_certs = decode_nosupermax(parsed.body)
-    window = max(1, parsed.horizon // 5)
+    fresh = run_nosupermax(
+        sc.sets.get("A", []), sc.sets.get("B", []), sc.horizon, sc.certs
+    )
+    # a recorded attempt takes its scripted events from the fresh attempt in
+    # its place; a section the fresh run lacks gets none
     attempts = []
-    cert_results = []
-    a_events = list(sc.sets.get("A", []))
-    b_events = list(sc.sets.get("B", []))
-    base = -1
-    horizon = parsed.horizon
-    ok_chain = True
-    for i, (att, rec_base, rec_horizon, records) in enumerate(sections):
-        report.checks.append(
-            CheckResult(
-                f"a{att}-timeline-agrees",
-                ok_chain and rec_base == base and rec_horizon == horizon,
-                f"recorded base {rec_base} horizon {rec_horizon},"
-                f" derived base {base} horizon {horizon}",
-            )
-        )
-        run = AttemptRun.from_records(
-            att, rec_base, a_events, b_events, rec_horizon, records
-        )
-        attempts.append(run)
-        if i < len(recorded_certs):
-            cert = sc.certs[i]
-            res = apply_speedup(run, cert)
-            _, recorded_ok, _, _, recorded_map = recorded_certs[i]
-            agree = res.accepted == recorded_ok
-            report.checks.append(
-                CheckResult(
-                    f"a{att}-cert-outcome-agrees",
-                    agree,
-                    f"recorded {'accepted' if recorded_ok else 'rejected'},"
-                    f" recomputed {'accepted' if res.accepted else 'rejected'}"
-                    f" ({res.reason})",
-                )
-            )
-            if res.accepted and recorded_map is not None:
-                # the bullets check downstream re-validates the recorded map
-                res.stage_map = recorded_map
-            cert_results.append((cert, res))
-            if res.accepted:
-                a_events = res.new_a_events
-                b_events = res.new_b_events
-                base = res.new_base
-                horizon = max(1, res.new_horizon)
-            else:
-                ok_chain = len(sections) == i + 1
+    for i, (att, base, horizon, records) in enumerate(sections):
+        ref = fresh.attempts[i] if i < len(fresh.attempts) else None
+        events = (ref.a_entry.items(), ref.b_entry.items()) if ref else ([], [])
+        attempts.append(AttemptRun.from_records(att, base, *events, horizon, records))
+    window = max(1, sc.horizon // 5)
     outcomes = [
         detect_outcome(run, max(1, min(window, run.horizon))) for run in attempts
     ]
-    result = NosupermaxResult(attempts, outcomes, cert_results)
-    checks, caveats = verify_nosupermax(result)
+    cert_results = [
+        (sc.certs[i], SpeedupResult(accepted, reason, witness, stage_map or []))
+        for i, (_, accepted, witness, reason, stage_map) in enumerate(recorded_certs)
+    ]
+    recorded = NosupermaxResult(attempts, outcomes, cert_results)
+    checks, caveats = verify_nosupermax(recorded, fresh)
     report.checks.extend(checks)
     report.caveats.extend(caveats)
 
@@ -206,8 +180,7 @@ def _verify_nosupermax_trace(parsed: ParsedTrace, report: VerificationReport):
 def _verify_twodegrees_trace(parsed: ParsedTrace, report: VerificationReport):
     sc = parsed.scenario
     records, _ = decode_twodegrees(parsed.body)
-    detail = first_divergence(parsed.body, encode_run(sc))
-    report.checks.append(CheckResult("run-exactness", not detail, detail))
+    report.checks.append(_fresh_run_check("run-exactness", parsed))
     checks, caveats = verify_twodegrees(
         TwoDegreesRun(*twodegrees_inputs(sc)).replay(records)
     )

@@ -265,6 +265,11 @@ class TestCriteria:
                 for name, detail in failed.items()
                 if not detail
             )
+            exactness = failed.get("a1-boundary-exactness", "")
+            if fname == "nosupermax-exactness.trc" and not exactness.startswith(
+                "record "
+            ):
+                bad.append(f"{fname}: a1-boundary-exactness names no record")
         announce(
             11,
             "fault injection",

@@ -5,7 +5,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sepsim
 from cli_env import cli_env
 from sepsim.anticomplete import run_anticomplete
 from sepsim.corpus import (
@@ -17,7 +20,8 @@ from sepsim.corpus import (
 )
 from sepsim.errors import HypothesisViolation, UsageError
 from sepsim.nosupermax import run_nosupermax
-from sepsim.scenario import Scenario, load_scenario, parse_scenario
+from sepsim.report import first_divergence
+from sepsim.scenario import Scenario, load_scenario, load_scenario_file, parse_scenario
 from sepsim.trace import (
     decode_anticomplete,
     decode_nosupermax,
@@ -26,7 +30,6 @@ from sepsim.trace import (
     encode_event_log,
     encode_nosupermax,
     encode_upclosure,
-    first_divergence,
     parse_trace,
     run_scenario,
     run_upclosure_pipeline,
@@ -36,6 +39,7 @@ from sepsim.twodegrees import run_twodegrees
 from sepsim.verify import verify_trace
 
 SAMPLES = Path(__file__).resolve().parents[1] / "scenarios" / "samples"
+FAULTS = SAMPLES.parent / "faults"
 
 MINIMAL_TWODEGREES = """\
 sepsim-scenario 1
@@ -259,15 +263,102 @@ class TestRecordCodecs:
 
     def test_first_divergence_names_the_record(self):
         body = [["caseok", "true"], ["mseq", "1", "3"]]
-        assert first_divergence(body, ["caseok true", "mseq 1 3"]) == ""
+        assert first_divergence(body, [["caseok", "true"], ["mseq", "1", "3"]]) == ""
         assert (
-            first_divergence(body, ["caseok true", "mseq 1 4"])
+            first_divergence(body, [["caseok", "true"], ["mseq", "1", "4"]])
             == "record 2: mseq 1 3 (fresh run: mseq 1 4)"
         )
         assert (
-            first_divergence(body[:1], ["caseok true", "mseq 1 3"])
+            first_divergence(body[:1], [["caseok", "true"], ["mseq", "1", "3"]])
             == "record 2: end (fresh run: mseq 1 3)"
         )
+        assert (
+            first_divergence([("ev", 4, "xin", 7)], [("ev", 4, "xin", 9)])
+            == "record 1: ev 4 xin 7 (fresh run: ev 4 xin 9)"
+        )
+
+
+CHAIN_SCENARIO = load_scenario_file(SAMPLES / "nosupermax-chain.scn")
+CHAIN_TRACE = run_scenario(CHAIN_SCENARIO).render()
+CHAIN_LINES = CHAIN_TRACE.splitlines()
+FIRST_BODY, LAST_BODY = CHAIN_LINES.index("scenario-end") + 1, len(CHAIN_LINES) - 2
+SECTION_EDITS = {"deleted": lambda sec: [], "duplicated": lambda sec: sec + sec}
+
+
+def edit_section(attempt, edit):
+    """The chain trace with the lines of one attempt section, begin to end,
+    replaced by edit(section)."""
+    lines = list(CHAIN_LINES)
+    head = f"attempt {attempt} begin "
+    begin = next(i for i, line in enumerate(lines) if line.startswith(head))
+    end = lines.index(f"attempt {attempt} end", begin) + 1
+    return "\n".join(lines[:begin] + edit(lines[begin:end]) + lines[end:]) + "\n"
+
+
+class TestNosupermaxChainVerify:
+    """The chain sample: three attempts linked by two certificates."""
+
+    @pytest.mark.parametrize("edit", SECTION_EDITS.values(), ids=SECTION_EDITS.keys())
+    def test_edited_last_section_fails_its_timeline(self, edit):
+        report = verify_trace(parse_trace(edit_section(3, edit)))
+        failed = {c.name for c in report.failures()}
+        assert "a3-timeline-agrees" in failed, report.render()
+
+    def test_verify_applies_each_certificate_once(self, monkeypatch):
+        parsed = parse_trace(CHAIN_TRACE)
+        assert [cert.attempt for cert in parsed.scenario.certs] == [1, 2]
+        original = sepsim.nosupermax.apply_speedup
+        calls = []
+
+        def counted(run, cert):
+            calls.append(cert.attempt)
+            return original(run, cert)
+
+        # every module that holds the function by name
+        for name, module in list(sys.modules.items()):
+            held = getattr(module, "apply_speedup", None)
+            if name.startswith("sepsim") and held is original:
+                monkeypatch.setattr(module, "apply_speedup", counted)
+        assert verify_trace(parsed).passed
+        assert sorted(calls) == [1, 2]
+
+    def test_failure_details_name_real_differences(self):
+        texts = [path.read_text() for path in sorted(FAULTS.glob("nosupermax-*.trc"))]
+        texts += [edit_section(3, edit) for edit in SECTION_EDITS.values()]
+        for text in texts:
+            for check in verify_trace(parse_trace(text)).failures():
+                assert "()" not in check.detail, check.line()
+                if check.name.endswith("-timeline-agrees"):
+                    recorded, fresh = check.detail.split(", fresh run ")
+                    assert recorded.removeprefix("recorded ") != fresh, check.line()
+
+    def test_census_names_an_undefined_settled_point(self):
+        # attempt 1 drops every entry at the certificate's settling stage 10
+        lines = list(CHAIN_LINES)
+        i = next(i for i, l in enumerate(lines) if l.startswith("ev 10 boundary "))
+        lines[i] = "ev 10 boundary 0"
+        report = verify_trace(parse_trace("\n".join(lines) + "\n"))
+        failed = {c.name: c.detail for c in report.failures()}
+        assert failed["a1-settled-zone-census"] == "settled point undefined at stage 10"
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        op=st.sampled_from(["drop", "duplicate", "swap"]),
+        i=st.integers(FIRST_BODY, LAST_BODY),
+    )
+    def test_edited_body_line_gives_a_report_or_usage_error(self, op, i):
+        lines = list(CHAIN_LINES)
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            j = i + 1 if i < LAST_BODY else i - 1
+            lines[i], lines[j] = lines[j], lines[i]
+        try:
+            verify_trace(parse_trace("\n".join(lines) + "\n"))
+        except UsageError:
+            pass
 
 
 def run_cli(args, cwd):

@@ -130,7 +130,7 @@ def cofinite_scenario(horizon, holes_below=11):
 class TestBoundary:
     def test_first_stage(self):
         trig = trigger_prefix(0, set(), [], [])
-        entries, wit, kept, fragile = boundary_update(
+        entries, kept, fragile = boundary_update(
             -1, [], 1, set(), set(), set(), trig
         )
         assert entries == [0] and kept == 0
@@ -218,7 +218,7 @@ class TestXUpdate:
             a_new = sorted(a_now)[:2]
             b_new = sorted(b_now)[:2]
             trig = trigger_prefix(s1 - 1, x_prev, a_new, b_new)
-            entries, _, _, _ = boundary_update(
+            entries, _, _ = boundary_update(
                 base, list(range(0, s1 - 1, 2)), s1, x_prev, a_now, b_now, trig
             )
             added, removed = x_update(
@@ -373,7 +373,8 @@ class TestPipeline:
         full = run_nosupermax(a, b, horizon, [cert1, cert2])
         if full.cert_results[1][1].accepted:
             assert len(full.attempts) == 3
-        checks, caveats = verify_nosupermax(full)
+        fresh = run_nosupermax(a, b, horizon, [cert1, cert2])
+        checks, caveats = verify_nosupermax(full, fresh)
         bad = [c.line() for c in checks if not c.passed]
         assert not bad, bad
 
@@ -382,7 +383,7 @@ class TestPipeline:
         rng = random.Random(seed)
         a, b = random_events(rng, 300, 80)
         result = run_nosupermax(a, b, 300, [])
-        checks, _ = verify_nosupermax(result)
+        checks, _ = verify_nosupermax(result, run_nosupermax(a, b, 300, []))
         bad = [c.line() for c in checks if not c.passed]
         assert not bad, bad
 
@@ -412,7 +413,10 @@ class TestPipeline:
         result = NosupermaxResult(
             [shell], [detect_outcome(shell, horizon // 5)], []
         )
-        checks, _ = verify_nosupermax(result)
+        fresh = NosupermaxResult(
+            [run_attempt(2, 3, a_events, b_events, horizon)], [], []
+        )
+        checks, _ = verify_nosupermax(result, fresh)
         failed = {c.name for c in checks if not c.passed}
         assert "a2-hole-permission" in failed, failed
 
@@ -425,5 +429,8 @@ class TestPipeline:
         dropped = run.records[idx]
         run.records.pop(idx)
         run.x_toggles[dropped[2]].remove(dropped[1])
-        checks, _ = verify_nosupermax(result)
+        checks, _ = verify_nosupermax(result, run_nosupermax(a, b, 120, []))
         assert any(not c.passed for c in checks)
+        failed = [c for c in checks if not c.passed]
+        assert [c.name for c in failed] == ["a1-boundary-exactness"]
+        assert failed[0].detail.startswith("record "), failed[0].detail
