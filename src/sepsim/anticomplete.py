@@ -20,9 +20,9 @@ Enumerations performed at stage s are stamped s+1 and are always < s.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .enumcore import FreshSource, StageSetBuilder
+from .enumcore import FreshSource, StageSet
 from .functionals import EMPTY_PROGRAM, OracleProgram, evaluate
 from .report import CheckResult
 
@@ -291,9 +291,7 @@ def r_strategy_step(
         and s < st.memo_wake
     ):
         return False
-    sigma = sigma_search(
-        prog, st.claimed_n, s, run.a._entry, run.b._entry, run.d._entry
-    )
+    sigma = sigma_search(prog, st.claimed_n, s, run.a.entry, run.b.entry, run.d.entry)
     if sigma is None:
         st.memo_epoch = run.epoch
         st.memo_n = st.claimed_n
@@ -303,7 +301,7 @@ def r_strategy_step(
         if use_memo and st.memo_wake <= run.horizon:
             run._schedule(st.memo_wake, 2 * st.e + 1)
         return False
-    m, new_a, new_b = apply_sigma(sigma, st.restraint, run.a._entry, run.b._entry)
+    m, new_a, new_b = apply_sigma(sigma, st.restraint, run.a.entry, run.b.entry)
     for x in new_a:
         run.a.add(x, s + 1)
     for x in new_b:
@@ -334,9 +332,9 @@ class AnticompleteRun:
     def __init__(self, programs: dict[int, OracleProgram], horizon: int):
         self.programs = dict(programs)
         self.horizon = horizon
-        self.a = StageSetBuilder(horizon)
-        self.b = StageSetBuilder(horizon)
-        self.d = StageSetBuilder(horizon)
+        self.a = StageSet(horizon=horizon)
+        self.b = StageSet(horizon=horizon)
+        self.d = StageSet(horizon=horizon)
         self.fresh = FreshSource()
         self.records: list[tuple] = []
         self.epoch = 0

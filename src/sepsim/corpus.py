@@ -85,13 +85,9 @@ def prefix_rules(epochs, width):
 
 def w_epoch_rules(w_events, length, zeros_per_epoch, width, avail=0):
     stages = sorted({0} | {t for _, t in w_events})
-    by_stage = {}
-    for x, t in w_events:
-        by_stage.setdefault(t, []).append(x)
     epochs = []
-    members = set()
     for i, t in enumerate(stages):
-        members |= set(by_stage.get(t, []))
+        members = {x for x, u in w_events if u <= t}
         prefix = "".join("1" if p in members else "0" for p in range(length))
         zeros = zeros_per_epoch[min(i, len(zeros_per_epoch) - 1)]
         epochs.append((prefix, zeros, avail))

@@ -9,6 +9,7 @@ source that makes "pick a large number" reproducible.
 from __future__ import annotations
 
 import threading
+from bisect import insort
 from dataclasses import dataclass
 
 Stage = int
@@ -20,31 +21,49 @@ PAIRING_SCHEME_ID = "greedy-cantor-cube"
 # Stage-stamped sets
 
 
-@dataclass(frozen=True)
 class StageSet:
     """A monotone stage-indexed finite set: elements enter once, never leave.
 
-    events holds (element, entry_stage) pairs. Snapshots are derived views;
-    the event log is the ground truth so entry stages are never lost.
+    `entry` maps each element to its entry stage and is the ground truth, so
+    entry stages are never lost; the per-stage index, the event log and the
+    snapshots are views of it. Constructor events are checked against the
+    horizon. `add`, which a running construction calls, is not: a
+    re-indexed attempt keeps the events that fall past its own horizon.
     """
 
-    events: tuple[tuple[int, int], ...]
-    horizon: int
-
-    def __post_init__(self):
-        seen = set()
-        for element, stage in self.events:
+    def __init__(self, events=(), *, horizon: int):
+        self.horizon = horizon
+        self.entry: dict[int, int] = {}
+        self._by_stage: dict[int, list[int]] = {}
+        for element, stage in events:
             if element < 0 or stage < 0:
                 raise ValueError(f"negative event ({element}, {stage})")
-            if stage > self.horizon:
-                raise ValueError(
-                    f"event ({element}, {stage}) beyond horizon {self.horizon}"
-                )
-            if element in seen:
+            if stage > horizon:
+                raise ValueError(f"event ({element}, {stage}) beyond horizon {horizon}")
+            if not self.add(element, stage):
                 raise ValueError(f"element {element} enters more than once")
-            seen.add(element)
-        ordered = tuple(sorted(self.events, key=lambda ev: (ev[1], ev[0])))
-        object.__setattr__(self, "events", ordered)
+
+    def add(self, element: int, stage: Stage) -> bool:
+        """Record entry; returns False (no-op) when the element is present."""
+        if element in self.entry:
+            return False
+        self.entry[element] = stage
+        insort(self._by_stage.setdefault(stage, []), element)
+        return True
+
+    def entered_at(self, s: Stage) -> tuple[int, ...]:
+        """The elements stamped s, sorted."""
+        return tuple(self._by_stage.get(s, ()))
+
+    def member_at(self, element: int, s: Stage) -> bool:
+        """Whether the element has entered by stage s."""
+        t = self.entry.get(element)
+        return t is not None and t <= s
+
+    @property
+    def events(self) -> tuple[tuple[int, int], ...]:
+        """(element, entry stage) pairs in (stage, element) order."""
+        return tuple((e, t) for t in sorted(self._by_stage) for e in self._by_stage[t])
 
     def snapshot(self, s: Stage) -> frozenset[int]:
         """Elements with entry stage <= s."""
@@ -52,47 +71,19 @@ class StageSet:
             raise ValueError(f"horizon exceeded: stage {s} > horizon {self.horizon}")
         if s < 0:
             raise ValueError(f"negative stage {s}")
-        return frozenset(e for e, t in self.events if t <= s)
+        return frozenset(e for e, t in self.entry.items() if t <= s)
 
     def entry_stage(self, element: int) -> int | None:
-        for e, t in self.events:
-            if e == element:
-                return t
-        return None
+        return self.entry.get(element)
 
     def final(self) -> frozenset[int]:
         return self.snapshot(self.horizon)
 
-    def __len__(self) -> int:
-        return len(self.events)
-
-
-class StageSetBuilder:
-    """Mutable accumulator used while a construction is running."""
-
-    def __init__(self, horizon: int):
-        self.horizon = horizon
-        self._entry: dict[int, int] = {}
-
-    def add(self, element: int, stage: int) -> bool:
-        """Record entry; returns False (no-op) when the element is present."""
-        if element in self._entry:
-            return False
-        self._entry[element] = stage
-        return True
-
     def __contains__(self, element: int) -> bool:
-        return element in self._entry
+        return element in self.entry
 
-    def entry_stage(self, element: int) -> int | None:
-        return self._entry.get(element)
-
-    def members(self) -> set[int]:
-        return set(self._entry)
-
-    def freeze(self) -> StageSet:
-        events = tuple(sorted(self._entry.items(), key=lambda ev: (ev[1], ev[0])))
-        return StageSet(events=events, horizon=self.horizon)
+    def __len__(self) -> int:
+        return len(self.entry)
 
 
 # ---------------------------------------------------------------------------

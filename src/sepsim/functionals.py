@@ -8,7 +8,7 @@ Rules carry an availability stage so a scenario can delay convergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .enumcore import SeparatorSnapshot
 

@@ -27,12 +27,11 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
+from .enumcore import StageSet
 from .errors import UsageError
 from .report import CheckResult, first_counterexample, first_divergence
 
 MIN_SPEEDUP_FRACTION = 4  # accept when selected stages >= available / this
-
-INF = float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -167,22 +166,11 @@ class AttemptRun:
         self.attempt = attempt
         self.base = base
         self.horizon = horizon
-        self.a_entry: dict[int, int] = {}
-        self.b_entry: dict[int, int] = {}
-        self.a_by_stage: dict[int, list[int]] = {}
-        self.b_by_stage: dict[int, list[int]] = {}
-        for e, t in a_events:
-            t = max(1, t)
-            self.a_entry[e] = t
-            self.a_by_stage.setdefault(t, []).append(e)
-        for e, t in b_events:
-            t = max(1, t)
-            self.b_entry[e] = t
-            self.b_by_stage.setdefault(t, []).append(e)
-        for v in self.a_by_stage.values():
-            v.sort()
-        for v in self.b_by_stage.values():
-            v.sort()
+        # filled by add: scripted events past this attempt's horizon stay
+        self.a, self.b = StageSet(horizon=horizon), StageSet(horizon=horizon)
+        for scripted, events in ((self.a, a_events), (self.b, b_events)):
+            for e, t in events:
+                scripted.add(e, max(1, t))
         self.a_now: set[int] = set()
         self.b_now: set[int] = set()
         self.x: set[int] = set()
@@ -214,12 +202,6 @@ class AttemptRun:
             )
         return run
 
-    def in_a_at(self, y, t):
-        return self.a_entry.get(y, INF) <= t
-
-    def in_b_at(self, y, t):
-        return self.b_entry.get(y, INF) <= t
-
     def x_member_at(self, y, t):
         """Membership of X at the end of stage t."""
         tog = self.x_toggles.get(y)
@@ -228,7 +210,7 @@ class AttemptRun:
         return bisect_right(tog, t) % 2 == 1
 
     def union_final(self):
-        return set(self.a_entry) | set(self.b_entry)
+        return self.a.entry.keys() | self.b.entry.keys()
 
     def _apply_delta(self, added, removed, s1):
         for y in added:
@@ -251,8 +233,8 @@ class AttemptRun:
     def step(self):
         s1 = len(self.kept_counts) + 1
         s = s1 - 1
-        a_new = self.a_by_stage.get(s1, [])
-        b_new = self.b_by_stage.get(s1, [])
+        a_new = self.a.entered_at(s1)
+        b_new = self.b.entered_at(s1)
         if not a_new and not b_new and not self._dirty and self._fast_ok(s1):
             self._fast_step(s1)
             return
@@ -338,17 +320,14 @@ def derive_w(run: AttemptRun):
     Returns (w_events, forward_violations, backward_violations): a crossing
     must change X the same stage, and an X change at x during a stage past x
     must see a crossing at or below x."""
-    w_events = []
-    for e, t in run.a_entry.items():
+    w = StageSet(horizon=run.horizon)
+    for e, t in run.a.entry.items():
         if not run.x_member_at(e, t - 1):
-            w_events.append((e, t))
-    for e, t in run.b_entry.items():
+            w.add(e, t)
+    for e, t in run.b.entry.items():
         if run.x_member_at(e, t - 1):
-            w_events.append((e, t))
-    w_events.sort(key=lambda p: (p[1], p[0]))
-    w_by_stage: dict[int, list[int]] = {}
-    for e, t in w_events:
-        w_by_stage.setdefault(t, []).append(e)
+            w.add(e, t)
+    w_events = list(w.events)
 
     deltas_by_stage: dict[int, list[int]] = {}
     for rec in run.records:
@@ -360,8 +339,8 @@ def derive_w(run: AttemptRun):
     ]
     backward = []
     for t, xs in deltas_by_stage.items():
-        ws = w_by_stage.get(t, [])
-        wmin = min(ws) if ws else None
+        ws = w.entered_at(t)
+        wmin = ws[0] if ws else None
         for x in xs:
             if t - 1 > x and (wmin is None or wmin > x):
                 backward.append((x, t))
@@ -417,6 +396,12 @@ def detect_outcome(run: AttemptRun, window: int) -> OutcomeReport:
         last_reset_of_k=resets[-1] if resets else None,
         witnesses=witnesses,
     )
+
+
+def scenario_outcome(run: AttemptRun, horizon: int) -> OutcomeReport:
+    """detect_outcome over the final fifth of the scenario horizon, cut to
+    the attempt's own horizon."""
+    return detect_outcome(run, max(1, min(horizon // 5, run.horizon)))
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +466,10 @@ def apply_speedup(run: AttemptRun, cert: SpeedupCertificate) -> SpeedupResult:
         for y in range(x_ell + 1, s_new + 1):
             in_x = run.x_member_at(y, t)
             if odd:
-                if in_x and not run.in_a_at(y, t):
+                if in_x and not run.a.member_at(y, t):
                     return False
             else:
-                if not in_x and not run.in_b_at(y, t):
+                if not in_x and not run.b.member_at(y, t):
                     return False
         return True
 
@@ -519,8 +504,8 @@ def apply_speedup(run: AttemptRun, cert: SpeedupCertificate) -> SpeedupResult:
         True,
         stage_map=stage_map,
         new_base=x_ell,
-        new_a_events=reindex(run.a_entry),
-        new_b_events=reindex(run.b_entry),
+        new_a_events=reindex(run.a.entry),
+        new_b_events=reindex(run.b.entry),
         new_horizon=len(stage_map) - 1,
     )
 
@@ -542,16 +527,12 @@ def run_attempt(attempt, base, a_events, b_events, horizon):
     return AttemptRun(attempt, base, a_events, b_events, horizon).run()
 
 
-def run_nosupermax(
-    a_events, b_events, horizon, certs, window=None
-) -> NosupermaxResult:
+def run_nosupermax(a_events, b_events, horizon, certs) -> NosupermaxResult:
     """Attempt 1 always runs; each accepted certificate unlocks the next
     attempt on the re-indexed timeline. A rejected certificate ends the
     pipeline with its rejection recorded."""
-    if window is None:
-        window = max(1, horizon // 5)
     attempts = [run_attempt(1, -1, a_events, b_events, horizon)]
-    outcomes = [detect_outcome(attempts[0], min(window, horizon))]
+    outcomes = [scenario_outcome(attempts[0], horizon)]
     cert_results: list[tuple[SpeedupCertificate, SpeedupResult]] = []
     for i, cert in enumerate(certs):
         if cert.attempt != i + 1:
@@ -570,7 +551,7 @@ def run_nosupermax(
             max(1, res.new_horizon),
         )
         attempts.append(nxt)
-        outcomes.append(detect_outcome(nxt, max(1, min(window, nxt.horizon))))
+        outcomes.append(scenario_outcome(nxt, horizon))
     return NosupermaxResult(attempts, outcomes, cert_results)
 
 
@@ -638,15 +619,11 @@ def _verify_attempt(run: AttemptRun, ref: AttemptRun | None, checks):
     disc_viol = []
     shape_viol = []
     x_mem: set[int] = set()
-    a_so_far: set[int] = set()
-    b_so_far: set[int] = set()
     rec_entries: list[int] = []
     for s1 in range(1, horizon + 1):
         s = s1 - 1
-        a_new = run.a_by_stage.get(s1, [])
-        b_new = run.b_by_stage.get(s1, [])
-        a_so_far.update(a_new)
-        b_so_far.update(b_new)
+        a_new = run.a.entered_at(s1)
+        b_new = run.b.entered_at(s1)
         kept = run.kept_counts[s1 - 1]
         # boundary shape on the recorded kept counts
         if kept > len(rec_entries):
@@ -670,8 +647,8 @@ def _verify_attempt(run: AttemptRun, ref: AttemptRun | None, checks):
         wmin = min(fresh_cross, default=None)
         for kind, y in deltas_by_stage.get(s1, []):
             ok = (
-                (y in x_mem and y in b_so_far)
-                or (y not in x_mem and y in a_so_far)
+                (y in x_mem and run.b.member_at(y, s1))
+                or (y not in x_mem and run.a.member_at(y, s1))
                 or (wmin is not None and wmin < y)
                 or y == s
             )
@@ -690,9 +667,9 @@ def _verify_attempt(run: AttemptRun, ref: AttemptRun | None, checks):
             if y in x_mem:
                 sep_viol.append((y, s1, "B member inside X"))
         for kind, y in deltas_by_stage.get(s1, []):
-            if kind == "xout" and y in a_so_far:
+            if kind == "xout" and run.a.member_at(y, s1):
                 sep_viol.append((y, s1, "A member pushed out of X"))
-            if kind == "xin" and y in b_so_far:
+            if kind == "xin" and run.b.member_at(y, s1):
                 sep_viol.append((y, s1, "B member pulled into X"))
 
     _, fwd, bwd = derive_w(run)

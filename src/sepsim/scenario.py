@@ -53,6 +53,7 @@ _PROG_RE = {
 }
 
 DEFAULT_HORIZON = 1000
+MAX_HORIZON = 10_000  # nosupermax cost grows about quadratically with it
 
 
 @dataclass
@@ -112,18 +113,16 @@ class Scenario:
     # -- typed views
 
     def stage_set(self, name: str) -> StageSet:
-        return StageSet(
-            events=tuple(self.sets.get(name, [])), horizon=self.horizon
-        )
+        return StageSet(self.sets.get(name, []), horizon=self.horizon)
 
     def program(self, name: str) -> OracleProgram:
         return OracleProgram(self.rules.get(name, []))
 
-    def programs_by_index(self, prefix="phi") -> dict[int, OracleProgram]:
+    def programs_by_index(self) -> dict[int, OracleProgram]:
         out = {}
         for name, rules in self.rules.items():
-            if name.startswith(prefix):
-                out[int(name[len(prefix) :])] = OracleProgram(rules)
+            if name.startswith("phi"):
+                out[int(name[3:])] = OracleProgram(rules)
         return out
 
     def use_bound(self) -> UseBound:
@@ -231,6 +230,8 @@ def parse_scenario(text: str) -> Scenario:
 def validate_schema(sc: Scenario):
     if sc.horizon < 1:
         raise _schema_error("horizon must be positive")
+    if sc.horizon > MAX_HORIZON:
+        raise _schema_error(f"horizon {sc.horizon} exceeds {MAX_HORIZON}")
     allowed = _SET_NAMES[sc.construction]
     for name, events in sc.sets.items():
         ok = name in allowed or (

@@ -160,7 +160,7 @@ def _decode_event_log(body, arity, names):
 def _run_anticomplete(sc: Scenario):
     run = run_anticomplete(sc.programs_by_index(), sc.horizon)
     sets = {"A": run.a, "B": run.b, "D": run.d}
-    return run.records, {name: s.freeze().events for name, s in sets.items()}
+    return run.records, {name: s.events for name, s in sets.items()}
 
 
 def decode_anticomplete(body):
@@ -361,7 +361,7 @@ def twodegrees_inputs(sc: Scenario):
 
 def _run_twodegrees(sc: Scenario):
     run = run_twodegrees(*twodegrees_inputs(sc))
-    return run.records, {"A": run.a.freeze().events, "B": run.b.freeze().events}
+    return run.records, {"A": run.a.events, "B": run.b.events}
 
 
 def decode_twodegrees(body):

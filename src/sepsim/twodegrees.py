@@ -23,8 +23,9 @@ enumerations performed at stage s are stamped s + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from .enumcore import StageSetBuilder, pair, unpair
+from .enumcore import StageSet, pair, unpair
 from .errors import HardFault, UsageError
 from .functionals import EMPTY_PROGRAM, evaluate
 from .report import CheckResult, first_counterexample
@@ -45,18 +46,12 @@ class VeAxiom:
         return self.created_at <= t and (self.death_stage is None or t < self.death_stage)
 
 
-def column_threshold(m_cap: int, cache={}) -> int:
+@cache
+def column_threshold(m_cap: int) -> int:
     """Largest column code with both coordinates bounded by m_cap: witnesses
     must exceed every pair(n, i) with n <= m_cap, i < n^2 + 1."""
-    if m_cap not in cache:
-        best = 0
-        for n in range(m_cap + 1):
-            for i in range(n * n + 1):
-                c = pair(n, i)
-                if c > best:
-                    best = c
-        cache[m_cap] = best
-    return cache[m_cap]
+    codes = (pair(n, i) for n in range(m_cap + 1) for i in range(n * n + 1))
+    return max(codes, default=0)
 
 
 class TwoDegreesRun:
@@ -65,37 +60,20 @@ class TwoDegreesRun:
         programs: {e: OracleProgram}. Scripted stamps must be < horizon for
         every firing to land inside the run."""
         self.horizon = horizon
-        self.c_entry = {e: t for e, t in c_events}
-        self.k_entry = {e: t for e, t in k_events}
-        self.c_by_stage: dict[int, list[int]] = {}
-        for n, t in c_events:
-            self.c_by_stage.setdefault(t, []).append(n)
-        for v in self.c_by_stage.values():
-            v.sort()
-        self.k_by_stage: dict[int, list[int]] = {}
-        for m, t in k_events:
-            self.k_by_stage.setdefault(t, []).append(m)
-        for v in self.k_by_stage.values():
-            v.sort()
-        self.w_entry: dict[int, dict[int, int]] = {}
-        self.w_by_stage: dict[int, dict[int, list[int]]] = {}
-        for e, events in w_events.items():
-            self.w_entry[e] = {x: t for x, t in events}
-            by = {}
-            for x, t in events:
-                by.setdefault(t, []).append(x)
-            self.w_by_stage[e] = by
+        self.c = StageSet(c_events, horizon=horizon)
+        self.k = StageSet(k_events, horizon=horizon)
+        self.w = {e: StageSet(ev, horizon=horizon) for e, ev in w_events.items()}
         self.programs = dict(programs)
         self.scripted = sorted(
             e for e, p in self.programs.items() if len(p) > 0
         )
-        self.a = StageSetBuilder(horizon)
-        self.b = StageSetBuilder(horizon)
+        self.a = StageSet(horizon=horizon)
+        self.b = StageSet(horizon=horizon)
         self.axioms: list[VeAxiom] = []
         self.live: dict[tuple[int, int], VeAxiom] = {}
         self.records: list[tuple] = []
         self.stage = 0
-        self._w_now: dict[int, set[int]] = {e: set() for e in self.w_entry}
+        self._w_now: dict[int, set[int]] = {e: set() for e in self.w}
         self._k_now: set[int] = set()
         self._search_counter: dict[int, int] = {e: 0 for e in self.scripted}
         self._search_memo: dict[tuple[int, int], int] = {}
@@ -154,7 +132,7 @@ class TwoDegreesRun:
         numbers that entered K with a surviving axiom, then searches for
         every small enough uncovered number."""
         prog = self.programs.get(e, EMPTY_PROGRAM)
-        for m in self.k_by_stage.get(s, []):
+        for m in self.k.entered_at(s):
             if m > s:
                 continue
             ax = self.live.get((e, m))
@@ -226,8 +204,7 @@ class TwoDegreesRun:
     def run_stage(self):
         s = self.stage
         # scripted set growth visible at stage s
-        for m in self.k_by_stage.get(s, []):
-            self._k_now.add(m)
+        self._k_now.update(self.k.entered_at(s))
         for e in self.scripted:
             ptr = self._avail_ptr[e]
             wakes = self._avail_wakes[e]
@@ -235,8 +212,8 @@ class TwoDegreesRun:
                 ptr += 1
                 self._search_counter[e] += 1
             self._avail_ptr[e] = ptr
-        for e, by in self.w_by_stage.items():
-            fresh = by.get(s, [])
+        for e, w in self.w.items():
+            fresh = w.entered_at(s)
             if not fresh:
                 continue
             self._w_now[e].update(fresh)
@@ -250,7 +227,7 @@ class TwoDegreesRun:
                     self.records.append(("kill", s, e, ax.m, ax.x, least))
         for e in self.scripted:
             self.r_strategy_step(e, s)
-        for n in self.c_by_stage.get(s, []):
+        for n in self.c.entered_at(s):
             self.p_strategy_step(n, s)
         self.stage = s + 1
 
@@ -296,8 +273,7 @@ def block_census(run: TwoDegreesRun, n: int, s: int) -> int:
     count = 0
     for i in range(n * n + 1):
         code = pair(n, i)
-        ta = run.a.entry_stage(code)
-        if ta is not None and ta <= s:
+        if run.a.member_at(code, s):
             count += 1
             continue
         if any(ax.x == code and ax.alive_at(s) for ax in run.axioms):
@@ -308,17 +284,10 @@ def block_census(run: TwoDegreesRun, n: int, s: int) -> int:
 def cube_census(run: TwoDegreesRun, k: int, s: int) -> tuple[int, int]:
     """(|A ∩ [0, k^3)|, |B ∩ [0, k^3)|) at stage s."""
     cube = k * k * k
-    a_count = sum(
-        1
-        for e, t in run.a.freeze().events
-        if e < cube and t <= s
+    return tuple(
+        sum(1 for e, t in side.entry.items() if e < cube and t <= s)
+        for side in (run.a, run.b)
     )
-    b_count = sum(
-        1
-        for e, t in run.b.freeze().events
-        if e < cube and t <= s
-    )
-    return a_count, b_count
 
 
 def decode_c_from_b(b_members, n: int) -> int:
@@ -362,11 +331,9 @@ def verify_twodegrees(run: TwoDegreesRun):
     checks: list[CheckResult] = []
     caveats: list[str] = []
     horizon = run.horizon
-    a_events = run.a.freeze().events
-    b_events = run.b.freeze().events
 
     # disjointness
-    inter = {e for e, _ in a_events} & {e for e, _ in b_events}
+    inter = run.a.entry.keys() & run.b.entry.keys()
     checks.append(
         CheckResult(
             "disjoint-ab", not inter, f"element {min(inter)}" if inter else ""
@@ -375,21 +342,21 @@ def verify_twodegrees(run: TwoDegreesRun):
 
     # axiom bookkeeping recomputed from scripted data
     viol = []
+    no_w = StageSet(horizon=horizon)
     for ax in run.axioms:
         if ax.gamma > 4096:
             viol.append((ax, "use length beyond any admissible rule"))
             continue
-        w_entry = run.w_entry.get(ax.e, {})
+        w = run.w.get(ax.e, no_w)
         want_prefix = "".join(
-            "1" if w_entry.get(i, horizon + 1) <= ax.created_at else "0"
-            for i in range(ax.gamma)
+            "1" if w.member_at(i, ax.created_at) else "0" for i in range(ax.gamma)
         )
         if want_prefix != ax.prefix:
             viol.append((ax, "recorded prefix differs from the W snapshot"))
             continue
         deaths = [
             t
-            for x, t in w_entry.items()
+            for x, t in w.entry.items()
             if x < ax.gamma and t > ax.created_at
         ]
         want_death = min(deaths) if deaths else None
@@ -431,7 +398,7 @@ def verify_twodegrees(run: TwoDegreesRun):
         by_key.setdefault((ax.e, ax.m), []).append(ax)
     for (e, m), axs in by_key.items():
         axs.sort(key=lambda a: a.created_at)
-        k_t = run.k_entry.get(m)
+        k_t = run.k.entry_stage(m)
         for i, ax in enumerate(axs):
             if k_t is not None and ax.created_at >= k_t:
                 viol.append((ax, "created after the number entered K"))
@@ -453,16 +420,12 @@ def verify_twodegrees(run: TwoDegreesRun):
 
     # promotions land in A, never while the witness sits in B
     viol = []
-    b_stage = {e: t for e, t in b_events}
-    a_stage = {e: t for e, t in a_events}
     for ax in run.axioms:
         if ax.promoted_at is None:
             continue
-        tb = b_stage.get(ax.x)
-        if tb is not None and tb <= ax.promoted_at:
+        if run.b.member_at(ax.x, ax.promoted_at):
             viol.append((ax.x, ax.promoted_at))
-        ta = a_stage.get(ax.x)
-        if ta is None or ta > ax.promoted_at + 1:
+        if not run.a.member_at(ax.x, ax.promoted_at + 1):
             viol.append((ax.x, ax.promoted_at))
     checks.append(
         first_counterexample("promotion-clear-of-b", viol, "witness {0} at stage {1}")
@@ -479,7 +442,7 @@ def verify_twodegrees(run: TwoDegreesRun):
             viol.append((n, s, "second firing"))
             continue
         seen_columns.add(n)
-        if run.c_entry.get(n) != s:
+        if run.c.entry_stage(n) != s:
             viol.append((n, s, "fired away from the C entry stage"))
             continue
         if i >= n * n + 1:
@@ -492,16 +455,13 @@ def verify_twodegrees(run: TwoDegreesRun):
         }
         for j in range(i):
             cj = pair(n, j)
-            ta = a_stage.get(cj)
-            in_a = ta is not None and ta <= s
-            if not in_a and cj not in blocked:
+            if not run.a.member_at(cj, s) and cj not in blocked:
                 viol.append((n, s, f"slot {j} was free but skipped"))
                 break
         cij = pair(n, i)
-        ta = a_stage.get(cij)
-        if (ta is not None and ta <= s) or cij in blocked:
+        if run.a.member_at(cij, s) or cij in blocked:
             viol.append((n, s, "chosen slot was unavailable"))
-    for n, t in run.c_entry.items():
+    for n, t in run.c.entry.items():
         if t < run.horizon and n not in seen_columns:
             viol.append((n, t, "column never fired"))
     checks.append(
@@ -520,7 +480,7 @@ def verify_twodegrees(run: TwoDegreesRun):
         for i in range(n * n + 1):
             code = pair(n, i)
             spans = []
-            ta = a_stage.get(code)
+            ta = run.a.entry_stage(code)
             if ta is not None:
                 spans.append((ta, horizon + 1))
             for ax in axioms_by_x.get(code, []):
@@ -563,10 +523,8 @@ def verify_twodegrees(run: TwoDegreesRun):
     # round trips at the horizon; query domains are derived forward from the
     # scripted columns so arbitrary recorded values cannot force an unbounded
     # decoding walk
-    b_members = {e for e, _ in b_events}
-    c_members = {
-        n for n, t in run.c_entry.items() if t <= horizon
-    }
+    b_members = set(run.b.entry)
+    c_members = {n for n, t in run.c.entry.items() if t <= horizon}
     legit_codes = set()
     for n in c_members | set(range(11)):
         for i in range(n * n + 2):
@@ -584,10 +542,11 @@ def verify_twodegrees(run: TwoDegreesRun):
     stray = sorted(b_members - legit_codes)
     if stray:
         viol.append((stray[0], "not a slot of any scripted column"))
+    b_events = run.b.events
     for q in sorted(set(range(1001)) | legit_codes):
         bit, settled = decode_b_from_c(c_members, b_events, q, horizon)
         if not settled:
-            entry = run.c_entry.get(unpair(q)[0], None)
+            entry = run.c.entry_stage(unpair(q)[0])
             if entry is not None and entry < horizon:
                 viol.append((q, "witness never appeared"))
             continue

@@ -206,13 +206,11 @@ class WttAgreementTable:
         self.f = f
         a_final = a.snapshot(horizon)
         b_final = b.snapshot(horizon)
-        a_events = sorted((t, e) for e, t in a.events)
-        b_events = sorted((t, e) for e, t in b.events)
 
-        def breakpoints(op, w, events):
+        def breakpoints(op, w, src: StageSet):
             pts = {0}
             fw = f(w)
-            for t, e in events:
+            for e, t in src.entry.items():
                 if e < fw:
                     pts.add(t)
             for r in op.program.rules_for(w):
@@ -220,7 +218,7 @@ class WttAgreementTable:
             return sorted(p for p in pts if p <= horizon)
 
         def run_table(op, w, src: StageSet, want):
-            pts = breakpoints(op, w, sorted((t, e) for e, t in src.events))
+            pts = breakpoints(op, w, src)
             stages, values = [], []
             for t in pts:
                 got = wtt_apply(op, src.snapshot(t), w, t)
@@ -283,22 +281,10 @@ def recover_m_next(
         wb = _agreement_window(z, b.entry_stage, block, positive=False)
         windows.append((wa, wb))
 
-    candidate_stages = {0}
-    for e, t in a.events:
-        candidate_stages.add(t)
-    for e, t in b.events:
-        candidate_stages.add(t)
+    candidate_stages = {0, *a.entry.values(), *b.entry.values()}
     for op in (gamma, delta):
         for r in op.program.rules:
             candidate_stages.add(r.available_at)
-
-    a_entry = {e: t for e, t in a.events}
-    b_entry = {e: t for e, t in b.events}
-
-    def in_union(y, s):
-        ta = a_entry.get(y)
-        tb = b_entry.get(y)
-        return (ta is not None and ta <= s) or (tb is not None and tb <= s)
 
     for s in sorted(t for t in candidate_stages if t <= horizon):
         ok = True
@@ -312,7 +298,10 @@ def recover_m_next(
                 mi = m_prefix[i]
                 if mi < 0:
                     continue
-                if not all(in_union(y, s) for y in range(mi + 1, f(mi) + 1)):
+                if not all(
+                    a.member_at(y, s) or b.member_at(y, s)
+                    for y in range(mi + 1, f(mi) + 1)
+                ):
                     ok = False
                     break
         if not ok:
@@ -322,7 +311,7 @@ def recover_m_next(
         for x in range(m_n + 1, min(f.domain, z.length)):
             if x >= prefix:
                 break
-            if not in_union(x, s):
+            if not (a.member_at(x, s) or b.member_at(x, s)):
                 hole_seen = True
             # block agreement on (m_n, x]
             blk = range(m_n + 1, x + 1)
@@ -332,7 +321,10 @@ def recover_m_next(
                 continue
             if not hole_seen:
                 continue
-            if not all(in_union(y, s) for y in range(x + 1, f(x) + 1)):
+            if not all(
+                a.member_at(y, s) or b.member_at(y, s)
+                for y in range(x + 1, f(x) + 1)
+            ):
                 continue
             return (x, s)
     raise ValueError("not settled")

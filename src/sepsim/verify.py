@@ -16,8 +16,8 @@ from .nosupermax import (
     AttemptRun,
     NosupermaxResult,
     SpeedupResult,
-    detect_outcome,
     run_nosupermax,
+    scenario_outcome,
     verify_nosupermax,
 )
 from .report import (
@@ -158,12 +158,9 @@ def _verify_nosupermax_trace(parsed: ParsedTrace, report: VerificationReport):
     attempts = []
     for i, (att, base, horizon, records) in enumerate(sections):
         ref = fresh.attempts[i] if i < len(fresh.attempts) else None
-        events = (ref.a_entry.items(), ref.b_entry.items()) if ref else ([], [])
+        events = (ref.a.events, ref.b.events) if ref else ([], [])
         attempts.append(AttemptRun.from_records(att, base, *events, horizon, records))
-    window = max(1, sc.horizon // 5)
-    outcomes = [
-        detect_outcome(run, max(1, min(window, run.horizon))) for run in attempts
-    ]
+    outcomes = [scenario_outcome(run, sc.horizon) for run in attempts]
     cert_results = [
         (sc.certs[i], SpeedupResult(accepted, reason, witness, stage_map or []))
         for i, (_, accepted, witness, reason, stage_map) in enumerate(recorded_certs)

@@ -138,8 +138,8 @@ class TestRuns:
 
     def test_empty_adversary_horizon_100(self):
         run = run_anticomplete({}, 100)
-        assert run.d.members() == set()
-        assert run.a.members() == set() and run.b.members() == set()
+        assert set(run.d.entry) == set()
+        assert set(run.a.entry) == set() and set(run.b.entry) == set()
         # n-strategy k first runs at stage 2k+1 and acts there; stages go
         # up to 99, so exactly k <= 49 are satisfied.
         assert satisfied_ks(run) == set(range(50))
@@ -148,8 +148,8 @@ class TestRuns:
         run = run_anticomplete({0: always_zero_program(80)}, 100)
         racts = [r for r in run.records if r[0] == "ract"]
         assert len(racts) == 1
-        assert run.d.members() == {racts[0][3]}
-        assert run.a.members() == set() == run.b.members()
+        assert set(run.d.entry) == {racts[0][3]}
+        assert set(run.a.entry) == set() == set(run.b.entry)
 
     def test_bit_reader_enumerates_and_respects_restraints(self):
         prog = bit_reader_program(lambda y: 2 * y + 4, 120)
@@ -160,9 +160,9 @@ class TestRuns:
         assert enumerating, "bit-reader adversary should force enumerations"
         checks, _ = verify_anticomplete(
             run.records,
-            tuple(run.a.freeze().events),
-            tuple(run.b.freeze().events),
-            tuple(run.d.freeze().events),
+            tuple(run.a.events),
+            tuple(run.b.events),
+            tuple(run.d.events),
             120,
         )
         assert all(c.passed for c in checks), [c.line() for c in checks if not c.passed]
@@ -192,18 +192,18 @@ class TestRuns:
         fast = run_anticomplete(programs, horizon, fast=True)
         ref = run_anticomplete(programs, horizon, fast=False)
         assert fast.records == ref.records
-        assert fast.a._entry == ref.a._entry
-        assert fast.b._entry == ref.b._entry
-        assert fast.d._entry == ref.d._entry
+        assert fast.a.entry == ref.a.entry
+        assert fast.b.entry == ref.b.entry
+        assert fast.d.entry == ref.d.entry
 
 
 class TestVerifier:
     def run_and_events(self, programs, horizon):
         run = run_anticomplete(programs, horizon)
         return run, (
-            tuple(run.a.freeze().events),
-            tuple(run.b.freeze().events),
-            tuple(run.d.freeze().events),
+            tuple(run.a.events),
+            tuple(run.b.events),
+            tuple(run.d.events),
         )
 
     def test_clean_traces_pass(self):

@@ -9,7 +9,6 @@ from sepsim.enumcore import (
     PairingScheme,
     SeparatorSnapshot,
     StageSet,
-    StageSetBuilder,
     is_separator,
     pair,
     unpair,
@@ -61,15 +60,24 @@ class TestStageSet:
                 assert prev <= snap
                 assert snap == brute_snapshot(events, s)
                 prev = snap
+                entered = sorted(e for e, t in events if t == s)
+                assert ss.entered_at(s) == tuple(entered)
+                for e in range(100):
+                    assert ss.member_at(e, s) == (e in snap)
+            stage_of = dict(events)
+            for e in range(100):
+                assert ss.entry_stage(e) == stage_of.get(e)
+            assert ss.events == tuple(sorted(events, key=lambda ev: (ev[1], ev[0])))
 
     def test_builder_round_trip(self):
-        b = StageSetBuilder(horizon=9)
-        assert b.add(4, 2)
-        assert not b.add(4, 7)  # second entry is a no-op
-        b.add(1, 5)
-        ss = b.freeze()
+        ss = StageSet(horizon=9)
+        assert ss.add(4, 2)
+        assert not ss.add(4, 7)  # second entry is a no-op
+        ss.add(1, 5)
+        assert ss.add(7, 12)  # past the horizon: unlike the constructor, add keeps it
         assert ss.snapshot(9) == {4, 1}
         assert ss.entry_stage(4) == 2
+        assert ss.member_at(7, 12) and ss.events == ((4, 2), (1, 5), (7, 12))
 
 
 class TestSeparator:

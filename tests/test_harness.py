@@ -1,5 +1,6 @@
-"""Scenario loading, trace round trips, verification dispatch, CLI."""
+"""Scenario loading, trace round trips, verification dispatch, CLI, lint."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +40,7 @@ from sepsim.twodegrees import run_twodegrees
 from sepsim.verify import verify_trace
 
 SAMPLES = Path(__file__).resolve().parents[1] / "scenarios" / "samples"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sepsim"
 FAULTS = SAMPLES.parent / "faults"
 
 MINIMAL_TWODEGREES = """\
@@ -126,6 +128,18 @@ class TestScenarioParsing:
         with pytest.raises(HypothesisViolation, match="intersect"):
             load_scenario(sc.canonical())
 
+    def test_horizon_ceiling(self):
+        at_ceiling = MINIMAL_TWODEGREES.replace("horizon 10", "horizon 10000")
+        assert load_scenario(at_ceiling).horizon == 10000
+        with pytest.raises(UsageError, match="horizon 10001 exceeds 10000"):
+            load_scenario(MINIMAL_TWODEGREES.replace("horizon 10", "horizon 10001"))
+        with pytest.raises(UsageError, match="horizon 10001 exceeds 10000"):
+            load_scenario(MINIMAL_TWODEGREES, horizon_override=10001)
+        # header and embedded scenario alike
+        text = run_scenario(load_scenario(MINIMAL_TWODEGREES)).render()
+        with pytest.raises(UsageError, match="horizon 10001 exceeds 10000"):
+            parse_trace(text.replace("horizon 10\n", "horizon 10001\n"))
+
 
 class TestRunVerify:
     @pytest.mark.parametrize(
@@ -179,6 +193,19 @@ class TestRunVerify:
         r2 = verify_trace(parse_trace(text)).render()
         assert r1 == r2
 
+    def test_twodegrees_firing_past_the_horizon_gets_a_report(self):
+        # a recorded enumeration stamped past the horizon is a divergence
+        # from the fresh run, not a malformed body
+        sc = load_scenario((SAMPLES / "twodegrees-mixed.scn").read_text())
+        lines = run_scenario(sc).render().splitlines()
+        i = next(i for i, line in enumerate(lines) if " pfire " in line)
+        parts = lines[i].split()
+        lines[i] = " ".join(["ev", str(sc.horizon), *parts[2:]])
+        report = verify_trace(parse_trace("\n".join(lines) + "\n"))
+        failed = {c.name: c.detail for c in report.failures()}
+        assert failed["run-exactness"].startswith("record "), report.render()
+        assert "fired away from the C entry stage" in failed["column-coding"]
+
     def test_tampered_scenario_hash_rejected(self):
         sc = anticomplete_scenario(2, 60)
         text = run_scenario(sc).render()
@@ -220,7 +247,7 @@ def expected_log(sc):
     else:
         run = run_twodegrees(*twodegrees_inputs(sc))
         sets, decode = {"A": run.a, "B": run.b}, decode_twodegrees
-    finals = {name: s.freeze().events for name, s in sets.items()}
+    finals = {name: s.events for name, s in sets.items()}
     return (run.records, finals), encode_event_log, decode
 
 
@@ -341,6 +368,20 @@ class TestNosupermaxChainVerify:
         failed = {c.name: c.detail for c in report.failures()}
         assert failed["a1-settled-zone-census"] == "settled point undefined at stage 10"
 
+    def test_shortened_section_horizon_fails_its_timeline(self):
+        # attempt 2 claims horizon 95 (the fresh run's is 190) and keeps its
+        # records up to stage 95 only; the scripted events past stage 95
+        # stay with the recorded attempt, so the trace gets a report
+        def shorten(section):
+            begin = section[0].split()[:4] + ["95"]
+            kept = [l for l in section[1:-1] if int(l.split()[1]) <= 95]
+            return [" ".join(begin), *kept, section[-1]]
+
+        report = verify_trace(parse_trace(edit_section(2, shorten)))
+        failed = {c.name: c.detail for c in report.failures()}
+        want = "recorded horizon 95, fresh run horizon 190"
+        assert failed["a2-timeline-agrees"] == want, report.render()
+
     @settings(max_examples=50, deadline=None)
     @given(
         op=st.sampled_from(["drop", "duplicate", "swap"]),
@@ -419,6 +460,13 @@ class TestCli:
         res = run_cli(["run", "--scenario", str(tmp_path / "missing.txt")], tmp_path)
         assert res.returncode == 2, res.stderr
 
+    def test_horizon_ceiling_exit_two(self, tmp_path, scenario_file):
+        res = run_cli(
+            ["run", "--scenario", str(scenario_file), "--horizon", "10001"], tmp_path
+        )
+        assert res.returncode == 2, res.stderr
+        assert "horizon 10001 exceeds 10000" in res.stderr
+
     def test_hypothesis_violation_exit_three(self, tmp_path):
         sc = Scenario(
             construction="nosupermax",
@@ -467,3 +515,27 @@ class TestCli:
         res = run_cli(["verify", "--trace", str(trace)], tmp_path)
         assert res.returncode == 1, res.stderr
         assert "result fail" in res.stdout
+
+
+class TestLint:
+    def test_every_import_is_used(self):
+        """Stdlib lint: each name a package module imports is read somewhere
+        in that module (`from __future__` imports are exempt)."""
+        unused = []
+        for path in sorted(PACKAGE.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            imported = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    for alias in node.names:
+                        imported[alias.asname or alias.name.split(".")[0]] = node
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    for alias in node.names:
+                        imported[alias.asname or alias.name] = node
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused += [
+                f"{path.name}:{node.lineno} {name}"
+                for name, node in imported.items()
+                if name not in used
+            ]
+        assert not unused, unused

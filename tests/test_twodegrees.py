@@ -94,7 +94,7 @@ class TestRStrategy:
             r for r in run.records if r[0] == "axiom" and r[1] == 12 and r[4] == 11
         ]
         assert recreated
-        assert run.a.members() == set()  # nothing promoted without K
+        assert set(run.a.entry) == set()  # nothing promoted without K
         checks, _ = verify_twodegrees(run)
         assert all(c.passed for c in checks)
 
@@ -102,7 +102,7 @@ class TestRStrategy:
         prog = prefix_program([("0000", {9}, 0)], 30)
         run = run_twodegrees([], [], {0: []}, {0: prog}, 12).run()
         run.b.add(9, 10)  # simulate a corrupted scenario
-        run.k_by_stage[12] = [0]
+        run.k.add(0, 12)
         run.horizon = 14
         run._k_now.add(0)
         with pytest.raises(HardFault, match="already enumerated into B"):
@@ -113,7 +113,7 @@ class TestPStrategy:
     def test_never_fires_without_c(self):
         run = run_twodegrees([], [], {}, {}, 50)
         assert [r for r in run.records if r[0] == "pfire"] == []
-        assert run.b.members() == set()
+        assert set(run.b.entry) == set()
 
     def test_fires_least_slot(self):
         run = run_twodegrees([(2, 7)], [], {}, {}, 50)
@@ -180,16 +180,16 @@ class TestDecoding:
     def test_c_empty_decodes_zero(self):
         run = run_twodegrees([], [], {}, {}, 30)
         for n in range(10):
-            assert decode_c_from_b(run.b.members(), n) == 0
+            assert decode_c_from_b(set(run.b.entry), n) == 0
 
     def test_entry_decodes_one(self):
         run = run_twodegrees([(2, 7)], [], {}, {}, 30)
-        assert decode_c_from_b(run.b.members(), 2) == 1
-        assert decode_c_from_b(run.b.members(), 3) == 0
+        assert decode_c_from_b(set(run.b.entry), 2) == 1
+        assert decode_c_from_b(set(run.b.entry), 3) == 0
 
     def test_b_from_c_miss_cases(self):
         run = run_twodegrees([(2, 7)], [], {}, {}, 30)
-        events = tuple(run.b.freeze().events)
+        events = tuple(run.b.events)
         # column outside C
         bit, settled = decode_b_from_c({2}, events, pair(5, 1), 30)
         assert (bit, settled) == (0, True)
