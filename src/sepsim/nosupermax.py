@@ -19,13 +19,28 @@ s+1 ingests events stamped s+1 first, recomputes the boundary, then updates
 X. X starts empty at stage 0. The boundary reset clause compares the old
 next entry against the new current one exactly as stated, mixed stage
 indices and all.
+
+A stage costs what its events and the boundary's witness-free intervals
+cost, not the stage number:
+- The fresh crossings of a stage enter only through m, the least of them:
+  a number y is permitted by a crossing exactly when y > m.
+- After every stage A is inside X and B outside it, since the A and B rules
+  fire first and nothing else moves an A member. So the X update visits
+  only the stage's events, the numbers above max(base, m), and s.
+- Each boundary interval keeps counts of its numbers outside A and B,
+  inside and outside X, plus the sorted list of the intervals with none on
+  their own side. Events, X toggles and resets update these, so the
+  boundary walk looks only at witness-free intervals.
+- The speedup certificate's zone check, and the verifier's settled-zone
+  census, sweep the stage upward and recheck a number only when it toggles
+  in X or enters A or B.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 from .enumcore import StageSet
 from .errors import UsageError
@@ -39,116 +54,82 @@ MIN_SPEEDUP_FRACTION = 4  # accept when selected stages >= available / this
 
 
 def trigger_prefix(limit, x_mem, a_new, b_new):
-    """trig[y] = some z < y freshly crossed X: z entered B while inside X, or
-    entered A while outside X. Fresh entries are exactly this stage's events;
-    at quiet stages the prefix is identically false."""
-    fresh = set()
-    for z in b_new:
-        if z in x_mem:
-            fresh.add(z)
-    for z in a_new:
-        if z not in x_mem:
-            fresh.add(z)
-    trig = [False] * (limit + 2)
-    run = False
-    for y in range(limit + 2):
-        trig[y] = run
-        if y in fresh:
-            run = True
-    return trig
+    """m, the least number that freshly crossed X this stage: it entered B
+    while inside X, or entered A while outside X. A number y sees a smaller
+    fresh crossing exactly when y > m, so this one integer stands for the
+    whole trigger prefix over [0, limit + 1]. At quiet stages m is
+    limit + 2, and no number up to limit + 1 is permitted through it."""
+    fresh = [z for z in b_new if z in x_mem] + [z for z in a_new if z not in x_mem]
+    return min(fresh, default=limit + 2)
 
 
-def permitted(y, s1, x_mem, a_now, b_now, trig):
+def permitted(y, s1, x_mem, a_now, b_now, m):
     """Permission at stage s1 = s+1: outside both scripted sets, and either
-    y equals s or a smaller number freshly crossed X."""
+    y equals s or a smaller number freshly crossed X (y > m)."""
     if y in a_now or y in b_now:
         return False
-    return y == s1 - 1 or (y < len(trig) and trig[y])
+    return y == s1 - 1 or y > m
 
 
-def boundary_update(base, old_entries, s1, x_mem, a_now, b_now, trig):
+def boundary_update(base, old_entries, s1, m, bare, scripted):
     """Recompute the boundary sequence at stage s1 = s+1 from the stage-s
-    sequence.
+    sequence, which is strictly increasing above base and ends below s.
 
-    Walks the old entries: an odd-indexed entry survives while its interval
-    holds a number outside the scripted sets that is inside X, or permitted
-    by a fresh crossing below, or equal to s; even-indexed entries mirror
-    this with "outside X". The first entry that fails (or was never defined,
-    or no longer exceeds its predecessor) is reset to s and the sequence
-    ends. Returns (entries, kept, fragile): fragile flags a kept entry whose
-    interval holds no number on its side of X, so that it survived only
-    through a crossing or the y = s escape.
+    An odd-indexed entry survives while its interval holds a witness, a
+    number outside the scripted sets that is inside X, or else a number
+    outside the scripted sets permitted by a fresh crossing below it (above
+    m); even-indexed entries mirror this with "outside X". The first entry
+    that fails is reset to s and the sequence ends. `bare` lists, ascending,
+    the indices of the old intervals that hold no witness (A and B taken
+    with this stage's events, X as the previous stage left it), and
+    `scripted` is the sorted list of the scripted numbers; every other
+    interval survives without a look. Returns (entries, kept, fragile):
+    fragile flags a kept entry whose interval holds no witness, so that it
+    survived only through a crossing.
     """
     s = s1 - 1
-    new: list[int] = []
-    fragile = False
-    cur = base
-    if cur >= s:
+    if base >= s:
         return [], -1, False
-    while True:
-        idx = len(new)
-        old_val = old_entries[idx] if idx < len(old_entries) else None
-        if old_val is None or old_val <= cur:
-            new.append(s)
-            return new, idx, fragile
-        want_in = idx % 2 == 1  # odd right endpoint: witness inside X
-        witness = None
-        kept = False
-        for y in range(cur + 1, old_val + 1):
-            if y in a_now or y in b_now:
-                continue
-            if (y in x_mem) == want_in:
-                witness = y
-                kept = True
-                break
-            if (y < len(trig) and trig[y]) or y == s:
-                kept = True
-        if kept:
-            new.append(old_val)
-            if witness is None:
-                fragile = True
-            cur = old_val
-            continue
-        new.append(s)
-        return new, idx, fragile
+    fragile = False
+    for idx in bare:
+        lo = max(old_entries[idx - 1] if idx else base, m)
+        hi = old_entries[idx]
+        scripted_in = bisect_right(scripted, hi) - bisect_right(scripted, lo)
+        if lo >= hi or scripted_in == hi - lo:
+            break
+        fragile = True
+    else:
+        idx = len(old_entries)
+    return old_entries[:idx] + [s], idx, fragile
 
 
-def x_update(entries, base, s1, x_mem, a_now, b_now, trig, extra_positions=()):
+def x_update(entries, base, s1, x_mem, a_now, b_now, m, extra_positions=()):
     """Membership changes for stage s1 given the freshly recomputed boundary.
 
     Rules in order: members of A are in, members of B are out, permitted
     numbers in odd intervals come in, permitted numbers in even intervals go
-    out, everything else keeps its side. Returns (added, removed), sorted."""
+    out, everything else keeps its side. Only numbers that can change are
+    visited: `extra_positions` (sorted; this stage's scripted events), the
+    numbers above max(base, m) up to s, and s itself. Every other number
+    keeps its side as long as A is inside X and B outside it before the
+    stage. Returns (added, removed), sorted."""
     s = s1 - 1
+    lo = min(max(base, m) + 1, s)
+    low = [y for y in extra_positions if y < lo]
+    high = [y for y in extra_positions if y > s]
     added, removed = [], []
-    j = 0
-    for y in range(0, s + 1):
-        while j < len(entries) and entries[j] < y:
-            j += 1
+    for y in chain(low, range(lo, s + 1), high):
         inside = y in x_mem
         if y in a_now:
             if not inside:
                 added.append(y)
-            continue
-        if y in b_now:
+        elif y in b_now:
             if inside:
                 removed.append(y)
-            continue
-        if y <= base or j >= len(entries):
-            continue
-        if y == s or (y < len(trig) and trig[y]):
-            want = j % 2 == 1
-            if want and not inside:
-                added.append(y)
-            elif not want and inside:
-                removed.append(y)
-    for y in extra_positions:
-        if y > s:
-            inside = y in x_mem
-            if y in a_now and not inside:
-                added.append(y)
-            elif y in b_now and inside:
-                removed.append(y)
+        elif base < y <= s and (y == s or y > m):
+            j = bisect_left(entries, y)
+            if j < len(entries) and (j % 2 == 1) != inside:
+                (removed if inside else added).append(y)
     return added, removed
 
 
@@ -173,8 +154,15 @@ class AttemptRun:
                 scripted.add(e, max(1, t))
         self.a_now: set[int] = set()
         self.b_now: set[int] = set()
+        self.scripted: list[int] = []  # sorted a_now | b_now
         self.x: set[int] = set()
         self.entries: list[int] = []
+        # aligned with entries: numbers of each interval outside A and B,
+        # inside X and outside X; bare lists, ascending, the intervals with
+        # none on their own side (inside X for odd indices)
+        self.c_in: list[int] = []
+        self.c_out: list[int] = []
+        self.bare: list[int] = []
         self.kept_counts: list[int] = []  # index s1-1 -> kept at stage s1
         self.records: list[tuple] = []
         self.x_toggles: dict[int, list[int]] = {}
@@ -184,7 +172,8 @@ class AttemptRun:
     @classmethod
     def from_records(cls, attempt, base, a_events, b_events, horizon, records):
         """A finished attempt rebuilt from its recorded boundary and X
-        events, without stepping it."""
+        events, without stepping it. The records are those of a decoded
+        trace section: one boundary record per stage, each within bounds."""
         run = cls(attempt, base, a_events, b_events, horizon)
         for kind, s1, val in records:
             if kind == "boundary":
@@ -195,11 +184,6 @@ class AttemptRun:
                 run._apply_delta([], [val], s1)
             else:
                 raise UsageError(f"unknown attempt event {kind}")
-        if len(run.kept_counts) != horizon:
-            raise UsageError(
-                f"attempt {attempt} carries {len(run.kept_counts)} boundary"
-                f" records for horizon {horizon}"
-            )
         return run
 
     def x_member_at(self, y, t):
@@ -212,15 +196,83 @@ class AttemptRun:
     def union_final(self):
         return self.a.entry.keys() | self.b.entry.keys()
 
+    def _interval(self, y):
+        """Index of the boundary interval whose counts include y; None when
+        y is in A or B or lies outside every interval."""
+        if y <= self.base or y in self.a_now or y in self.b_now:
+            return None
+        j = bisect_left(self.entries, y)
+        return j if j < len(self.entries) else None
+
+    def _free_counts(self, lo, hi):
+        """(inside X, outside X) counts of the numbers in (lo, hi] outside A
+        and B."""
+        a, b = self.a_now, self.b_now
+        free = [y for y in range(lo + 1, hi + 1) if y not in a and y not in b]
+        inside = sum(y in self.x for y in free)
+        return inside, len(free) - inside
+
+    def _count(self, j, d_in, d_out):
+        """Shift the counts of interval j, keeping `bare` in step."""
+        own = self.c_in if j % 2 == 1 else self.c_out
+        had = own[j] > 0
+        self.c_in[j] += d_in
+        self.c_out[j] += d_out
+        if had != (own[j] > 0):
+            if had:
+                insort(self.bare, j)
+            else:
+                del self.bare[bisect_left(self.bare, j)]
+
+    def _push_interval(self, lo, s):
+        """Open a new last interval holding the numbers in (lo, s]."""
+        j = len(self.c_in)
+        self.c_in.append(0)
+        self.c_out.append(0)
+        self.bare.append(j)
+        self._count(j, *self._free_counts(lo, s))
+
     def _apply_delta(self, added, removed, s1):
         for y in added:
             self.x.add(y)
             self.x_toggles.setdefault(y, []).append(s1)
             self.records.append(("xin", s1, y))
+            j = self._interval(y)
+            if j is not None:
+                self._count(j, 1, -1)
         for y in removed:
             self.x.discard(y)
             self.x_toggles.setdefault(y, []).append(s1)
             self.records.append(("xout", s1, y))
+            j = self._interval(y)
+            if j is not None:
+                self._count(j, -1, 1)
+
+    def _ingest(self, a_new, b_new):
+        """Take in this stage's scripted events; a number that enters A or B
+        leaves its interval's counts."""
+        for now, new in ((self.a_now, a_new), (self.b_now, b_new)):
+            for e in new:
+                j = self._interval(e)
+                if j is not None:
+                    self._count(j, *((-1, 0) if e in self.x else (0, -1)))
+                if e not in self.a_now and e not in self.b_now:
+                    insort(self.scripted, e)
+                now.add(e)
+
+    def _reset_counts(self, kept, s):
+        """Counts for the stage's new boundary, which keeps the first `kept`
+        intervals: the dropped ones merge into the new last interval, which
+        also takes the numbers newly covered up to s."""
+        if kept < 0:
+            self.c_in, self.c_out, self.bare = [], [], []
+            return
+        top = self.entries[-1] if self.entries else self.base
+        merged = sum(self.c_in[kept:]), sum(self.c_out[kept:])
+        del self.c_in[kept:], self.c_out[kept:]
+        del self.bare[bisect_left(self.bare, kept) :]
+        self._push_interval(top, s)
+        self._count(kept, *merged)
 
     def _record_boundary(self, s1, kept):
         self.kept_counts.append(kept)
@@ -238,12 +290,12 @@ class AttemptRun:
         if not a_new and not b_new and not self._dirty and self._fast_ok(s1):
             self._fast_step(s1)
             return
-        self.a_now.update(a_new)
-        self.b_now.update(b_new)
-        trig = trigger_prefix(s, self.x, a_new, b_new)
+        self._ingest(a_new, b_new)
+        m = trigger_prefix(s, self.x, a_new, b_new)
         entries, kept, fragile = boundary_update(
-            self.base, self.entries, s1, self.x, self.a_now, self.b_now, trig
+            self.base, self.entries, s1, m, self.bare, self.scripted
         )
+        self._reset_counts(kept, s)
         self.entries = entries
         self._record_boundary(s1, kept)
         added, removed = x_update(
@@ -253,7 +305,7 @@ class AttemptRun:
             self.x,
             self.a_now,
             self.b_now,
-            trig,
+            m,
             extra_positions=sorted(set(a_new) | set(b_new)),
         )
         self._apply_delta(added, removed, s1)
@@ -270,6 +322,7 @@ class AttemptRun:
 
     def _fast_step(self, s1):
         s = s1 - 1
+        self._push_interval(s - 1, s)
         self.entries.append(s)
         self._record_boundary(s1, len(self.entries) - 1)
         idx = len(self.entries) - 1
@@ -429,6 +482,45 @@ class SpeedupResult:
     new_horizon: int = 0
 
 
+class _ZoneSweep:
+    """The numbers in (x_ell, top] on the wrong side of a zone, kept current
+    while the stage t sweeps upward.
+
+    `wrong(y, t)` decides one number at one stage from X membership and the
+    scripted sets, so its answer changes only at a stage where y toggles in
+    X or enters A or B. `advance` rechecks just those numbers, then widens
+    the zone to a new top; each number is decided once on entry and once per
+    change, not once per stage."""
+
+    def __init__(self, run: AttemptRun, x_ell, wrong):
+        self.run = run
+        self.x_ell = self.top = x_ell
+        self.wrong = wrong
+        self.holes: set[int] = set()
+        self.toggled: dict[int, list[int]] = {}
+        for y, stages in run.x_toggles.items():
+            for t in stages:
+                self.toggled.setdefault(t, []).append(y)
+
+    def _decide(self, y, t):
+        if self.wrong(y, t):
+            self.holes.add(y)
+        else:
+            self.holes.discard(y)
+
+    def advance(self, t, top):
+        """The wrong-side numbers at stage t, the zone widened to `top`;
+        stages must come in ascending order."""
+        a, b = self.run.a, self.run.b
+        for y in chain(self.toggled.get(t, ()), a.entered_at(t), b.entered_at(t)):
+            if self.x_ell < y <= self.top:
+                self._decide(y, t)
+        while self.top < top:
+            self.top += 1
+            self._decide(self.top, t)
+        return self.holes
+
+
 def apply_speedup(run: AttemptRun, cert: SpeedupCertificate) -> SpeedupResult:
     """Validate a failure certificate against an attempt and re-index.
 
@@ -462,22 +554,18 @@ def apply_speedup(run: AttemptRun, cert: SpeedupCertificate) -> SpeedupResult:
     x_ell = values[-1] if values else run.base
     odd = cert.parity == 1
 
-    def zone_ok(t, s_new):
-        for y in range(x_ell + 1, s_new + 1):
-            in_x = run.x_member_at(y, t)
-            if odd:
-                if in_x and not run.a.member_at(y, t):
-                    return False
-            else:
-                if not in_x and not run.b.member_at(y, t):
-                    return False
-        return True
+    def wrong_side(y, t):
+        if run.x_member_at(y, t):
+            return odd and not run.a.member_at(y, t)
+        return not odd and not run.b.member_at(y, t)
 
+    zone = _ZoneSweep(run, x_ell, wrong_side)
     stage_map: list[int] = []
     for t in range(cert.settling_stage, horizon + 1):
         s_new = len(stage_map)
+        holes = zone.advance(t, s_new)
         vk = run.entry_value_at(cert.k, t)
-        if vk is not None and vk > s_new and zone_ok(t, s_new):
+        if vk is not None and vk > s_new and not holes:
             stage_map.append(t)
     if not stage_map:
         return SpeedupResult(
@@ -632,14 +720,15 @@ def _verify_attempt(run: AttemptRun, ref: AttemptRun | None, checks):
         if kept < 0:
             if run.base < s:
                 shape_viol.append((s1, "sequence empty below the stage"))
-            rec_entries = []
+            rec_entries.clear()
         else:
-            rec_entries = rec_entries[:kept] + [s]
-            seq = [run.base] + rec_entries
-            if any(u >= v for u, v in zip(seq, seq[1:])):
+            # the kept prefix passed at an earlier stage, or a violation is
+            # already on record; only the new last pair can break the order
+            del rec_entries[kept:]
+            below = rec_entries[-1] if rec_entries else run.base
+            rec_entries.append(s)
+            if below >= s:
                 shape_viol.append((s1, "not strictly increasing"))
-            if rec_entries[-1] != s:
-                shape_viol.append((s1, "does not end at the stage"))
         # change discipline on the recorded deltas
         fresh_cross = [z for z in b_new if z in x_mem] + [
             z for z in a_new if z not in x_mem
@@ -738,19 +827,20 @@ def verify_nosupermax(result: NosupermaxResult, fresh: NosupermaxResult):
             checks.append(CheckResult(name, False, detail))
             continue
         union_final = run.union_final()
+
+        def hole_on_wrong_side(y, t):
+            return y not in union_final and run.x_member_at(y, t) == (cert.parity == 1)
+
+        zone = _ZoneSweep(run, x_ell, hole_on_wrong_side)
         viol = []
         for t in range(cert.settling_stage, run.horizon + 1):
             vk = run.entry_value_at(cert.k, t)
             if vk is None:
+                zone.advance(t, x_ell)
                 continue
-            for y in range(x_ell + 1, vk + 1):
-                if y in union_final:
-                    continue
-                in_x = run.x_member_at(y, t)
-                if (cert.parity == 1) == in_x:
-                    viol.append((y, t))
-                    break
-            if viol:
+            holes = [y for y in zone.advance(t, vk) if y <= vk]
+            if holes:
+                viol.append((min(holes), t))
                 break
         checks.append(
             first_counterexample(

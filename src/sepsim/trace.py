@@ -332,9 +332,33 @@ def decode_nosupermax(body):
             raise UsageError(f"{parts[0]} record out of place in trace body")
         prev = kind
         if kind == "begin":
+            # an attempt's base is -1 or a settled boundary value; the
+            # verifier's scans start just above it
+            if int(parts[3]) < -1:
+                raise UsageError(f"record {' '.join(parts)}: base below -1")
             attempts.append((int(parts[1]), int(parts[3]), int(parts[4]), []))
         elif kind == "ev":
-            attempts[-1][3].append(decode_ev(parts, arity))
+            # bounded before any attempt is rebuilt from the records: a kept
+            # index sizes the per-entry reset lists
+            rec = decode_ev(parts, arity)
+            _, _, horizon, records = attempts[-1]
+            if not 1 <= rec[1] <= horizon:
+                raise UsageError(
+                    f"record {' '.join(parts)}: stage outside 1..{horizon}"
+                )
+            if rec[0] == "boundary" and not -1 <= rec[2] < horizon:
+                raise UsageError(
+                    f"record {' '.join(parts)}: kept index outside -1..{horizon - 1}"
+                )
+            records.append(rec)
+        elif kind == "end":
+            attempt, _, horizon, records = attempts[-1]
+            count = sum(rec[0] == "boundary" for rec in records)
+            if count != horizon:
+                raise UsageError(
+                    f"attempt {attempt} carries {count} boundary records for horizon"
+                    f" {horizon}"
+                )
         elif kind == "accepted":
             certs.append((int(parts[1]), True, None, "", None))
         elif kind == "rejected":

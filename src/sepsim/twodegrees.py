@@ -296,28 +296,36 @@ def decode_c_from_b(b_members, n: int) -> int:
     return 1 if any(pair(n, i) in b_members for i in range(n * n + 2)) else 0
 
 
-def decode_b_from_c(c_members, b_events, query: int, horizon: int):
-    """Two-step decoding of B membership from C: non-column codes answer 0,
-    columns outside C answer 0, otherwise wait for the column witness and
-    compare slots. Returns (bit, settled) where settled is False when the
-    witness has not appeared by the horizon.
+def column_witnesses(c_members, b_events):
+    """Column n of C -> the slot of its first element in B, for the columns
+    that have one; `b_events` comes in (stage, element) order, as
+    `StageSet.events` gives it.
 
-    The witness hunt matches recorded elements forward against the column's
-    own slot codes (one past the firing bound), so arbitrary recorded values
-    never drive the pairing walk; only the query itself is decoded."""
+    The hunt matches recorded elements forward against each column's own
+    slot codes (one past the firing bound), so arbitrary recorded values
+    never drive the pairing walk."""
+    slot_of = {pair(n, i): (n, i) for n in c_members for i in range(n * n + 2)}
+    witnesses: dict[int, int] = {}
+    for e, _ in b_events:
+        if e in slot_of:
+            n, i = slot_of[e]
+            witnesses.setdefault(n, i)
+    return witnesses
+
+
+def decode_b_from_c(c_members, witnesses, query: int, horizon: int):
+    """Two-step decoding of B membership from C: non-column codes answer 0,
+    columns outside C answer 0, otherwise wait for the column witness (see
+    `column_witnesses`) and compare slots. Returns (bit, settled) where
+    settled is False when the witness has not appeared by the horizon. Only
+    the query itself is decoded."""
     decoded = unpair(query)
     if decoded is None:
         return 0, True
     n, j = decoded
     if n not in c_members:
         return 0, True
-    column = {pair(n, i): i for i in range(n * n + 2)}
-    witness = None
-    for e, t in sorted(b_events, key=lambda p: (p[1], p[0])):
-        i = column.get(e)
-        if i is not None:
-            witness = i
-            break
+    witness = witnesses.get(n)
     if witness is None:
         return 0, False
     return (1 if witness == j else 0), True
@@ -542,9 +550,9 @@ def verify_twodegrees(run: TwoDegreesRun):
     stray = sorted(b_members - legit_codes)
     if stray:
         viol.append((stray[0], "not a slot of any scripted column"))
-    b_events = run.b.events
+    witnesses = column_witnesses(c_members, run.b.events)
     for q in sorted(set(range(1001)) | legit_codes):
-        bit, settled = decode_b_from_c(c_members, b_events, q, horizon)
+        bit, settled = decode_b_from_c(c_members, witnesses, q, horizon)
         if not settled:
             entry = run.c.entry_stage(unpair(q)[0])
             if entry is not None and entry < horizon:

@@ -3,6 +3,7 @@
 import ast
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import sepsim
 from cli_env import cli_env
 from sepsim.anticomplete import run_anticomplete
+from sepsim.cli import main
 from sepsim.corpus import (
     anticomplete_scenario,
     chain_certificates,
@@ -381,6 +383,51 @@ class TestNosupermaxChainVerify:
         failed = {c.name: c.detail for c in report.failures()}
         want = "recorded horizon 95, fresh run horizon 190"
         assert failed["a2-timeline-agrees"] == want, report.render()
+
+    @staticmethod
+    def with_record(new, old_prefix="ev 5 boundary "):
+        """The chain trace with its first line starting with old_prefix
+        replaced by new. Attempt 1 has horizon 200."""
+        lines = list(CHAIN_LINES)
+        lines[next(i for i, l in enumerate(lines) if l.startswith(old_prefix))] = new
+        return "\n".join(lines) + "\n"
+
+    def test_huge_kept_index_exits_two_at_once(self, tmp_path, capsys):
+        # a kept index sizes a list per boundary entry, so the decoder bounds
+        # it before any attempt is rebuilt
+        path = tmp_path / "huge.trc"
+        path.write_text(self.with_record("ev 5 boundary 1000000000"))
+        start = time.perf_counter()
+        argv = ["verify", "--trace", str(path), "--report-out", str(tmp_path / "r")]
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        assert elapsed < 0.1, elapsed
+        assert "record ev 5 boundary 1000000000:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "new, old_prefix, why",
+        [
+            ("ev 5 boundary -2", "ev 5 boundary ", "kept index outside -1..199"),
+            ("ev 5 boundary 200", "ev 5 boundary ", "kept index outside -1..199"),
+            ("ev 0 boundary 0", "ev 5 boundary ", "stage outside 1..200"),
+            ("ev 201 boundary 0", "ev 5 boundary ", "stage outside 1..200"),
+            ("ev 0 xin 3", "ev 4 xin ", "stage outside 1..200"),
+            ("attempt 2 begin -1000000000 190", "attempt 2 begin ", "base below -1"),
+        ],
+    )
+    def test_out_of_bounds_record_is_named(self, new, old_prefix, why):
+        parsed = parse_trace(self.with_record(new, old_prefix))
+        with pytest.raises(UsageError) as err:
+            verify_trace(parsed)
+        assert str(err.value) == f"record {new}: {why}"
+
+    def test_kept_index_within_the_horizon_gets_a_report(self):
+        # past the stage but within the section: a boundary-shape failure
+        report = verify_trace(parse_trace(self.with_record("ev 5 boundary 199")))
+        failed = {c.name: c.detail for c in report.failures()}
+        want = "stage 5: kept 199 exceeds previous length"
+        assert failed["a1-boundary-shape"] == want
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -1,12 +1,18 @@
 """Boundary sequences, permissions, X updates, speedups, verification."""
 
 import random
+from bisect import bisect_right
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sepsim.nosupermax import (
+    MIN_SPEEDUP_FRACTION,
     AttemptRun,
     SpeedupCertificate,
+    SpeedupResult,
     apply_speedup,
     boundary_update,
     derive_w,
@@ -18,6 +24,10 @@ from sepsim.nosupermax import (
     verify_nosupermax,
     x_update,
 )
+from sepsim.scenario import load_scenario_file
+
+SAMPLES = Path(__file__).resolve().parents[1] / "scenarios" / "samples"
+CHAIN_SAMPLE = SAMPLES / "nosupermax-chain.scn"
 
 
 def naive_stage(base, old_entries, x_prev, a_next, b_next, s1):
@@ -127,11 +137,24 @@ def cofinite_scenario(horizon, holes_below=11):
     return a, b
 
 
+def boundary_inputs(base, entries, x, a_now, b_now):
+    """boundary_update's bare-interval list and sorted scripted numbers,
+    computed from scratch: interval j is bare when no number in it outside A
+    and B sits on its side of X (inside X for odd j)."""
+    bare, cur = [], base
+    for j, v in enumerate(entries):
+        free = [y for y in range(cur + 1, v + 1) if y not in a_now and y not in b_now]
+        if not any((y in x) == (j % 2 == 1) for y in free):
+            bare.append(j)
+        cur = v
+    return bare, sorted(a_now | b_now)
+
+
 class TestBoundary:
     def test_first_stage(self):
         trig = trigger_prefix(0, set(), [], [])
         entries, kept, fragile = boundary_update(
-            -1, [], 1, set(), set(), set(), trig
+            -1, [], 1, trig, *boundary_inputs(-1, [], set(), set(), set())
         )
         assert entries == [0] and kept == 0
 
@@ -202,9 +225,20 @@ class TestXUpdate:
         entries = [2, 5]  # intervals (-1,2] odd-right? index0 even, index1 odd
         trig = trigger_prefix(5, set(), [4], [])
         added, removed = x_update(
-            entries, -1, 6, set(), {4}, set(), trig
+            entries, -1, 6, set(), {4}, set(), trig, extra_positions=[4]
         )
         assert 4 in added
+
+    def test_only_handed_positions_at_or_below_the_crossing_move(self):
+        # 1 sits in A outside X, which no finished stage leaves behind: as it
+        # is neither handed over nor above the crossing at 2, it is not
+        # visited. 4, above the crossing in the even interval (-1, 4], and
+        # the stage number 5, in the odd interval (4, 5], are.
+        entries = [4, 5]
+        added, removed = x_update(entries, -1, 6, {4}, {1}, set(), 2)
+        assert (added, removed) == ([5], [4])
+        added, _ = x_update(entries, -1, 6, {4}, {1}, set(), 2, extra_positions=[1])
+        assert added == [1, 5]
 
     def test_positionwise_oracle(self):
         rng = random.Random(99)
@@ -218,8 +252,9 @@ class TestXUpdate:
             a_new = sorted(a_now)[:2]
             b_new = sorted(b_now)[:2]
             trig = trigger_prefix(s1 - 1, x_prev, a_new, b_new)
+            old = list(range(0, s1 - 1, 2))
             entries, _, _ = boundary_update(
-                base, list(range(0, s1 - 1, 2)), s1, x_prev, a_now, b_now, trig
+                base, old, s1, trig, *boundary_inputs(base, old, x_prev, a_now, b_now)
             )
             added, removed = x_update(
                 entries, base, s1, x_prev, a_now, b_now, trig,
@@ -434,3 +469,186 @@ class TestPipeline:
         failed = [c for c in checks if not c.passed]
         assert [c.name for c in failed] == ["a1-boundary-exactness"]
         assert failed[0].detail.startswith("record "), failed[0].detail
+
+
+def reference_speedup(run: AttemptRun, cert: SpeedupCertificate) -> SpeedupResult:
+    """apply_speedup as it read before the swept zone: the zone between the
+    settled point and the new stage number is rescanned at every stage.
+    Test oracle only."""
+    horizon = run.horizon
+    if cert.ell < -1 or cert.k != cert.ell + 1:
+        return SpeedupResult(False, reason="certificate k must be ell + 1")
+    if cert.parity != cert.k % 2:
+        return SpeedupResult(False, reason="certificate parity does not match k")
+    if not (1 <= cert.settling_stage <= horizon):
+        return SpeedupResult(False, reason="settling stage outside trace")
+    values = [run.entry_value_at(j, cert.settling_stage) for j in range(cert.k)]
+    if any(v is None for v in values):
+        return SpeedupResult(
+            False,
+            reason="settled prefix not defined at settling stage",
+            witness_stage=cert.settling_stage,
+        )
+    for t in range(cert.settling_stage, horizon + 1):
+        if run.kept_counts[t - 1] <= cert.ell:
+            return SpeedupResult(
+                False,
+                reason=f"settled prefix moves (entry {run.kept_counts[t - 1]})",
+                witness_stage=t,
+            )
+    x_ell = values[-1] if values else run.base
+    odd = cert.parity == 1
+
+    def zone_ok(t, s_new):
+        for y in range(x_ell + 1, s_new + 1):
+            in_x = run.x_member_at(y, t)
+            if odd:
+                if in_x and not run.a.member_at(y, t):
+                    return False
+            else:
+                if not in_x and not run.b.member_at(y, t):
+                    return False
+        return True
+
+    stage_map: list[int] = []
+    for t in range(cert.settling_stage, horizon + 1):
+        s_new = len(stage_map)
+        vk = run.entry_value_at(cert.k, t)
+        if vk is not None and vk > s_new and zone_ok(t, s_new):
+            stage_map.append(t)
+    if not stage_map:
+        return SpeedupResult(
+            False, reason="no qualifying stages", witness_stage=horizon
+        )
+    available = horizon - cert.settling_stage + 1
+    if len(stage_map) < max(2, available // MIN_SPEEDUP_FRACTION):
+        return SpeedupResult(
+            False,
+            reason=f"selection stalls at re-indexed stage {len(stage_map)}",
+            witness_stage=stage_map[-1],
+        )
+
+    def reindex(entry: dict[int, int]):
+        events = []
+        for e, t0 in sorted(entry.items()):
+            i = bisect_right(stage_map, t0 - 1)
+            if i >= len(stage_map):
+                continue
+            events.append((e, max(1, i)))
+        return events
+
+    return SpeedupResult(
+        True,
+        stage_map=stage_map,
+        new_base=x_ell,
+        new_a_events=reindex(run.a.entry),
+        new_b_events=reindex(run.b.entry),
+        new_horizon=len(stage_map) - 1,
+    )
+
+
+@st.composite
+def attempt_scripts(draw, max_horizon):
+    """(base, a_events, b_events, horizon) for one attempt: sparse A and B
+    events, some of them above the horizon in value or in stamp, a base that
+    may sit above -1, and maybe a dense cofinite stretch that enumerates
+    every number from some point on shortly before its own stage."""
+    horizon = draw(st.integers(1, max_horizon))
+    base = draw(st.integers(-1, horizon // 2))
+    top = horizon + 6
+    sparse = draw(
+        st.lists(
+            st.tuples(st.integers(0, top), st.booleans(), st.integers(1, horizon + 2)),
+            unique_by=lambda event: event[0],
+            max_size=12,
+        )
+    )
+    a = [(e, t) for e, in_a, t in sparse if in_a]
+    b = [(e, t) for e, in_a, t in sparse if not in_a]
+    if draw(st.booleans()):
+        start = draw(st.integers(0, horizon))
+        lead = draw(st.integers(-8, 8))  # stage = number - lead
+        used = {e for e, _, _ in sparse}
+        for e in range(start, top + 1):
+            if e not in used:
+                (a if e % 2 == 0 else b).append((e, max(1, e - lead)))
+    return base, a, b, horizon
+
+
+class TestIncrementalAgainstNaive:
+    """The incremental stage update and the swept speedup zone against
+    from-scratch oracles."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(attempt_scripts(max_horizon=24))
+    def test_run_matches_naive_stage_by_stage(self, script):
+        base, a, b, horizon = script
+        run = run_attempt(1, base, a, b, horizon)
+        hist = naive_run(base, a, b, horizon)
+        domain = set(range(horizon + 1)) | {e for e, _ in a + b}
+        for t, (entries, x) in enumerate(hist, 1):
+            assert run.boundary_at(t) == [base] + entries, f"stage {t}"
+            assert {y for y in domain if run.x_member_at(y, t)} == x, f"stage {t}"
+
+    @settings(max_examples=60, deadline=None)
+    @given(attempt_scripts(max_horizon=40))
+    def test_interval_counts_match_a_recount(self, script):
+        base, a, b, horizon = script
+        run = AttemptRun(1, base, a, b, horizon)
+        for t in range(1, horizon + 1):
+            run.step()
+            counts, cur = [], base
+            for v in run.entries:
+                free = [
+                    y
+                    for y in range(cur + 1, v + 1)
+                    if y not in run.a_now and y not in run.b_now
+                ]
+                inside = sum(y in run.x for y in free)
+                counts.append((inside, len(free) - inside))
+                cur = v
+            assert list(zip(run.c_in, run.c_out)) == counts, f"stage {t}"
+            want = boundary_inputs(base, run.entries, run.x, run.a_now, run.b_now)
+            assert (run.bare, run.scripted) == want, f"stage {t}"
+
+    @settings(max_examples=60, deadline=None)
+    @given(attempt_scripts(max_horizon=60), st.integers(1, 60))
+    @example(script=(0, [], [(1, 4)], 4), settle=1)  # B entry inside the zone
+    def test_speedup_matches_rescanning_reference(self, script, settle):
+        base, a, b, horizon = script
+        run = run_attempt(1, base, a, b, horizon)
+        for ell in range(-1, max(run.kept_counts) + 1):
+            k = ell + 1
+            # the drawn settling stage, and the one a genuine certificate
+            # takes: past the placement of every entry below k
+            settled = max(1, base + 2)
+            for resets in run.entry_resets[:k]:
+                settled = max(settled, resets[-1] + 1 if resets else 1)
+            for stage in {min(settle, horizon), min(settled, horizon)}:
+                cert = SpeedupCertificate(1, ell, k, k % 2, stage)
+                assert apply_speedup(run, cert) == reference_speedup(run, cert), cert
+
+
+class TestWorkBounds:
+    def test_speedup_decides_each_position_once_per_change(self, monkeypatch):
+        # the zone is swept, not rescanned: X membership is looked up once
+        # when a position enters the zone and once per stage at which it
+        # toggles in X or enters A or B
+        sc = load_scenario_file(CHAIN_SAMPLE)
+        result = run_nosupermax(sc.sets["A"], sc.sets["B"], sc.horizon, sc.certs)
+        assert len(result.cert_results) == 2
+        calls = 0
+        original = AttemptRun.x_member_at
+
+        def counted(self, y, t):
+            nonlocal calls
+            calls += 1
+            return original(self, y, t)
+
+        monkeypatch.setattr(AttemptRun, "x_member_at", counted)
+        for run, (cert, res) in zip(result.attempts, result.cert_results):
+            calls = 0
+            assert apply_speedup(run, cert) == res
+            toggles = sum(len(stages) for stages in run.x_toggles.values())
+            bound = run.horizon + toggles + len(run.a) + len(run.b)
+            assert 0 < calls <= bound, (cert, calls, bound)

@@ -11,6 +11,7 @@ from sepsim.twodegrees import (
     VeAxiom,
     block_census,
     column_threshold,
+    column_witnesses,
     cube_census,
     decode_b_from_c,
     decode_c_from_b,
@@ -189,15 +190,15 @@ class TestDecoding:
 
     def test_b_from_c_miss_cases(self):
         run = run_twodegrees([(2, 7)], [], {}, {}, 30)
-        events = tuple(run.b.events)
+        witnesses = column_witnesses({2}, run.b.events)
         # column outside C
-        bit, settled = decode_b_from_c({2}, events, pair(5, 1), 30)
+        bit, settled = decode_b_from_c({2}, witnesses, pair(5, 1), 30)
         assert (bit, settled) == (0, True)
         # inside C, wrong slot
-        bit, settled = decode_b_from_c({2}, events, pair(2, 1), 30)
+        bit, settled = decode_b_from_c({2}, witnesses, pair(2, 1), 30)
         assert (bit, settled) == (0, True)
         # inside C, right slot
-        bit, settled = decode_b_from_c({2}, events, pair(2, 0), 30)
+        bit, settled = decode_b_from_c({2}, witnesses, pair(2, 0), 30)
         assert (bit, settled) == (1, True)
 
 
