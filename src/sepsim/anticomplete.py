@@ -20,11 +20,13 @@ Enumerations performed at stage s are stamped s+1 and are always < s.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .enumcore import FreshSource, StageSet
 from .functionals import EMPTY_PROGRAM, OracleProgram, evaluate
-from .report import CheckResult
+from .report import CheckResult, first_counterexample
 
 
 @dataclass
@@ -324,9 +326,9 @@ class AnticompleteRun:
     """Priority scheduler over the interleaved strategy list.
 
     run_stage() is the reference stepper: at stage s it steps every strategy
-    with index < s in priority order. run_to_horizon(fast=True) is the
-    event-driven equivalent that skips strategies whose step is provably a
-    no-op; the two produce identical traces (tested).
+    with index < s in priority order. run_to_horizon() steps the event-driven
+    equivalent, which skips strategies whose step is provably a no-op; the
+    two produce identical traces (tested).
     """
 
     def __init__(self, programs: dict[int, OracleProgram], horizon: int):
@@ -439,23 +441,28 @@ class AnticompleteRun:
                 floor = idx
         self.stage = s + 1
 
-    def run_to_horizon(self, fast: bool = True):
+    def run_to_horizon(self):
         while self.stage < self.horizon:
-            if fast:
-                self._run_stage_fast()
-            else:
-                self.run_stage()
+            self._run_stage_fast()
         return self
 
 
-def run_anticomplete(programs: dict[int, OracleProgram], horizon: int, fast=True):
-    run = AnticompleteRun(programs, horizon)
-    run.run_to_horizon(fast=fast)
-    return run
+def run_anticomplete(programs: dict[int, OracleProgram], horizon: int):
+    return AnticompleteRun(programs, horizon).run_to_horizon()
 
 
 # ---------------------------------------------------------------------------
 # trace verification
+
+
+def _unmatched(final, acted, name):
+    """(element, stage, side) for each entry that a final event log and the
+    recorded acts' entries hold a different number of times, least first."""
+    got, want = Counter(final), Counter(acted)
+    return sorted(
+        [(e, t, f"in final {name} without a recorded act") for e, t in got - want]
+        + [(e, t, f"from a recorded act, not in final {name}") for e, t in want - got]
+    )
 
 
 def verify_anticomplete(records, a_events, b_events, d_events, horizon):
@@ -484,22 +491,22 @@ def verify_anticomplete(records, a_events, b_events, d_events, horizon):
             claims.append((rec[1], rec[2], rec[3]))
 
     # (i) every B entry has a smaller same-stage A entry
-    ok = True
-    detail = ""
-    for s, e, n, r, m, new_a, new_b in racts:
-        for x in new_b:
-            if not any(y < x for y in new_a):
-                ok = False
-                detail = f"stage {s + 1} strategy r{e} element {x}"
-                break
-        if not ok:
-            break
-    checks.append(CheckResult("wtt-companion", ok, detail))
+    checks.append(
+        first_counterexample(
+            "wtt-companion",
+            [
+                (s + 1, e, x)
+                for s, e, n, r, m, new_a, new_b in racts
+                for x in new_b
+                if not any(y < x for y in new_a)
+            ],
+            "stage {0} strategy r{1} element {2}",
+        )
+    )
 
     # (ii) no strategy enumerates below its restraint; recorded restraint
     # matches the one implied by the act history.
-    ok = True
-    detail = ""
+    viol = []
     for s, e, n, r, m, new_a, new_b in racts:
         idx = 2 * e + 1
         implied = 0
@@ -508,112 +515,92 @@ def verify_anticomplete(records, a_events, b_events, d_events, horizon):
                 break
             if aidx < idx:
                 implied = max(implied, t + 1)
-        if r != implied:
-            ok = False
-            detail = f"stage {s} strategy r{e} recorded restraint {r} != {implied}"
-            break
-        low = [x for x in (list(new_a) + list(new_b)) if x < r]
+        low = [x for x in (*new_a, *new_b) if x < r]
         if m is not None and m < r:
             low.append(m)
-        if low:
-            ok = False
-            detail = f"stage {s} strategy r{e} element {min(low)} below restraint {r}"
-            break
-    checks.append(CheckResult("restraint-discipline", ok, detail))
+        if r != implied:
+            viol.append((s, e, f"recorded restraint {r} != {implied}"))
+        elif low:
+            viol.append((s, e, f"element {min(low)} below restraint {r}"))
+    checks.append(
+        first_counterexample(
+            "restraint-discipline", viol, "stage {0} strategy r{1} {2}"
+        )
+    )
 
     # (iii) A and B disjoint
     a_set = {e for e, _ in a_events}
     b_set = {e for e, _ in b_events}
-    inter = a_set & b_set
-    checks.append(
-        CheckResult(
-            "disjoint-ab",
-            not inter,
-            f"element {min(inter)}" if inter else "",
-        )
-    )
+    inter = sorted((x,) for x in a_set & b_set)
+    checks.append(first_counterexample("disjoint-ab", inter, "element {0}"))
 
     # (iv) entries at stage s+1 are smaller than s
-    ok = True
-    detail = ""
-    for e, t in sorted(a_events) + sorted(b_events):
-        if e >= t - 1:
-            ok = False
-            detail = f"element {e} entered at stage {t}"
-            break
-    checks.append(CheckResult("entry-bound", ok, detail))
+    checks.append(
+        first_counterexample(
+            "entry-bound",
+            [(e, t) for e, t in sorted(a_events) + sorted(b_events) if e >= t - 1],
+            "element {0} entered at stage {1}",
+        )
+    )
 
     # N preservation: an n-strategy acting at stage s and never initialized
     # afterward keeps s out of A and B.
     act_stages = sorted(acts)
-    suffix_min = []
-    m = float("inf")
-    for t, idx in reversed(act_stages):
-        m = min(m, idx)
-        suffix_min.append(m)
-    suffix_min.reverse()
-    ok = True
-    detail = ""
+    # suffix_min[j]: the least strategy index among act_stages[j:]
+    suffix_min = list(accumulate((idx for _, idx in reversed(act_stages)), min))[::-1]
     union = a_set | b_set
+    viol = []
     for s, k, restraint in nacts:
         j = bisect_right(act_stages, (s, 2 * k))
         initialized_later = j < len(act_stages) and suffix_min[j] < 2 * k
         if not initialized_later and s in union:
-            ok = False
-            detail = f"n{k} acted at stage {s} but {s} entered A or B"
-            break
-    checks.append(CheckResult("n-preservation", ok, detail))
+            viol.append((k, s))
+    checks.append(
+        first_counterexample(
+            "n-preservation", viol, "n{0} acted at stage {1} but {1} entered A or B"
+        )
+    )
 
     # Claims strictly increase across the whole run.
-    ok = True
-    detail = ""
-    prev = -1
-    for s, e, n in claims:
-        if n <= prev:
-            ok = False
-            detail = f"claim {n} at stage {s} not above previous {prev}"
-            break
-        prev = n
-    checks.append(CheckResult("claim-freshness", ok, detail))
+    previous = [-1] + [n for _, _, n in claims]
+    checks.append(
+        first_counterexample(
+            "claim-freshness",
+            [(n, s, p) for (s, e, n), p in zip(claims, previous) if n <= p],
+            "claim {0} at stage {1} not above previous {2}",
+        )
+    )
 
     # D bookkeeping: every D entry is produced by exactly one recorded act.
-    d_from_racts = sorted((n, s + 1) for s, e, n, r, m, na, nb in racts)
-    ok = sorted(d_events) == d_from_racts
+    d_from_racts = [(n, s + 1) for s, e, n, r, m, na, nb in racts]
     checks.append(
-        CheckResult(
+        first_counterexample(
             "d-entries-have-acts",
-            ok,
-            "" if ok else "final D does not match recorded acts",
+            _unmatched(d_events, d_from_racts, "D"),
+            "element {0} at stage {1} {2}",
         )
     )
 
     # A/B bookkeeping: final logs match recorded enumerations.
-    ab_ok = sorted(a_events) == sorted(
-        (x, s + 1) for s, e, n, r, m, na, nb in racts for x in na
-    ) and sorted(b_events) == sorted(
-        (x, s + 1) for s, e, n, r, m, na, nb in racts for x in nb
-    )
+    a_acted = [(x, s + 1) for s, e, n, r, m, na, nb in racts for x in na]
+    b_acted = [(x, s + 1) for s, e, n, r, m, na, nb in racts for x in nb]
     checks.append(
-        CheckResult(
+        first_counterexample(
             "records-consistent",
-            ab_ok,
-            "" if ab_ok else "final A/B do not match recorded acts",
+            _unmatched(a_events, a_acted, "A") + _unmatched(b_events, b_acted, "B"),
+            "element {0} at stage {1} {2}",
         )
     )
 
     # Per-strategy D counts, with a stability note over the final fifth.
     window = max(1, horizon // 5)
     cutoff = horizon - window
-    per: dict[int, int] = {}
-    late: dict[int, int] = {}
-    for s, e, n, r, m, na, nb in racts:
-        per[e] = per.get(e, 0) + 1
-        if s >= cutoff:
-            late[e] = late.get(e, 0) + 1
+    per = Counter(e for s, e, *_ in racts)
+    late = Counter(e for s, e, *_ in racts if s >= cutoff)
     for e in sorted(per):
         caveats.append(
             f"strategy r{e} enumerated {per[e]} numbers into D"
-            f" ({late.get(e, 0)} in the final {window} stages);"
+            f" ({late[e]} in the final {window} stages);"
             " finiteness beyond the horizon is not decidable"
         )
 

@@ -8,7 +8,6 @@ source that makes "pick a large number" reproducible.
 
 from __future__ import annotations
 
-import threading
 from bisect import insort
 from dataclasses import dataclass
 
@@ -107,9 +106,6 @@ class SeparatorSnapshot:
     def __getitem__(self, position: int) -> int:
         return 1 if self.bits[position] == "1" else 0
 
-    def members(self) -> frozenset[int]:
-        return frozenset(i for i, c in enumerate(self.bits) if c == "1")
-
     @staticmethod
     def from_set(members, length: int) -> "SeparatorSnapshot":
         return SeparatorSnapshot(
@@ -151,7 +147,6 @@ class PairingScheme:
         self._min_unused = 0
         self._diag = 0  # next diagonal to enumerate
         self._next_free: dict[int, int] = {}  # floor -> scan start hint
-        self._lock = threading.Lock()  # runs may share the process-wide scheme
 
     def _assign_diagonal(self):
         d = self._diag
@@ -172,18 +167,16 @@ class PairingScheme:
     def code(self, n: int, i: int) -> int:
         if n < 0 or i < 0:
             raise ValueError("pair components must be naturals")
-        with self._lock:
-            while (n, i) not in self._code:
-                self._assign_diagonal()
-            return self._code[(n, i)]
+        while (n, i) not in self._code:
+            self._assign_diagonal()
+        return self._code[(n, i)]
 
     def decode(self, c: int) -> tuple[int, int] | None:
         if c < 0:
             return None
-        with self._lock:
-            while self._min_unused <= c and c not in self._pair_of:
-                self._assign_diagonal()
-            return self._pair_of.get(c)
+        while self._min_unused <= c and c not in self._pair_of:
+            self._assign_diagonal()
+        return self._pair_of.get(c)
 
 
 _SCHEME = PairingScheme()

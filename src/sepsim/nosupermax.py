@@ -166,6 +166,8 @@ class AttemptRun:
         self.kept_counts: list[int] = []  # index s1-1 -> kept at stage s1
         self.records: list[tuple] = []
         self.x_toggles: dict[int, list[int]] = {}
+        # stage -> the stage's X change records, in record order
+        self.x_changes: dict[int, list[tuple]] = {}
         self.entry_resets: list[list[int]] = []  # per index: reset stages
         self._dirty = True
 
@@ -233,10 +235,14 @@ class AttemptRun:
         self._count(j, *self._free_counts(lo, s))
 
     def _apply_delta(self, added, removed, s1):
+        if not added and not removed:
+            return
+        changes = self.x_changes.setdefault(s1, [])
         for y in added:
             self.x.add(y)
             self.x_toggles.setdefault(y, []).append(s1)
             self.records.append(("xin", s1, y))
+            changes.append(self.records[-1])
             j = self._interval(y)
             if j is not None:
                 self._count(j, 1, -1)
@@ -244,6 +250,7 @@ class AttemptRun:
             self.x.discard(y)
             self.x_toggles.setdefault(y, []).append(s1)
             self.records.append(("xout", s1, y))
+            changes.append(self.records[-1])
             j = self._interval(y)
             if j is not None:
                 self._count(j, -1, 1)
@@ -370,9 +377,9 @@ def derive_w(run: AttemptRun):
     """The crossing log: numbers entering the scripted sets on the wrong side
     of X, with their stages, plus both change-trigger checks.
 
-    Returns (w_events, forward_violations, backward_violations): a crossing
-    must change X the same stage, and an X change at x during a stage past x
-    must see a crossing at or below x."""
+    Returns (w, forward_violations, backward_violations), W as a StageSet: a
+    crossing must change X the same stage, and an X change at x during a
+    stage past x must see a crossing at or below x."""
     w = StageSet(horizon=run.horizon)
     for e, t in run.a.entry.items():
         if not run.x_member_at(e, t - 1):
@@ -380,24 +387,18 @@ def derive_w(run: AttemptRun):
     for e, t in run.b.entry.items():
         if run.x_member_at(e, t - 1):
             w.add(e, t)
-    w_events = list(w.events)
-
-    deltas_by_stage: dict[int, list[int]] = {}
-    for rec in run.records:
-        if rec[0] in ("xin", "xout"):
-            deltas_by_stage.setdefault(rec[1], []).append(rec[2])
-
     forward = [
-        (e, t) for e, t in w_events if e not in deltas_by_stage.get(t, [])
+        (e, t)
+        for e, t in w.events
+        if all(y != e for _, _, y in run.x_changes.get(t, ()))
     ]
     backward = []
-    for t, xs in deltas_by_stage.items():
+    for t, changes in run.x_changes.items():
         ws = w.entered_at(t)
-        wmin = ws[0] if ws else None
-        for x in xs:
-            if t - 1 > x and (wmin is None or wmin > x):
+        for _, _, x in changes:
+            if t - 1 > x and (not ws or ws[0] > x):
                 backward.append((x, t))
-    return w_events, forward, backward
+    return w, forward, backward
 
 
 @dataclass
@@ -407,13 +408,12 @@ class OutcomeReport:
     parity: int  # k % 2
     stable_values: list[int]
     last_reset_of_k: int | None
-    witnesses: list[tuple[int, int | None]]  # (entry index, hole witness)
 
 
 def detect_outcome(run: AttemptRun, window: int) -> OutcomeReport:
     """Horizon-relative report: longest boundary prefix unchanged over the
-    final `window` stages, per-interval hole witnesses with their X side, and
-    the first apparently divergent index."""
+    final `window` stages, its values, and the first apparently divergent
+    index."""
     horizon = run.horizon
     if window > horizon:
         raise ValueError("window exceeds horizon")
@@ -427,19 +427,6 @@ def detect_outcome(run: AttemptRun, window: int) -> OutcomeReport:
         if v is None:  # reachable only on corrupted records
             break
         values.append(v)
-    union = run.union_final()
-    witnesses = []
-    prev = run.base
-    for n, v in enumerate(values):
-        found = None
-        for y in range(prev + 1, v + 1):
-            if y in union:
-                continue
-            if (y in run.x) == (n % 2 == 1):
-                found = y
-                break
-        witnesses.append((n, found))
-        prev = v
     resets = run.entry_resets[k] if 0 <= k < len(run.entry_resets) else []
     return OutcomeReport(
         ell=ell,
@@ -447,7 +434,6 @@ def detect_outcome(run: AttemptRun, window: int) -> OutcomeReport:
         parity=k % 2,
         stable_values=values,
         last_reset_of_k=resets[-1] if resets else None,
-        witnesses=witnesses,
     )
 
 
@@ -497,10 +483,6 @@ class _ZoneSweep:
         self.x_ell = self.top = x_ell
         self.wrong = wrong
         self.holes: set[int] = set()
-        self.toggled: dict[int, list[int]] = {}
-        for y, stages in run.x_toggles.items():
-            for t in stages:
-                self.toggled.setdefault(t, []).append(y)
 
     def _decide(self, y, t):
         if self.wrong(y, t):
@@ -511,8 +493,9 @@ class _ZoneSweep:
     def advance(self, t, top):
         """The wrong-side numbers at stage t, the zone widened to `top`;
         stages must come in ascending order."""
-        a, b = self.run.a, self.run.b
-        for y in chain(self.toggled.get(t, ()), a.entered_at(t), b.entered_at(t)):
+        run = self.run
+        toggled = (y for _, _, y in run.x_changes.get(t, ()))
+        for y in chain(toggled, run.a.entered_at(t), run.b.entered_at(t)):
             if self.x_ell < y <= self.top:
                 self._decide(y, t)
         while self.top < top:
@@ -698,11 +681,7 @@ def _verify_attempt(run: AttemptRun, ref: AttemptRun | None, checks):
     detail = first_divergence(ev(run.records), ev(ref.records if ref else []))
     checks.append(CheckResult(f"{tag}-boundary-exactness", not detail, detail))
 
-    deltas_by_stage: dict[int, list[tuple[str, int]]] = {}
-    for rec in run.records:
-        if rec[0] in ("xin", "xout"):
-            deltas_by_stage.setdefault(rec[1], []).append((rec[0], rec[2]))
-
+    w, fwd, bwd = derive_w(run)
     sep_viol = []
     disc_viol = []
     shape_viol = []
@@ -729,21 +708,20 @@ def _verify_attempt(run: AttemptRun, ref: AttemptRun | None, checks):
             rec_entries.append(s)
             if below >= s:
                 shape_viol.append((s1, "not strictly increasing"))
-        # change discipline on the recorded deltas
-        fresh_cross = [z for z in b_new if z in x_mem] + [
-            z for z in a_new if z not in x_mem
-        ]
-        wmin = min(fresh_cross, default=None)
-        for kind, y in deltas_by_stage.get(s1, []):
+        # change discipline on the recorded deltas; W's least entry of the
+        # stage is the stage's least crossing
+        changes = run.x_changes.get(s1, ())
+        crossed = w.entered_at(s1)
+        for kind, _, y in changes:
             ok = (
                 (y in x_mem and run.b.member_at(y, s1))
                 or (y not in x_mem and run.a.member_at(y, s1))
-                or (wmin is not None and wmin < y)
+                or (crossed and crossed[0] < y)
                 or y == s
             )
             if not ok:
                 disc_viol.append((y, s1))
-        for kind, y in deltas_by_stage.get(s1, []):
+        for kind, _, y in changes:
             if kind == "xin":
                 x_mem.add(y)
             else:
@@ -755,13 +733,12 @@ def _verify_attempt(run: AttemptRun, ref: AttemptRun | None, checks):
         for y in b_new:
             if y in x_mem:
                 sep_viol.append((y, s1, "B member inside X"))
-        for kind, y in deltas_by_stage.get(s1, []):
+        for kind, _, y in changes:
             if kind == "xout" and run.a.member_at(y, s1):
                 sep_viol.append((y, s1, "A member pushed out of X"))
             if kind == "xin" and run.b.member_at(y, s1):
                 sep_viol.append((y, s1, "B member pulled into X"))
 
-    _, fwd, bwd = derive_w(run)
     for name, violations, template in (
         ("separator-stagewise", sep_viol, "stage {1} element {0} ({2})"),
         (

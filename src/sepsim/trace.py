@@ -141,15 +141,26 @@ def encode_event_log(log) -> list[str]:
 
 
 def _decode_event_log(body, arity, names):
+    """The ev records, then exactly one `final` line per set of `names`, in
+    that order; anything else is a UsageError naming the line."""
     records = []
-    finals = {name: () for name in names}
+    finals = {}
     for parts in body:
-        if parts[0] == "ev":
+        want = names[len(finals)] if len(finals) < len(names) else None
+        if parts[0] == "ev" and not finals:
             records.append(decode_ev(parts, arity))
-        elif parts[0] == "final":
-            finals[parts[1]] = _parse_events(parts[2:])
+        elif parts[0] == "final" and parts[1:2] == [want]:
+            finals[want] = _parse_events(parts[2:])
+        elif parts[0] in ("ev", "final"):
+            line = " ".join(parts[:2] if parts[0] == "final" else parts)
+            expected = f"final {want}" if want else "end"
+            raise UsageError(
+                f"record {line} out of place in trace body (expected {expected})"
+            )
         else:
             raise UsageError(f"unknown record {parts[0]} in trace body")
+    if len(finals) < len(names):
+        raise UsageError(f"trace body lacks its final {names[len(finals)]} line")
     return records, finals
 
 

@@ -27,6 +27,7 @@ from sepsim.upclosure import simultaneous_agreement_stages
 from sepsim.verify import verify_trace
 
 ROOT = Path(__file__).resolve().parents[1]
+REPORTS = ROOT / "scenarios" / "reports"
 _cache = {}
 
 
@@ -258,6 +259,9 @@ class TestCriteria:
             report = verify_trace(parse_trace(text))
             failed = {c.name: c.detail for c in report.failures()}
             names.add(expected)
+            committed = REPORTS / "faults" / f"{Path(fname).stem}.txt"
+            if report.render() != committed.read_text():
+                bad.append(f"{fname}: report differs from {committed.name}")
             if expected not in failed:
                 bad.append(f"{fname}: {expected} did not fail ({set(failed)})")
             bad.extend(

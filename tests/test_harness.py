@@ -44,6 +44,7 @@ from sepsim.verify import verify_trace
 SAMPLES = Path(__file__).resolve().parents[1] / "scenarios" / "samples"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sepsim"
 FAULTS = SAMPLES.parent / "faults"
+REPORTS = SAMPLES.parent / "reports"
 
 MINIMAL_TWODEGREES = """\
 sepsim-scenario 1
@@ -208,6 +209,16 @@ class TestRunVerify:
         assert failed["run-exactness"].startswith("record "), report.render()
         assert "fired away from the C entry stage" in failed["column-coding"]
 
+    @pytest.mark.parametrize(
+        "path",
+        sorted(SAMPLES.glob("*.scn")) + sorted(FAULTS.parent.glob("certs/*.scn")),
+        ids=lambda path: f"{path.parent.name}/{path.stem}",
+    )
+    def test_report_matches_the_committed_one(self, path):
+        text = run_scenario(load_scenario(path.read_text())).render()
+        committed = REPORTS / path.parent.name / f"{path.stem}.txt"
+        assert verify_trace(parse_trace(text)).render() == committed.read_text()
+
     def test_tampered_scenario_hash_rejected(self):
         sc = anticomplete_scenario(2, 60)
         text = run_scenario(sc).render()
@@ -220,6 +231,55 @@ class TestRunVerify:
         lines[idx] = "horizon 61"
         with pytest.raises(UsageError, match="digest"):
             parse_trace("\n".join(lines) + "\n")
+
+
+def final_line_edits(body):
+    """Every body with one `final` line dropped, duplicated in place, or moved
+    to another position."""
+    for i, line in enumerate(body):
+        if line[0] != "final":
+            continue
+        rest = body[:i] + body[i + 1 :]
+        yield rest
+        yield body[: i + 1] + [line] + body[i + 1 :]
+        for j in range(len(rest) + 1):
+            if j != i:
+                yield rest[:j] + [line] + rest[j:]
+
+
+class TestFinalLines:
+    @pytest.mark.parametrize(
+        "stem",
+        [
+            "anticomplete-quiet",
+            "anticomplete-readers",
+            "twodegrees-blocking",
+            "twodegrees-mixed",
+        ],
+    )
+    def test_edited_final_line_is_a_usage_error(self, stem):
+        sc = load_scenario((SAMPLES / f"{stem}.scn").read_text())
+        parsed = parse_trace(run_scenario(sc).render())
+        original = parsed.body
+        edits = 0
+        for body in final_line_edits(original):
+            parsed.body = body
+            with pytest.raises(UsageError, match="final"):
+                verify_trace(parsed)
+            edits += 1
+        finals = sum(parts[0] == "final" for parts in original)
+        assert finals == (3 if stem.startswith("anticomplete") else 2)
+        assert edits == finals * (len(original) + 1)
+
+    def test_duplicated_final_line_exits_two(self, tmp_path, capsys):
+        sc = load_scenario((SAMPLES / "anticomplete-readers.scn").read_text())
+        lines = run_scenario(sc).render().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("final A"))
+        path = tmp_path / "dup.trc"
+        path.write_text("\n".join(lines[: i + 1] + lines[i:]) + "\n")
+        assert main(["verify", "--trace", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "record final A out of place in trace body (expected final B)" in err
 
 
 def expected_log(sc):

@@ -278,13 +278,13 @@ class TestDeriveW:
     def test_empty_run_w_empty(self):
         run = run_attempt(1, -1, [], [], 40)
         w, fwd, bwd = derive_w(run)
-        assert w == [] and not fwd and not bwd
+        assert not w and not fwd and not bwd
 
     def test_crossing_enters_w_same_stage(self):
         # 3 stabilizes inside X, then enters B: crossing at that stage
         run = run_attempt(1, -1, [], [(3, 20)], 30)
         w, fwd, bwd = derive_w(run)
-        assert (3, 20) in w
+        assert (3, 20) in w.events
         assert not fwd and not bwd
 
     @pytest.mark.parametrize("seed", range(4))
@@ -294,6 +294,27 @@ class TestDeriveW:
         run = run_attempt(1, -1, a, b, 300)
         _, fwd, bwd = derive_w(run)
         assert not fwd and not bwd
+
+
+class TestXChanges:
+    @staticmethod
+    def regrouped(records):
+        out = {}
+        for rec in records:
+            if rec[0] != "boundary":
+                out.setdefault(rec[1], []).append(rec)
+        return out
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_index_regroups_the_records(self, seed):
+        rng = random.Random(400 + seed)
+        a, b = random_events(rng, 200, 60)
+        run = run_attempt(1, -1, a, b, 200)
+        rebuilt = AttemptRun.from_records(1, -1, a, b, 200, run.records)
+        assert run.x_changes
+        assert run.x_changes == self.regrouped(run.records)
+        assert rebuilt.x_changes == self.regrouped(rebuilt.records)
+        assert rebuilt.records == run.records
 
 
 class TestDetect:
@@ -306,9 +327,12 @@ class TestDetect:
         run = run_attempt(1, -1, [], [], 60)
         out = detect_outcome(run, 12)
         assert out.ell == 60 - 12 - 1
-        for n, w in out.witnesses:
-            assert w is not None
-            assert (w in run.x) == (n % 2 == 1)
+        # each stable interval holds a number outside A and B on its side
+        union = run.union_final()
+        bounds = [run.base] + out.stable_values
+        for n, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            free = [y for y in range(lo + 1, hi + 1) if y not in union]
+            assert any((y in run.x) == (n % 2 == 1) for y in free), (n, lo, hi)
 
     def test_cofinite_scenario_low_stable_prefix(self):
         a, b = cofinite_scenario(200)
@@ -464,6 +488,7 @@ class TestPipeline:
         dropped = run.records[idx]
         run.records.pop(idx)
         run.x_toggles[dropped[2]].remove(dropped[1])
+        run.x_changes[dropped[1]].remove(dropped)
         checks, _ = verify_nosupermax(result, run_nosupermax(a, b, 120, []))
         assert any(not c.passed for c in checks)
         failed = [c for c in checks if not c.passed]

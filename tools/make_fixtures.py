@@ -5,10 +5,13 @@ Writes:
     scenarios/samples/*.scn      runnable sample scenarios
     scenarios/certs/*.scn        labeled certificate fixtures + labels.txt
     scenarios/faults/*.trc       corrupted traces + manifest.txt
+    scenarios/reports/*/*.txt    the expected report of each sample's trace,
+                                 certificate fixture's trace and fault trace
 
 Every fault fixture is checked on the spot: its expected check must fail
-under the verifier, and its base trace must verify clean. Run from the
-repository root; the script is idempotent.
+under the verifier, and its base trace must verify clean. The test suite
+compares the verifier's reports with the committed ones byte for byte. Run
+from the repository root; the script is idempotent.
 """
 
 from __future__ import annotations
@@ -584,10 +587,25 @@ def write_fault_fixtures():
     print(f"wrote {len(manifest)} fault fixtures")
 
 
+def write_reports():
+    reports = OUT / "reports"
+    count = 0
+    for sub, pattern in (("samples", "*.scn"), ("certs", "*.scn"), ("faults", "*.trc")):
+        (reports / sub).mkdir(parents=True, exist_ok=True)
+        for path in sorted((OUT / sub).glob(pattern)):
+            text = path.read_text()
+            trace = text if sub == "faults" else render(load_scenario(text))
+            report = verify_trace(parse_trace(trace)).render()
+            (reports / sub / f"{path.stem}.txt").write_text(report)
+            count += 1
+    print(f"wrote {count} reports")
+
+
 def main():
     write_samples()
     write_cert_fixtures()
     write_fault_fixtures()
+    write_reports()
     # sanity: all base traces verify clean
     for sc in (
         base_anticomplete(),
