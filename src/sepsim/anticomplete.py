@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .enumcore import FreshSource, StageSet
-from .functionals import EMPTY_PROGRAM, OracleProgram, evaluate
+from .functionals import EMPTY_PROGRAM, OracleProgram, bits_of, evaluate
 from .report import CheckResult, first_counterexample
 
 
@@ -224,9 +224,10 @@ def sigma_search(prog: OracleProgram, n: int, s: int, a_mem, b_mem, d_mem):
     sigma = "".join(bits)
 
     # Honest re-check through the evaluator.
+    sigma_bits = bits_of(p for p, c in enumerate(sigma) if c == "1")
     for y in range(n + 1):
         want = 1 if y in d_mem else 0
-        res = evaluate(prog, sigma, y, s)
+        res = evaluate(prog, sigma_bits, s, y, s)
         if res is None or res[0] != want:
             raise AssertionError("sigma search produced a non-witness")
     return sigma

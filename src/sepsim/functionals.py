@@ -4,13 +4,17 @@ A functional is a finite rule table, not an interpreter: every construction
 here only ever consults a functional on finitely many (oracle prefix, input)
 pairs below the horizon, and rule tables make adversaries exactly scriptable.
 Rules carry an availability stage so a scenario can delay convergence.
+
+An oracle is a finite prefix given as a Python int and a length: bit i of the
+int is position i of the prefix, and no bit at or past the length is set. A
+guard is then checked as `bits & mask == want`. `bits_of` turns a finite set
+into its oracle int; strings of '0'/'1' appear only where traces record a
+prefix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .enumcore import SeparatorSnapshot
 
 
 @dataclass(frozen=True)
@@ -38,9 +42,6 @@ class OracleRule:
         if self.output not in (0, 1):
             raise ValueError("output must be a bit")
 
-    def guard_satisfied(self, oracle_bits: str) -> bool:
-        return all(oracle_bits[p] == "01"[b] for p, b in self.guard)
-
 
 def _guards_compatible(g1, g2) -> bool:
     m = dict(g1)
@@ -58,6 +59,8 @@ class OracleProgram:
     def __init__(self, rules=()):
         self.rules = tuple(rules)
         self._by_input: dict[int, list[OracleRule]] = {}
+        # input -> compiled_for(input), filled on first evaluation
+        self._compiled: dict[int, list[tuple[int, int, int, int, int]]] = {}
         for r in self.rules:
             self._by_input.setdefault(r.input, []).append(r)
         for y, rs in self._by_input.items():
@@ -83,6 +86,22 @@ class OracleProgram:
     def rules_for(self, y: int) -> list[OracleRule]:
         return self._by_input.get(y, [])
 
+    def compiled_for(self, y: int) -> list[tuple[int, int, int, int, int]]:
+        """The rules for input y as (available_at, use, mask, want, output)
+        with least use first (tie: least availability, then rule order)."""
+        compiled = self._compiled.get(y)
+        if compiled is None:
+            compiled = []
+            for r in self.rules_for(y):
+                mask = want = 0
+                for p, b in r.guard:
+                    mask |= 1 << p
+                    want |= b << p
+                compiled.append((r.available_at, r.use, mask, want, r.output))
+            compiled.sort(key=lambda c: (c[1], c[0]))
+            self._compiled[y] = compiled
+        return compiled
+
     def wake_stages(self) -> list[int]:
         """Stages at which a rule can newly come into play: its availability,
         its use (the oracle must be at least that long), and one past its
@@ -99,29 +118,30 @@ class OracleProgram:
 EMPTY_PROGRAM = OracleProgram()
 
 
-def evaluate(prog: OracleProgram, oracle, y: int, s: int):
-    """Run the functional on a finite oracle string at stage s.
+def evaluate(prog: OracleProgram, bits: int, length: int, y: int, s: int):
+    """Run the functional at stage s on the oracle prefix of the given length
+    whose bit i is position i.
 
     Returns (output, use) when some rule matches, None otherwise. A rule
-    matches when it is available by stage s, the oracle is at least as long
-    as its use, and its guard holds on the oracle. Among matching rules the
-    one with least use (tie: least availability) answers; the determinism
-    invariant makes the answer unique anyway.
+    matches when it is available by stage s, its use is at most the length,
+    and its guard holds on the oracle. Among matching rules the one with
+    least use (tie: least availability) answers; the determinism invariant
+    makes the answer unique anyway.
     """
-    bits = oracle.bits if isinstance(oracle, SeparatorSnapshot) else oracle
-    best = None
-    for r in prog.rules_for(y):
-        if r.available_at > s or r.use > len(bits):
-            continue
-        if not r.guard_satisfied(bits):
-            continue
-        key = (r.use, r.available_at)
-        if best is None or key < best[0]:
-            best = (key, r)
-    if best is None:
-        return None
-    rule = best[1]
-    return (rule.output, rule.use)
+    for available_at, use, mask, want, output in prog.compiled_for(y):
+        if use > length:
+            break
+        if available_at <= s and bits & mask == want:
+            return (output, use)
+    return None
+
+
+def bits_of(members) -> int:
+    """The oracle int of a finite set of naturals."""
+    bits = 0
+    for e in members:
+        bits |= 1 << e
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +193,11 @@ class UseBoundedOperator:
                 )
 
 
-def wtt_apply(op: UseBoundedOperator, oracle_members, x: int, s: int):
-    """Apply the operator to the oracle set restricted below bound(x).
+def wtt_apply(op: UseBoundedOperator, bits: int, x: int, s: int):
+    """Apply the operator to the oracle int restricted below bound(x).
 
     Returns the output bit, or None when the computation diverges at stage s.
     """
     limit = op.bound(x)  # raises "bound table exhausted" outside the table
-    bits = "".join("1" if i in oracle_members else "0" for i in range(limit))
-    res = evaluate(op.program, bits, x, s)
+    res = evaluate(op.program, bits & ((1 << limit) - 1), limit, x, s)
     return None if res is None else res[0]

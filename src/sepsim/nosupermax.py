@@ -180,12 +180,15 @@ class AttemptRun:
         for kind, s1, val in records:
             if kind == "boundary":
                 run._record_boundary(s1, val)
+            elif kind not in ("xin", "xout"):
+                raise UsageError(f"unknown attempt event {kind}")
+            elif (kind == "xin") == (val in run.x):
+                where = "already in X" if kind == "xin" else "outside X"
+                raise UsageError(f"record ev {s1} {kind} {val}: number {where}")
             elif kind == "xin":
                 run._apply_delta([val], [], s1)
-            elif kind == "xout":
-                run._apply_delta([], [val], s1)
             else:
-                raise UsageError(f"unknown attempt event {kind}")
+                run._apply_delta([], [val], s1)
         return run
 
     def x_member_at(self, y, t):
@@ -685,7 +688,6 @@ def _verify_attempt(run: AttemptRun, ref: AttemptRun | None, checks):
     sep_viol = []
     disc_viol = []
     shape_viol = []
-    x_mem: set[int] = set()
     rec_entries: list[int] = []
     for s1 in range(1, horizon + 1):
         s = s1 - 1
@@ -713,25 +715,21 @@ def _verify_attempt(run: AttemptRun, ref: AttemptRun | None, checks):
         changes = run.x_changes.get(s1, ())
         crossed = w.entered_at(s1)
         for kind, _, y in changes:
+            was_in = run.x_member_at(y, s)
             ok = (
-                (y in x_mem and run.b.member_at(y, s1))
-                or (y not in x_mem and run.a.member_at(y, s1))
+                (was_in and run.b.member_at(y, s1))
+                or (not was_in and run.a.member_at(y, s1))
                 or (crossed and crossed[0] < y)
                 or y == s
             )
             if not ok:
                 disc_viol.append((y, s1))
-        for kind, _, y in changes:
-            if kind == "xin":
-                x_mem.add(y)
-            else:
-                x_mem.discard(y)
         # separator property, event-driven
         for y in a_new:
-            if y not in x_mem:
+            if not run.x_member_at(y, s1):
                 sep_viol.append((y, s1, "A member out of X"))
         for y in b_new:
-            if y in x_mem:
+            if run.x_member_at(y, s1):
                 sep_viol.append((y, s1, "B member inside X"))
         for kind, _, y in changes:
             if kind == "xout" and run.a.member_at(y, s1):

@@ -27,7 +27,7 @@ from functools import cache
 
 from .enumcore import StageSet, pair, unpair
 from .errors import HardFault, UsageError
-from .functionals import EMPTY_PROGRAM, evaluate
+from .functionals import EMPTY_PROGRAM, bits_of, evaluate
 from .report import CheckResult, first_counterexample
 
 
@@ -54,6 +54,11 @@ def column_threshold(m_cap: int) -> int:
     return max(codes, default=0)
 
 
+def prefix_string(bits: int, length: int) -> str:
+    """The '0'/'1' string of an oracle int's first `length` positions."""
+    return bin(bits & ((1 << length) - 1) | 1 << length)[3:][::-1]
+
+
 class TwoDegreesRun:
     def __init__(self, c_events, k_events, w_events, programs, horizon):
         """c_events/k_events: [(element, stage)]; w_events: {e: [(elem, stage)]};
@@ -73,7 +78,8 @@ class TwoDegreesRun:
         self.live: dict[tuple[int, int], VeAxiom] = {}
         self.records: list[tuple] = []
         self.stage = 0
-        self._w_now: dict[int, set[int]] = {e: set() for e in self.w}
+        # W_e as enumerated so far, as an oracle int
+        self._w_bits: dict[int, int] = {e: 0 for e in self.w}
         self._k_now: set[int] = set()
         self._search_counter: dict[int, int] = {e: 0 for e in self.scripted}
         self._search_memo: dict[tuple[int, int], int] = {}
@@ -82,12 +88,6 @@ class TwoDegreesRun:
             for e in self.scripted
         }
         self._avail_ptr: dict[int, int] = {e: 0 for e in self.scripted}
-
-    # -- oracle helpers
-
-    def w_prefix(self, e: int, gamma: int) -> str:
-        mem = self._w_now.get(e, set())
-        return "".join("1" if i in mem else "0" for i in range(gamma))
 
     def blocked_now(self, s: int) -> set[int]:
         return {ax.x for ax in self.live.values() if ax.alive_at(s)}
@@ -109,11 +109,12 @@ class TwoDegreesRun:
             {r.use for r in prog.rules if r.available_at <= s}
         )
         capped = False
+        w_bits = self._w_bits.get(e, 0)
         for gamma in uses:
-            bits = self.w_prefix(e, gamma)
+            bits = w_bits & ((1 << gamma) - 1)
             conv = 0
             while conv <= s + 1:
-                res = evaluate(prog, bits, conv, s)
+                res = evaluate(prog, bits, gamma, conv, s)
                 if res is None:
                     break
                 conv += 1
@@ -122,7 +123,7 @@ class TwoDegreesRun:
             for x in range(threshold + 1, min(conv, s + 1)):
                 if x in self.b:
                     continue
-                res = evaluate(prog, bits, x, s)
+                res = evaluate(prog, bits, gamma, x, s)
                 if res is not None and res[0] == 0:
                     return (gamma, x), False
         return None, capped
@@ -168,7 +169,7 @@ class TwoDegreesRun:
                         m=m,
                         x=x,
                         gamma=gamma,
-                        prefix=self.w_prefix(e, gamma),
+                        prefix=prefix_string(self._w_bits.get(e, 0), gamma),
                         created_at=s,
                     )
                     self.axioms.append(ax)
@@ -216,7 +217,7 @@ class TwoDegreesRun:
             fresh = w.entered_at(s)
             if not fresh:
                 continue
-            self._w_now[e].update(fresh)
+            self._w_bits[e] |= bits_of(fresh)
             if e in self._search_counter:
                 self._search_counter[e] += 1
             least = min(fresh)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .enumcore import SeparatorSnapshot, StageSet
 from .errors import HypothesisViolation
-from .functionals import UseBound, UseBoundedOperator, wtt_apply
+from .functionals import UseBound, UseBoundedOperator, bits_of, wtt_apply
 
 
 @dataclass(frozen=True)
@@ -207,31 +207,32 @@ class WttAgreementTable:
         a_final = a.snapshot(horizon)
         b_final = b.snapshot(horizon)
 
-        def breakpoints(op, w, src: StageSet):
-            pts = {0}
+        def run_table(op, w, by_stage, want):
+            """Walk the breakpoints in order, ORing each entry below f(w)
+            into one running oracle as its stage is reached."""
             fw = f(w)
-            for e, t in src.entry.items():
-                if e < fw:
-                    pts.add(t)
-            for r in op.program.rules_for(w):
-                pts.add(r.available_at)
-            return sorted(p for p in pts if p <= horizon)
-
-        def run_table(op, w, src: StageSet, want):
-            pts = breakpoints(op, w, src)
+            entries = [(t, e) for t, e in by_stage if e < fw]
+            pts = {0, *(t for t, _ in entries)}
+            pts.update(r.available_at for r in op.program.rules_for(w))
             stages, values = [], []
-            for t in pts:
-                got = wtt_apply(op, src.snapshot(t), w, t)
+            bits, i = 0, 0
+            for t in sorted(p for p in pts if p <= horizon):
+                while i < len(entries) and entries[i][0] <= t:
+                    bits |= 1 << entries[i][1]
+                    i += 1
                 stages.append(t)
-                values.append(got == want)
+                values.append(wtt_apply(op, bits, w, t) == want)
             return stages, values
 
+        a_by_stage = sorted((t, e) for e, t in a.entry.items())
+        b_by_stage = sorted((t, e) for e, t in b.entry.items())
         self._gamma: list[tuple[list[int], list[bool]]] = []
         self._delta: list[tuple[list[int], list[bool]]] = []
         self.width = min(f.domain, horizon)
         for w in range(self.width):
-            self._gamma.append(run_table(gamma, w, a, 1 if w in b_final else 0))
-            self._delta.append(run_table(delta, w, b, 1 if w in a_final else 0))
+            want_g, want_d = int(w in b_final), int(w in a_final)
+            self._gamma.append(run_table(gamma, w, a_by_stage, want_g))
+            self._delta.append(run_table(delta, w, b_by_stage, want_d))
 
     def _ok(self, table, w, s):
         stages, values = table[w]
@@ -353,15 +354,16 @@ def audit_hypotheses(
         raise HypothesisViolation(
             "scripted sets cover every point below the horizon; no holes left"
         )
+    a_bits, b_bits = bits_of(a_final), bits_of(b_final)
     for x in range(width):
-        got = wtt_apply(gamma, a_final, x, horizon)
+        got = wtt_apply(gamma, a_bits, x, horizon)
         want = 1 if x in b_final else 0
         if got != want:
             raise HypothesisViolation(
                 f"first operator disagrees with target at bit {x}"
                 f" (got {got}, want {want})"
             )
-        got = wtt_apply(delta, b_final, x, horizon)
+        got = wtt_apply(delta, b_bits, x, horizon)
         want = 1 if x in a_final else 0
         if got != want:
             raise HypothesisViolation(

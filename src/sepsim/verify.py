@@ -67,6 +67,7 @@ def _fresh_run_check(name, parsed: ParsedTrace) -> CheckResult:
 
 def _verify_anticomplete_trace(parsed: ParsedTrace, report: VerificationReport):
     records, finals = decode_anticomplete(parsed.body)
+    report.checks.append(_fresh_run_check("run-exactness", parsed))
     checks, caveats = verify_anticomplete(
         records, finals["A"], finals["B"], finals["D"], parsed.horizon
     )

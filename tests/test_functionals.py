@@ -3,16 +3,23 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sepsim.enumcore import SeparatorSnapshot
 from sepsim.functionals import (
     OracleProgram,
     OracleRule,
     UseBound,
     UseBoundedOperator,
+    bits_of,
     evaluate,
     wtt_apply,
 )
+
+
+def oracle(bits: str) -> tuple[int, int]:
+    """The (int, length) oracle of a '0'/'1' string."""
+    return bits_of(i for i, c in enumerate(bits) if c == "1"), len(bits)
 
 
 def brute_evaluate(prog, bits, y, s):
@@ -67,29 +74,29 @@ class TestEvaluate:
     def test_empty_program_diverges(self):
         prog = OracleProgram()
         for y in range(5):
-            assert evaluate(prog, "10101", y, 100) is None
+            assert evaluate(prog, *oracle("10101"), y, 100) is None
 
     def test_direct_match(self):
         prog = OracleProgram(
             [OracleRule(guard=((0, 1),), input=5, output=0, use=1)]
         )
-        assert evaluate(prog, "1", 5, 0) == (0, 1)
-        assert evaluate(prog, SeparatorSnapshot("111"), 5, 0) == (0, 1)
+        assert evaluate(prog, *oracle("1"), 5, 0) == (0, 1)
+        assert evaluate(prog, *oracle("111"), 5, 0) == (0, 1)
 
     def test_short_oracle_diverges(self):
         prog = OracleProgram(
             [OracleRule(guard=((0, 1),), input=5, output=0, use=3)]
         )
         # guard satisfied but the oracle is shorter than the use
-        assert evaluate(prog, "11", 5, 0) is None
-        assert evaluate(prog, "110", 5, 0) == (0, 3)
+        assert evaluate(prog, *oracle("11"), 5, 0) is None
+        assert evaluate(prog, *oracle("110"), 5, 0) == (0, 3)
 
     def test_not_yet_available(self):
         prog = OracleProgram(
             [OracleRule(guard=(), input=0, output=1, use=0, available_at=7)]
         )
-        assert evaluate(prog, "", 0, 6) is None
-        assert evaluate(prog, "", 0, 7) == (1, 0)
+        assert evaluate(prog, *oracle(""), 0, 6) is None
+        assert evaluate(prog, *oracle(""), 0, 7) == (1, 0)
 
     def test_agrees_with_brute_force(self):
         rng = random.Random(101)
@@ -100,9 +107,20 @@ class TestEvaluate:
                     for length in range(0, 7):
                         for v in range(1 << length):
                             bits = format(v, f"0{length}b") if length else ""
-                            assert evaluate(prog, bits, y, s) == brute_evaluate(
-                                prog, bits, y, s
-                            )
+                            got = evaluate(prog, *oracle(bits), y, s)
+                            assert got == brute_evaluate(prog, bits, y, s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), s=st.integers(0, 3))
+    def test_int_oracle_matches_string_reference(self, seed, s):
+        # guard positions up to 80 make oracle ints wider than a machine word
+        rng = random.Random(seed)
+        prog = random_valid_program(rng, n_rules=30, max_pos=80)
+        bits = "".join(rng.choice("01") for _ in range(rng.randrange(91)))
+        for y in range(4):
+            assert evaluate(prog, *oracle(bits), y, s) == brute_evaluate(
+                prog, bits, y, s
+            )
 
     def test_stage_monotonicity(self):
         rng = random.Random(55)
@@ -113,7 +131,7 @@ class TestEvaluate:
                 for y in range(4):
                     prev = None
                     for s in range(5):
-                        res = evaluate(prog, bits, y, s)
+                        res = evaluate(prog, *oracle(bits), y, s)
                         if prev is not None:
                             assert res == prev
                         if res is not None:
@@ -126,13 +144,13 @@ class TestEvaluate:
             for v in range(1 << 8):
                 bits = format(v, "08b")
                 for y in range(4):
-                    res = evaluate(prog, bits, y, 9)
+                    res = evaluate(prog, *oracle(bits), y, 9)
                     if res is None:
                         continue
                     _, use = res
                     for p in range(use, 8):
                         flipped = bits[:p] + ("1" if bits[p] == "0" else "0") + bits[p + 1 :]
-                        assert evaluate(prog, flipped, y, 9) == res
+                        assert evaluate(prog, *oracle(flipped), y, 9) == res
 
     def test_nondeterminism_rejected(self):
         with pytest.raises(ValueError, match="nondeterministic"):
@@ -176,16 +194,16 @@ def identity_operator(domain):
 class TestWttApply:
     def test_identity_reads_member(self):
         op = identity_operator(6)
-        assert wtt_apply(op, {2}, 2, 0) == 1
+        assert wtt_apply(op, bits_of({2}), 2, 0) == 1
 
     def test_identity_reads_hole(self):
         op = identity_operator(6)
-        assert wtt_apply(op, set(), 2, 0) == 0
+        assert wtt_apply(op, 0, 2, 0) == 0
 
     def test_bound_exhausted(self):
         op = identity_operator(3)
         with pytest.raises(ValueError, match="bound table exhausted"):
-            wtt_apply(op, set(), 3, 0)
+            wtt_apply(op, 0, 3, 0)
 
     def test_rule_use_over_bound_rejected(self):
         bound = UseBound(table=(1,))
@@ -203,10 +221,10 @@ class TestWttApply:
             op = identity_operator(domain + 1)
             target = {x for x in range(domain) if x in a}
             for x in range(9):
-                got = wtt_apply(op, a, x, 0)
+                got = wtt_apply(op, bits_of(a), x, 0)
                 assert got == (1 if x in a else 0)
             agree = all(
-                wtt_apply(op, a, x, 0) == (1 if x in target else 0)
+                wtt_apply(op, bits_of(a), x, 0) == (1 if x in target else 0)
                 for x in range(9)
             )
             brute = all((x in a) == (x in target) for x in range(9))

@@ -1,6 +1,7 @@
 """Scenario loading, trace round trips, verification dispatch, CLI, lint."""
 
 import ast
+import importlib.util
 import subprocess
 import sys
 import time
@@ -282,6 +283,39 @@ class TestFinalLines:
         assert "record final A out of place in trace body (expected final B)" in err
 
 
+AC_SAMPLE_LINES = {
+    stem: run_scenario(load_scenario_file(SAMPLES / f"{stem}.scn")).render()
+    for stem in ("anticomplete-readers", "anticomplete-quiet")
+}
+
+
+class TestAnticompleteEdits:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        stem=st.sampled_from(sorted(AC_SAMPLE_LINES)),
+        op=st.sampled_from(["drop", "duplicate", "swap"]),
+        data=st.data(),
+    )
+    def test_edited_body_line_fails_or_exits_two(self, stem, op, data):
+        # run-exactness catches the edits that no invariant check sees
+        lines = AC_SAMPLE_LINES[stem].splitlines()
+        first, last = lines.index("scenario-end") + 1, len(lines) - 2
+        i = data.draw(st.integers(first, last))
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            j = i + 1 if i < last else i - 1
+            assert lines[i] != lines[j]
+            lines[i], lines[j] = lines[j], lines[i]
+        try:
+            report = verify_trace(parse_trace("\n".join(lines) + "\n"))
+        except UsageError:
+            return
+        assert not report.passed, report.render()
+
+
 def expected_log(sc):
     """The run's records, taken from the construction itself, with the
     encoder and decoder of its trace body."""
@@ -482,6 +516,27 @@ class TestNosupermaxChainVerify:
             verify_trace(parsed)
         assert str(err.value) == f"record {new}: {why}"
 
+    @pytest.mark.parametrize(
+        "op, why",
+        [("duplicate", "number already in X"), ("stray", "number outside X")],
+    )
+    def test_x_record_against_x_exits_two(self, op, why, tmp_path, capsys):
+        # "ev 2 xin 1" is the first X change of 1; a copy of it, or an xout
+        # in its place, contradicts X before the record
+        lines = list(CHAIN_LINES)
+        i = lines.index("ev 2 xin 1")
+        if op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines[i] = "ev 2 xout 1"
+        with pytest.raises(UsageError) as err:
+            verify_trace(parse_trace("\n".join(lines) + "\n"))
+        assert str(err.value) == f"record {lines[i]}: {why}"
+        path = tmp_path / "edited.trc"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["verify", "--trace", str(path)]) == 2
+        assert f"record {lines[i]}: {why}" in capsys.readouterr().err
+
     def test_kept_index_within_the_horizon_gets_a_report(self):
         # past the stage but within the section: a boundary-shape failure
         report = verify_trace(parse_trace(self.with_record("ev 5 boundary 199")))
@@ -646,3 +701,30 @@ class TestLint:
                 if name not in used
             ]
         assert not unused, unused
+
+
+class TestBenchmarkTracing:
+    def test_tracer_binds_every_name_and_unbinds(self):
+        """The benchmark's tracer wraps package functions by name; a rename
+        that drops one fails here, not in a traced benchmark run."""
+        path = PACKAGE.parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+
+        def target(module, attr):
+            owner = importlib.import_module(module)
+            *cls, name = attr.split(".")
+            return vars(getattr(owner, cls[0]) if cls else owner)[name]
+
+        originals = {(m, attr): target(m, attr) for m, attr, _, _ in tracing.TARGETS}
+        tracer = tracing.Tracer()
+        try:
+            tracer.bind()
+            assert set(tracer.rebound) == {attr for _, attr in originals}
+            for key, orig in originals.items():
+                assert target(*key) is not orig, key
+        finally:
+            tracer.unbind()
+        for key, orig in originals.items():
+            assert target(*key) is orig, key

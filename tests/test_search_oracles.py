@@ -10,10 +10,12 @@ from sepsim.functionals import (
     OracleRule,
     UseBound,
     UseBoundedOperator,
+    bits_of,
     evaluate,
 )
 from sepsim.twodegrees import TwoDegreesRun, column_threshold
 from sepsim.upclosure import encode_separator, m_sequence, recover_m_next, CaseTag
+from test_functionals import oracle
 
 
 def random_small_program(rng, max_pos, n_inputs):
@@ -74,7 +76,7 @@ class TestSigmaSearchExhaustive:
                     continue
                 ok = True
                 for y in range(n + 1):
-                    res = evaluate(prog, bits, y, s)
+                    res = evaluate(prog, *oracle(bits), y, s)
                     if res is None or res[0] != (1 if y in d_mem else 0):
                         ok = False
                         break
@@ -124,7 +126,7 @@ class TestWitnessSearchExhaustive:
             e, m = rng.randrange(0, 2), rng.randrange(0, 2)
 
             run = TwoDegreesRun([], [], {e: []}, {e: prog}, 40)
-            run._w_now[e] = set(w_mem)
+            run._w_bits[e] = bits_of(w_mem)
             for x in b_mem:
                 run.b.add(x, 1)
             got, capped = run._search(e, m, s)
@@ -140,11 +142,11 @@ class TestWitnessSearchExhaustive:
                         if x in b_mem:
                             continue
                         if any(
-                            evaluate(prog, bits, y, s) is None
+                            evaluate(prog, *oracle(bits), y, s) is None
                             for y in range(x + 1)
                         ):
                             continue
-                        res = evaluate(prog, bits, x, s)
+                        res = evaluate(prog, *oracle(bits), x, s)
                         if res[0] == 0:
                             want = (gamma, x)
                             break

@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sepsim.corpus import upclosure_scenario
 from sepsim.enumcore import SeparatorSnapshot, StageSet
 from sepsim.errors import HypothesisViolation
 from sepsim.functionals import (
@@ -11,6 +14,8 @@ from sepsim.functionals import (
     OracleRule,
     UseBound,
     UseBoundedOperator,
+    bits_of,
+    wtt_apply,
 )
 from sepsim.upclosure import (
     CaseTag,
@@ -401,3 +406,96 @@ class TestAudit:
                 audit_hypotheses(
                     sc["a"], sc["b"], sc["gamma"], sc["delta"], sc["f"], sc["horizon"]
                 )
+
+
+def naive_agreement(a, b, gamma, delta, f, horizon):
+    """rows[w][t]: whether each operator, applied to the stage-t snapshot of
+    its source at stage t, gives the final target bit of input w."""
+    a_final, b_final = a.snapshot(horizon), b.snapshot(horizon)
+    a_snaps = [bits_of(a.snapshot(t)) for t in range(horizon + 1)]
+    b_snaps = [bits_of(b.snapshot(t)) for t in range(horizon + 1)]
+    return [
+        [
+            (
+                wtt_apply(gamma, a_snaps[t], w, t) == int(w in b_final),
+                wtt_apply(delta, b_snaps[t], w, t) == int(w in a_final),
+            )
+            for t in range(horizon + 1)
+        ]
+        for w in range(min(f.domain, horizon))
+    ]
+
+
+def assert_table_matches_naive(a, b, gamma, delta, f, horizon):
+    table = WttAgreementTable(a, b, gamma, delta, f, horizon)
+    rows = naive_agreement(a, b, gamma, delta, f, horizon)
+    assert table.width == len(rows)
+    for t in range(horizon + 1):
+        for w, row in enumerate(rows):
+            got = (table._ok(table._gamma, w, t), table._ok(table._delta, w, t))
+            assert got == row[t], (w, t)
+        bad = [w for w, row in enumerate(rows) if not all(row[t])]
+        assert table.agree_prefix(t) == min(bad, default=len(rows)), t
+
+
+@st.composite
+def agreement_inputs(draw):
+    """Stage sets and deterministic operators with guards on both bits,
+    late availability and uses below the bound."""
+    horizon = draw(st.integers(1, 12))
+    table, prev = [], 1
+    for x in range(draw(st.integers(1, 10))):
+        prev = max(prev, x + 1) + draw(st.integers(0, 2))
+        table.append(prev)
+    f = UseBound(table=tuple(table))
+    top = table[-1] + 2
+    stamps = st.dictionaries(
+        st.integers(0, top), st.integers(0, horizon), max_size=8
+    )
+    a = StageSet(draw(stamps).items(), horizon=horizon)
+    b = StageSet(draw(stamps).items(), horizon=horizon)
+
+    def operator():
+        rules = []
+        for x in range(f.domain):
+            if draw(st.booleans()):
+                continue
+            # rules for one input pin a common pivot to opposite bits
+            pivot = draw(st.integers(0, f(x) - 1))
+            for bit in (0, 1):
+                use = draw(st.integers(pivot + 1, f(x)))
+                extra = draw(
+                    st.dictionaries(st.integers(0, use - 1), st.integers(0, 1))
+                )
+                extra[pivot] = bit
+                rules.append(
+                    OracleRule(
+                        guard=tuple(extra.items()),
+                        input=x,
+                        output=draw(st.integers(0, 1)),
+                        use=use,
+                        available_at=draw(st.integers(0, horizon + 1)),
+                    )
+                )
+        return UseBoundedOperator(program=OracleProgram(rules), bound=f)
+
+    return a, b, operator(), operator(), f, horizon
+
+
+class TestAgreementTable:
+    @pytest.mark.parametrize("tag", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_stage_snapshots_on_corpus(self, seed, tag):
+        sc = upclosure_scenario(seed, tag)
+        f = sc.use_bound()
+        gamma, delta = (
+            UseBoundedOperator(program=sc.program(name), bound=f)
+            for name in ("gamma", "delta")
+        )
+        a, b = sc.stage_set("A"), sc.stage_set("B")
+        assert_table_matches_naive(a, b, gamma, delta, f, sc.horizon)
+
+    @settings(max_examples=100, deadline=None)
+    @given(agreement_inputs())
+    def test_matches_per_stage_snapshots(self, inputs):
+        assert_table_matches_naive(*inputs)
