@@ -15,14 +15,24 @@ whole point of the construction. Strategies are interleaved in priority order
 first s of them run; whoever acts re-initializes everything below itself.
 
 Enumerations performed at stage s are stamped s+1 and are always < s.
+
+A failed sigma search is retried only at its wake (see sigma_search): the
+least stage at which a rule that could lift the failure becomes usable, that
+is, has the output D wants, a guard consistent with A and B, and
+max(available_at, use) at most the stage. The wake is exact. A, B and D
+change only when some strategy acts, which bumps the run's epoch and
+reschedules every diagonalization strategy; a search keyed to one epoch and
+one claimed n therefore sees fixed A, B and D, all of A and B below the
+stage, and a growing set of usable rules, so it keeps failing until a new
+usable rule appears. Guard positions lie below the use, so they need no wake
+of their own.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .enumcore import FreshSource, StageSet
 from .functionals import EMPTY_PROGRAM, OracleProgram, bits_of, evaluate
@@ -56,13 +66,22 @@ def sigma_search(prog: OracleProgram, n: int, s: int, a_mem, b_mem, d_mem):
     * the functional halts on every y <= n with output matching D at y, and
     * sigma is 1 on A-members and 0 on B-members below s.
 
-    Returns the bit string, or None when no such sigma exists at stage s.
-    The search works on the finitely many positions rule guards mention;
-    every other position is unconstrained and therefore 0 in the least
-    solution.
+    Returns (sigma, None) with sigma a bit string, or (None, wake) when no
+    such sigma exists at stage s. The search works on the finitely many
+    positions rule guards mention; every other position is unconstrained and
+    therefore 0 in the least solution.
+
+    A rule for y is usable at s when it has the output D wants at y, a guard
+    consistent with the forced A/B bits, and max(available_at, use) <= s.
+    The search outcome depends only on the usable rules, so with the same
+    A, B, D and n (all of A and B below s), it keeps failing until the wake:
+    the least max(available_at, use) > s of a rule that could lift the
+    failure. That is a rule for the first input with no usable rule when
+    there is one, else a rule for any input not already satisfied by the
+    forced bits. The wake is None when no rule could lift the failure.
     """
     if n >= prog.contiguous_cover:
-        return None
+        return None, None
     forced: dict[int, int] = {}
     for x in a_mem:
         if x < s:
@@ -71,15 +90,18 @@ def sigma_search(prog: OracleProgram, n: int, s: int, a_mem, b_mem, d_mem):
         if x < s:
             forced[x] = 0
 
-    # Candidate guards per needed input, filtered by availability, width,
-    # required output, and compatibility with the forced bits.
+    # Candidate guards per needed input, filtered by required output,
+    # compatibility with the forced bits, availability and width; the rules
+    # that only fail the last two set the wake.
     constraints: list[list[tuple[tuple[int, int], ...]]] = []
+    wake = None
     for y in range(n + 1):
         want = 1 if y in d_mem else 0
         cands = []
+        y_wake = None
         satisfied = False
         for r in prog.rules_for(y):
-            if r.available_at > s or r.use > s or r.output != want:
+            if r.output != want:
                 continue
             ok = True
             fully_forced = True
@@ -92,6 +114,11 @@ def sigma_search(prog: OracleProgram, n: int, s: int, a_mem, b_mem, d_mem):
                     break
             if not ok:
                 continue
+            ready = max(r.available_at, r.use)
+            if ready > s:
+                if y_wake is None or ready < y_wake:
+                    y_wake = ready
+                continue
             if fully_forced:
                 satisfied = True
                 break
@@ -99,7 +126,9 @@ def sigma_search(prog: OracleProgram, n: int, s: int, a_mem, b_mem, d_mem):
         if satisfied:
             continue
         if not cands:
-            return None
+            return None, y_wake
+        if y_wake is not None and (wake is None or y_wake < wake):
+            wake = y_wake
         constraints.append(cands)
 
     assigned: dict[int, int] = {}
@@ -139,7 +168,7 @@ def sigma_search(prog: OracleProgram, n: int, s: int, a_mem, b_mem, d_mem):
                 live[ci] = False
                 continue
             if not cands:
-                return None
+                return None, wake
             constraints[ci] = cands
             if len(cands) == 1:
                 for p, b in cands[0]:
@@ -214,7 +243,7 @@ def sigma_search(prog: OracleProgram, n: int, s: int, a_mem, b_mem, d_mem):
                 return False
 
             if not dfs(0):
-                return None
+                return None, wake
 
     bits = ["0"] * s
     for p, b in forced.items():
@@ -230,7 +259,7 @@ def sigma_search(prog: OracleProgram, n: int, s: int, a_mem, b_mem, d_mem):
         res = evaluate(prog, sigma_bits, s, y, s)
         if res is None or res[0] != want:
             raise AssertionError("sigma search produced a non-witness")
-    return sigma
+    return sigma, None
 
 
 def apply_sigma(sigma: str, r: int, a_mem, b_mem):
@@ -294,13 +323,13 @@ def r_strategy_step(
         and s < st.memo_wake
     ):
         return False
-    sigma = sigma_search(prog, st.claimed_n, s, run.a.entry, run.b.entry, run.d.entry)
+    sigma, wake = sigma_search(
+        prog, st.claimed_n, s, run.a.entry, run.b.entry, run.d.entry
+    )
     if sigma is None:
         st.memo_epoch = run.epoch
         st.memo_n = st.claimed_n
-        wakes = run._wakes(st.e)
-        i = bisect_right(wakes, s)
-        st.memo_wake = wakes[i] if i < len(wakes) else run.horizon + 1
+        st.memo_wake = run.horizon + 1 if wake is None else wake
         if use_memo and st.memo_wake <= run.horizon:
             run._schedule(st.memo_wake, 2 * st.e + 1)
         return False
@@ -345,18 +374,10 @@ class AnticompleteRun:
         self.nstates: list[NStrategyState] = []
         self.rstates: list[RStrategyState] = []
         self.scripted = sorted(e for e, p in self.programs.items() if len(p) > 0)
-        self._wake_cache: dict[int, list[int]] = {}
         self._pending: dict[int, list[int]] = {}
         self._last_act_stage = -1
 
     # -- plumbing
-
-    def _wakes(self, e: int) -> list[int]:
-        w = self._wake_cache.get(e)
-        if w is None:
-            w = self.programs.get(e, EMPTY_PROGRAM).wake_stages()
-            self._wake_cache[e] = w
-        return w
 
     def _emit(self, record: tuple):
         self.records.append(record)
@@ -546,14 +567,17 @@ def verify_anticomplete(records, a_events, b_events, d_events, horizon):
 
     # N preservation: an n-strategy acting at stage s and never initialized
     # afterward keeps s out of A and B.
-    act_stages = sorted(acts)
-    # suffix_min[j]: the least strategy index among act_stages[j:]
-    suffix_min = list(accumulate((idx for _, idx in reversed(act_stages)), min))[::-1]
+    # later_min[act]: the least strategy index among the acts that follow act
+    # in (stage, index) order
+    later_min: dict[tuple[int, int], float] = {}
+    least = float("inf")
+    for act in sorted(acts, reverse=True):
+        later_min.setdefault(act, least)
+        least = min(least, act[1])
     union = a_set | b_set
     viol = []
     for s, k, restraint in nacts:
-        j = bisect_right(act_stages, (s, 2 * k))
-        initialized_later = j < len(act_stages) and suffix_min[j] < 2 * k
+        initialized_later = later_min[(s, 2 * k)] < 2 * k
         if not initialized_later and s in union:
             viol.append((k, s))
     checks.append(

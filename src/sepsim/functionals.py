@@ -102,18 +102,6 @@ class OracleProgram:
             self._compiled[y] = compiled
         return compiled
 
-    def wake_stages(self) -> list[int]:
-        """Stages at which a rule can newly come into play: its availability,
-        its use (the oracle must be at least that long), and one past its
-        largest guard position."""
-        stages = set()
-        for r in self.rules:
-            stages.add(r.available_at)
-            stages.add(r.use)
-            if r.guard:
-                stages.add(max(p for p, _ in r.guard) + 1)
-        return sorted(stages)
-
 
 EMPTY_PROGRAM = OracleProgram()
 

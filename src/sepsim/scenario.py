@@ -17,7 +17,8 @@ K, W0, W1, ... Program names: anticomplete and twodegrees use phi0, phi1,
 ...; upclosure uses gamma and delta. '#' starts a comment.
 
 Scripted event stages must stay below the horizon so every event is visible
-to an executed stage; nosupermax events additionally start at stage 1.
+to an executed stage; nosupermax events additionally start at stage 1. Set
+elements exceed the horizon by at most 4096, as bound table values do.
 Hypothesis audits run at load time: upclosure scenarios must have disjoint
 scripted sides, a hole below the horizon, and operators that compute each
 side from the other bit by bit; nosupermax scenarios must script disjoint
@@ -65,6 +66,10 @@ class Scenario:
     bound_table: list[tuple[int, int]] = field(default_factory=list)
     case: CaseTag | None = None
     certs: list[SpeedupCertificate] = field(default_factory=list)
+    # program name -> its OracleProgram, filled by program()
+    _programs: dict[str, OracleProgram] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # -- canonical form and digest
 
@@ -116,14 +121,21 @@ class Scenario:
         return StageSet(self.sets.get(name, []), horizon=self.horizon)
 
     def program(self, name: str) -> OracleProgram:
-        return OracleProgram(self.rules.get(name, []))
+        """The program of that name, empty when no rule names it. Each is
+        built once per Scenario, on first access, and shared by the schema
+        check, the audit, the run and the verifier; a program's rules are
+        fixed from then on."""
+        prog = self._programs.get(name)
+        if prog is None:
+            prog = self._programs[name] = OracleProgram(self.rules.get(name, []))
+        return prog
 
     def programs_by_index(self) -> dict[int, OracleProgram]:
-        out = {}
-        for name, rules in self.rules.items():
-            if name.startswith("phi"):
-                out[int(name[3:])] = OracleProgram(rules)
-        return out
+        return {
+            int(name[3:]): self.program(name)
+            for name in self.rules
+            if name.startswith("phi")
+        }
 
     def use_bound(self) -> UseBound:
         table = sorted(self.bound_table)
@@ -246,6 +258,11 @@ def validate_schema(sc: Scenario):
         for e, t in events:
             if e < 0:
                 raise _schema_error(f"set {name} element {e} negative")
+            if e > sc.horizon + 4096:
+                # oracle ints and bit tables are as wide as the largest element
+                raise _schema_error(
+                    f"set {name} element {e} exceeds the horizon by more than 4096"
+                )
             if t < min_stage or t > sc.horizon - 1:
                 raise _schema_error(
                     f"set {name} event ({e}, {t}) outside stages"
@@ -273,7 +290,7 @@ def validate_schema(sc: Scenario):
                     f"program {name}: rule use {r.use} exceeds 4096"
                 )
         try:
-            OracleProgram(rules)
+            sc.program(name)
         except ValueError as exc:
             raise _schema_error(f"program {name}: {exc}")
     if sc.construction == "upclosure":

@@ -140,17 +140,32 @@ def encode_event_log(log) -> list[str]:
     ]
 
 
-def _decode_event_log(body, arity, names):
+def _decode_event_log(body, arity, names, horizon):
     """The ev records, then exactly one `final` line per set of `names`, in
-    that order; anything else is a UsageError naming the line."""
+    that order; anything else is a UsageError naming the line. A stage lies
+    in 0..horizon and a final stamp in 1..horizon. Stages run up to
+    horizon - 1; a record at the horizon itself still gets a report, which
+    names it as a divergence from the fresh run."""
     records = []
     finals = {}
     for parts in body:
         want = names[len(finals)] if len(finals) < len(names) else None
         if parts[0] == "ev" and not finals:
-            records.append(decode_ev(parts, arity))
+            rec = decode_ev(parts, arity)
+            if not 0 <= rec[1] <= horizon:
+                raise UsageError(
+                    f"record {' '.join(parts)}: stage outside 0..{horizon}"
+                )
+            records.append(rec)
         elif parts[0] == "final" and parts[1:2] == [want]:
-            finals[want] = _parse_events(parts[2:])
+            events = _parse_events(parts[2:])
+            for e, t in events:
+                if not 1 <= t <= horizon:
+                    raise UsageError(
+                        f"record final {want}: entry {e}:{t} stamped outside"
+                        f" 1..{horizon}"
+                    )
+            finals[want] = events
         elif parts[0] in ("ev", "final"):
             line = " ".join(parts[:2] if parts[0] == "final" else parts)
             expected = f"final {want}" if want else "end"
@@ -174,8 +189,9 @@ def _run_anticomplete(sc: Scenario):
     return run.records, {name: s.events for name, s in sets.items()}
 
 
-def decode_anticomplete(body):
-    return _decode_event_log(body, {"nact": 2, "rclaim": 2, "ract": 6}, "ABD")
+def decode_anticomplete(body, horizon):
+    arity = {"nact": 2, "rclaim": 2, "ract": 6}
+    return _decode_event_log(body, arity, "ABD", horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +415,9 @@ def _run_twodegrees(sc: Scenario):
     return run.records, {"A": run.a.events, "B": run.b.events}
 
 
-def decode_twodegrees(body):
+def decode_twodegrees(body, horizon):
     arity = {"axiom": 5, "kill": 4, "promote": 3, "pfire": 3}
-    return _decode_event_log(body, arity, "AB")
+    return _decode_event_log(body, arity, "AB", horizon)
 
 
 # ---------------------------------------------------------------------------

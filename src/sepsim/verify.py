@@ -66,7 +66,7 @@ def _fresh_run_check(name, parsed: ParsedTrace) -> CheckResult:
 
 
 def _verify_anticomplete_trace(parsed: ParsedTrace, report: VerificationReport):
-    records, finals = decode_anticomplete(parsed.body)
+    records, finals = decode_anticomplete(parsed.body, parsed.horizon)
     report.checks.append(_fresh_run_check("run-exactness", parsed))
     checks, caveats = verify_anticomplete(
         records, finals["A"], finals["B"], finals["D"], parsed.horizon
@@ -177,7 +177,7 @@ def _verify_nosupermax_trace(parsed: ParsedTrace, report: VerificationReport):
 
 def _verify_twodegrees_trace(parsed: ParsedTrace, report: VerificationReport):
     sc = parsed.scenario
-    records, _ = decode_twodegrees(parsed.body)
+    records, _ = decode_twodegrees(parsed.body, parsed.horizon)
     report.checks.append(_fresh_run_check("run-exactness", parsed))
     checks, caveats = verify_twodegrees(
         TwoDegreesRun(*twodegrees_inputs(sc)).replay(records)

@@ -1,9 +1,13 @@
 """Finite-injury construction: strategies, scheduler, verifier."""
 
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sepsim.anticomplete as anticomplete
 from sepsim.anticomplete import (
     AnticompleteRun,
     NStrategyState,
@@ -13,6 +17,7 @@ from sepsim.anticomplete import (
     sigma_search,
     verify_anticomplete,
 )
+from sepsim.corpus import anticomplete_corpus
 from sepsim.functionals import OracleProgram, OracleRule
 
 
@@ -38,6 +43,11 @@ def bit_reader_program(position_of, width, available_at=0):
             )
         )
     return OracleProgram(rules)
+
+
+def least_sigma(*args):
+    """sigma_search's sigma, without its wake."""
+    return sigma_search(*args)[0]
 
 
 class TestNStrategy:
@@ -87,32 +97,32 @@ class TestApplySigma:
 
 class TestSigmaSearch:
     def test_no_rules_no_sigma(self):
-        assert sigma_search(OracleProgram(), 0, 4, set(), set(), set()) is None
+        assert least_sigma(OracleProgram(), 0, 4, set(), set(), set()) is None
 
     def test_always_zero_gives_characteristic_of_a(self):
         prog = always_zero_program(10)
-        sigma = sigma_search(prog, 4, 6, {1, 3}, {2}, set())
+        sigma = least_sigma(prog, 4, 6, {1, 3}, {2}, set())
         assert sigma == "010100"
 
     def test_mismatch_with_d_blocks(self):
         prog = always_zero_program(10)
-        assert sigma_search(prog, 4, 6, set(), set(), {2}) is None
+        assert least_sigma(prog, 4, 6, set(), set(), {2}) is None
 
     def test_bit_reader_forces_positions(self):
         prog = bit_reader_program(lambda y: y + 2, 8)
         # want output 1 at y=1 (in D), 0 elsewhere up to n=3
-        sigma = sigma_search(prog, 3, 8, set(), set(), {1})
+        sigma = least_sigma(prog, 3, 8, set(), set(), {1})
         assert sigma == "00010000"
 
     def test_forced_conflict_fails(self):
         prog = bit_reader_program(lambda y: y + 2, 8)
         # y=1 wants bit at position 3 to be 1, but 3 is in B (forced 0)
-        assert sigma_search(prog, 3, 8, set(), {3}, {1}) is None
+        assert least_sigma(prog, 3, 8, set(), {3}, {1}) is None
 
     def test_availability_delays(self):
         prog = bit_reader_program(lambda y: y + 2, 8, available_at=5)
-        assert sigma_search(prog, 3, 4, set(), set(), set()) is None
-        assert sigma_search(prog, 3, 8, set(), set(), set()) is not None
+        assert least_sigma(prog, 3, 4, set(), set(), set()) is None
+        assert least_sigma(prog, 3, 8, set(), set(), set()) is not None
 
     def test_lexicographic_least_with_choice(self):
         # y=0 satisfiable by position 1 being 0 or position 0 being 1:
@@ -123,7 +133,55 @@ class TestSigmaSearch:
                 OracleRule(guard=((0, 1),), input=0, output=0, use=2),
             ]
         )
-        assert sigma_search(prog, 0, 4, set(), set(), set()) == "0000"
+        assert least_sigma(prog, 0, 4, set(), set(), set()) == "0000"
+
+    def test_wake_is_the_missing_input_rules_readiness(self):
+        # every rule comes at stage 5; y=0's rules need an oracle of length 3
+        prog = bit_reader_program(lambda y: y + 2, 8, available_at=5)
+        assert sigma_search(prog, 3, 4, set(), set(), set()) == (None, 5)
+        # y=3's rules need length 6, but y=0 is the input the search lacks
+        prog = bit_reader_program(lambda y: y + 2, 8)
+        assert sigma_search(prog, 3, 2, set(), set(), set()) == (None, 3)
+
+    def test_rules_that_cannot_help_set_no_wake(self):
+        prog = always_zero_program(10)
+        # D wants 1 at y=2, and no rule outputs 1
+        assert sigma_search(prog, 4, 6, set(), set(), {2}) == (None, None)
+        # y=1 wants bit 3 = 1, which B forces to 0
+        prog = bit_reader_program(lambda y: y + 2, 8)
+        assert sigma_search(prog, 3, 8, set(), {3}, {1}) == (None, None)
+        # n past the program's contiguous cover
+        assert sigma_search(prog, 8, 20, set(), set(), set()) == (None, None)
+
+    def test_propagation_failure_wakes_at_the_next_usable_rule(self):
+        # y=0 and y=1 pin bit 0 to different values; y=1 gains a rule at 7
+        prog = OracleProgram(
+            [
+                OracleRule(guard=((0, 0),), input=0, output=0, use=1),
+                OracleRule(guard=((0, 1),), input=1, output=0, use=1),
+                OracleRule(guard=((0, 0), (2, 1)), input=1, output=0, use=4,
+                           available_at=7),
+            ]
+        )
+        assert sigma_search(prog, 1, 4, set(), set(), set()) == (None, 7)
+        assert least_sigma(prog, 1, 7, set(), set(), set()) == "0010000"
+
+    def test_backtracking_failure_wakes_at_the_next_usable_rule(self):
+        # y=0 wants bits 0 and 1 equal, y=1 wants them different until its
+        # rule for 00 comes at stage 7; neither has a single candidate
+        table = {0: [0, 1, 1, 0], 1: [0, 0, 0, 1]}
+        prog = OracleProgram(
+            [
+                OracleRule(
+                    guard=((0, p), (1, q)), input=y, output=out, use=2,
+                    available_at=7 if (y, p, q) == (1, 0, 0) else 0,
+                )
+                for y, outs in table.items()
+                for (p, q), out in zip(product((0, 1), repeat=2), outs)
+            ]
+        )
+        assert sigma_search(prog, 1, 4, set(), set(), set()) == (None, 7)
+        assert least_sigma(prog, 1, 7, set(), set(), set()) == "0000000"
 
 
 def satisfied_ks(run):
@@ -197,6 +255,80 @@ class TestRuns:
         assert fast.a.entry == ref.a.entry
         assert fast.b.entry == ref.b.entry
         assert fast.d.entry == ref.d.entry
+
+
+def random_wake_program(rng, width, horizon):
+    """A deterministic program on inputs below width. Each input's guards are
+    the leaves of one decision tree, so no two are compatible: a constant 0,
+    a reader of one position (now and then inverted), or a random table on
+    the program's one shared pair of positions, whose inputs clash with each
+    other. Some rules come late, and some of those also need an oracle
+    longer than the stage."""
+    pair = rng.sample(range(horizon // 2), 2)
+    rules = []
+    for y in range(width):
+        kind = rng.random()
+        if kind < 0.1:
+            positions, outputs, late = [], [0], 0.1
+        elif kind < 0.7:
+            positions = [rng.randrange(y // 2 + 3)]
+            outputs = [0, 1] if rng.random() < 0.9 else [1, 0]
+            late = 0.1
+        else:
+            positions, late = pair, 0.4
+            outputs = [rng.randrange(2) for _ in range(4)]
+        for bits, output in zip(product((0, 1), repeat=len(positions)), outputs):
+            available_at = use_slack = 0
+            if rng.random() < late:
+                available_at = rng.randrange(horizon)
+                use_slack = rng.choice([0, rng.randrange(horizon)])
+            rules.append(
+                OracleRule(
+                    guard=tuple(zip(positions, bits)),
+                    input=y,
+                    output=output,
+                    use=max(positions, default=-1) + 1 + use_slack,
+                    available_at=available_at,
+                )
+            )
+    return OracleProgram(rules)
+
+
+class TestExactWakes:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        indices=st.sets(st.integers(0, 3), min_size=1, max_size=3),
+        horizon=st.integers(20, 70),
+    )
+    def test_fast_equals_reference_on_random_programs(self, seed, indices, horizon):
+        # a failed search is retried only at its wake, the reference stepper
+        # searches at every stage
+        rng = random.Random(seed)
+        programs = {
+            e: random_wake_program(rng, 2 * horizon, horizon) for e in sorted(indices)
+        }
+        fast = run_anticomplete(programs, horizon)
+        ref = AnticompleteRun(programs, horizon)
+        while ref.stage < horizon:
+            ref.run_stage()
+        assert fast.records == ref.records
+        assert fast.a.entry == ref.a.entry
+        assert fast.b.entry == ref.b.entry
+        assert fast.d.entry == ref.d.entry
+
+    def test_corpus_run_searches_rarely(self, monkeypatch):
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return sigma_search(*args)
+
+        monkeypatch.setattr(anticomplete, "sigma_search", counted)
+        for _, sc in anticomplete_corpus(20, 1000):
+            run_anticomplete(sc.programs_by_index(), sc.horizon)
+        assert 0 < calls <= 1000
 
 
 class TestVerifier:

@@ -5,6 +5,8 @@ import importlib.util
 import subprocess
 import sys
 import time
+from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,7 @@ from sepsim.corpus import (
     upclosure_scenario,
 )
 from sepsim.errors import HypothesisViolation, UsageError
+from sepsim.functionals import OracleProgram
 from sepsim.nosupermax import run_nosupermax
 from sepsim.report import first_divergence
 from sepsim.scenario import Scenario, load_scenario, load_scenario_file, parse_scenario
@@ -143,6 +146,94 @@ class TestScenarioParsing:
         text = run_scenario(load_scenario(MINIMAL_TWODEGREES)).render()
         with pytest.raises(UsageError, match="horizon 10001 exceeds 10000"):
             parse_trace(text.replace("horizon 10\n", "horizon 10001\n"))
+
+    def test_element_bound(self):
+        # an oracle int as wide as 10^15 bits would exhaust memory
+        at_bound = MINIMAL_TWODEGREES.replace("end\n", "set K 4106 3\nend\n")
+        assert load_scenario(at_bound).sets["K"] == [(4106, 3)]
+        text = upclosure_scenario(0, 2).canonical()
+        line = next(l for l in text.splitlines() if l.startswith("set A "))
+        huge = " ".join(["set", "A", str(10**15), line.split()[3]])
+        with pytest.raises(UsageError, match="exceeds the horizon by more than 4096"):
+            load_scenario(text.replace(line, huge))
+
+
+FUZZ_TEXTS = [
+    sc.canonical()
+    for sc in (
+        anticomplete_scenario(0, 60),
+        nosupermax_scenario(0, 60),
+        nosupermax_scenario(1, 60),
+        twodegrees_scenario(0, 60),
+        upclosure_scenario(0, 1),
+        upclosure_scenario(0, 2),
+    )
+]
+FUZZ_WORDS = [
+    "end", "set", "rule", "bound", "cert", "case", "horizon", "construction",
+    "A", "B", "C", "K", "W0", "f", "phi0", "phi7", "gamma", "odd", "even",
+    "#", "x", "-", "1.5", "0x10",
+]
+
+
+class TestScenarioFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=st.sampled_from(FUZZ_TEXTS),
+        op=st.sampled_from(["replace", "delete", "duplicate"]),
+        token=st.one_of(
+            st.sampled_from(FUZZ_WORDS),
+            st.integers(-3, 70).map(str),
+            st.integers(min_value=-(10**15), max_value=10**15).map(str),
+        ),
+        data=st.data(),
+    )
+    def test_single_token_mutation(self, text, op, token, data):
+        # a mutated scenario loads, with a canonical form that parses back to
+        # itself, or is refused with a SepsimError the CLI maps to 2 or 3
+        lines = text.splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split()
+        j = data.draw(st.integers(0, len(tokens) - 1))
+        if op == "replace":
+            tokens[j] = token
+        elif op == "delete":
+            del tokens[j]
+        else:
+            tokens.insert(j, tokens[j])
+        lines[i] = " ".join(tokens)
+        try:
+            sc = load_scenario("\n".join(lines) + "\n")
+        except (UsageError, HypothesisViolation):
+            return
+        canonical = sc.canonical()
+        assert parse_scenario(canonical).canonical() == canonical
+
+
+class TestProgramBuilds:
+    def test_program_is_built_once(self):
+        sc = load_scenario(anticomplete_scenario(1, 60).canonical())
+        for name in sc.rules:
+            assert sc.program(name) is sc.program(name)
+        by_index = sc.programs_by_index()
+        assert all(by_index[int(name[3:])] is sc.program(name) for name in sc.rules)
+
+    def test_pipeline_builds_each_program_once_per_scenario(self, monkeypatch):
+        built = []
+        init = OracleProgram.__init__
+
+        def counted(self, rules=()):
+            built.append(tuple(rules))
+            init(self, rules)
+
+        monkeypatch.setattr(OracleProgram, "__init__", counted)
+        text = upclosure_scenario(3, 2).canonical()
+        sc = load_scenario(text)
+        report = verify_trace(parse_trace(run_scenario(sc).render()))
+        assert report.passed
+        # once for the loaded Scenario, once for the trace's
+        assert sorted(sc.rules) == ["delta", "gamma"]
+        assert Counter(built) == {tuple(rules): 2 for rules in sc.rules.values()}
 
 
 class TestRunVerify:
@@ -283,6 +374,41 @@ class TestFinalLines:
         assert "record final A out of place in trace body (expected final B)" in err
 
 
+class TestEventLogBounds:
+    @pytest.mark.parametrize("stem", ["anticomplete-readers", "twodegrees-mixed"])
+    def test_stage_outside_the_horizon_exits_two(self, stem, tmp_path, capsys):
+        sc = load_scenario((SAMPLES / f"{stem}.scn").read_text())
+        lines = run_scenario(sc).render().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("ev "))
+        for stage in (-1, sc.horizon + 1):
+            parts = lines[i].split()
+            edited = " ".join(["ev", str(stage), *parts[2:]])
+            path = tmp_path / "edited.trc"
+            path.write_text("\n".join(lines[:i] + [edited] + lines[i + 1 :]) + "\n")
+            assert main(["verify", "--trace", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"record {edited}: stage outside 0..{sc.horizon}" in err
+
+    @pytest.mark.parametrize("stem", ["anticomplete-readers", "twodegrees-mixed"])
+    def test_final_stamp_outside_the_horizon_exits_two(self, stem):
+        sc = load_scenario((SAMPLES / f"{stem}.scn").read_text())
+        parsed = parse_trace(run_scenario(sc).render())
+        i, parts = next(
+            (i, parts) for i, parts in enumerate(parsed.body)
+            if parts[0] == "final" and len(parts) > 2
+        )
+        element = parts[2].split(":")[0]
+        for stamp in (0, sc.horizon + 1):
+            edited = [*parts[:2], f"{element}:{stamp}", *parts[3:]]
+            parsed.body = parsed.body[:i] + [edited] + parsed.body[i + 1 :]
+            with pytest.raises(
+                UsageError,
+                match=f"record final {parts[1]}: entry {element}:{stamp} stamped"
+                f" outside 1..{sc.horizon}",
+            ):
+                verify_trace(parsed)
+
+
 AC_SAMPLE_LINES = {
     stem: run_scenario(load_scenario_file(SAMPLES / f"{stem}.scn")).render()
     for stem in ("anticomplete-readers", "anticomplete-quiet")
@@ -344,7 +470,7 @@ def expected_log(sc):
         run = run_twodegrees(*twodegrees_inputs(sc))
         sets, decode = {"A": run.a, "B": run.b}, decode_twodegrees
     finals = {name: s.events for name, s in sets.items()}
-    return (run.records, finals), encode_event_log, decode
+    return (run.records, finals), encode_event_log, partial(decode, horizon=sc.horizon)
 
 
 def codec_scenarios():

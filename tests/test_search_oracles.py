@@ -65,7 +65,7 @@ class TestSigmaSearchExhaustive:
             b_mem = set(x for x in rng.sample(universe, rng.randrange(0, 3))
                         if x not in a_mem)
             d_mem = set(rng.sample(range(n + 1), rng.randrange(0, 2)))
-            got = sigma_search(prog, n, s, a_mem, b_mem, d_mem)
+            got, _ = sigma_search(prog, n, s, a_mem, b_mem, d_mem)
             # brute force: all 2^s strings in lexicographic order
             want = None
             for v in range(1 << s):
