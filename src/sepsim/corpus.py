@@ -221,24 +221,6 @@ def chain_certificates(sc: Scenario, want=2):
     return certs
 
 
-def nosupermax_corpus(count=20, horizon=1000):
-    out = [("nosupermax-quiet", Scenario(construction="nosupermax", horizon=horizon))]
-    chains = 0
-    i = 0
-    while len(out) < count:
-        sc = nosupermax_scenario(i, horizon)
-        name = f"nosupermax-{i:02d}"
-        if i % 4 == 1 and chains < 4:
-            certs = chain_certificates(sc, want=2)
-            if certs:
-                sc.certs = certs
-                name += f"-chain{len(certs)}"
-                chains += 1
-        out.append((name, sc))
-        i += 1
-    return out
-
-
 def wrong_cert_fixtures(horizon=400):
     """Labeled certificate fixtures: (name, scenario, expect_accepted)."""
     out = []

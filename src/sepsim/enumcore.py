@@ -106,12 +106,6 @@ class SeparatorSnapshot:
     def __getitem__(self, position: int) -> int:
         return 1 if self.bits[position] == "1" else 0
 
-    @staticmethod
-    def from_set(members, length: int) -> "SeparatorSnapshot":
-        return SeparatorSnapshot(
-            "".join("1" if i in members else "0" for i in range(length))
-        )
-
 
 def is_separator(x: SeparatorSnapshot, a, b) -> bool:
     """True iff a is contained in x and x misses b entirely."""

@@ -26,26 +26,34 @@ class OracleRule:
     available_at: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "guard", tuple(sorted(self.guard)))
-        positions = [p for p, _ in self.guard]
-        if len(set(positions)) != len(positions):
-            raise ValueError("guard mentions a position twice")
-        for p, b in self.guard:
+        guard = self.guard
+        if type(guard) is not tuple:
+            guard = tuple(guard)
+        last = -1
+        for p, _ in guard:
+            if p <= last:
+                # not increasing: sort, then refuse a repeated position
+                # before any bad entry
+                guard = tuple(sorted(guard))
+                positions = [p for p, _ in guard]
+                if len(set(positions)) != len(positions):
+                    raise ValueError("guard mentions a position twice")
+                break
+            last = p
+        if guard is not self.guard:
+            object.__setattr__(self, "guard", guard)
+        use = self.use
+        for p, b in guard:
             if p < 0 or b not in (0, 1):
                 raise ValueError(f"bad guard entry ({p}, {b})")
-            if p >= self.use:
+            if p >= use:
                 raise ValueError(
-                    f"use-honesty violated: guard position {p} >= use {self.use}"
+                    f"use-honesty violated: guard position {p} >= use {use}"
                 )
-        if self.input < 0 or self.use < 0 or self.available_at < 0:
+        if self.input < 0 or use < 0 or self.available_at < 0:
             raise ValueError("rule fields must be naturals")
         if self.output not in (0, 1):
             raise ValueError("output must be a bit")
-
-
-def _guards_compatible(g1, g2) -> bool:
-    m = dict(g1)
-    return all(m.get(p, b) == b for p, b in g2)
 
 
 class OracleProgram:
@@ -53,7 +61,10 @@ class OracleProgram:
 
     Determinism: two rules for the same input whose guards could both be
     satisfied by one oracle must agree on output and use (availability may
-    differ; it only delays convergence).
+    differ; it only delays convergence). The check reads guards as the
+    (mask, want) pairs of compiled_for, which it thus fills for every input
+    with two or more rules: guards a and b are compatible iff
+    (want_a ^ want_b) & mask_a & mask_b == 0.
     """
 
     def __init__(self, rules=()):
@@ -64,11 +75,13 @@ class OracleProgram:
         for r in self.rules:
             self._by_input.setdefault(r.input, []).append(r)
         for y, rs in self._by_input.items():
-            for i in range(len(rs)):
-                for j in range(i + 1, len(rs)):
-                    a, b = rs[i], rs[j]
-                    if _guards_compatible(a.guard, b.guard) and (
-                        a.output != b.output or a.use != b.use
+            if len(rs) < 2:
+                continue
+            compiled = self.compiled_for(y)
+            for i, (_, use_a, mask_a, want_a, out_a) in enumerate(compiled):
+                for _, use_b, mask_b, want_b, out_b in compiled[i + 1 :]:
+                    if (want_a ^ want_b) & mask_a & mask_b == 0 and (
+                        out_a != out_b or use_a != use_b
                     ):
                         raise ValueError(
                             f"nondeterministic program: rules for input {y} with "

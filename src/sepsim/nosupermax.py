@@ -361,16 +361,6 @@ class AttemptRun:
             return None
         return resets[i] - 1
 
-    def boundary_at(self, t):
-        out = [self.base]
-        j = 0
-        while True:
-            v = self.entry_value_at(j, t)
-            if v is None:
-                return out
-            out.append(v)
-            j += 1
-
 
 # ---------------------------------------------------------------------------
 # derived c.e. witness set and outcome detection

@@ -162,18 +162,43 @@ def parse_scenario(text: str) -> Scenario:
     if not lines or lines[0].split("#")[0].strip() != "sepsim-scenario 1":
         raise _schema_error("missing or unsupported scenario header", 1)
     sc = Scenario(construction="")
+    rules = sc.rules
+    # guard text -> its pairs; many rules of a program share one guard
+    guards: dict[str, tuple[tuple[int, int], ...]] = {}
     horizon_seen = False
     ended = False
+    # rule records outnumber all others, then set records, so they come
+    # first; only a rule reads past the seventh field (its guard)
     for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.split("#")[0].strip()
-        if not line:
+        parts = (raw.split("#")[0] if "#" in raw else raw).split(None, 7)
+        if not parts:
             continue
         if ended:
             raise _schema_error("content after end record", lineno)
-        parts = line.split()
         kind = parts[0]
         try:
-            if kind == "construction":
+            if kind == "rule":
+                name = parts[1]
+                npairs = int(parts[6])
+                tail = parts[7] if len(parts) == 8 else ""
+                guard = guards.get(tail)
+                if guard is None:
+                    nums = tail.split()
+                    if len(nums) == 2 * npairs:
+                        it = map(int, nums)
+                        guard = guards[tail] = tuple(zip(it, it))
+                if guard is None or len(guard) != npairs:
+                    raise _schema_error("guard pair count mismatch", lineno)
+                # input, output, use and availability
+                rule = OracleRule(guard, *map(int, parts[2:6]))
+                prog = rules.get(name)
+                if prog is None:
+                    rules[name] = [rule]
+                else:
+                    prog.append(rule)
+            elif kind == "set":
+                sc.sets.setdefault(parts[1], []).append((int(parts[2]), int(parts[3])))
+            elif kind == "construction":
                 if parts[1] not in CONSTRUCTIONS:
                     raise _schema_error(f"unknown construction {parts[1]}", lineno)
                 sc.construction = parts[1]
@@ -196,31 +221,10 @@ def parse_scenario(text: str) -> Scenario:
                         settling_stage=int(parts[5]),
                     )
                 )
-            elif kind == "set":
-                name = parts[1]
-                sc.sets.setdefault(name, []).append((int(parts[2]), int(parts[3])))
             elif kind == "bound":
                 if parts[1] != "f":
                     raise _schema_error("only the bound named f exists", lineno)
                 sc.bound_table.append((int(parts[2]), int(parts[3])))
-            elif kind == "rule":
-                name = parts[1]
-                npairs = int(parts[6])
-                nums = parts[7:]
-                if len(nums) != 2 * npairs:
-                    raise _schema_error("guard pair count mismatch", lineno)
-                guard = tuple(
-                    (int(nums[2 * i]), int(nums[2 * i + 1])) for i in range(npairs)
-                )
-                sc.rules.setdefault(name, []).append(
-                    OracleRule(
-                        guard=guard,
-                        input=int(parts[2]),
-                        output=int(parts[3]),
-                        use=int(parts[4]),
-                        available_at=int(parts[5]),
-                    )
-                )
             elif kind == "end":
                 ended = True
             else:

@@ -210,6 +210,9 @@ def encode_upclosure(out) -> list[str]:
 
 
 def decode_upclosure(body):
+    """A block or recover record carries exactly 4 integers, caseok reads
+    true or false, and caseok, mseq, mseq-missing and z appear at most once;
+    anything else is a UsageError naming the record."""
     out = {
         "consistent": None,
         "m_values": [],
@@ -218,20 +221,34 @@ def decode_upclosure(body):
         "blocks": [],
         "recovered": [],
     }
+    seen = set()
     for parts in body:
-        kind = parts[0]
-        if kind == "caseok":
-            out["consistent"] = parts[1] == "true"
-        elif kind == "mseq":
-            out["m_values"] = list(_ints(parts[1:]))
-        elif kind == "mseq-missing":
-            out["m_missing"] = _opt_int(parts[1])
-        elif kind == "z":
-            out["z"] = None if parts[1] == "-" else SeparatorSnapshot(parts[1])
-        elif kind in ("block", "recover"):
-            out["blocks" if kind == "block" else "recovered"].append(_ints(parts[1:5]))
-        else:
-            raise UsageError(f"unknown record {kind} in trace body")
+        kind, fields = parts[0], parts[1:]
+        if kind in ("caseok", "mseq", "mseq-missing", "z"):
+            if kind in seen:
+                raise UsageError(f"record {' '.join(parts)}: a second {kind} record")
+            seen.add(kind)
+        try:
+            if kind in ("block", "recover"):
+                if len(fields) != 4:
+                    raise ValueError("expected 4 integers")
+                out["blocks" if kind == "block" else "recovered"].append(_ints(fields))
+            elif kind == "mseq":
+                out["m_values"] = list(_ints(fields))
+            elif kind not in ("caseok", "mseq-missing", "z"):
+                raise UsageError(f"unknown record {kind} in trace body")
+            elif len(fields) != 1:
+                raise ValueError("expected one field")
+            elif kind == "caseok":
+                if fields[0] not in ("true", "false"):
+                    raise ValueError("expected true or false")
+                out["consistent"] = fields[0] == "true"
+            elif kind == "mseq-missing":
+                out["m_missing"] = _opt_int(fields[0])
+            else:
+                out["z"] = None if fields[0] == "-" else SeparatorSnapshot(fields[0])
+        except ValueError as exc:
+            raise UsageError(f"record {' '.join(parts)}: {exc}")
     return out
 
 

@@ -88,6 +88,14 @@ class TwoDegreesRun:
             for e in self.scripted
         }
         self._avail_ptr: dict[int, int] = {e: 0 for e in self.scripted}
+        # per program: its distinct uses ascending, each with the least
+        # availability among the rules of that use
+        self._uses: dict[int, list[tuple[int, int]]] = {}
+        for e in self.scripted:
+            first: dict[int, int] = {}
+            for r in self.programs[e].rules:
+                first[r.use] = min(first.get(r.use, r.available_at), r.available_at)
+            self._uses[e] = sorted(first.items())
 
     def blocked_now(self, s: int) -> set[int]:
         return {ax.x for ax in self.live.values() if ax.alive_at(s)}
@@ -105,12 +113,11 @@ class TwoDegreesRun:
         threshold = column_threshold(max(e, m))
         if threshold >= s:
             return None, True
-        uses = sorted(
-            {r.use for r in prog.rules if r.available_at <= s}
-        )
         capped = False
         w_bits = self._w_bits.get(e, 0)
-        for gamma in uses:
+        for gamma, available_at in self._uses.get(e, ()):
+            if available_at > s:
+                continue
             bits = w_bits & ((1 << gamma) - 1)
             conv = 0
             while conv <= s + 1:
@@ -267,19 +274,6 @@ def run_twodegrees(c_events, k_events, w_events, programs, horizon):
 
 # ---------------------------------------------------------------------------
 # censuses and decoding
-
-
-def block_census(run: TwoDegreesRun, n: int, s: int) -> int:
-    """How many of the first n^2 + 1 column slots are in A or blocked at s."""
-    count = 0
-    for i in range(n * n + 1):
-        code = pair(n, i)
-        if run.a.member_at(code, s):
-            count += 1
-            continue
-        if any(ax.x == code and ax.alive_at(s) for ax in run.axioms):
-            count += 1
-    return count
 
 
 def cube_census(run: TwoDegreesRun, k: int, s: int) -> tuple[int, int]:

@@ -16,12 +16,13 @@ import pytest
 from cli_env import cli_env
 from sepsim.corpus import (
     anticomplete_corpus,
-    nosupermax_corpus,
+    chain_certificates,
+    nosupermax_scenario,
     twodegrees_corpus,
     upclosure_scenario,
     wrong_cert_fixtures,
 )
-from sepsim.scenario import load_scenario
+from sepsim.scenario import Scenario, load_scenario
 from sepsim.trace import parse_trace, run_scenario, run_upclosure_pipeline
 from sepsim.upclosure import simultaneous_agreement_stages
 from sepsim.verify import verify_trace
@@ -35,6 +36,25 @@ def announce(num, name, passed, extra=""):
     verdict = "PASS" if passed else "FAIL"
     print(f"\nACCEPTANCE {num:02d} {name}: {verdict}{extra}")
     assert passed, f"criterion {num} ({name}) failed"
+
+
+def nosupermax_corpus(count=20, horizon=1000):
+    """The quiet scenario, then seeds 0, 1, ...; up to four get a chain."""
+    out = [("nosupermax-quiet", Scenario(construction="nosupermax", horizon=horizon))]
+    chains = 0
+    i = 0
+    while len(out) < count:
+        sc = nosupermax_scenario(i, horizon)
+        name = f"nosupermax-{i:02d}"
+        if i % 4 == 1 and chains < 4:
+            certs = chain_certificates(sc, want=2)
+            if certs:
+                sc.certs = certs
+                name += f"-chain{len(certs)}"
+                chains += 1
+        out.append((name, sc))
+        i += 1
+    return out
 
 
 def corpus_reports(kind):

@@ -15,6 +15,12 @@ from sepsim.enumcore import (
 )
 
 
+def from_set(members, length: int) -> SeparatorSnapshot:
+    return SeparatorSnapshot(
+        "".join("1" if i in members else "0" for i in range(length))
+    )
+
+
 def brute_snapshot(events, s):
     return frozenset(e for e, t in events if t <= s)
 
@@ -83,13 +89,13 @@ class TestStageSet:
 class TestSeparator:
     def test_a_separates_itself(self):
         a, b = {1, 3}, {0, 2}
-        x = SeparatorSnapshot.from_set(a, 5)
+        x = from_set(a, 5)
         assert is_separator(x, a, b)
 
     def test_complement_of_b_separates(self):
         a, b = {1}, {0, 2}
         x = SeparatorSnapshot("10101"[::-1])  # complement of b on [0,5)
-        x = SeparatorSnapshot.from_set(set(range(5)) - b, 5)
+        x = from_set(set(range(5)) - b, 5)
         assert is_separator(x, a, b)
 
     def test_a_not_contained(self):

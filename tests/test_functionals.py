@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from naive_parse import naive_compatible, naive_rule
 from sepsim.functionals import (
     OracleProgram,
     OracleRule,
@@ -164,6 +165,104 @@ class TestEvaluate:
     def test_guard_use_honesty_rejected(self):
         with pytest.raises(ValueError, match="use-honesty"):
             OracleRule(guard=((3, 1),), input=0, output=0, use=2)
+
+
+HONESTY = "use-honesty violated: guard position"
+
+
+class TestOracleRuleErrors:
+    # one message each, in the order the checks run: a repeated position
+    # before any bad entry, then entry by entry in position order (a bad
+    # entry before its use-honesty), then the naturals, then the output
+    @pytest.mark.parametrize(
+        "guard, fields, message",
+        [
+            (((3, 7), (3, 1)), (0, 0, 4), "guard mentions a position twice"),
+            (((9, 0), (2, 5), (9, 1)), (0, 0, 4), "guard mentions a position twice"),
+            (((-1, 0),), (0, 0, 4), "bad guard entry (-1, 0)"),
+            (((7, 2),), (0, 0, 4), "bad guard entry (7, 2)"),
+            (((1, 2), (5, 0)), (0, 0, 4), "bad guard entry (1, 2)"),
+            (((6, 2), (5, 0)), (0, 0, 4), f"{HONESTY} 5 >= use 4"),
+            (((5, 0),), (-1, 2, 4), f"{HONESTY} 5 >= use 4"),
+            (((0, 1),), (0, 0, -1), f"{HONESTY} 0 >= use -1"),
+            ((), (-1, 2, 4), "rule fields must be naturals"),
+            ((), (0, 0, 4, -1), "rule fields must be naturals"),
+            ((), (0, 2, 4), "output must be a bit"),
+        ],
+    )
+    def test_message_and_order(self, guard, fields, message):
+        for build in (OracleRule, naive_rule):
+            with pytest.raises(ValueError) as excinfo:
+                build(guard, *fields)
+            assert str(excinfo.value) == message
+
+    def test_guard_is_stored_sorted_as_a_tuple(self):
+        assert OracleRule(((3, 1), (1, 0)), 0, 0, 4).guard == ((1, 0), (3, 1))
+        assert OracleRule([(1, 0), (3, 1)], 0, 0, 4).guard == ((1, 0), (3, 1))
+        assert OracleRule(iter([(3, 1), (1, 0)]), 0, 0, 4).guard == ((1, 0), (3, 1))
+
+
+def guards(max_pos=8):
+    """Guards with distinct positions below max_pos, in any order."""
+    return st.dictionaries(
+        st.integers(0, max_pos - 1), st.integers(0, 1), max_size=max_pos
+    ).map(lambda d: tuple(d.items()))
+
+
+def naive_conflict(rules):
+    """The first input, in order of first appearance, with two compatible
+    rules that disagree on output or use; None when there is none."""
+    by_input = {}
+    for r in rules:
+        by_input.setdefault(r.input, []).append(r)
+    for y, rs in by_input.items():
+        for i, a in enumerate(rs):
+            for b in rs[i + 1 :]:
+                if naive_compatible(a.guard, b.guard) and (
+                    a.output != b.output or a.use != b.use
+                ):
+                    return y
+    return None
+
+
+class TestDeterminismCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ga=guards(), gb=guards(), out_a=st.integers(0, 1), out_b=st.integers(0, 1)
+    )
+    def test_mask_check_matches_dict_check(self, ga, gb, out_a, out_b):
+        rules = [OracleRule(ga, 0, out_a, 8), OracleRule(gb, 0, out_b, 8)]
+        clash = naive_compatible(ga, gb) and out_a != out_b
+        if clash:
+            with pytest.raises(ValueError, match="nondeterministic"):
+                OracleProgram(rules)
+        else:
+            OracleProgram(rules)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rules=st.lists(
+            st.builds(
+                lambda g, y, out, extra: OracleRule(g, y, out, 6 + extra),
+                guards(6),
+                st.integers(0, 3),
+                st.integers(0, 1),
+                st.integers(0, 1),
+            ),
+            max_size=12,
+        )
+    )
+    def test_program_names_the_same_input(self, rules):
+        y = naive_conflict(rules)
+        if y is None:
+            OracleProgram(rules)
+            return
+        with pytest.raises(ValueError) as excinfo:
+            OracleProgram(rules)
+        assert str(excinfo.value) == (
+            f"nondeterministic program: rules for input {y} with "
+            f"compatible guards disagree on output or use"
+        )
 
 
 class TestUseBound:

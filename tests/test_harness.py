@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import sepsim
 from cli_env import cli_env
+from naive_parse import naive_parse_scenario
 from sepsim.anticomplete import run_anticomplete
 from sepsim.cli import main
 from sepsim.corpus import (
@@ -56,6 +57,7 @@ construction twodegrees
 horizon 10
 end
 """
+MINIMAL_ANTICOMPLETE = MINIMAL_TWODEGREES.replace("twodegrees", "anticomplete")
 
 
 class TestScenarioParsing:
@@ -176,38 +178,135 @@ FUZZ_WORDS = [
 ]
 
 
+def mutate_tokens(text, op, token, data):
+    """One token of one line of the text replaced, deleted or duplicated;
+    any other op leaves the tokens as they are."""
+    lines = text.splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    tokens = lines[i].split()
+    j = data.draw(st.integers(0, len(tokens) - 1))
+    if op == "replace":
+        tokens[j] = token
+    elif op == "delete":
+        del tokens[j]
+    elif op == "duplicate":
+        tokens.insert(j, tokens[j])
+    lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def edit_guard(text, op, data):
+    """One rule line's guard pairs reversed, one pair repeated, or one
+    position repeated with the other bit; the pair count follows."""
+    lines = text.splitlines()
+    rules = [
+        i for i, l in enumerate(lines) if l.startswith("rule ") and l.split()[6] != "0"
+    ]
+    if op == "none" or not rules:
+        return text
+    i = data.draw(st.sampled_from(rules))
+    head, nums = lines[i].split()[:7], lines[i].split()[7:]
+    pairs = [nums[k : k + 2] for k in range(0, len(nums), 2)]
+    k = data.draw(st.integers(0, len(pairs) - 1))
+    if op == "reverse":
+        pairs.reverse()
+    elif op == "repeat":
+        pairs.insert(data.draw(st.integers(0, len(pairs))), pairs[k])
+    else:
+        clash = [pairs[k][0], str(1 - int(pairs[k][1]))]
+        pairs.insert(data.draw(st.integers(0, len(pairs))), clash)
+    head[6] = str(len(pairs))
+    lines[i] = " ".join(head + [t for pair in pairs for t in pair])
+    return "\n".join(lines) + "\n"
+
+
+FUZZ_TOKENS = st.one_of(
+    st.sampled_from(FUZZ_WORDS),
+    st.integers(-3, 70).map(str),
+    st.integers(min_value=-(10**15), max_value=10**15).map(str),
+)
+
+
+def parse_outcome(parse, text):
+    """The canonical text of the parsed scenario, or the error's type, its
+    message (with its line location) and its location."""
+    try:
+        return ("ok", parse(text).canonical())
+    except Exception as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "location", None))
+
+
 class TestScenarioFuzz:
     @settings(max_examples=300, deadline=None)
     @given(
         text=st.sampled_from(FUZZ_TEXTS),
         op=st.sampled_from(["replace", "delete", "duplicate"]),
-        token=st.one_of(
-            st.sampled_from(FUZZ_WORDS),
-            st.integers(-3, 70).map(str),
-            st.integers(min_value=-(10**15), max_value=10**15).map(str),
-        ),
+        token=FUZZ_TOKENS,
         data=st.data(),
     )
     def test_single_token_mutation(self, text, op, token, data):
         # a mutated scenario loads, with a canonical form that parses back to
         # itself, or is refused with a SepsimError the CLI maps to 2 or 3
-        lines = text.splitlines()
-        i = data.draw(st.integers(0, len(lines) - 1))
-        tokens = lines[i].split()
-        j = data.draw(st.integers(0, len(tokens) - 1))
-        if op == "replace":
-            tokens[j] = token
-        elif op == "delete":
-            del tokens[j]
-        else:
-            tokens.insert(j, tokens[j])
-        lines[i] = " ".join(tokens)
         try:
-            sc = load_scenario("\n".join(lines) + "\n")
+            sc = load_scenario(mutate_tokens(text, op, token, data))
         except (UsageError, HypothesisViolation):
             return
         canonical = sc.canonical()
         assert parse_scenario(canonical).canonical() == canonical
+
+
+class TestParseDifferential:
+    """parse_scenario against the naive record-by-record parser."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=st.sampled_from(FUZZ_TEXTS),
+        guard_op=st.sampled_from(["none", "reverse", "repeat", "clash"]),
+        op=st.sampled_from(["replace", "delete", "duplicate", "none"]),
+        token=FUZZ_TOKENS,
+        data=st.data(),
+    )
+    def test_same_scenario_or_same_error(self, text, guard_op, op, token, data):
+        text = mutate_tokens(edit_guard(text, guard_op, data), op, token, data)
+        assert parse_outcome(parse_scenario, text) == parse_outcome(
+            naive_parse_scenario, text
+        )
+
+    def test_shared_guard_text_keeps_its_count_check(self):
+        lines = "rule phi0 0 0 4 0 2 1 0 3 1\nrule phi0 1 0 4 0 1 1 0 3 1\n"
+        text = MINIMAL_ANTICOMPLETE.replace("end\n", lines + "end\n")
+        got = parse_outcome(parse_scenario, text)
+        assert got == parse_outcome(naive_parse_scenario, text)
+        assert got[1:] == ("line 5: guard pair count mismatch", "line 5")
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ("rule phi0 0 0 4 0 2 3 1 1 0", None),
+            ("rule phi0 0 0 4 0 2 1 1 1 0", "guard mentions a position twice"),
+            ("rule phi0 0 0 4 0 2 3 7 3 1", "guard mentions a position twice"),
+            ("rule phi0 0 0 4 0 2 3 2 -1 1", "bad guard entry (-1, 1)"),
+            (
+                "rule phi0 0 0 4 0 2 5 1 1 0",
+                "use-honesty violated: guard position 5 >= use 4",
+            ),
+            ("rule phi0 0 0 4 0 1 1", "guard pair count mismatch"),
+            ("rule phi0 0 0 4 0 1 1 x", "invalid literal for int() with base 10: 'x'"),
+            ("rule phi0 -1 0 4 0 0", "rule fields must be naturals"),
+            ("rule phi0 0 2 4 0 0", "output must be a bit"),
+            ("# rule phi0 0 0 4 0 1 1 x", None),
+            ("rule phi0 0 0 4 0 0 # 1 x", None),
+        ],
+    )
+    def test_rule_lines(self, line, error):
+        text = MINIMAL_ANTICOMPLETE.replace("end\n", line + "\nend\n")
+        got = parse_outcome(parse_scenario, text)
+        assert got == parse_outcome(naive_parse_scenario, text)
+        if error is None:
+            assert got[0] == "ok"
+        else:
+            assert got[0] == "UsageError" and got[2] == "line 4"
+            assert got[1].endswith(error)
 
 
 class TestProgramBuilds:
@@ -407,6 +506,54 @@ class TestEventLogBounds:
                 f" outside 1..{sc.horizon}",
             ):
                 verify_trace(parsed)
+
+
+class TestUpclosureRecordShapes:
+    @pytest.mark.parametrize(
+        "edit, detail",
+        [
+            (("block", "block 0 0"), "record block 0 0: expected 4 integers"),
+            (("block", "block 0 0 1 0 5"), "expected 4 integers"),
+            (("block", "block 0 x 1 0"), "record block 0 x 1 0: invalid literal"),
+            (("recover", "recover 1 2"), "record recover 1 2: expected 4 integers"),
+            (("caseok", "caseok yes"), "record caseok yes: expected true or false"),
+            (("caseok", "caseok"), "record caseok: expected one field"),
+            (("z", "z 0120"), "record z 0120: bits must be a 0/1 string"),
+            (("mseq-missing", "mseq-missing 3 4"), "expected one field"),
+            (("mseq", "mseq 1 two"), "record mseq 1 two: invalid literal"),
+        ],
+    )
+    def test_malformed_record_is_named(self, edit, detail, tmp_path, capsys):
+        kind, replacement = edit
+        # the least-point sample is the one with recover records
+        sc = load_scenario((SAMPLES / "upclosure-leastpoint.scn").read_text())
+        lines = run_scenario(sc).render().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.split()[0] == kind)
+        path = tmp_path / "edited.trc"
+        path.write_text("\n".join(lines[:i] + [replacement] + lines[i + 1 :]) + "\n")
+        assert main(["verify", "--trace", str(path)]) == 2
+        assert detail in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["caseok", "mseq", "mseq-missing", "z"])
+    def test_repeated_single_record_is_named(self, kind):
+        sc = load_scenario((SAMPLES / "upclosure-iterated.scn").read_text())
+        parsed = parse_trace(run_scenario(sc).render())
+        i = next(i for i, parts in enumerate(parsed.body) if parts[0] == kind)
+        parsed.body = parsed.body[: i + 1] + parsed.body[i:]
+        line = " ".join(parsed.body[i])
+        with pytest.raises(UsageError) as excinfo:
+            verify_trace(parsed)
+        assert str(excinfo.value) == f"record {line}: a second {kind} record"
+
+    def test_non_monotone_mseq_still_gets_a_report(self):
+        sc = load_scenario((SAMPLES / "upclosure-iterated.scn").read_text())
+        parsed = parse_trace(run_scenario(sc).render())
+        i = next(i for i, parts in enumerate(parsed.body) if parts[0] == "mseq")
+        values = parsed.body[i][1:]
+        parsed.body[i] = ["mseq", values[0], *values]
+        report = verify_trace(parsed)
+        assert not report.passed
+        assert any(c.name == "mseq-monotone" and not c.passed for c in report.checks)
 
 
 AC_SAMPLE_LINES = {

@@ -30,6 +30,18 @@ SAMPLES = Path(__file__).resolve().parents[1] / "scenarios" / "samples"
 CHAIN_SAMPLE = SAMPLES / "nosupermax-chain.scn"
 
 
+def boundary_at(run: AttemptRun, t):
+    """The boundary at the end of stage t: the base, then each entry's value."""
+    out = [run.base]
+    j = 0
+    while True:
+        v = run.entry_value_at(j, t)
+        if v is None:
+            return out
+        out.append(v)
+        j += 1
+
+
 def naive_stage(base, old_entries, x_prev, a_next, b_next, s1):
     """Direct transliteration of the stage-(s+1) update rules, quantifying
     over full sets with no incremental shortcuts. Test oracle only."""
@@ -162,11 +174,11 @@ class TestBoundary:
         run = run_attempt(1, -1, [], [], 50)
         hist = naive_run(-1, [], [], 50)
         for t in range(1, 51):
-            assert run.boundary_at(t) == [-1] + hist[t - 1][0], f"stage {t}"
+            assert boundary_at(run, t) == [-1] + hist[t - 1][0], f"stage {t}"
             got_x = {y for y in range(0, t + 1) if run.x_member_at(y, t)}
             assert got_x == hist[t - 1][1], f"stage {t}"
         # everything stabilizes: entry j holds value j, in X iff odd
-        assert run.boundary_at(50) == list(range(-1, 50))
+        assert boundary_at(run, 50) == list(range(-1, 50))
         assert {y for y in range(49) if y in run.x} == set(range(1, 49, 2))
 
     @pytest.mark.parametrize("seed", range(6))
@@ -177,7 +189,7 @@ class TestBoundary:
         run = run_attempt(1, -1, a, b, horizon)
         hist = naive_run(-1, a, b, horizon)
         for t in range(1, horizon + 1):
-            assert run.boundary_at(t) == [-1] + hist[t - 1][0], f"stage {t}"
+            assert boundary_at(run, t) == [-1] + hist[t - 1][0], f"stage {t}"
         final_x = hist[-1][1]
         domain = set(range(horizon + 1)) | {e for e, _ in a + b}
         got = {y for y in domain if run.x_member_at(y, horizon)}
@@ -192,15 +204,15 @@ class TestBoundary:
         assert run.entry_value_at(3, 19) == 3
         assert run.x_member_at(3, 19)
         # at stage 20 the witness 3 enters A; entry 3 must reset to 19
-        b20 = run.boundary_at(20)
+        b20 = boundary_at(run, 20)
         assert b20[4] == 19  # index 3 entry (after base) reset
 
     def test_nonbase_attempt_degenerate_start(self):
         run = run_attempt(2, 10, [], [], 25)
         # below the base nothing is tracked until the stage passes it
-        assert run.boundary_at(5) == [10]
-        assert run.boundary_at(12)[0] == 10
-        assert run.boundary_at(12)[1:] == [11]
+        assert boundary_at(run, 5) == [10]
+        assert boundary_at(run, 12)[0] == 10
+        assert boundary_at(run, 12)[1:] == [11]
 
 
 class TestPermitted:
@@ -612,7 +624,7 @@ class TestIncrementalAgainstNaive:
         hist = naive_run(base, a, b, horizon)
         domain = set(range(horizon + 1)) | {e for e, _ in a + b}
         for t, (entries, x) in enumerate(hist, 1):
-            assert run.boundary_at(t) == [base] + entries, f"stage {t}"
+            assert boundary_at(run, t) == [base] + entries, f"stage {t}"
             assert {y for y in domain if run.x_member_at(y, t)} == x, f"stage {t}"
 
     @settings(max_examples=60, deadline=None)

@@ -8,8 +8,8 @@ from sepsim.enumcore import pair
 from sepsim.errors import HardFault
 from sepsim.functionals import OracleProgram, OracleRule
 from sepsim.twodegrees import (
+    TwoDegreesRun,
     VeAxiom,
-    block_census,
     column_threshold,
     column_witnesses,
     cube_census,
@@ -18,6 +18,19 @@ from sepsim.twodegrees import (
     run_twodegrees,
     verify_twodegrees,
 )
+
+
+def block_census(run: TwoDegreesRun, n: int, s: int) -> int:
+    """How many of the first n^2 + 1 column slots are in A or blocked at s."""
+    count = 0
+    for i in range(n * n + 1):
+        code = pair(n, i)
+        if run.a.member_at(code, s):
+            count += 1
+            continue
+        if any(ax.x == code and ax.alive_at(s) for ax in run.axioms):
+            count += 1
+    return count
 
 
 def prefix_program(epochs, width):
