@@ -32,28 +32,31 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import Counter
-from dataclasses import dataclass
 
 from .enumcore import FreshSource, StageSet
 from .functionals import EMPTY_PROGRAM, OracleProgram, bits_of, evaluate
 from .report import CheckResult, first_counterexample
 
 
-@dataclass
 class NStrategyState:
-    k: int
-    satisfied_at: int | None = None
-    restraint: int = 0
+    __slots__ = ("k", "satisfied_at", "restraint")
+
+    def __init__(self, k: int, satisfied_at: int | None = None, restraint: int = 0):
+        self.k = k
+        self.satisfied_at = satisfied_at
+        self.restraint = restraint
 
 
-@dataclass
 class RStrategyState:
-    e: int
-    restraint: int = 0  # stage as of which the strategy was last initialized
-    claimed_n: int | None = None
-    memo_epoch: int = -1
-    memo_n: int = -1
-    memo_wake: int = 0
+    __slots__ = ("e", "restraint", "claimed_n", "memo_epoch", "memo_n", "memo_wake")
+
+    def __init__(self, e: int, restraint: int = 0):
+        self.e = e
+        self.restraint = restraint  # stage as of which it was last initialized
+        self.claimed_n: int | None = None
+        self.memo_epoch = -1
+        self.memo_n = -1
+        self.memo_wake = 0
 
 
 # ---------------------------------------------------------------------------

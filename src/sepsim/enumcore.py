@@ -9,7 +9,6 @@ source that makes "pick a large number" reproducible.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 
 Stage = int
 
@@ -89,15 +88,18 @@ class StageSet:
 # Separator snapshots
 
 
-@dataclass(frozen=True)
 class SeparatorSnapshot:
     """A finite binary string read as a subset of [0, length)."""
 
-    bits: str
+    __slots__ = ("bits",)
 
-    def __post_init__(self):
-        if any(c not in "01" for c in self.bits):
+    def __init__(self, bits: str):
+        if any(c not in "01" for c in bits):
             raise ValueError("bits must be a 0/1 string")
+        self.bits = bits
+
+    def __eq__(self, other):
+        return type(other) is SeparatorSnapshot and self.bits == other.bits
 
     @property
     def length(self) -> int:

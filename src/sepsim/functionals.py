@@ -14,19 +14,13 @@ prefix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class OracleRule:
-    guard: tuple[tuple[int, int], ...]  # (oracle position, required bit)
-    input: int
-    output: int
-    use: int
-    available_at: int = 0
+    """One rule of a functional; rules compare and hash by value."""
 
-    def __post_init__(self):
-        guard = self.guard
+    __slots__ = ("guard", "input", "output", "use", "available_at")
+
+    def __init__(self, guard, input: int, output: int, use: int, available_at: int = 0):
         if type(guard) is not tuple:
             guard = tuple(guard)
         last = -1
@@ -40,9 +34,6 @@ class OracleRule:
                     raise ValueError("guard mentions a position twice")
                 break
             last = p
-        if guard is not self.guard:
-            object.__setattr__(self, "guard", guard)
-        use = self.use
         for p, b in guard:
             if p < 0 or b not in (0, 1):
                 raise ValueError(f"bad guard entry ({p}, {b})")
@@ -50,10 +41,24 @@ class OracleRule:
                 raise ValueError(
                     f"use-honesty violated: guard position {p} >= use {use}"
                 )
-        if self.input < 0 or use < 0 or self.available_at < 0:
+        if input < 0 or use < 0 or available_at < 0:
             raise ValueError("rule fields must be naturals")
-        if self.output not in (0, 1):
+        if output not in (0, 1):
             raise ValueError("output must be a bit")
+        self.guard = guard  # (oracle position, required bit), by position
+        self.input = input
+        self.output = output
+        self.use = use
+        self.available_at = available_at
+
+    def _key(self):
+        return (self.guard, self.input, self.output, self.use, self.available_at)
+
+    def __eq__(self, other):
+        return type(other) is OracleRule and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 class OracleProgram:
@@ -149,20 +154,20 @@ def bits_of(members) -> int:
 # Use bounds and wtt operators
 
 
-@dataclass(frozen=True)
 class UseBound:
     """A finite monotone table f with f(x) > x, bounding oracle use."""
 
-    table: tuple[int, ...]
+    __slots__ = ("table",)
 
-    def __post_init__(self):
+    def __init__(self, table: tuple[int, ...]):
         prev = None
-        for x, fx in enumerate(self.table):
+        for x, fx in enumerate(table):
             if fx <= x:
                 raise ValueError(f"use bound not strict: f({x}) = {fx}")
             if prev is not None and fx < prev:
                 raise ValueError(f"use bound not monotone at {x}")
             prev = fx
+        self.table = table
 
     @property
     def domain(self) -> int:
@@ -174,24 +179,24 @@ class UseBound:
         return self.table[x]
 
 
-@dataclass(frozen=True)
 class UseBoundedOperator:
     """A wtt operator: a program whose use on input x never exceeds bound(x)."""
 
-    program: OracleProgram
-    bound: UseBound
+    __slots__ = ("program", "bound")
 
-    def __post_init__(self):
-        for r in self.program.rules:
-            if r.input >= self.bound.domain:
+    def __init__(self, program: OracleProgram, bound: UseBound):
+        for r in program.rules:
+            if r.input >= bound.domain:
                 raise ValueError(
                     f"bound table exhausted: rule input {r.input} outside table"
                 )
-            if r.use > self.bound(r.input):
+            if r.use > bound(r.input):
                 raise ValueError(
                     f"rule for input {r.input} has use {r.use} > bound "
-                    f"{self.bound(r.input)}"
+                    f"{bound(r.input)}"
                 )
+        self.program = program
+        self.bound = bound
 
 
 def wtt_apply(op: UseBoundedOperator, bits: int, x: int, s: int):

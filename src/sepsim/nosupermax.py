@@ -39,7 +39,6 @@ cost, not the stage number:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
 from itertools import chain, zip_longest
 
 from .enumcore import StageSet
@@ -394,13 +393,15 @@ def derive_w(run: AttemptRun):
     return w, forward, backward
 
 
-@dataclass
 class OutcomeReport:
-    ell: int  # longest stable prefix over the window, minus one
-    k: int  # first apparently divergent entry index
-    parity: int  # k % 2
-    stable_values: list[int]
-    last_reset_of_k: int | None
+    __slots__ = ("ell", "k", "parity", "stable_values", "last_reset_of_k")
+
+    def __init__(self, ell, k, parity, stable_values, last_reset_of_k):
+        self.ell = ell  # longest stable prefix over the window, minus one
+        self.k = k  # first apparently divergent entry index
+        self.parity = parity  # k % 2
+        self.stable_values: list[int] = stable_values
+        self.last_reset_of_k: int | None = last_reset_of_k
 
 
 def detect_outcome(run: AttemptRun, window: int) -> OutcomeReport:
@@ -440,25 +441,47 @@ def scenario_outcome(run: AttemptRun, horizon: int) -> OutcomeReport:
 # speedup certificates
 
 
-@dataclass(frozen=True)
 class SpeedupCertificate:
-    attempt: int  # the attempt being certified as failed (1 or 2)
-    ell: int
-    k: int
-    parity: int  # parity of k
-    settling_stage: int
+    __slots__ = ("attempt", "ell", "k", "parity", "settling_stage")
+
+    def __init__(self, attempt, ell, k, parity, settling_stage):
+        self.attempt = attempt  # the attempt being certified as failed (1 or 2)
+        self.ell = ell
+        self.k = k
+        self.parity = parity  # parity of k
+        self.settling_stage = settling_stage
 
 
-@dataclass
 class SpeedupResult:
-    accepted: bool
-    reason: str = ""
-    witness_stage: int | None = None
-    stage_map: list[int] = field(default_factory=list)
-    new_base: int | None = None
-    new_a_events: list[tuple[int, int]] = field(default_factory=list)
-    new_b_events: list[tuple[int, int]] = field(default_factory=list)
-    new_horizon: int = 0
+    __slots__ = (
+        "accepted", "reason", "witness_stage", "stage_map",
+        "new_base", "new_a_events", "new_b_events", "new_horizon",
+    )
+
+    def __init__(
+        self,
+        accepted: bool,
+        reason: str = "",
+        witness_stage: int | None = None,
+        stage_map: list[int] | None = None,
+        new_base: int | None = None,
+        new_a_events: list[tuple[int, int]] | None = None,
+        new_b_events: list[tuple[int, int]] | None = None,
+        new_horizon: int = 0,
+    ):
+        self.accepted = accepted
+        self.reason = reason
+        self.witness_stage = witness_stage
+        self.stage_map = [] if stage_map is None else stage_map
+        self.new_base = new_base
+        self.new_a_events = [] if new_a_events is None else new_a_events
+        self.new_b_events = [] if new_b_events is None else new_b_events
+        self.new_horizon = new_horizon
+
+    def __eq__(self, other):
+        if type(other) is not SpeedupResult:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
 
 class _ZoneSweep:
@@ -578,11 +601,13 @@ def apply_speedup(run: AttemptRun, cert: SpeedupCertificate) -> SpeedupResult:
 # the three-attempt pipeline
 
 
-@dataclass
 class NosupermaxResult:
-    attempts: list[AttemptRun]
-    outcomes: list[OutcomeReport]
-    cert_results: list[tuple[SpeedupCertificate, SpeedupResult]]
+    __slots__ = ("attempts", "outcomes", "cert_results")
+
+    def __init__(self, attempts, outcomes, cert_results):
+        self.attempts: list[AttemptRun] = attempts
+        self.outcomes: list[OutcomeReport] = outcomes
+        self.cert_results: list[tuple[SpeedupCertificate, SpeedupResult]] = cert_results
 
 
 def run_attempt(attempt, base, a_events, b_events, horizon):

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import zip_longest
 
 
-@dataclass
 class CheckResult:
     """Outcome of one named invariant check.
 
@@ -14,9 +12,12 @@ class CheckResult:
     (stage, actor, element) when the check failed.
     """
 
-    name: str
-    passed: bool
-    detail: str = ""
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
     def line(self) -> str:
         if self.passed:
@@ -43,12 +44,14 @@ def first_divergence(recorded, fresh) -> str:
     return ""
 
 
-@dataclass
 class VerificationReport:
-    construction: str
-    scenario_hash: str
-    checks: list[CheckResult] = field(default_factory=list)
-    caveats: list[str] = field(default_factory=list)
+    __slots__ = ("construction", "scenario_hash", "checks", "caveats")
+
+    def __init__(self, construction: str, scenario_hash: str):
+        self.construction = construction
+        self.scenario_hash = scenario_hash
+        self.checks: list[CheckResult] = []
+        self.caveats: list[str] = []
 
     @property
     def passed(self) -> bool:

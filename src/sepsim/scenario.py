@@ -29,13 +29,10 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
 
 from .enumcore import StageSet
 from .errors import HypothesisViolation, UsageError
 from .functionals import OracleProgram, OracleRule, UseBound, UseBoundedOperator
-from .nosupermax import SpeedupCertificate
-from .upclosure import CaseTag, audit_hypotheses
 
 CONSTRUCTIONS = ("anticomplete", "upclosure", "nosupermax", "twodegrees")
 
@@ -57,19 +54,30 @@ DEFAULT_HORIZON = 1000
 MAX_HORIZON = 10_000  # nosupermax cost grows about quadratically with it
 
 
-@dataclass
 class Scenario:
-    construction: str
-    horizon: int = DEFAULT_HORIZON
-    sets: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
-    rules: dict[str, list[OracleRule]] = field(default_factory=dict)
-    bound_table: list[tuple[int, int]] = field(default_factory=list)
-    case: CaseTag | None = None
-    certs: list[SpeedupCertificate] = field(default_factory=list)
-    # program name -> its OracleProgram, filled by program()
-    _programs: dict[str, OracleProgram] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+    __slots__ = (
+        "construction", "horizon", "sets", "rules", "bound_table", "case", "certs",
+        "_programs",
     )
+
+    def __init__(
+        self,
+        construction: str,
+        horizon: int = DEFAULT_HORIZON,
+        sets: dict[str, list[tuple[int, int]]] | None = None,
+        rules: dict[str, list[OracleRule]] | None = None,
+        bound_table: list[tuple[int, int]] | None = None,
+        case=None,
+    ):
+        self.construction = construction
+        self.horizon = horizon
+        self.sets = {} if sets is None else sets
+        self.rules = {} if rules is None else rules
+        self.bound_table = [] if bound_table is None else bound_table
+        self.case = case  # an upclosure.CaseTag, in upclosure scenarios only
+        self.certs = []  # nosupermax.SpeedupCertificates, at most two
+        # program name -> its OracleProgram, filled by program()
+        self._programs: dict[str, OracleProgram] = {}
 
     # -- canonical form and digest
 
@@ -156,6 +164,12 @@ def _schema_error(msg, lineno=None):
     return UsageError(msg, location=loc)
 
 
+def _arity(parts, n, lineno):
+    # a trailing token would vanish from the canonical text and the digest
+    if len(parts) != n:
+        raise _schema_error(f"malformed {parts[0]} record: token count not {n}", lineno)
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and schema-validate; hypothesis audits are separate."""
     lines = text.splitlines()
@@ -197,18 +211,25 @@ def parse_scenario(text: str) -> Scenario:
                 else:
                     prog.append(rule)
             elif kind == "set":
+                _arity(parts, 4, lineno)
                 sc.sets.setdefault(parts[1], []).append((int(parts[2]), int(parts[3])))
             elif kind == "construction":
+                _arity(parts, 2, lineno)
                 if parts[1] not in CONSTRUCTIONS:
                     raise _schema_error(f"unknown construction {parts[1]}", lineno)
                 sc.construction = parts[1]
             elif kind == "horizon":
+                _arity(parts, 2, lineno)
                 sc.horizon = int(parts[1])
                 horizon_seen = True
             elif kind == "case":
-                tag = int(parts[1])
-                sc.case = CaseTag(1, int(parts[2])) if tag == 1 else CaseTag(2)
+                from .upclosure import CaseTag
+                tag = int(parts[1]) if len(parts) > 1 else 0
+                _arity(parts, 3 if tag == 1 else 2, lineno)  # case 1 <k> | case 2
+                sc.case = CaseTag(tag, *map(int, parts[2:]))
             elif kind == "cert":
+                from .nosupermax import SpeedupCertificate
+                _arity(parts, 6, lineno)
                 parity = {"odd": 1, "even": 0}.get(parts[4])
                 if parity is None:
                     raise _schema_error(f"bad parity word {parts[4]}", lineno)
@@ -222,10 +243,12 @@ def parse_scenario(text: str) -> Scenario:
                     )
                 )
             elif kind == "bound":
+                _arity(parts, 4, lineno)
                 if parts[1] != "f":
                     raise _schema_error("only the bound named f exists", lineno)
                 sc.bound_table.append((int(parts[2]), int(parts[3])))
             elif kind == "end":
+                _arity(parts, 1, lineno)
                 ended = True
             else:
                 raise _schema_error(f"unknown record {kind}", lineno)
@@ -335,6 +358,7 @@ def validate_schema(sc: Scenario):
 def audit_scenario(sc: Scenario):
     """Hypothesis audits; raises HypothesisViolation."""
     if sc.construction == "upclosure":
+        from .upclosure import audit_hypotheses
         f = sc.use_bound()
         audit_hypotheses(
             sc.stage_set("A"),

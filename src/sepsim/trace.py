@@ -14,25 +14,12 @@ works on decoded records only.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 
 from . import __version__
-from .anticomplete import run_anticomplete
 from .enumcore import PAIRING_SCHEME_ID, SeparatorSnapshot
 from .errors import UsageError
 from .functionals import UseBoundedOperator
-from .nosupermax import run_nosupermax
 from .scenario import Scenario, audit_scenario, parse_scenario
-from .twodegrees import run_twodegrees
-from .upclosure import (
-    MSequenceResult,
-    WttAgreementTable,
-    classify_case,
-    decode_block,
-    encode_separator,
-    m_sequence,
-    recover_m_next,
-)
 
 HEADER = "sepsim-trace 1"
 
@@ -45,13 +32,15 @@ _NOTES = {
 }
 
 
-@dataclass
 class Trace:
-    construction: str
-    horizon: int
-    scenario_text: str
-    scenario_hash: str
-    body: list[str] = field(default_factory=list)
+    __slots__ = ("construction", "horizon", "scenario_text", "scenario_hash", "body")
+
+    def __init__(self, construction, horizon, scenario_text, scenario_hash, body):
+        self.construction = construction
+        self.horizon = horizon
+        self.scenario_text = scenario_text
+        self.scenario_hash = scenario_hash
+        self.body: list[str] = body
 
     def render(self) -> str:
         lines = [
@@ -184,6 +173,7 @@ def _decode_event_log(body, arity, names, horizon):
 
 
 def _run_anticomplete(sc: Scenario):
+    from .anticomplete import run_anticomplete
     run = run_anticomplete(sc.programs_by_index(), sc.horizon)
     sets = {"A": run.a, "B": run.b, "D": run.d}
     return run.records, {name: s.events for name, s in sets.items()}
@@ -262,6 +252,14 @@ def run_upclosure_pipeline(sc: Scenario):
     """Audit is assumed done at load; classify, build boundaries, encode,
     decode every block, and in the least-x flavour re-derive each boundary
     from the encoded separator."""
+    from .upclosure import (
+        WttAgreementTable,
+        classify_case,
+        decode_block,
+        encode_separator,
+        m_sequence,
+        recover_m_next,
+    )
     f = sc.use_bound()
     a, b = sc.stage_set("A"), sc.stage_set("B")
     c_final = sc.stage_set("C").final()
@@ -281,9 +279,7 @@ def run_upclosure_pipeline(sc: Scenario):
             values.append(f(values[-1]))
         missing = None
     else:
-        res: MSequenceResult = m_sequence(
-            sc.case, a_final, b_final, f, max_blocks + 1
-        )
+        res = m_sequence(sc.case, a_final, b_final, f, max_blocks + 1)
         values = res.values
         missing = res.missing_index
     out = {
@@ -320,6 +316,7 @@ def run_upclosure_pipeline(sc: Scenario):
 
 
 def _run_nosupermax(sc: Scenario):
+    from .nosupermax import run_nosupermax
     result = run_nosupermax(
         sc.sets.get("A", []), sc.sets.get("B", []), sc.horizon, sc.certs
     )
@@ -428,6 +425,7 @@ def twodegrees_inputs(sc: Scenario):
 
 
 def _run_twodegrees(sc: Scenario):
+    from .twodegrees import run_twodegrees
     run = run_twodegrees(*twodegrees_inputs(sc))
     return run.records, {"A": run.a.events, "B": run.b.events}
 
@@ -441,6 +439,8 @@ def decode_twodegrees(body, horizon):
 # running
 
 # construction -> (runner: scenario -> records, encoder: records -> body lines)
+# Runners import their construction when called, for a cold start that loads
+# one construction and for perfbench's tracer, which rebinds module names.
 _CODECS = {
     "anticomplete": (_run_anticomplete, encode_event_log),
     "upclosure": (_run_upclosure, encode_upclosure),
@@ -473,13 +473,15 @@ def run_scenario(sc: Scenario) -> Trace:
 # parsing
 
 
-@dataclass
 class ParsedTrace:
-    construction: str
-    horizon: int
-    scenario: Scenario
-    scenario_hash: str
-    body: list[list[str]] = field(default_factory=list)
+    __slots__ = ("construction", "horizon", "scenario", "scenario_hash", "body")
+
+    def __init__(self, construction, horizon, scenario: Scenario, scenario_hash, body):
+        self.construction = construction
+        self.horizon = horizon
+        self.scenario = scenario
+        self.scenario_hash = scenario_hash
+        self.body: list[list[str]] = body
 
 
 def parse_trace(text: str) -> ParsedTrace:
@@ -509,6 +511,10 @@ def parse_trace(text: str) -> ParsedTrace:
             if len(parts) != 2:
                 raise UsageError(
                     f"malformed {kind} header", location=f"line {lineno}"
+                )
+            if kind == "pairing" and parts[1] != PAIRING_SCHEME_ID:
+                raise UsageError(
+                    f"unknown pairing scheme {parts[1]}", location=f"line {lineno}"
                 )
             meta[kind] = parts[1]
         elif kind == "note":

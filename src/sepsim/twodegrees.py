@@ -22,7 +22,6 @@ enumerations performed at stage s are stamped s + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .enumcore import StageSet, pair, unpair
@@ -31,16 +30,20 @@ from .functionals import EMPTY_PROGRAM, bits_of, evaluate
 from .report import CheckResult, first_counterexample
 
 
-@dataclass
 class VeAxiom:
-    e: int
-    m: int
-    x: int
-    gamma: int
-    prefix: str
-    created_at: int
-    death_stage: int | None = None  # first stage the prefix no longer holds
-    promoted_at: int | None = None
+    __slots__ = (
+        "e", "m", "x", "gamma", "prefix", "created_at", "death_stage", "promoted_at"
+    )
+
+    def __init__(self, e, m, x, gamma, prefix, created_at):
+        self.e = e
+        self.m = m
+        self.x = x
+        self.gamma = gamma
+        self.prefix = prefix
+        self.created_at = created_at
+        self.death_stage: int | None = None  # first stage the prefix no longer holds
+        self.promoted_at: int | None = None
 
     def alive_at(self, t: int) -> bool:
         return self.created_at <= t and (self.death_stage is None or t < self.death_stage)

@@ -19,31 +19,32 @@ boundaries themselves are recovered from Z by a four-condition stage search.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 from .enumcore import SeparatorSnapshot, StageSet
 from .errors import HypothesisViolation
 from .functionals import UseBound, UseBoundedOperator, bits_of, wtt_apply
 
 
-@dataclass(frozen=True)
 class CaseTag:
-    tag: int  # 1 or 2
-    k: int | None = None  # case 1 only: bound below which covered points live
+    __slots__ = ("tag", "k")
 
-    def __post_init__(self):
-        if self.tag not in (1, 2):
-            raise ValueError(f"no such case {self.tag}")
-        if self.tag == 1 and (self.k is None or self.k < 0):
+    def __init__(self, tag: int, k: int | None = None):
+        if tag not in (1, 2):
+            raise ValueError(f"no such case {tag}")
+        if tag == 1 and (k is None or k < 0):
             raise ValueError("case 1 carries a natural k")
-        if self.tag == 2 and self.k is not None:
+        if tag == 2 and k is not None:
             raise ValueError("case 2 carries no k")
+        self.tag = tag  # 1 or 2
+        self.k = k  # case 1 only: bound below which covered points live
 
 
-@dataclass
 class MSequenceResult:
-    values: list[int]
-    missing_index: int | None = None  # first index not witnessed below horizon
+    __slots__ = ("values", "missing_index")
+
+    def __init__(self, values: list[int], missing_index: int | None = None):
+        self.values = values
+        self.missing_index = missing_index  # first index not witnessed below horizon
 
     @property
     def complete(self) -> bool:

@@ -9,17 +9,8 @@ decoders in `trace`.
 
 from __future__ import annotations
 
-from .anticomplete import verify_anticomplete
 from .enumcore import is_separator
 from .errors import UsageError
-from .nosupermax import (
-    AttemptRun,
-    NosupermaxResult,
-    SpeedupResult,
-    run_nosupermax,
-    scenario_outcome,
-    verify_nosupermax,
-)
 from .report import (
     CheckResult,
     VerificationReport,
@@ -35,8 +26,6 @@ from .trace import (
     encode_run,
     twodegrees_inputs,
 )
-from .twodegrees import TwoDegreesRun, verify_twodegrees
-from .upclosure import simultaneous_agreement_stages
 
 
 def verify_trace(parsed: ParsedTrace) -> VerificationReport:
@@ -66,6 +55,7 @@ def _fresh_run_check(name, parsed: ParsedTrace) -> CheckResult:
 
 
 def _verify_anticomplete_trace(parsed: ParsedTrace, report: VerificationReport):
+    from .anticomplete import verify_anticomplete
     records, finals = decode_anticomplete(parsed.body, parsed.horizon)
     report.checks.append(_fresh_run_check("run-exactness", parsed))
     checks, caveats = verify_anticomplete(
@@ -79,6 +69,7 @@ def _verify_anticomplete_trace(parsed: ParsedTrace, report: VerificationReport):
 
 
 def _verify_upclosure_trace(parsed: ParsedTrace, report: VerificationReport):
+    from .upclosure import simultaneous_agreement_stages
     sc = parsed.scenario
     recorded = decode_upclosure(parsed.body)
     values = recorded["m_values"]
@@ -149,6 +140,14 @@ def _verify_upclosure_trace(parsed: ParsedTrace, report: VerificationReport):
 
 
 def _verify_nosupermax_trace(parsed: ParsedTrace, report: VerificationReport):
+    from .nosupermax import (
+        AttemptRun,
+        NosupermaxResult,
+        SpeedupResult,
+        run_nosupermax,
+        scenario_outcome,
+        verify_nosupermax,
+    )
     sc = parsed.scenario
     sections, recorded_certs = decode_nosupermax(parsed.body)
     fresh = run_nosupermax(
@@ -176,6 +175,7 @@ def _verify_nosupermax_trace(parsed: ParsedTrace, report: VerificationReport):
 
 
 def _verify_twodegrees_trace(parsed: ParsedTrace, report: VerificationReport):
+    from .twodegrees import TwoDegreesRun, verify_twodegrees
     sc = parsed.scenario
     records, _ = decode_twodegrees(parsed.body, parsed.horizon)
     report.checks.append(_fresh_run_check("run-exactness", parsed))
@@ -186,6 +186,7 @@ def _verify_twodegrees_trace(parsed: ParsedTrace, report: VerificationReport):
     report.caveats.extend(caveats)
 
 
+# Verifiers import their construction when called, as trace's runners do.
 _VERIFIERS = {
     "anticomplete": _verify_anticomplete_trace,
     "upclosure": _verify_upclosure_trace,

@@ -1,11 +1,12 @@
 """Naive references for scenario parsing and program determinism.
 
-`naive_parse_scenario` is the plain record-by-record parser, with every
-rule checked by `naive_rule` (sort the guard, refuse a repeated position,
-then check each entry) before it becomes an `OracleRule`. `naive_compatible`
-decides guard compatibility through a position -> bit dict. The fast paths
-in `sepsim.scenario` and `sepsim.functionals` must agree with these on every
-input: the same scenario, or the same error.
+`naive_parse_scenario` is the plain record-by-record parser: every record
+but a rule has a fixed token count (`case 1 <k>` takes 3, `case 2` takes 2),
+and every rule is checked by `naive_rule` (sort the guard, refuse a repeated
+position, then check each entry) before it becomes an `OracleRule`.
+`naive_compatible` decides guard compatibility through a position -> bit
+dict. The fast paths in `sepsim.scenario` and `sepsim.functionals` must agree
+with these on every input: the same scenario, or the same error.
 """
 
 from sepsim.errors import UsageError
@@ -19,6 +20,10 @@ from sepsim.scenario import (
     validate_schema,
 )
 from sepsim.upclosure import CaseTag
+
+
+# token count of each record but rule and case
+ARITY = {"construction": 2, "horizon": 2, "set": 4, "cert": 6, "bound": 4, "end": 1}
 
 
 def naive_rule(guard, input, output, use, available_at=0) -> OracleRule:
@@ -59,6 +64,15 @@ def naive_parse_scenario(text: str) -> Scenario:
         parts = line.split()
         kind = parts[0]
         try:
+            if kind == "case":
+                tag = int(parts[1]) if len(parts) > 1 else 0
+                arity = 3 if tag == 1 else 2
+            else:
+                arity = ARITY.get(kind)
+            if arity is not None and len(parts) != arity:
+                raise _schema_error(
+                    f"malformed {kind} record: token count not {arity}", lineno
+                )
             if kind == "construction":
                 if parts[1] not in CONSTRUCTIONS:
                     raise _schema_error(f"unknown construction {parts[1]}", lineno)
@@ -67,8 +81,7 @@ def naive_parse_scenario(text: str) -> Scenario:
                 sc.horizon = int(parts[1])
                 horizon_seen = True
             elif kind == "case":
-                tag = int(parts[1])
-                sc.case = CaseTag(1, int(parts[2])) if tag == 1 else CaseTag(2)
+                sc.case = CaseTag(tag, int(parts[2])) if tag == 1 else CaseTag(tag)
             elif kind == "cert":
                 parity = {"odd": 1, "even": 0}.get(parts[4])
                 if parity is None:

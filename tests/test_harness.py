@@ -14,6 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sepsim
+import sepsim.scenario
+import sepsim.trace
+import sepsim.verify
 from cli_env import cli_env
 from naive_parse import naive_parse_scenario
 from sepsim.anticomplete import run_anticomplete
@@ -29,7 +32,13 @@ from sepsim.errors import HypothesisViolation, UsageError
 from sepsim.functionals import OracleProgram
 from sepsim.nosupermax import run_nosupermax
 from sepsim.report import first_divergence
-from sepsim.scenario import Scenario, load_scenario, load_scenario_file, parse_scenario
+from sepsim.scenario import (
+    CONSTRUCTIONS,
+    Scenario,
+    load_scenario,
+    load_scenario_file,
+    parse_scenario,
+)
 from sepsim.trace import (
     decode_anticomplete,
     decode_nosupermax,
@@ -148,6 +157,37 @@ class TestScenarioParsing:
         text = run_scenario(load_scenario(MINIMAL_TWODEGREES)).render()
         with pytest.raises(UsageError, match="horizon 10001 exceeds 10000"):
             parse_trace(text.replace("horizon 10\n", "horizon 10001\n"))
+
+    @pytest.mark.parametrize(
+        "line, want",
+        [
+            ("set K 10 2 7", 4),
+            ("set K 10", 4),
+            ("horizon 10 10", 2),
+            ("construction twodegrees twodegrees", 2),
+            ("bound f 0 1 2", 4),
+            ("cert 1 3 4 even 20 20", 6),
+            ("case 1 3 4", 3),
+            ("case 1", 3),
+            ("case 2 5", 2),
+            ("case", 2),
+            ("end end", 1),
+        ],
+    )
+    def test_record_arity(self, line, want):
+        # a trailing token used to vanish: `set K 10 2 7` loaded as `set K 10 2`
+        text = MINIMAL_TWODEGREES.replace("end\n", line + "\nend\n")
+        with pytest.raises(UsageError, match=f"token count not {want}$") as err:
+            parse_scenario(text)
+        assert err.value.location == "line 4"
+        assert parse_outcome(naive_parse_scenario, text) == parse_outcome(
+            parse_scenario, text
+        )
+
+    def test_case_tag_is_one_or_two(self):
+        text = upclosure_scenario(0, 2).canonical().replace("case 2\n", "case 3\n")
+        with pytest.raises(UsageError, match="no such case 3"):
+            parse_scenario(text)
 
     def test_element_bound(self):
         # an oracle int as wide as 10^15 bits would exhaust memory
@@ -409,6 +449,26 @@ class TestRunVerify:
         text = run_scenario(load_scenario(path.read_text())).render()
         committed = REPORTS / path.parent.name / f"{path.stem}.txt"
         assert verify_trace(parse_trace(text)).render() == committed.read_text()
+
+    def test_trailing_token_in_embedded_scenario_rejected(self):
+        # the edited scenario renders to the recorded canonical text, so the
+        # digest alone would not see it
+        text = run_scenario(nosupermax_scenario(0, 60)).render()
+        line = next(l for l in text.splitlines() if l.startswith("set A "))
+        with pytest.raises(UsageError, match="token count not 4"):
+            parse_trace(text.replace(line, line + " 7", 1))
+
+    @pytest.mark.parametrize("stem", ["nosupermax-chain", "twodegrees-mixed"])
+    def test_unknown_pairing_scheme_rejected(self, stem, tmp_path):
+        sc = load_scenario((SAMPLES / f"{stem}.scn").read_text())
+        text = run_scenario(sc).render()
+        assert "\npairing greedy-cantor-cube\n" in text
+        path = tmp_path / "edited.trc"
+        path.write_text(text.replace("greedy-cantor-cube", "bogus-scheme", 1))
+        with pytest.raises(UsageError, match="unknown pairing scheme bogus") as err:
+            parse_trace(path.read_text())
+        assert err.value.location == "line 4"
+        assert main(["verify", "--trace", str(path)]) == 2
 
     def test_tampered_scenario_hash_rejected(self):
         sc = anticomplete_scenario(2, 60)
@@ -952,6 +1012,53 @@ class TestCli:
         assert "result fail" in res.stdout
 
 
+# Runs one CLI command and prints the modules it loaded beyond the
+# interpreter's own start-up.
+LOADED_MODULES = """
+import sys
+before = set(sys.modules)
+from sepsim.cli import main
+code = main(sys.argv[1:])
+print(" ".join(sorted(set(sys.modules) - before)))
+sys.exit(code)
+"""
+
+
+class TestColdStart:
+    @pytest.mark.parametrize(
+        "stem",
+        [
+            "anticomplete-quiet",
+            "nosupermax-sparse",
+            "twodegrees-mixed",
+            "upclosure-leastpoint",
+        ],
+    )
+    def test_a_process_loads_one_construction(self, stem, tmp_path):
+        construction = stem.split("-")[0]
+        scenario = SAMPLES / f"{stem}.scn"
+        trace, report = tmp_path / "out.trc", tmp_path / "out.txt"
+        commands = [
+            ["run", "--scenario", str(scenario), "--trace-out", str(trace)],
+            ["verify", "--trace", str(trace), "--report-out", str(report)],
+        ]
+        for args in commands:
+            res = subprocess.run(
+                [sys.executable, "-c", LOADED_MODULES, *args],
+                capture_output=True,
+                text=True,
+                cwd=tmp_path,
+                env=cli_env(),
+            )
+            assert res.returncode == 0, res.stderr
+            loaded = set(res.stdout.split())
+            assert f"sepsim.{construction}" in loaded, args[0]
+            others = {f"sepsim.{c}" for c in CONSTRUCTIONS} - {f"sepsim.{construction}"}
+            assert not loaded & others, (args[0], loaded & others)
+            assert "dataclasses" not in loaded, args[0]
+        assert "result pass" in report.read_text()
+
+
 class TestLint:
     def test_every_import_is_used(self):
         """Stdlib lint: each name a package module imports is read somewhere
@@ -976,14 +1083,19 @@ class TestLint:
         assert not unused, unused
 
 
+def load_tracing():
+    path = PACKAGE.parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 class TestBenchmarkTracing:
     def test_tracer_binds_every_name_and_unbinds(self):
         """The benchmark's tracer wraps package functions by name; a rename
         that drops one fails here, not in a traced benchmark run."""
-        path = PACKAGE.parents[1] / "perfbench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
+        tracing = load_tracing()
 
         def target(module, attr):
             owner = importlib.import_module(module)
@@ -1001,3 +1113,30 @@ class TestBenchmarkTracing:
             tracer.unbind()
         for key, orig in originals.items():
             assert target(*key) is orig, key
+
+    def test_tracer_sees_every_construction_layer(self):
+        """Constructions are imported when a runner or verifier is called, so
+        the calls reach the names the tracer rebound; a dispatch table that
+        captured function objects at import would leave these counts at 0."""
+        tracer = load_tracing().Tracer()
+        scenarios = [
+            anticomplete_scenario(1, 60),
+            nosupermax_scenario(1, 100),
+            twodegrees_scenario(0, 60),
+            upclosure_scenario(3, 2),
+        ]
+        try:
+            tracer.bind()
+            for sc in scenarios:
+                sc = sepsim.scenario.load_scenario(sc.canonical())
+                text = sepsim.trace.run_scenario(sc).render()
+                assert sepsim.verify.verify_trace(sepsim.trace.parse_trace(text)).passed
+        finally:
+            tracer.unbind()
+        calls = tracer.calls
+        for c in ("anticomplete", "nosupermax", "twodegrees"):
+            assert calls[f"{c}.run"] >= 2 and calls[f"{c}.verify"] == 1, c
+        # the pipeline runs once for the trace and once for the verifier's
+        # fresh run
+        assert calls["upclosure.pipeline"] == 2
+        assert {f"verify.{c}" for c in CONSTRUCTIONS} <= set(calls)
