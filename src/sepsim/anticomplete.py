@@ -30,12 +30,16 @@ of their own.
 
 from __future__ import annotations
 
+import re
 from bisect import insort
 from collections import Counter
 
 from .enumcore import FreshSource, StageSet
 from .functionals import EMPTY_PROGRAM, OracleProgram, bits_of, evaluate
 from .report import CheckResult, first_counterexample
+from .scenario import no_rules
+from .trace import decode_event_log, encode_event_log
+from .verify import fresh_run_check
 
 
 class NStrategyState:
@@ -633,3 +637,35 @@ def verify_anticomplete(records, a_events, b_events, d_events, horizon):
         )
 
     return checks, caveats
+
+
+# ---------------------------------------------------------------------------
+# scenario and trace hooks; the body is (records, {"A", "B", "D": final
+# events}) in the shared event-log codec
+
+SET_NAMES = None
+PROGRAM_NAMES = re.compile(r"phi\d+")
+FIRST_STAGE = 0
+NOTE = "fresh numbers exceed every number recorded so far"
+check_set = check_schema = audit = no_rules
+
+
+def trace_body(sc) -> list[str]:
+    run = run_anticomplete(sc.programs_by_index(), sc.horizon)
+    finals = {"A": run.a.events, "B": run.b.events, "D": run.d.events}
+    return encode_event_log((run.records, finals))
+
+
+def decode_anticomplete(body, horizon):
+    arity = {"nact": 2, "rclaim": 2, "ract": 6}
+    return decode_event_log(body, arity, "ABD", horizon)
+
+
+def verify_trace(parsed, report):
+    records, finals = decode_anticomplete(parsed.body, parsed.horizon)
+    report.checks.append(fresh_run_check("run-exactness", parsed))
+    checks, caveats = verify_anticomplete(
+        records, finals["A"], finals["B"], finals["D"], parsed.horizon
+    )
+    report.checks.extend(checks)
+    report.caveats.extend(caveats)

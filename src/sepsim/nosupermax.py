@@ -38,12 +38,15 @@ cost, not the stage number:
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right, insort
 from itertools import chain, zip_longest
 
 from .enumcore import StageSet
-from .errors import UsageError
+from .errors import HypothesisViolation, UsageError
 from .report import CheckResult, first_counterexample, first_divergence
+from .scenario import no_rules
+from .trace import decode_ev, encode_ev, fmt_ints, fmt_opt, ints, parse_opt
 
 MIN_SPEEDUP_FRACTION = 4  # accept when selected stages >= available / this
 
@@ -886,3 +889,154 @@ def verify_nosupermax(result: NosupermaxResult, fresh: NosupermaxResult):
             " (limit facts beyond the horizon are not decidable)"
         )
     return checks, caveats
+
+
+# ---------------------------------------------------------------------------
+# scenario and trace hooks; the body is (attempts, certs), one (attempt,
+# base, horizon, records) per attempt section and one (attempt, accepted,
+# witness stage, reason, stage map) per certificate; the stage map is None
+# when no map line is recorded
+
+SET_NAMES = re.compile(r"[AB]")
+PROGRAM_NAMES = None
+FIRST_STAGE = 1
+NOTE = "boundary reset clause read literally across mixed stage indices"
+check_set = no_rules
+
+
+def check_schema(sc):
+    if len(sc.certs) > 2:
+        raise UsageError("at most two certificates")
+    for i, c in enumerate(sc.certs):
+        if c.attempt != i + 1:
+            raise UsageError(f"certificate {i + 1} must target attempt {i + 1}")
+
+
+def audit(sc):
+    a = {e for e, _ in sc.sets.get("A", [])}
+    b = {e for e, _ in sc.sets.get("B", [])}
+    inter = a & b
+    if inter:
+        raise HypothesisViolation(f"scripted sets intersect at element {min(inter)}")
+
+
+def trace_body(sc) -> list[str]:
+    result = run_nosupermax(
+        sc.sets.get("A", []), sc.sets.get("B", []), sc.horizon, sc.certs
+    )
+    attempts = [(r.attempt, r.base, r.horizon, r.records) for r in result.attempts]
+    certs = []
+    for cert, res in result.cert_results:
+        stage_map = res.stage_map if res.accepted else None
+        fields = (res.accepted, res.witness_stage, res.reason, stage_map)
+        certs.append((cert.attempt, *fields))
+    return encode_nosupermax((attempts, certs))
+
+
+def encode_nosupermax(log) -> list[str]:
+    attempts, certs = log
+    lines = []
+    for i, (attempt, base, horizon, records) in enumerate(attempts):
+        lines.append(f"attempt {attempt} begin {base} {horizon}")
+        lines.extend(encode_ev(rec) for rec in records)
+        lines.append(f"attempt {attempt} end")
+        if i < len(certs):
+            attempt, accepted, witness, reason, stage_map = certs[i]
+            verdict = "accepted" if accepted else f"rejected {fmt_opt(witness)} {reason}"
+            lines.append(f"cert {attempt} {verdict}")
+            if stage_map is not None:
+                lines.append(f"map {fmt_ints(stage_map)}")
+    return lines
+
+
+def decode_nosupermax(body):
+    arity = {"boundary": 1, "xin": 1, "xout": 1}
+    # the records each record may follow; None stands for the start of the
+    # body. A section may follow a section without a certificate: the
+    # verifier, not the decoder, reports a chain that differs from the fresh
+    # run's.
+    follows = {
+        "begin": (None, "end", "accepted", "map", "rejected"),
+        "ev": ("begin", "ev"),
+        "end": ("begin", "ev"),
+        "accepted": ("end",),
+        "rejected": ("end",),
+        "map": ("accepted",),
+    }
+    attempts, certs = [], []
+    prev = None
+    for parts in body:
+        kind = parts[0]
+        if kind == "attempt":
+            kind = parts[2]  # begin or end
+        elif kind == "cert":
+            kind = "accepted" if parts[2] == "accepted" else "rejected"
+        if kind not in follows:
+            raise UsageError(f"unknown record {parts[0]} in trace body")
+        if prev not in follows[kind]:
+            raise UsageError(f"{parts[0]} record out of place in trace body")
+        prev = kind
+        if kind == "begin":
+            # an attempt's base is -1 or a settled boundary value; the
+            # verifier's scans start just above it
+            if int(parts[3]) < -1:
+                raise UsageError(f"record {' '.join(parts)}: base below -1")
+            attempts.append((int(parts[1]), int(parts[3]), int(parts[4]), []))
+        elif kind == "ev":
+            # bounded before any attempt is rebuilt from the records: a kept
+            # index sizes the per-entry reset lists
+            rec = decode_ev(parts, arity)
+            _, _, horizon, records = attempts[-1]
+            if not 1 <= rec[1] <= horizon:
+                raise UsageError(
+                    f"record {' '.join(parts)}: stage outside 1..{horizon}"
+                )
+            if rec[0] == "boundary" and not -1 <= rec[2] < horizon:
+                raise UsageError(
+                    f"record {' '.join(parts)}: kept index outside -1..{horizon - 1}"
+                )
+            records.append(rec)
+        elif kind == "end":
+            attempt, _, horizon, records = attempts[-1]
+            count = sum(rec[0] == "boundary" for rec in records)
+            if count != horizon:
+                raise UsageError(
+                    f"attempt {attempt} carries {count} boundary records for horizon"
+                    f" {horizon}"
+                )
+        elif kind == "accepted":
+            certs.append((int(parts[1]), True, None, "", None))
+        elif kind == "rejected":
+            reason = " ".join(parts[4:])
+            certs.append((int(parts[1]), False, parse_opt(parts[3]), reason, None))
+        elif kind == "map":
+            certs[-1] = (*certs[-1][:4], list(ints(parts[1:])))
+    if prev is None:
+        raise UsageError("trace carries no attempts")
+    if prev in ("begin", "ev"):
+        raise UsageError("attempt section without an end")
+    return attempts, certs
+
+
+def verify_trace(parsed, report):
+    sc = parsed.scenario
+    sections, recorded_certs = decode_nosupermax(parsed.body)
+    fresh = run_nosupermax(
+        sc.sets.get("A", []), sc.sets.get("B", []), sc.horizon, sc.certs
+    )
+    # a recorded attempt takes its scripted events from the fresh attempt in
+    # its place; a section the fresh run lacks gets none
+    attempts = []
+    for i, (att, base, horizon, records) in enumerate(sections):
+        ref = fresh.attempts[i] if i < len(fresh.attempts) else None
+        events = (ref.a.events, ref.b.events) if ref else ([], [])
+        attempts.append(AttemptRun.from_records(att, base, *events, horizon, records))
+    outcomes = [scenario_outcome(run, sc.horizon) for run in attempts]
+    cert_results = [
+        (sc.certs[i], SpeedupResult(accepted, reason, witness, stage_map or []))
+        for i, (_, accepted, witness, reason, stage_map) in enumerate(recorded_certs)
+    ]
+    recorded = NosupermaxResult(attempts, outcomes, cert_results)
+    checks, caveats = verify_nosupermax(recorded, fresh)
+    report.checks.extend(checks)
+    report.caveats.extend(caveats)

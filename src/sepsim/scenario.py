@@ -23,32 +23,37 @@ Hypothesis audits run at load time: upclosure scenarios must have disjoint
 scripted sides, a hole below the horizon, and operators that compute each
 side from the other bit by bit; nosupermax scenarios must script disjoint
 sides.
+
+The grammar, the canonical form and the shared checks live here; the rest
+is read from the construction's module (`construction_module`): SET_NAMES
+and PROGRAM_NAMES (full-match patterns, or None for no names), FIRST_STAGE
+(least event stage), check_set(name, events) and check_schema(sc) (its own
+rules, after the shared ones) and audit(sc) (its hypothesis audit).
 """
 
 from __future__ import annotations
 
 import hashlib
-import re
+import importlib
 
 from .enumcore import StageSet
-from .errors import HypothesisViolation, UsageError
-from .functionals import OracleProgram, OracleRule, UseBound, UseBoundedOperator
+from .errors import UsageError
+from .functionals import OracleProgram, OracleRule, UseBound
 
 CONSTRUCTIONS = ("anticomplete", "upclosure", "nosupermax", "twodegrees")
 
-_SET_NAMES = {
-    "anticomplete": (),
-    "upclosure": ("A", "B", "C"),
-    "nosupermax": ("A", "B"),
-    "twodegrees": ("C", "K"),  # plus W<e>
-}
 
-_PROG_RE = {
-    "anticomplete": re.compile(r"^phi(\d+)$"),
-    "upclosure": re.compile(r"^(gamma|delta)$"),
-    "nosupermax": None,
-    "twodegrees": re.compile(r"^phi(\d+)$"),
-}
+def construction_module(name: str):
+    """The module of the named construction, imported on first use so that a
+    process loads only the construction it runs."""
+    if name not in CONSTRUCTIONS:
+        raise UsageError(f"unknown construction {name}")
+    return importlib.import_module(f"{__package__}.{name}")
+
+
+def no_rules(*_):
+    """A hook of a construction that adds nothing to the shared checks."""
+
 
 DEFAULT_HORIZON = 1000
 MAX_HORIZON = 10_000  # nosupermax cost grows about quadratically with it
@@ -151,13 +156,6 @@ class Scenario:
             raise UsageError("bound table must cover an initial segment")
         return UseBound(table=tuple(fx for _, fx in table))
 
-    def w_events_by_index(self) -> dict[int, list[tuple[int, int]]]:
-        out = {}
-        for name, events in self.sets.items():
-            if name.startswith("W"):
-                out[int(name[1:])] = list(events)
-        return out
-
 
 def _schema_error(msg, lineno=None):
     loc = None if lineno is None else f"line {lineno}"
@@ -252,8 +250,6 @@ def parse_scenario(text: str) -> Scenario:
                 ended = True
             else:
                 raise _schema_error(f"unknown record {kind}", lineno)
-        except UsageError:
-            raise
         except (ValueError, IndexError) as exc:
             raise _schema_error(f"malformed {kind} record: {exc}", lineno)
     if not ended:
@@ -271,17 +267,13 @@ def validate_schema(sc: Scenario):
         raise _schema_error("horizon must be positive")
     if sc.horizon > MAX_HORIZON:
         raise _schema_error(f"horizon {sc.horizon} exceeds {MAX_HORIZON}")
-    allowed = _SET_NAMES[sc.construction]
+    module = construction_module(sc.construction)
     for name, events in sc.sets.items():
-        ok = name in allowed or (
-            sc.construction == "twodegrees" and re.fullmatch(r"W\d+", name)
-        )
-        if not ok:
+        if module.SET_NAMES is None or not module.SET_NAMES.fullmatch(name):
             raise _schema_error(
                 f"set {name} not allowed for {sc.construction}"
             )
         seen = set()
-        min_stage = 1 if sc.construction == "nosupermax" else 0
         for e, t in events:
             if e < 0:
                 raise _schema_error(f"set {name} element {e} negative")
@@ -290,24 +282,17 @@ def validate_schema(sc: Scenario):
                 raise _schema_error(
                     f"set {name} element {e} exceeds the horizon by more than 4096"
                 )
-            if t < min_stage or t > sc.horizon - 1:
+            if t < module.FIRST_STAGE or t > sc.horizon - 1:
                 raise _schema_error(
                     f"set {name} event ({e}, {t}) outside stages"
-                    f" [{min_stage}, {sc.horizon - 1}]"
+                    f" [{module.FIRST_STAGE}, {sc.horizon - 1}]"
                 )
             if e in seen:
                 raise _schema_error(f"set {name} element {e} enters twice")
             seen.add(e)
-        if sc.construction == "twodegrees" and name == "C":
-            for e, _ in events:
-                if e > 32:
-                    raise _schema_error(
-                        f"set C column {e} exceeds 32; the bounded-quantifier"
-                        " decoding walks all of its slots"
-                    )
-    prog_re = _PROG_RE[sc.construction]
+        module.check_set(name, events)
     for name, rules in sc.rules.items():
-        if prog_re is None or not prog_re.match(name):
+        if module.PROGRAM_NAMES is None or not module.PROGRAM_NAMES.fullmatch(name):
             raise _schema_error(
                 f"program {name} not allowed for {sc.construction}"
             )
@@ -320,62 +305,19 @@ def validate_schema(sc: Scenario):
             sc.program(name)
         except ValueError as exc:
             raise _schema_error(f"program {name}: {exc}")
-    if sc.construction == "upclosure":
-        if sc.case is None:
-            raise _schema_error("upclosure scenarios declare their case")
-        try:
-            f = sc.use_bound()
-        except ValueError as exc:
-            raise _schema_error(f"bound table: {exc}")
-        if f.domain < sc.horizon:
-            raise _schema_error(
-                f"bound table covers [0, {f.domain}), horizon {sc.horizon}"
-            )
-        if f.table and max(f.table) > sc.horizon + 4096:
-            raise _schema_error("bound table values exceed the horizon by 4096")
-        for name in ("gamma", "delta"):
-            try:
-                UseBoundedOperator(program=sc.program(name), bound=f)
-            except ValueError as exc:
-                raise _schema_error(f"operator {name}: {exc}")
-    else:
+    if sc.construction != "upclosure":
         if sc.case is not None:
             raise _schema_error("only upclosure scenarios declare a case")
         if sc.bound_table:
             raise _schema_error("only upclosure scenarios carry a bound table")
-    if sc.certs:
-        if sc.construction != "nosupermax":
-            raise _schema_error("only nosupermax scenarios carry certificates")
-        if len(sc.certs) > 2:
-            raise _schema_error("at most two certificates")
-        for i, c in enumerate(sc.certs):
-            if c.attempt != i + 1:
-                raise _schema_error(
-                    f"certificate {i + 1} must target attempt {i + 1}"
-                )
+    module.check_schema(sc)
+    if sc.certs and sc.construction != "nosupermax":
+        raise _schema_error("only nosupermax scenarios carry certificates")
 
 
 def audit_scenario(sc: Scenario):
     """Hypothesis audits; raises HypothesisViolation."""
-    if sc.construction == "upclosure":
-        from .upclosure import audit_hypotheses
-        f = sc.use_bound()
-        audit_hypotheses(
-            sc.stage_set("A"),
-            sc.stage_set("B"),
-            UseBoundedOperator(program=sc.program("gamma"), bound=f),
-            UseBoundedOperator(program=sc.program("delta"), bound=f),
-            f,
-            sc.horizon,
-        )
-    elif sc.construction == "nosupermax":
-        a = {e for e, _ in sc.sets.get("A", [])}
-        b = {e for e, _ in sc.sets.get("B", [])}
-        inter = a & b
-        if inter:
-            raise HypothesisViolation(
-                f"scripted sets intersect at element {min(inter)}"
-            )
+    construction_module(sc.construction).audit(sc)
 
 
 def load_scenario(text: str, horizon_override: int | None = None) -> Scenario:

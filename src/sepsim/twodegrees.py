@@ -22,12 +22,16 @@ enumerations performed at stage s are stamped s + 1.
 
 from __future__ import annotations
 
+import re
 from functools import cache
 
 from .enumcore import StageSet, pair, unpair
 from .errors import HardFault, UsageError
 from .functionals import EMPTY_PROGRAM, bits_of, evaluate
 from .report import CheckResult, first_counterexample
+from .scenario import no_rules
+from .trace import decode_event_log, encode_event_log
+from .verify import fresh_run_check
 
 
 class VeAxiom:
@@ -565,3 +569,51 @@ def verify_twodegrees(run: TwoDegreesRun):
         " sets beyond the horizon are out of reach"
     )
     return checks, caveats
+
+
+# ---------------------------------------------------------------------------
+# scenario and trace hooks; the body is (records, {"A", "B": final events})
+# in the shared event-log codec
+
+SET_NAMES = re.compile(r"C|K|W\d+")
+PROGRAM_NAMES = re.compile(r"phi\d+")
+FIRST_STAGE = 0
+NOTE = "strategies run in index order; coding strategies after axiom ones"
+check_schema = audit = no_rules
+
+
+def check_set(name, events):
+    if name == "C":
+        for e, _ in events:
+            if e > 32:
+                raise UsageError(
+                    f"set C column {e} exceeds 32; the bounded-quantifier"
+                    " decoding walks all of its slots"
+                )
+
+
+def twodegrees_inputs(sc):
+    """TwoDegreesRun's constructor arguments, taken from the scenario."""
+    w_events = {int(n[1:]): list(ev) for n, ev in sc.sets.items() if n.startswith("W")}
+    sets = sc.sets.get("C", []), sc.sets.get("K", [])
+    return (*sets, w_events, sc.programs_by_index(), sc.horizon)
+
+
+def trace_body(sc) -> list[str]:
+    run = run_twodegrees(*twodegrees_inputs(sc))
+    return encode_event_log((run.records, {"A": run.a.events, "B": run.b.events}))
+
+
+def decode_twodegrees(body, horizon):
+    arity = {"axiom": 5, "kill": 4, "promote": 3, "pfire": 3}
+    return decode_event_log(body, arity, "AB", horizon)
+
+
+def verify_trace(parsed, report):
+    records, _ = decode_twodegrees(parsed.body, parsed.horizon)
+    report.checks.append(fresh_run_check("run-exactness", parsed))
+    checks, caveats = verify_twodegrees(
+        TwoDegreesRun(*twodegrees_inputs(parsed.scenario)).replay(records)
+    )
+    report.checks.extend(checks)
+    report.caveats.extend(caveats)

@@ -18,11 +18,17 @@ boundaries themselves are recovered from Z by a four-condition stage search.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right
 
-from .enumcore import SeparatorSnapshot, StageSet
-from .errors import HypothesisViolation
+from . import trace
+from .enumcore import SeparatorSnapshot, StageSet, is_separator
+from .errors import HypothesisViolation, UsageError
 from .functionals import UseBound, UseBoundedOperator, bits_of, wtt_apply
+from .report import CheckResult, first_counterexample
+from .scenario import no_rules
+from .trace import fmt_ints, fmt_opt, ints, parse_opt
+from .verify import fresh_run_check
 
 
 class CaseTag:
@@ -371,3 +377,170 @@ def audit_hypotheses(
                 f"second operator disagrees with target at bit {x}"
                 f" (got {got}, want {want})"
             )
+
+
+# ---------------------------------------------------------------------------
+# scenario and trace hooks; the body is the outcome of
+# trace.run_upclosure_pipeline
+
+SET_NAMES = re.compile(r"[ABC]")
+PROGRAM_NAMES = re.compile(r"gamma|delta")
+FIRST_STAGE = 0
+NOTE = "case declarations are certificates; only consistency is checked"
+check_set = no_rules
+
+
+def check_schema(sc):
+    if sc.case is None:
+        raise UsageError("upclosure scenarios declare their case")
+    try:
+        f = sc.use_bound()
+    except ValueError as exc:
+        raise UsageError(f"bound table: {exc}")
+    if f.domain < sc.horizon:
+        raise UsageError(f"bound table covers [0, {f.domain}), horizon {sc.horizon}")
+    if f.table and max(f.table) > sc.horizon + 4096:
+        raise UsageError("bound table values exceed the horizon by 4096")
+    for name in ("gamma", "delta"):
+        try:
+            UseBoundedOperator(program=sc.program(name), bound=f)
+        except ValueError as exc:
+            raise UsageError(f"operator {name}: {exc}")
+
+
+def audit(sc):
+    f = sc.use_bound()
+    audit_hypotheses(
+        sc.stage_set("A"),
+        sc.stage_set("B"),
+        UseBoundedOperator(program=sc.program("gamma"), bound=f),
+        UseBoundedOperator(program=sc.program("delta"), bound=f),
+        f,
+        sc.horizon,
+    )
+
+
+def trace_body(sc) -> list[str]:
+    # through the module attribute, which the benchmark's tracer rebinds
+    return encode_upclosure(trace.run_upclosure_pipeline(sc))
+
+
+def encode_upclosure(out) -> list[str]:
+    return [
+        f"caseok {'true' if out['consistent'] else 'false'}",
+        f"mseq {fmt_ints(out['m_values'])}",
+        f"mseq-missing {fmt_opt(out['m_missing'])}",
+        f"z {'-' if out['z'] is None else out['z'].bits}",
+        *(f"block {fmt_ints(blk)}" for blk in out["blocks"]),
+        *(f"recover {fmt_ints(rec)}" for rec in out["recovered"]),
+    ]
+
+
+def decode_upclosure(body):
+    """A block or recover record carries exactly 4 integers, caseok reads
+    true or false, and caseok, mseq, mseq-missing and z appear at most once;
+    anything else is a UsageError naming the record."""
+    out = {
+        "consistent": None,
+        "m_values": [],
+        "m_missing": None,
+        "z": None,
+        "blocks": [],
+        "recovered": [],
+    }
+    seen = set()
+    for parts in body:
+        kind, fields = parts[0], parts[1:]
+        if kind in ("caseok", "mseq", "mseq-missing", "z"):
+            if kind in seen:
+                raise UsageError(f"record {' '.join(parts)}: a second {kind} record")
+            seen.add(kind)
+        try:
+            if kind in ("block", "recover"):
+                if len(fields) != 4:
+                    raise ValueError("expected 4 integers")
+                out["blocks" if kind == "block" else "recovered"].append(ints(fields))
+            elif kind == "mseq":
+                out["m_values"] = list(ints(fields))
+            elif kind not in ("caseok", "mseq-missing", "z"):
+                raise UsageError(f"unknown record {kind} in trace body")
+            elif len(fields) != 1:
+                raise ValueError("expected one field")
+            elif kind == "caseok":
+                if fields[0] not in ("true", "false"):
+                    raise ValueError("expected true or false")
+                out["consistent"] = fields[0] == "true"
+            elif kind == "mseq-missing":
+                out["m_missing"] = parse_opt(fields[0])
+            else:
+                out["z"] = None if fields[0] == "-" else SeparatorSnapshot(fields[0])
+        except ValueError as exc:
+            raise UsageError(f"record {' '.join(parts)}: {exc}")
+    return out
+
+
+def verify_trace(parsed, report):
+    sc = parsed.scenario
+    recorded = decode_upclosure(parsed.body)
+    values = recorded["m_values"]
+
+    report.checks.append(
+        CheckResult(
+            "mseq-monotone",
+            all(u < v for u, v in zip(values, values[1:])),
+            "recorded boundaries not strictly increasing",
+        )
+    )
+    report.checks.append(fresh_run_check("pipeline-exactness", parsed))
+
+    a, b = sc.stage_set("A"), sc.stage_set("B")
+    z = recorded["z"]
+    if z is not None:
+        dom_a = {e for e in a.final() if e < z.length}
+        dom_b = {e for e in b.final() if e < z.length}
+        report.checks.append(
+            CheckResult(
+                "separator-property",
+                is_separator(z, dom_a, dom_b),
+                "recorded string is not a separator of the scripted sides",
+            )
+        )
+        viol = []
+        for n in range(len(values) - 1):
+            if values[n + 1] >= z.length:
+                break
+            stages = simultaneous_agreement_stages(
+                z, a, b, values[n], values[n + 1], sc.horizon
+            )
+            if len(stages) > 0:
+                viol.append((n, stages[0]))
+                break
+        report.checks.append(
+            first_counterexample(
+                "mutual-exclusion",
+                viol,
+                "block {0} agrees with both sides at stage {1}",
+            )
+        )
+    report.checks.append(
+        first_counterexample(
+            "roundtrip-decode",
+            [blk for blk in recorded["blocks"] if blk[1] != blk[3]],
+            "block {0} decoded {1}, target holds {3}",
+        )
+    )
+    report.checks.append(
+        first_counterexample(
+            "boundary-recovery",
+            [r for r in recorded["recovered"] if r[1] != r[3]],
+            "recovered boundary {0} as {1}, direct value {3}",
+        )
+    )
+    if recorded["m_missing"] is not None:
+        report.caveats.append(
+            f"boundary {recorded['m_missing']} not witnessed below the horizon"
+        )
+    report.caveats.append(
+        "case declaration checked for consistency only; the true split is"
+        " not decidable from finite data"
+    )

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import shutil
 import subprocess
 import sys
 import time
@@ -19,7 +20,7 @@ import sepsim.trace
 import sepsim.verify
 from cli_env import cli_env
 from naive_parse import naive_parse_scenario
-from sepsim.anticomplete import run_anticomplete
+from sepsim.anticomplete import decode_anticomplete, run_anticomplete
 from sepsim.cli import main
 from sepsim.corpus import (
     anticomplete_scenario,
@@ -30,7 +31,7 @@ from sepsim.corpus import (
 )
 from sepsim.errors import HypothesisViolation, UsageError
 from sepsim.functionals import OracleProgram
-from sepsim.nosupermax import run_nosupermax
+from sepsim.nosupermax import decode_nosupermax, encode_nosupermax, run_nosupermax
 from sepsim.report import first_divergence
 from sepsim.scenario import (
     CONSTRUCTIONS,
@@ -40,19 +41,13 @@ from sepsim.scenario import (
     parse_scenario,
 )
 from sepsim.trace import (
-    decode_anticomplete,
-    decode_nosupermax,
-    decode_twodegrees,
-    decode_upclosure,
     encode_event_log,
-    encode_nosupermax,
-    encode_upclosure,
     parse_trace,
     run_scenario,
     run_upclosure_pipeline,
-    twodegrees_inputs,
 )
-from sepsim.twodegrees import run_twodegrees
+from sepsim.twodegrees import decode_twodegrees, run_twodegrees, twodegrees_inputs
+from sepsim.upclosure import decode_upclosure, encode_upclosure
 from sepsim.verify import verify_trace
 
 SAMPLES = Path(__file__).resolve().parents[1] / "scenarios" / "samples"
@@ -482,6 +477,97 @@ class TestRunVerify:
         lines[idx] = "horizon 61"
         with pytest.raises(UsageError, match="digest"):
             parse_trace("\n".join(lines) + "\n")
+
+
+SAMPLE_TRACES = {
+    path.stem: run_scenario(load_scenario_file(path)).render()
+    for path in sorted(SAMPLES.glob("*.scn"))
+}
+
+
+def edit_header_token(text, i, j, op, token):
+    """The trace with token j of line i replaced by `token`, deleted or
+    duplicated; tokens are split on single spaces."""
+    lines = text.split("\n")
+    toks = lines[i].split(" ")
+    j %= len(toks)
+    if op == "replace":
+        toks[j] = token
+    elif op == "delete":
+        del toks[j]
+    else:
+        toks.insert(j, toks[j])
+    lines[i] = " ".join(toks)
+    return "\n".join(lines)
+
+
+class TestTraceHeader:
+    """The lines from `sepsim-trace 1` to `scenario-begin` are exactly the
+    ones `Trace.render` writes for the embedded scenario."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        stem=st.sampled_from(sorted(SAMPLE_TRACES)),
+        op=st.sampled_from(["replace", "delete", "duplicate"]),
+        data=st.data(),
+    )
+    def test_header_token_edit_is_refused(self, stem, op, data):
+        text = SAMPLE_TRACES[stem]
+        lines = text.split("\n")
+        i = data.draw(st.integers(0, lines.index("scenario-begin")))
+        j = data.draw(st.integers(0, 40))
+        header_tokens = " ".join(lines[: i + 1]).split(" ")
+        token = data.draw(
+            st.sampled_from(header_tokens) | st.text("abc019-:", min_size=0, max_size=4)
+        )
+        edited = edit_header_token(text, i, j, op, token)
+        if edited == text:
+            return
+        with pytest.raises(UsageError):
+            parse_trace(edited)
+
+    @pytest.mark.parametrize(
+        "edit, lineno",
+        [
+            (lambda ls: ls[:3] + ls[4:], 4),  # no pairing line
+            (lambda ls: ls[:2] + ls[3:], 3),  # no toolversion line
+            (lambda ls: ls[:2] + ["toolversion 9.9"] + ls[3:], 3),
+            (lambda ls: ls[:7] + [ls[7] + " indeed"] + ls[8:], 8),  # edited note
+            (lambda ls: ls[:6] + ls[8:], 7),  # no notes
+            (lambda ls: ls[:5] + [ls[4]] + ls[5:], 6),  # repeated scenariohash
+            (lambda ls: ls[:4] + [ls[5], ls[4]] + ls[6:], 5),  # swapped lines
+        ],
+    )
+    def test_edited_header_line_is_named(self, edit, lineno, tmp_path):
+        lines = SAMPLE_TRACES["twodegrees-mixed"].splitlines()
+        assert lines[8] == "scenario-begin"
+        path = tmp_path / "edited.trc"
+        path.write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(UsageError, match="header reads") as err:
+            parse_trace(path.read_text())
+        assert err.value.location == f"line {lineno}"
+        assert main(["verify", "--trace", str(path)]) == 2
+
+    @pytest.mark.parametrize("line", ["note extra", "toolversion 0.1.0"])
+    def test_header_line_in_the_body_is_refused(self, line):
+        lines = SAMPLE_TRACES["nosupermax-sparse"].splitlines()
+        lines.insert(len(lines) - 1, line)
+        with pytest.raises(UsageError, match="header line after the scenario"):
+            parse_trace("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            ("anticomplete", "construction header does not match the embedded"),
+            ("nosupermax", "construction header does not match the embedded"),
+            ("bogus", "unknown construction bogus"),
+        ],
+    )
+    def test_relabelled_construction_is_refused(self, label, message):
+        text = SAMPLE_TRACES["twodegrees-mixed"]
+        edited = text.replace("construction twodegrees", f"construction {label}", 1)
+        with pytest.raises(UsageError, match=message):
+            parse_trace(edited)
 
 
 def final_line_edits(body):
@@ -1140,3 +1226,31 @@ class TestBenchmarkTracing:
         # fresh run
         assert calls["upclosure.pipeline"] == 2
         assert {f"verify.{c}" for c in CONSTRUCTIONS} <= set(calls)
+
+
+class TestFixtureBuilder:
+    def test_make_fixtures_rebuilds_the_committed_scenarios(self, tmp_path):
+        """tools/make_fixtures.py, run in a fresh tree, writes exactly the
+        committed scenarios/ directory: no file more, less or different."""
+        root = PACKAGE.parents[1]
+        shutil.copytree(root / "tools", tmp_path / "tools")
+        (tmp_path / "src").symlink_to(root / "src", target_is_directory=True)
+        res = subprocess.run(
+            [sys.executable, str(tmp_path / "tools" / "make_fixtures.py")],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=cli_env(),
+        )
+        assert res.returncode == 0, res.stderr
+
+        def files(top):
+            return {
+                str(path.relative_to(top)): path.read_bytes()
+                for path in sorted(top.rglob("*"))
+                if path.is_file()
+            }
+
+        built, committed = files(tmp_path / "scenarios"), files(root / "scenarios")
+        assert sorted(built) == sorted(committed)
+        assert [name for name in built if built[name] != committed[name]] == []
