@@ -28,9 +28,12 @@ EXIT_HYPOTHESIS = 3
 def _write(path, text):
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}")
 
 
 def _read(path):
@@ -39,6 +42,10 @@ def _read(path):
             return fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise UsageError(
+            f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        )
 
 
 def _cmd_run(args) -> int:

@@ -335,4 +335,9 @@ def load_scenario_file(path, horizon_override: int | None = None) -> Scenario:
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read scenario: {exc}")
+    except UnicodeDecodeError as exc:
+        raise UsageError(
+            f"cannot read scenario {path}: not UTF-8 text"
+            f" ({exc.reason} at byte {exc.start})"
+        )
     return load_scenario(text, horizon_override)

@@ -16,6 +16,14 @@ least column code that is neither in A nor blocked into B. The census bound
 possible; its failure is a hard fault, as is a promotion finding its witness
 already in B.
 
+Searches run on events. An epoch of index e is one value of its search
+counter, which moves whenever W_e, B or the set of available rules changes,
+so within an epoch every oracle answer is fixed and is computed once: a
+search resumes its convergence scan where the epoch's last search stopped.
+An index whose last search loop settled every eligible number stays quiet
+until its counter, its eligible bound or its live axioms change.
+`tests/naive_twodegrees.py` keeps the per-stage reference stepper.
+
 Stage convention: scripted events stamped t are visible at stage t;
 enumerations performed at stage s are stamped s + 1.
 """
@@ -23,6 +31,7 @@ enumerations performed at stage s are stamped s + 1.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from functools import cache
 
 from .enumcore import StageSet, pair, unpair
@@ -90,6 +99,13 @@ class TwoDegreesRun:
         self._k_now: set[int] = set()
         self._search_counter: dict[int, int] = {e: 0 for e in self.scripted}
         self._search_memo: dict[tuple[int, int], int] = {}
+        # per e: (epoch, {use gamma: scan}) with each scan of the epoch held
+        # as [next input, diverged, sorted zero-answer inputs outside B]
+        self._scans: dict[int, tuple[int, dict[int, list]]] = {}
+        # per e: the count of eligible numbers m, and (epoch, count) of the
+        # last loop that settled every one of them, None otherwise
+        self._bound: dict[int, int] = {e: 0 for e in self.scripted}
+        self._quiet: dict[int, tuple[int, int] | None] = {}
         self._avail_wakes: dict[int, list[int]] = {
             e: sorted({r.available_at for r in self.programs[e].rules})
             for e in self.scripted
@@ -114,40 +130,55 @@ class TwoDegreesRun:
         W_e prefix halts on every input up to x, answers 0 at x, x is neither
         in B nor at or below the column threshold, and x <= s.
 
-        Returns ((gamma, x), capped): capped means the failure may flip once
-        the stage bound rises, so it must not be memoized."""
-        prog = self.programs.get(e, EMPTY_PROGRAM)
+        Returns ((gamma, x), capped): capped means every input up to s + 1
+        converged for some usable gamma, so the failure may flip once the
+        stage bound rises. Within one epoch (one value of the search counter)
+        W_e, B and the usable rules are fixed, so every answer is too: each
+        gamma's convergence scan resumes where the last search of the epoch
+        stopped, and the witness is the first recorded zero past the
+        threshold."""
         threshold = column_threshold(max(e, m))
         if threshold >= s:
             return None, True
+        counter = self._search_counter.get(e, 0)
+        epoch, scans = self._scans.get(e, (None, None))
+        if epoch != counter:
+            scans = {}
+            self._scans[e] = (counter, scans)
+        prog = self.programs.get(e, EMPTY_PROGRAM)
         capped = False
-        w_bits = self._w_bits.get(e, 0)
         for gamma, available_at in self._uses.get(e, ()):
             if available_at > s:
                 continue
-            bits = w_bits & ((1 << gamma) - 1)
-            conv = 0
-            while conv <= s + 1:
-                res = evaluate(prog, bits, gamma, conv, s)
-                if res is None:
-                    break
-                conv += 1
-            if conv > s + 1:
+            scan = scans.get(gamma)
+            if scan is None:
+                scan = scans[gamma] = [0, False, []]
+            y, diverged, zeros = scan
+            if not diverged and y <= s + 1:
+                bits = self._w_bits.get(e, 0) & ((1 << gamma) - 1)
+                while y <= s + 1:
+                    res = evaluate(prog, bits, gamma, y, s)
+                    if res is None:
+                        scan[1] = diverged = True
+                        break
+                    if res[0] == 0 and y not in self.b:
+                        zeros.append(y)
+                    y += 1
+                scan[0] = y
+            if not diverged:
                 capped = True
-            for x in range(threshold + 1, min(conv, s + 1)):
-                if x in self.b:
-                    continue
-                res = evaluate(prog, bits, gamma, x, s)
-                if res is not None and res[0] == 0:
-                    return (gamma, x), False
+            i = bisect_right(zeros, threshold)
+            if i < len(zeros) and zeros[i] <= s:
+                return (gamma, zeros[i]), False
         return None, capped
 
-    def r_strategy_step(self, e: int, s: int):
-        """One stage of the axiom strategy for index e: promotions for
-        numbers that entered K with a surviving axiom, then searches for
-        every small enough uncovered number."""
-        prog = self.programs.get(e, EMPTY_PROGRAM)
-        for m in self.k.entered_at(s):
+    def r_strategy_step(self, e: int, s: int, k_fresh):
+        """One stage of the axiom strategy for index e: promotions for the
+        numbers k_fresh that entered K at s with a surviving axiom, then
+        searches for every small enough uncovered number. A step whose epoch,
+        eligible bound and live axioms are those of a loop that settled every
+        number returns after the promotions."""
+        for m in k_fresh:
             if m > s:
                 continue
             ax = self.live.get((e, m))
@@ -161,37 +192,44 @@ class TwoDegreesRun:
             ax.promoted_at = s
             self.a.add(ax.x, s + 1)
             self.records.append(("promote", s, e, m, ax.x))
-        if len(prog) == 0:
+        if e not in self._bound:
             return
         counter = self._search_counter[e]
-        m = 0
-        while m <= s and column_threshold(max(e, m)) < s:
+        bound = self._bound[e]
+        while bound <= s and column_threshold(max(e, bound)) < s:
+            bound += 1
+        self._bound[e] = bound
+        if self._quiet.get(e) == (counter, bound):
+            return
+        settled = True
+        for m in range(bound):
             key = (e, m)
             if (
-                m not in self._k_now
-                and key not in self.live
-                and self._search_memo.get(key) != counter
+                m in self._k_now
+                or key in self.live
+                or self._search_memo.get(key) == counter
             ):
-                found, capped = self._search(e, m, s)
-                if found is None:
-                    if not capped:
-                        self._search_memo[key] = counter
+                continue
+            found, capped = self._search(e, m, s)
+            if found is None:
+                if capped:
+                    settled = False
                 else:
-                    gamma, x = found
-                    ax = VeAxiom(
-                        e=e,
-                        m=m,
-                        x=x,
-                        gamma=gamma,
-                        prefix=prefix_string(self._w_bits.get(e, 0), gamma),
-                        created_at=s,
-                    )
-                    self.axioms.append(ax)
-                    self.live[key] = ax
-                    self.records.append(
-                        ("axiom", s, e, m, x, gamma, ax.prefix)
-                    )
-            m += 1
+                    self._search_memo[key] = counter
+            else:
+                gamma, x = found
+                ax = VeAxiom(
+                    e=e,
+                    m=m,
+                    x=x,
+                    gamma=gamma,
+                    prefix=prefix_string(self._w_bits.get(e, 0), gamma),
+                    created_at=s,
+                )
+                self.axioms.append(ax)
+                self.live[key] = ax
+                self.records.append(("axiom", s, e, m, x, gamma, ax.prefix))
+        self._quiet[e] = (counter, bound) if settled else None
 
     def p_strategy_step(self, n: int, s: int):
         """Fires exactly when n enters C: the least unavailable-free column
@@ -219,7 +257,8 @@ class TwoDegreesRun:
     def run_stage(self):
         s = self.stage
         # scripted set growth visible at stage s
-        self._k_now.update(self.k.entered_at(s))
+        k_fresh = self.k.entered_at(s)
+        self._k_now.update(k_fresh)
         for e in self.scripted:
             ptr = self._avail_ptr[e]
             wakes = self._avail_wakes[e]
@@ -239,9 +278,10 @@ class TwoDegreesRun:
                 if key[0] == e and ax.death_stage is None and ax.gamma > least:
                     ax.death_stage = s
                     del self.live[key]
+                    self._quiet[e] = None
                     self.records.append(("kill", s, e, ax.m, ax.x, least))
         for e in self.scripted:
-            self.r_strategy_step(e, s)
+            self.r_strategy_step(e, s, k_fresh)
         for n in self.c.entered_at(s):
             self.p_strategy_step(n, s)
         self.stage = s + 1

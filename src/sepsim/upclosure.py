@@ -206,7 +206,14 @@ def simultaneous_agreement_stages(z, a, b, m_n, m_n1, horizon):
 class WttAgreementTable:
     """Per-scenario cache: for each input w, the stages at which the two
     operators both halt on the current-approximation oracle and match the
-    final target sets."""
+    final target sets.
+
+    A compiled rule for w holds on one stage window: from its availability,
+    or the entry of its last 1-position if that is later, up to the first
+    entry of a 0-position (empty when a 1-position never enters). At stage t
+    the operator answers with the first rule, in `compiled_for` order, whose
+    window holds t, so each row changes value only at window ends and is
+    built from them without applying the operator."""
 
     def __init__(self, a: StageSet, b: StageSet, gamma, delta, f, horizon):
         self.horizon = horizon
@@ -214,32 +221,45 @@ class WttAgreementTable:
         a_final = a.snapshot(horizon)
         b_final = b.snapshot(horizon)
 
-        def run_table(op, w, by_stage, want):
-            """Walk the breakpoints in order, ORing each entry below f(w)
-            into one running oracle as its stage is reached."""
-            fw = f(w)
-            entries = [(t, e) for t, e in by_stage if e < fw]
-            pts = {0, *(t for t, _ in entries)}
-            pts.update(r.available_at for r in op.program.rules_for(w))
+        def run_table(op, w, entry, want):
+            """The stages at which the row's value changes, and its values."""
+            windows = []
+            ends = {0}
+            for available_at, _, mask, ones, output in op.program.compiled_for(w):
+                lo, hi = available_at, horizon + 1
+                while mask and lo < hi:
+                    low = mask & -mask
+                    mask ^= low
+                    t = entry.get(low.bit_length() - 1)
+                    if ones & low:
+                        lo = hi if t is None else max(lo, t)
+                    elif t is not None:
+                        hi = min(hi, t)
+                if lo < hi:
+                    windows.append((lo, hi, output == want))
+                    ends.add(lo)
+                    ends.add(hi)
             stages, values = [], []
-            bits, i = 0, 0
-            for t in sorted(p for p in pts if p <= horizon):
-                while i < len(entries) and entries[i][0] <= t:
-                    bits |= 1 << entries[i][1]
-                    i += 1
-                stages.append(t)
-                values.append(wtt_apply(op, bits, w, t) == want)
+            for t in sorted(ends):
+                if t > horizon:
+                    break
+                value = False
+                for lo, hi, ok in windows:
+                    if lo <= t < hi:
+                        value = ok
+                        break
+                if not values or value != values[-1]:
+                    stages.append(t)
+                    values.append(value)
             return stages, values
 
-        a_by_stage = sorted((t, e) for e, t in a.entry.items())
-        b_by_stage = sorted((t, e) for e, t in b.entry.items())
         self._gamma: list[tuple[list[int], list[bool]]] = []
         self._delta: list[tuple[list[int], list[bool]]] = []
         self.width = min(f.domain, horizon)
         for w in range(self.width):
             want_g, want_d = int(w in b_final), int(w in a_final)
-            self._gamma.append(run_table(gamma, w, a_by_stage, want_g))
-            self._delta.append(run_table(delta, w, b_by_stage, want_d))
+            self._gamma.append(run_table(gamma, w, a.entry, want_g))
+            self._delta.append(run_table(delta, w, b.entry, want_d))
 
     def _ok(self, table, w, s):
         stages, values = table[w]
@@ -436,10 +456,12 @@ def encode_upclosure(out) -> list[str]:
     ]
 
 
-def decode_upclosure(body):
-    """A block or recover record carries exactly 4 integers, caseok reads
-    true or false, and caseok, mseq, mseq-missing and z appear at most once;
-    anything else is a UsageError naming the record."""
+def decode_upclosure(body, horizon):
+    """A block or recover record carries exactly 4 integers: an index that
+    names an mseq position, then (block) a bit, a stage in 0..horizon and a
+    bit, or (recover) a boundary, a stage in 0..horizon and a boundary.
+    caseok reads true or false, and caseok, mseq, mseq-missing and z appear
+    at most once; anything else is a UsageError naming the record."""
     out = {
         "consistent": None,
         "m_values": [],
@@ -449,6 +471,7 @@ def decode_upclosure(body):
         "recovered": [],
     }
     seen = set()
+    indexed = []  # (record, index) of every block and recover record
     for parts in body:
         kind, fields = parts[0], parts[1:]
         if kind in ("caseok", "mseq", "mseq-missing", "z"):
@@ -459,7 +482,13 @@ def decode_upclosure(body):
             if kind in ("block", "recover"):
                 if len(fields) != 4:
                     raise ValueError("expected 4 integers")
-                out["blocks" if kind == "block" else "recovered"].append(ints(fields))
+                rec = ints(fields)
+                if not 0 <= rec[2] <= horizon:
+                    raise ValueError(f"stage outside 0..{horizon}")
+                if kind == "block" and not {rec[1], rec[3]} <= {0, 1}:
+                    raise ValueError("block bits must be 0 or 1")
+                indexed.append((parts, rec[0]))
+                out["blocks" if kind == "block" else "recovered"].append(rec)
             elif kind == "mseq":
                 out["m_values"] = list(ints(fields))
             elif kind not in ("caseok", "mseq-missing", "z"):
@@ -476,12 +505,15 @@ def decode_upclosure(body):
                 out["z"] = None if fields[0] == "-" else SeparatorSnapshot(fields[0])
         except ValueError as exc:
             raise UsageError(f"record {' '.join(parts)}: {exc}")
+    for parts, n in indexed:
+        if not 0 <= n < len(out["m_values"]):
+            raise UsageError(f"record {' '.join(parts)}: no mseq position {n}")
     return out
 
 
 def verify_trace(parsed, report):
     sc = parsed.scenario
-    recorded = decode_upclosure(parsed.body)
+    recorded = decode_upclosure(parsed.body, parsed.horizon)
     values = recorded["m_values"]
 
     report.checks.append(

@@ -680,6 +680,33 @@ class TestUpclosureRecordShapes:
         assert main(["verify", "--trace", str(path)]) == 2
         assert detail in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "replacement, detail",
+        [
+            ("block 3 0 99999999999999999999999999 0", "stage outside 0..100"),
+            ("block 3 0 101 0", "stage outside 0..100"),
+            ("block 3 0 -1 0", "stage outside 0..100"),
+            ("block 3 2 97 0", "block bits must be 0 or 1"),
+            ("block 3 0 97 -1", "block bits must be 0 or 1"),
+            ("block 9 0 97 0", "no mseq position 9"),
+            ("block -1 0 97 0", "no mseq position -1"),
+            ("recover 3 13 101 13", "stage outside 0..100"),
+            ("recover 99999999999999999999 13 97 13", "no mseq position"),
+        ],
+    )
+    def test_out_of_range_field_is_named(self, replacement, detail, tmp_path, capsys):
+        # the least-point sample has nine mseq positions and horizon 100
+        sc = load_scenario((SAMPLES / "upclosure-leastpoint.scn").read_text())
+        lines = run_scenario(sc).render().splitlines()
+        kind = replacement.split()[0]
+        i = next(
+            i for i, line in enumerate(lines) if line.startswith(f"{kind} 3 ")
+        )
+        path = tmp_path / "edited.trc"
+        path.write_text("\n".join(lines[:i] + [replacement] + lines[i + 1 :]) + "\n")
+        assert main(["verify", "--trace", str(path)]) == 2
+        assert f"record {replacement}: {detail}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["caseok", "mseq", "mseq-missing", "z"])
     def test_repeated_single_record_is_named(self, kind):
         sc = load_scenario((SAMPLES / "upclosure-iterated.scn").read_text())
@@ -739,7 +766,8 @@ def expected_log(sc):
     """The run's records, taken from the construction itself, with the
     encoder and decoder of its trace body."""
     if sc.construction == "upclosure":
-        return run_upclosure_pipeline(sc), encode_upclosure, decode_upclosure
+        decode = partial(decode_upclosure, horizon=sc.horizon)
+        return run_upclosure_pipeline(sc), encode_upclosure, decode
     if sc.construction == "nosupermax":
         result = run_nosupermax(
             sc.sets.get("A", []), sc.sets.get("B", []), sc.horizon, sc.certs
@@ -1040,6 +1068,40 @@ class TestCli:
         assert res.returncode == 2, res.stderr
         res = run_cli(["run", "--scenario", str(tmp_path / "missing.txt")], tmp_path)
         assert res.returncode == 2, res.stderr
+
+    def test_unwritable_trace_out_exit_two(self, tmp_path, scenario_file):
+        out = tmp_path / "missing" / "x.trc"
+        res = run_cli(
+            ["run", "--scenario", str(scenario_file), "--trace-out", str(out)],
+            tmp_path,
+        )
+        assert res.returncode == 2, res.stderr
+        assert f"error: cannot write {out}" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_unwritable_report_out_exit_two(self, tmp_path, scenario_file):
+        out = tmp_path / "missing" / "r.txt"
+        res = run_cli(
+            ["verify", "--scenario", str(scenario_file), "--report-out", str(out)],
+            tmp_path,
+        )
+        assert res.returncode == 2, res.stderr
+        assert f"error: cannot write {out}" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_non_utf8_input_exit_two(self, tmp_path, scenario_file):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"sepsim-scenario 1\n\xff\xfe\n")
+        commands = [
+            ["run", "--scenario", str(bad)],
+            ["verify", "--trace", str(bad)],
+            ["replay", "--scenario", str(scenario_file), "--trace", str(bad)],
+        ]
+        for args in commands:
+            res = run_cli(args, tmp_path)
+            assert res.returncode == 2, (args[0], res.stderr)
+            assert f"{bad}: not UTF-8 text" in res.stderr, args[0]
+            assert "Traceback" not in res.stderr, args[0]
 
     def test_horizon_ceiling_exit_two(self, tmp_path, scenario_file):
         res = run_cli(

@@ -1,9 +1,15 @@
 """Spectrum construction: axioms, blocking, column coding, censuses."""
 
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sepsim.twodegrees as twodegrees
+from naive_twodegrees import NaiveTwoDegreesRun
+from sepsim.corpus import twodegrees_corpus
 from sepsim.enumcore import pair
 from sepsim.errors import HardFault
 from sepsim.functionals import OracleProgram, OracleRule
@@ -16,6 +22,7 @@ from sepsim.twodegrees import (
     decode_b_from_c,
     decode_c_from_b,
     run_twodegrees,
+    twodegrees_inputs,
     verify_twodegrees,
 )
 
@@ -120,7 +127,7 @@ class TestRStrategy:
         run.horizon = 14
         run._k_now.add(0)
         with pytest.raises(HardFault, match="already enumerated into B"):
-            run.r_strategy_step(0, 12)
+            run.r_strategy_step(0, 12, run.k.entered_at(12))
 
 
 class TestPStrategy:
@@ -266,3 +273,83 @@ class TestVerifier:
         checks, _ = verify_twodegrees(run)
         by_name = {c.name: c for c in checks}
         assert not by_name["block-soundness"].passed
+
+
+def random_search_program(rng, length, width, horizon):
+    """A deterministic program on inputs below width that reads the first
+    `length` W positions. Each input's guards are the leaves of one decision
+    tree over a few positions, so no two are compatible and each leaf has its
+    own use; some inputs and leaves have no rule, and some rules come late."""
+    rules = []
+    for y in range(width):
+        if rng.random() < 0.05:
+            continue
+        positions = sorted(rng.sample(range(length), rng.randrange(3)))
+        for bits in product((0, 1), repeat=len(positions)):
+            if positions and rng.random() < 0.1:
+                continue
+            late = rng.random() < 0.15
+            rules.append(
+                OracleRule(
+                    guard=tuple(zip(positions, bits)),
+                    input=y,
+                    output=0 if rng.random() < 0.3 else 1,
+                    use=max(positions, default=-1) + 1 + rng.choice((0, 0, 1, 2)),
+                    available_at=rng.randrange(horizon) if late else 0,
+                )
+            )
+    return OracleProgram(rules)
+
+
+def run_outcome(cls, *inputs):
+    try:
+        run = cls(*inputs).run()
+    except HardFault as exc:
+        return str(exc)
+    return run.records, run.a.entry, run.b.entry
+
+
+class TestEventSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        indices=st.sets(st.integers(0, 2), min_size=1, max_size=2),
+        horizon=st.integers(10, 60),
+    )
+    def test_fast_equals_reference_on_random_programs(self, seed, indices, horizon):
+        # searches resume within an epoch and quiet indices are skipped; the
+        # reference searches every eligible number at every stage from input 0
+        rng = random.Random(seed)
+        length = 5
+        programs, w_events = {}, {}
+        for e in sorted(indices):
+            width = rng.choice((horizon // 3, horizon, 2 * horizon))
+            programs[e] = random_search_program(rng, length, width, horizon)
+            w_events[e] = [
+                (x, rng.randrange(horizon))
+                for x in rng.sample(range(length), rng.randrange(4))
+            ]
+        k_events = [(m, rng.randrange(horizon)) for m in rng.sample(range(4), 2)]
+        c_events = [(n, rng.randrange(horizon)) for n in rng.sample(range(6), 3)]
+        inputs = (c_events, k_events, w_events, programs, horizon)
+        assert run_outcome(TwoDegreesRun, *inputs) == run_outcome(
+            NaiveTwoDegreesRun, *inputs
+        )
+
+    def test_corpus_evaluations_flat_in_the_horizon(self, monkeypatch):
+        calls = 0
+        evaluate = twodegrees.evaluate
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(twodegrees, "evaluate", counted)
+        per_horizon = []
+        for horizon in (1000, 4000):
+            calls = 0
+            for _, sc in twodegrees_corpus(4, horizon):
+                run_twodegrees(*twodegrees_inputs(sc))
+            per_horizon.append(calls)
+        assert 0 < per_horizon[1] <= 1.1 * per_horizon[0], per_horizon

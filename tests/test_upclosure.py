@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sepsim.functionals as functionals
+import sepsim.upclosure as upclosure
 from sepsim.corpus import upclosure_scenario
 from sepsim.enumcore import SeparatorSnapshot, StageSet
 from sepsim.errors import HypothesisViolation
@@ -441,7 +443,11 @@ def assert_table_matches_naive(a, b, gamma, delta, f, horizon):
 @st.composite
 def agreement_inputs(draw):
     """Stage sets and deterministic operators with guards on both bits,
-    late availability and uses below the bound."""
+    late availability and uses below the bound. An input has no rules, two
+    rules that pin a common pivot to opposite bits, or several compatible
+    rules of one output and use (sub-guards of one assignment) with their
+    own availability; such an assignment may pin a position that never
+    enters to 1, or one that enters after stage 0 to 0."""
     horizon = draw(st.integers(1, 12))
     table, prev = [], 1
     for x in range(draw(st.integers(1, 10))):
@@ -455,31 +461,53 @@ def agreement_inputs(draw):
     a = StageSet(draw(stamps).items(), horizon=horizon)
     b = StageSet(draw(stamps).items(), horizon=horizon)
 
-    def operator():
+    def pivot_rules(x):
+        # rules for one input pin a common pivot to opposite bits
+        pivot = draw(st.integers(0, f(x) - 1))
+        for bit in (0, 1):
+            use = draw(st.integers(pivot + 1, f(x)))
+            extra = draw(st.dictionaries(st.integers(0, use - 1), st.integers(0, 1)))
+            extra[pivot] = bit
+            yield extra, draw(st.integers(0, 1)), use
+
+    def compatible_rules(x, source):
+        use = draw(st.integers(0, f(x)))
+        below = range(use)
+        assignment = {}
+        if use:
+            bits = st.dictionaries(st.sampled_from(below), st.integers(0, 1))
+            assignment = draw(bits)
+        never = [p for p in below if p not in source]
+        late = [p for p in below if source.entry.get(p, 0) > 0]
+        if never and draw(st.booleans()):
+            assignment[draw(st.sampled_from(never))] = 1
+        if late and draw(st.booleans()):
+            assignment[draw(st.sampled_from(late))] = 0
+        output = draw(st.integers(0, 1))
+        for _ in range(draw(st.integers(2, 3))):
+            guard = {p: bit for p, bit in assignment.items() if draw(st.booleans())}
+            yield guard, output, use
+
+    def operator(source):
         rules = []
         for x in range(f.domain):
             if draw(st.booleans()):
                 continue
-            # rules for one input pin a common pivot to opposite bits
-            pivot = draw(st.integers(0, f(x) - 1))
-            for bit in (0, 1):
-                use = draw(st.integers(pivot + 1, f(x)))
-                extra = draw(
-                    st.dictionaries(st.integers(0, use - 1), st.integers(0, 1))
-                )
-                extra[pivot] = bit
+            compatible = draw(st.booleans())
+            group = compatible_rules(x, source) if compatible else pivot_rules(x)
+            for guard, output, use in group:
                 rules.append(
                     OracleRule(
-                        guard=tuple(extra.items()),
+                        guard=tuple(guard.items()),
                         input=x,
-                        output=draw(st.integers(0, 1)),
+                        output=output,
                         use=use,
                         available_at=draw(st.integers(0, horizon + 1)),
                     )
                 )
         return UseBoundedOperator(program=OracleProgram(rules), bound=f)
 
-    return a, b, operator(), operator(), f, horizon
+    return a, b, operator(a), operator(b), f, horizon
 
 
 class TestAgreementTable:
@@ -499,3 +527,22 @@ class TestAgreementTable:
     @given(agreement_inputs())
     def test_matches_per_stage_snapshots(self, inputs):
         assert_table_matches_naive(*inputs)
+
+    def test_build_applies_no_operator(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("operator applied while building the table")
+
+        for module in (functionals, upclosure):
+            monkeypatch.setattr(module, "wtt_apply", refuse)
+        monkeypatch.setattr(functionals, "evaluate", refuse)
+        for seed in range(3):
+            sc = upclosure_scenario(seed, 2)
+            f = sc.use_bound()
+            gamma, delta = (
+                UseBoundedOperator(program=sc.program(name), bound=f)
+                for name in ("gamma", "delta")
+            )
+            table = WttAgreementTable(
+                sc.stage_set("A"), sc.stage_set("B"), gamma, delta, f, sc.horizon
+            )
+            assert table.agree_prefix(sc.horizon) > 0
