@@ -24,13 +24,15 @@ A stage costs what its events and the boundary's witness-free intervals
 cost, not the stage number:
 - The fresh crossings of a stage enter only through m, the least of them:
   a number y is permitted by a crossing exactly when y > m.
+- Each boundary interval keeps counts of its numbers outside A and B,
+  inside and outside X, plus the sorted lists of the intervals with none on
+  their own side and of those with some on the wrong side. Events, X
+  toggles and resets update these, so the boundary walk looks only at
+  witness-free intervals.
 - After every stage A is inside X and B outside it, since the A and B rules
   fire first and nothing else moves an A member. So the X update visits
-  only the stage's events, the numbers above max(base, m), and s.
-- Each boundary interval keeps counts of its numbers outside A and B,
-  inside and outside X, plus the sorted list of the intervals with none on
-  their own side. Events, X toggles and resets update these, so the
-  boundary walk looks only at witness-free intervals.
+  only the stage's events, s, and the numbers above max(base, m) in the
+  intervals with a free number on the wrong side.
 - The speedup certificate's zone check, and the verifier's settled-zone
   census, sweep the stage upward and recheck a number only when it toggles
   in X or enters A or B.
@@ -105,22 +107,20 @@ def boundary_update(base, old_entries, s1, m, bare, scripted):
     return old_entries[:idx] + [s], idx, fragile
 
 
-def x_update(entries, base, s1, x_mem, a_now, b_now, m, extra_positions=()):
+def x_update(entries, base, s1, x_mem, a_now, b_now, m, positions):
     """Membership changes for stage s1 given the freshly recomputed boundary.
 
     Rules in order: members of A are in, members of B are out, permitted
     numbers in odd intervals come in, permitted numbers in even intervals go
-    out, everything else keeps its side. Only numbers that can change are
-    visited: `extra_positions` (sorted; this stage's scripted events), the
-    numbers above max(base, m) up to s, and s itself. Every other number
-    keeps its side as long as A is inside X and B outside it before the
-    stage. Returns (added, removed), sorted."""
+    out, everything else keeps its side. Only `positions` (ascending, each
+    once) are visited. A stepping attempt hands over the stage's events, s,
+    and the numbers above max(base, m) in the intervals that hold a free
+    number on the wrong side of X (see AttemptRun._x_positions): as long as
+    A is inside X and B outside it before the stage, no other number can
+    change. Returns (added, removed), sorted."""
     s = s1 - 1
-    lo = min(max(base, m) + 1, s)
-    low = [y for y in extra_positions if y < lo]
-    high = [y for y in extra_positions if y > s]
     added, removed = [], []
-    for y in chain(low, range(lo, s + 1), high):
+    for y in positions:
         inside = y in x_mem
         if y in a_now:
             if not inside:
@@ -161,10 +161,12 @@ class AttemptRun:
         self.entries: list[int] = []
         # aligned with entries: numbers of each interval outside A and B,
         # inside X and outside X; bare lists, ascending, the intervals with
-        # none on their own side (inside X for odd indices)
+        # none on their own side (inside X for odd indices), and misplaced
+        # those with some on the wrong side
         self.c_in: list[int] = []
         self.c_out: list[int] = []
         self.bare: list[int] = []
+        self.misplaced: list[int] = []
         self.kept_counts: list[int] = []  # index s1-1 -> kept at stage s1
         self.records: list[tuple] = []
         self.x_toggles: dict[int, list[int]] = {}
@@ -220,9 +222,13 @@ class AttemptRun:
         return inside, len(free) - inside
 
     def _count(self, j, d_in, d_out):
-        """Shift the counts of interval j, keeping `bare` in step."""
-        own = self.c_in if j % 2 == 1 else self.c_out
-        had = own[j] > 0
+        """Shift the counts of interval j, keeping `bare` and `misplaced` in
+        step."""
+        if j % 2 == 1:
+            own, other = self.c_in, self.c_out
+        else:
+            own, other = self.c_out, self.c_in
+        had, stray = own[j] > 0, other[j] > 0
         self.c_in[j] += d_in
         self.c_out[j] += d_out
         if had != (own[j] > 0):
@@ -230,6 +236,11 @@ class AttemptRun:
                 insort(self.bare, j)
             else:
                 del self.bare[bisect_left(self.bare, j)]
+        if stray != (other[j] > 0):
+            if stray:
+                del self.misplaced[bisect_left(self.misplaced, j)]
+            else:
+                insort(self.misplaced, j)
 
     def _push_interval(self, lo, s):
         """Open a new last interval holding the numbers in (lo, s]."""
@@ -237,7 +248,10 @@ class AttemptRun:
         self.c_in.append(0)
         self.c_out.append(0)
         self.bare.append(j)
-        self._count(j, *self._free_counts(lo, s))
+        if s > lo + 1:
+            self._count(j, *self._free_counts(lo, s))
+        elif s not in self.a_now and s not in self.b_now:
+            self._count(j, *((1, 0) if s in self.x else (0, 1)))
 
     def _apply_delta(self, added, removed, s1):
         if not added and not removed:
@@ -277,12 +291,13 @@ class AttemptRun:
         intervals: the dropped ones merge into the new last interval, which
         also takes the numbers newly covered up to s."""
         if kept < 0:
-            self.c_in, self.c_out, self.bare = [], [], []
+            self.c_in, self.c_out, self.bare, self.misplaced = [], [], [], []
             return
         top = self.entries[-1] if self.entries else self.base
         merged = sum(self.c_in[kept:]), sum(self.c_out[kept:])
         del self.c_in[kept:], self.c_out[kept:]
         del self.bare[bisect_left(self.bare, kept) :]
+        del self.misplaced[bisect_left(self.misplaced, kept) :]
         self._push_interval(top, s)
         self._count(kept, *merged)
 
@@ -310,18 +325,32 @@ class AttemptRun:
         self._reset_counts(kept, s)
         self.entries = entries
         self._record_boundary(s1, kept)
+        positions = self._x_positions(s, m, a_new + b_new)
         added, removed = x_update(
-            entries,
-            self.base,
-            s1,
-            self.x,
-            self.a_now,
-            self.b_now,
-            m,
-            extra_positions=sorted(set(a_new) | set(b_new)),
+            entries, self.base, s1, self.x, self.a_now, self.b_now, m, positions
         )
         self._apply_delta(added, removed, s1)
-        self._dirty = fragile or bool((set(added) | set(removed)) - {s})
+        self._dirty = fragile or any(y != s for y in chain(added, removed))
+
+    def _x_positions(self, s, m, events):
+        """The numbers whose X side can change at stage s+1, ascending: every
+        number above max(base, m) in an interval of the new boundary that
+        holds a free number on the wrong side, s when it is not above
+        max(base, m), and the stage's events."""
+        lo = max(self.base, m)
+        entries, misplaced = self.entries, self.misplaced
+        out = []
+        first = bisect_right(entries, lo)  # the first interval reaching above lo
+        for j in misplaced[bisect_left(misplaced, first) :]:
+            start = max(entries[j - 1] if j else self.base, lo)
+            out.extend(range(start + 1, entries[j] + 1))
+        if lo >= s:  # permitted as the stage number all the same
+            out.append(s)
+        for y in events:
+            i = bisect_left(out, y)
+            if i == len(out) or out[i] != y:
+                out.insert(i, y)
+        return out
 
     def _fast_ok(self, s1):
         s = s1 - 1
@@ -949,8 +978,20 @@ def encode_nosupermax(log) -> list[str]:
     return lines
 
 
-def decode_nosupermax(body):
+def _bad_record(parts, why):
+    return UsageError(f"record {' '.join(parts)}: {why}")
+
+
+def decode_nosupermax(body, horizon):
+    """(attempts, certs) from the body lines. An attempt's own horizon
+    bounds the stages of its records. `horizon`, the scenario's, bounds each
+    attempt's base and the stages of each map; not the attempt's horizon, so
+    that a section whose horizon alone was edited still gets a report (its
+    timeline check names the change)."""
     arity = {"boundary": 1, "xin": 1, "xout": 1}
+    # token counts of the fixed-length records; a rejection's reason is free
+    # text after its witness stage
+    width = {"begin": 5, "end": 3, "accepted": 3}
     # the records each record may follow; None stands for the start of the
     # body. A section may follow a section without a certificate: the
     # verifier, not the decoder, reports a chain that differs from the fresh
@@ -967,50 +1008,66 @@ def decode_nosupermax(body):
     prev = None
     for parts in body:
         kind = parts[0]
-        if kind == "attempt":
-            kind = parts[2]  # begin or end
-        elif kind == "cert":
-            kind = "accepted" if parts[2] == "accepted" else "rejected"
+        if kind in ("attempt", "cert"):
+            if len(parts) < 3:
+                raise _bad_record(parts, "too few tokens")
+            if kind == "attempt":
+                kind = parts[2]  # begin or end
+            else:
+                kind = "accepted" if parts[2] == "accepted" else "rejected"
         if kind not in follows:
             raise UsageError(f"unknown record {parts[0]} in trace body")
         if prev not in follows[kind]:
             raise UsageError(f"{parts[0]} record out of place in trace body")
         prev = kind
-        if kind == "begin":
-            # an attempt's base is -1 or a settled boundary value; the
-            # verifier's scans start just above it
-            if int(parts[3]) < -1:
-                raise UsageError(f"record {' '.join(parts)}: base below -1")
-            attempts.append((int(parts[1]), int(parts[3]), int(parts[4]), []))
-        elif kind == "ev":
+        if kind == "ev":
             # bounded before any attempt is rebuilt from the records: a kept
             # index sizes the per-entry reset lists
             rec = decode_ev(parts, arity)
-            _, _, horizon, records = attempts[-1]
-            if not 1 <= rec[1] <= horizon:
-                raise UsageError(
-                    f"record {' '.join(parts)}: stage outside 1..{horizon}"
-                )
-            if rec[0] == "boundary" and not -1 <= rec[2] < horizon:
-                raise UsageError(
-                    f"record {' '.join(parts)}: kept index outside -1..{horizon - 1}"
-                )
+            _, _, h, records = attempts[-1]
+            if not 1 <= rec[1] <= h:
+                raise _bad_record(parts, f"stage outside 1..{h}")
+            if rec[0] == "boundary" and not -1 <= rec[2] < h:
+                raise _bad_record(parts, f"kept index outside -1..{h - 1}")
             records.append(rec)
+            continue
+        if kind in width and len(parts) != width[kind]:
+            raise _bad_record(parts, f"{len(parts)} tokens, expected {width[kind]}")
+        if kind == "rejected" and len(parts) < 4:
+            raise _bad_record(parts, f"{len(parts)} tokens, expected at least 4")
+        if kind == "begin":
+            # an attempt's base is -1 or a settled boundary value; the
+            # verifier's scans start just above it
+            base = int(parts[3])
+            if base < -1:
+                raise _bad_record(parts, "base below -1")
+            if base > horizon:
+                raise _bad_record(parts, f"base above the scenario horizon {horizon}")
+            attempts.append((int(parts[1]), base, int(parts[4]), []))
+            continue
+        attempt, _, h, records = attempts[-1]
+        if kind == "map":
+            stage_map = list(ints(parts[1:]))
+            rising = all(u < v for u, v in zip(stage_map, stage_map[1:]))
+            inside = not stage_map or 0 < stage_map[0] and stage_map[-1] <= horizon
+            if not (rising and inside):
+                why = f"stages not strictly rising within 1..{horizon}"
+                raise _bad_record(parts, why)
+            certs[-1] = (*certs[-1][:4], stage_map)
+        elif int(parts[1]) != attempt:
+            raise _bad_record(parts, f"in the section of attempt {attempt}")
         elif kind == "end":
-            attempt, _, horizon, records = attempts[-1]
             count = sum(rec[0] == "boundary" for rec in records)
-            if count != horizon:
+            if count != h:
                 raise UsageError(
                     f"attempt {attempt} carries {count} boundary records for horizon"
-                    f" {horizon}"
+                    f" {h}"
                 )
         elif kind == "accepted":
-            certs.append((int(parts[1]), True, None, "", None))
-        elif kind == "rejected":
+            certs.append((attempt, True, None, "", None))
+        else:
             reason = " ".join(parts[4:])
-            certs.append((int(parts[1]), False, parse_opt(parts[3]), reason, None))
-        elif kind == "map":
-            certs[-1] = (*certs[-1][:4], list(ints(parts[1:])))
+            certs.append((attempt, False, parse_opt(parts[3]), reason, None))
     if prev is None:
         raise UsageError("trace carries no attempts")
     if prev in ("begin", "ev"):
@@ -1018,19 +1075,28 @@ def decode_nosupermax(body):
     return attempts, certs
 
 
+def _recorded_attempt(section, ref):
+    """The attempt a trace section records. A section that repeats `ref`,
+    the fresh attempt in its place, record for record is `ref` itself; any
+    other is rebuilt from its records, with the scripted events of `ref`
+    (none when the fresh run lacks the attempt)."""
+    if ref is not None and section == (ref.attempt, ref.base, ref.horizon, ref.records):
+        return ref
+    att, base, horizon, records = section
+    events = (ref.a.events, ref.b.events) if ref else ([], [])
+    return AttemptRun.from_records(att, base, *events, horizon, records)
+
+
 def verify_trace(parsed, report):
     sc = parsed.scenario
-    sections, recorded_certs = decode_nosupermax(parsed.body)
+    sections, recorded_certs = decode_nosupermax(parsed.body, sc.horizon)
     fresh = run_nosupermax(
         sc.sets.get("A", []), sc.sets.get("B", []), sc.horizon, sc.certs
     )
-    # a recorded attempt takes its scripted events from the fresh attempt in
-    # its place; a section the fresh run lacks gets none
-    attempts = []
-    for i, (att, base, horizon, records) in enumerate(sections):
-        ref = fresh.attempts[i] if i < len(fresh.attempts) else None
-        events = (ref.a.events, ref.b.events) if ref else ([], [])
-        attempts.append(AttemptRun.from_records(att, base, *events, horizon, records))
+    attempts = [
+        _recorded_attempt(section, _at(fresh.attempts, i))
+        for i, section in enumerate(sections)
+    ]
     outcomes = [scenario_outcome(run, sc.horizon) for run in attempts]
     cert_results = [
         (sc.certs[i], SpeedupResult(accepted, reason, witness, stage_map or []))

@@ -56,7 +56,7 @@ def no_rules(*_):
 
 
 DEFAULT_HORIZON = 1000
-MAX_HORIZON = 10_000  # nosupermax cost grows about quadratically with it
+MAX_HORIZON = 10_000  # to be raised once every construction is linear in h
 
 
 class Scenario:

@@ -31,7 +31,12 @@ from sepsim.corpus import (
 )
 from sepsim.errors import HypothesisViolation, UsageError
 from sepsim.functionals import OracleProgram
-from sepsim.nosupermax import decode_nosupermax, encode_nosupermax, run_nosupermax
+from sepsim.nosupermax import (
+    AttemptRun,
+    decode_nosupermax,
+    encode_nosupermax,
+    run_nosupermax,
+)
 from sepsim.report import first_divergence
 from sepsim.scenario import (
     CONSTRUCTIONS,
@@ -783,7 +788,8 @@ def expected_log(sc):
             )
             for cert, res in result.cert_results
         ]
-        return (attempts, certs), encode_nosupermax, decode_nosupermax
+        decode = partial(decode_nosupermax, horizon=sc.horizon)
+        return (attempts, certs), encode_nosupermax, decode
     if sc.construction == "anticomplete":
         run = run_anticomplete(sc.programs_by_index(), sc.horizon)
         sets, decode = {"A": run.a, "B": run.b, "D": run.d}, decode_anticomplete
@@ -852,6 +858,8 @@ CHAIN_SCENARIO = load_scenario_file(SAMPLES / "nosupermax-chain.scn")
 CHAIN_TRACE = run_scenario(CHAIN_SCENARIO).render()
 CHAIN_LINES = CHAIN_TRACE.splitlines()
 FIRST_BODY, LAST_BODY = CHAIN_LINES.index("scenario-end") + 1, len(CHAIN_LINES) - 2
+MAP_STAGES = next(line for line in CHAIN_LINES if line.startswith("map ")).split()[1:]
+MAP_OUTSIDE = "stages not strictly rising within 1..200"
 SECTION_EDITS = {"deleted": lambda sec: [], "duplicated": lambda sec: sec + sec}
 
 
@@ -955,6 +963,31 @@ class TestNosupermaxChainVerify:
             ("ev 201 boundary 0", "ev 5 boundary ", "stage outside 1..200"),
             ("ev 0 xin 3", "ev 4 xin ", "stage outside 1..200"),
             ("attempt 2 begin -1000000000 190", "attempt 2 begin ", "base below -1"),
+            (
+                "attempt 2 begin 99999999999999 190",
+                "attempt 2 begin ",
+                "base above the scenario horizon 200",
+            ),
+            ("attempt 1 begin -1 200 9", "attempt 1 begin ", "6 tokens, expected 5"),
+            ("attempt 1 begin -1", "attempt 1 begin ", "4 tokens, expected 5"),
+            ("attempt 1 end now", "attempt 1 end", "4 tokens, expected 3"),
+            ("attempt 1", "attempt 1 end", "too few tokens"),
+            ("cert 1 accepted extra", "cert 1 accepted", "4 tokens, expected 3"),
+            ("cert 1 rejected", "cert 1 accepted", "3 tokens, expected at least 4"),
+            ("cert -1 accepted", "cert 1 accepted", "in the section of attempt 1"),
+            ("cert 7 accepted", "cert 1 accepted", "in the section of attempt 1"),
+            ("attempt 2 end", "attempt 1 end", "in the section of attempt 1"),
+            *(
+                (" ".join(["map", *stages]), "map ", MAP_OUTSIDE)
+                for stages in (
+                    MAP_STAGES[:-1] + ["99999999999999999999"],
+                    ["-5"] + MAP_STAGES[1:],
+                    ["0"] + MAP_STAGES[1:],
+                    MAP_STAGES[:-1] + ["201"],
+                    MAP_STAGES[:2] + MAP_STAGES[1:],  # a stage twice
+                    MAP_STAGES[1:2] + MAP_STAGES[:1] + MAP_STAGES[2:],  # a swap
+                )
+            ),
         ],
     )
     def test_out_of_bounds_record_is_named(self, new, old_prefix, why):
@@ -1009,6 +1042,67 @@ class TestNosupermaxChainVerify:
             verify_trace(parse_trace("\n".join(lines) + "\n"))
         except UsageError:
             pass
+
+
+class TestSectionReuse:
+    """A nosupermax section that repeats its fresh attempt is checked on that
+    attempt; the report must equal the one with every section rebuilt."""
+
+    @staticmethod
+    def reports(text, monkeypatch):
+        """(report with reuse, report with every section rebuilt, sections
+        reused, sections in the trace)."""
+        parsed = parse_trace(text)
+        sections = sum(parts[2:3] == ["begin"] for parts in parsed.body)
+        original = sepsim.nosupermax._recorded_attempt
+        reused = 0
+
+        def counted(section, ref):
+            nonlocal reused
+            run = original(section, ref)
+            reused += run is ref
+            return run
+
+        def rebuilt(section, ref):
+            att, base, horizon, records = section
+            events = (ref.a.events, ref.b.events) if ref else ([], [])
+            return AttemptRun.from_records(att, base, *events, horizon, records)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sepsim.nosupermax, "_recorded_attempt", counted)
+            got = verify_trace(parsed).render()
+        with monkeypatch.context() as patch:
+            patch.setattr(sepsim.nosupermax, "_recorded_attempt", rebuilt)
+            want = verify_trace(parsed).render()
+        return got, want, reused, sections
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted(SAMPLES.glob("nosupermax-*.scn"))
+        + sorted(FAULTS.parent.glob("certs/*.scn")),
+        ids=lambda path: path.stem,
+    )
+    def test_fixture_reports_agree(self, path, monkeypatch):
+        text = run_scenario(load_scenario(path.read_text())).render()
+        got, want, reused, sections = self.reports(text, monkeypatch)
+        assert got == want
+        assert reused == sections
+
+    @pytest.mark.parametrize(
+        "path", sorted(FAULTS.glob("nosupermax-*.trc")), ids=lambda path: path.stem
+    )
+    def test_fault_reports_agree(self, path, monkeypatch):
+        got, want, _, _ = self.reports(path.read_text(), monkeypatch)
+        assert got == want
+
+    def test_corpus_reports_agree(self, monkeypatch):
+        for seed in range(24):
+            sc = nosupermax_scenario(seed, 200)
+            sc.certs = chain_certificates(sc, want=2)
+            text = run_scenario(sc).render()
+            got, want, reused, sections = self.reports(text, monkeypatch)
+            assert got == want, seed
+            assert reused == sections, seed
 
 
 def run_cli(args, cwd):

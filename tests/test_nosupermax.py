@@ -8,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sepsim.nosupermax
+from sepsim.corpus import chain_certificates, nosupermax_scenario
 from sepsim.nosupermax import (
     MIN_SPEEDUP_FRACTION,
     AttemptRun,
@@ -231,13 +233,24 @@ class TestPermitted:
         assert not permitted(1, 7, set(), set(), {2}, trig)
 
 
+def range_walk(base, s1, m, extra=()):
+    """The positions of a range walk: `extra` (sorted) and every number from
+    just above max(base, m) up to s = s1 - 1, or s alone when that range is
+    empty. With A inside X and B outside it before the stage, and the
+    stage's events in `extra`, no other number can change."""
+    s = s1 - 1
+    lo = min(max(base, m) + 1, s)
+    low = [y for y in extra if y < lo]
+    return low + list(range(lo, s + 1)) + [y for y in extra if y > s]
+
+
 class TestXUpdate:
     def test_a_membership_wins_over_even_interval(self):
         # y in A and in an even (push-out) interval: stays in
         entries = [2, 5]  # intervals (-1,2] odd-right? index0 even, index1 odd
         trig = trigger_prefix(5, set(), [4], [])
         added, removed = x_update(
-            entries, -1, 6, set(), {4}, set(), trig, extra_positions=[4]
+            entries, -1, 6, set(), {4}, set(), trig, range_walk(-1, 6, trig, [4])
         )
         assert 4 in added
 
@@ -247,9 +260,13 @@ class TestXUpdate:
         # visited. 4, above the crossing in the even interval (-1, 4], and
         # the stage number 5, in the odd interval (4, 5], are.
         entries = [4, 5]
-        added, removed = x_update(entries, -1, 6, {4}, {1}, set(), 2)
+        added, removed = x_update(
+            entries, -1, 6, {4}, {1}, set(), 2, range_walk(-1, 6, 2)
+        )
         assert (added, removed) == ([5], [4])
-        added, _ = x_update(entries, -1, 6, {4}, {1}, set(), 2, extra_positions=[1])
+        added, _ = x_update(
+            entries, -1, 6, {4}, {1}, set(), 2, range_walk(-1, 6, 2, [1])
+        )
         assert added == [1, 5]
 
     def test_positionwise_oracle(self):
@@ -270,7 +287,7 @@ class TestXUpdate:
             )
             added, removed = x_update(
                 entries, base, s1, x_prev, a_now, b_now, trig,
-                extra_positions=sorted((a_now | b_now)),
+                range_walk(base, s1, trig, sorted((a_now | b_now))),
             )
             got = (x_prev | set(added)) - set(removed)
             # oracle: naive positionwise application
@@ -647,6 +664,31 @@ class TestIncrementalAgainstNaive:
             assert list(zip(run.c_in, run.c_out)) == counts, f"stage {t}"
             want = boundary_inputs(base, run.entries, run.x, run.a_now, run.b_now)
             assert (run.bare, run.scripted) == want, f"stage {t}"
+            wrong_side = [
+                j for j, (inside, outside) in enumerate(counts)
+                if (outside if j % 2 == 1 else inside)
+            ]
+            assert run.misplaced == wrong_side, f"stage {t}"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_x_positions_change_what_the_range_walk_changes(self, seed, monkeypatch):
+        # every stage's X update on the handed positions against the same
+        # update on every number above max(base, m) and every scripted one
+        calls = 0
+
+        def both(entries, base, s1, x_mem, a_now, b_now, m, positions):
+            nonlocal calls
+            calls += 1
+            walk = range_walk(base, s1, m, sorted(a_now | b_now))
+            want = x_update(entries, base, s1, x_mem, a_now, b_now, m, walk)
+            got = x_update(entries, base, s1, x_mem, a_now, b_now, m, positions)
+            assert got == want, (s1, m)
+            return got
+
+        monkeypatch.setattr(sepsim.nosupermax, "x_update", both)
+        sc = nosupermax_scenario(seed, 600)
+        run_nosupermax(sc.sets["A"], sc.sets["B"], sc.horizon, chain_certificates(sc))
+        assert calls > 0
 
     @settings(max_examples=60, deadline=None)
     @given(attempt_scripts(max_horizon=60), st.integers(1, 60))
@@ -667,6 +709,21 @@ class TestIncrementalAgainstNaive:
 
 
 class TestWorkBounds:
+    def test_x_update_examines_wrong_side_numbers_only(self, monkeypatch):
+        # the range walk from just above max(base, m) to s examined 48,148
+        # positions over this run; the wrong-side intervals hold about 5,000
+        examined = 0
+
+        def counted(entries, base, s1, x_mem, a_now, b_now, m, positions):
+            nonlocal examined
+            examined += len(positions)
+            return x_update(entries, base, s1, x_mem, a_now, b_now, m, positions)
+
+        monkeypatch.setattr(sepsim.nosupermax, "x_update", counted)
+        sc = nosupermax_scenario(0, 4000)
+        run_nosupermax(sc.sets["A"], sc.sets["B"], sc.horizon, sc.certs)
+        assert 0 < examined <= 8000, examined
+
     def test_speedup_decides_each_position_once_per_change(self, monkeypatch):
         # the zone is swept, not rescanned: X membership is looked up once
         # when a position enters the zone and once per stage at which it
