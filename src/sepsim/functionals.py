@@ -14,6 +14,24 @@ prefix.
 
 from __future__ import annotations
 
+from itertools import combinations
+from operator import itemgetter
+
+
+def _checked_guard(guard, use):
+    """The guard sorted by position; a repeated position is refused before
+    any bad entry, and bad entries are named in position order."""
+    guard = tuple(sorted(guard))
+    positions = [p for p, _ in guard]
+    if len(set(positions)) != len(positions):
+        raise ValueError("guard mentions a position twice")
+    for p, b in guard:
+        if p < 0 or b not in (0, 1):
+            raise ValueError(f"bad guard entry ({p}, {b})")
+        if p >= use:
+            raise ValueError(f"use-honesty violated: guard position {p} >= use {use}")
+    return guard
+
 
 class OracleRule:
     """One rule of a functional; rules compare and hash by value."""
@@ -24,23 +42,11 @@ class OracleRule:
         if type(guard) is not tuple:
             guard = tuple(guard)
         last = -1
-        for p, _ in guard:
-            if p <= last:
-                # not increasing: sort, then refuse a repeated position
-                # before any bad entry
-                guard = tuple(sorted(guard))
-                positions = [p for p, _ in guard]
-                if len(set(positions)) != len(positions):
-                    raise ValueError("guard mentions a position twice")
+        for p, b in guard:
+            if p <= last or b not in (0, 1) or p >= use:
+                guard = _checked_guard(guard, use)
                 break
             last = p
-        for p, b in guard:
-            if p < 0 or b not in (0, 1):
-                raise ValueError(f"bad guard entry ({p}, {b})")
-            if p >= use:
-                raise ValueError(
-                    f"use-honesty violated: guard position {p} >= use {use}"
-                )
         if input < 0 or use < 0 or available_at < 0:
             raise ValueError("rule fields must be naturals")
         if output not in (0, 1):
@@ -64,34 +70,43 @@ class OracleRule:
 class OracleProgram:
     """A deterministic finite functional.
 
+    Every rule is compiled at build: a guard becomes a (mask, want) pair,
+    once per distinct guard, and rules with equal guards share it.
     Determinism: two rules for the same input whose guards could both be
     satisfied by one oracle must agree on output and use (availability may
-    differ; it only delays convergence). The check reads guards as the
-    (mask, want) pairs of compiled_for, which it thus fills for every input
-    with two or more rules: guards a and b are compatible iff
+    differ; it only delays convergence). Guards a and b are compatible iff
     (want_a ^ want_b) & mask_a & mask_b == 0.
     """
 
     def __init__(self, rules=()):
         self.rules = tuple(rules)
         self._by_input: dict[int, list[OracleRule]] = {}
-        # input -> compiled_for(input), filled on first evaluation
+        # input -> compiled_for(input)
         self._compiled: dict[int, list[tuple[int, int, int, int, int]]] = {}
         for r in self.rules:
             self._by_input.setdefault(r.input, []).append(r)
+        masks: dict[tuple, tuple[int, int]] = {}  # guard -> (mask, want)
         for y, rs in self._by_input.items():
-            if len(rs) < 2:
+            compiled = self._compiled[y] = []
+            for r in rs:
+                pair = masks.get(r.guard)
+                if pair is None:
+                    mask = want = 0
+                    for p, b in r.guard:
+                        mask |= 1 << p
+                        want |= b << p
+                    pair = masks[r.guard] = (mask, want)
+                compiled.append((r.available_at, r.use, pair[0], pair[1], r.output))
+            if len(compiled) < 2:
                 continue
-            compiled = self.compiled_for(y)
-            for i, (_, use_a, mask_a, want_a, out_a) in enumerate(compiled):
-                for _, use_b, mask_b, want_b, out_b in compiled[i + 1 :]:
-                    if (want_a ^ want_b) & mask_a & mask_b == 0 and (
-                        out_a != out_b or use_a != use_b
-                    ):
-                        raise ValueError(
-                            f"nondeterministic program: rules for input {y} with "
-                            f"compatible guards disagree on output or use"
-                        )
+            compiled.sort(key=itemgetter(1, 0))
+            for a, b in combinations(compiled, 2):
+                # entries are (available_at, use, mask, want, output)
+                if (a[4] != b[4] or a[1] != b[1]) and (a[3] ^ b[3]) & a[2] & b[2] == 0:
+                    raise ValueError(
+                        f"nondeterministic program: rules for input {y} with "
+                        f"compatible guards disagree on output or use"
+                    )
         # Largest C such that inputs [0, C) all have at least one rule.
         c = 0
         while c in self._by_input:
@@ -107,18 +122,7 @@ class OracleProgram:
     def compiled_for(self, y: int) -> list[tuple[int, int, int, int, int]]:
         """The rules for input y as (available_at, use, mask, want, output)
         with least use first (tie: least availability, then rule order)."""
-        compiled = self._compiled.get(y)
-        if compiled is None:
-            compiled = []
-            for r in self.rules_for(y):
-                mask = want = 0
-                for p, b in r.guard:
-                    mask |= 1 << p
-                    want |= b << p
-                compiled.append((r.available_at, r.use, mask, want, r.output))
-            compiled.sort(key=lambda c: (c[1], c[0]))
-            self._compiled[y] = compiled
-        return compiled
+        return self._compiled.get(y, ())
 
 
 EMPTY_PROGRAM = OracleProgram()

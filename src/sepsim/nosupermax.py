@@ -987,7 +987,8 @@ def decode_nosupermax(body, horizon):
     bounds the stages of its records. `horizon`, the scenario's, bounds each
     attempt's base and the stages of each map; not the attempt's horizon, so
     that a section whose horizon alone was edited still gets a report (its
-    timeline check names the change)."""
+    timeline check names the change). Every integer must be in canonical
+    decimal: records are compared by value, so a respelled one would pass."""
     arity = {"boundary": 1, "xin": 1, "xout": 1}
     # token counts of the fixed-length records; a rejection's reason is free
     # text after its witness stage
@@ -1021,20 +1022,28 @@ def decode_nosupermax(body, horizon):
             raise UsageError(f"{parts[0]} record out of place in trace body")
         prev = kind
         if kind == "ev":
+            if len(parts) != 4 or parts[2] not in arity:
+                decode_ev(parts, arity)  # raises, naming the wrong shape
+            value = int(parts[3])  # before the stage, as decode_ev reads them
+            rec = (parts[2], int(parts[1]), value)
             # bounded before any attempt is rebuilt from the records: a kept
             # index sizes the per-entry reset lists
-            rec = decode_ev(parts, arity)
             _, _, h, records = attempts[-1]
             if not 1 <= rec[1] <= h:
                 raise _bad_record(parts, f"stage outside 1..{h}")
-            if rec[0] == "boundary" and not -1 <= rec[2] < h:
+            if rec[0] == "boundary" and not -1 <= value < h:
                 raise _bad_record(parts, f"kept index outside -1..{h - 1}")
+            if str(rec[1]) != parts[1] or str(value) != parts[3]:
+                raise _bad_record(parts, "an integer is not in canonical decimal")
             records.append(rec)
             continue
         if kind in width and len(parts) != width[kind]:
             raise _bad_record(parts, f"{len(parts)} tokens, expected {width[kind]}")
         if kind == "rejected" and len(parts) < 4:
             raise _bad_record(parts, f"{len(parts)} tokens, expected at least 4")
+        numbers = parts[1:4] if kind == "rejected" else parts[1:]  # then a reason
+        if any(str(int(t)) != t for t in numbers if t != "-" and not t.isalpha()):
+            raise _bad_record(parts, "an integer is not in canonical decimal")
         if kind == "begin":
             # an attempt's base is -1 or a settled boundary value; the
             # verifier's scans start just above it

@@ -104,26 +104,24 @@ class Scenario:
                 lines.append(f"set {name} {e} {t}")
         for x, fx in sorted(self.bound_table):
             lines.append(f"bound f {x} {fx}")
+        texts = {}  # guard -> " <npairs> <pos> <bit>...", rendered once
         for prog in sorted(self.rules):
-            for r in sorted(
-                self.rules[prog],
-                key=lambda r: (r.input, r.use, r.available_at, r.guard, r.output),
-            ):
-                parts = [
-                    "rule",
-                    prog,
-                    str(r.input),
-                    str(r.output),
-                    str(r.use),
-                    str(r.available_at),
-                    str(len(r.guard)),
-                ]
-                for p, b in r.guard:
-                    parts.append(str(p))
-                    parts.append(str(b))
-                lines.append(" ".join(parts))
-        lines.append("end")
-        return "\n".join(lines) + "\n"
+            rows = []
+            for r in self.rules[prog]:
+                g = r.guard
+                text = texts.get(g)
+                if text is None:
+                    text = f" {len(g)}"
+                    for p, b in g:
+                        text += f" {p} {b}"
+                    texts[g] = text
+                rows.append((r.input, r.use, r.available_at, g, r.output, text))
+            rows.sort()  # equal keys render equal lines
+            for x, use, avail, _, out, text in rows:
+                lines.append(f"rule {prog} {x} {out} {use} {avail}{text}")
+        texts.clear()  # the lines hold copies; free the texts before the join
+        lines += ("end", "")
+        return "\n".join(lines)
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical().encode()).hexdigest()
@@ -202,7 +200,9 @@ def parse_scenario(text: str) -> Scenario:
                 if guard is None or len(guard) != npairs:
                     raise _schema_error("guard pair count mismatch", lineno)
                 # input, output, use and availability
-                rule = OracleRule(guard, *map(int, parts[2:6]))
+                rule = OracleRule(
+                    guard, int(parts[2]), int(parts[3]), int(parts[4]), int(parts[5])
+                )
                 prog = rules.get(name)
                 if prog is None:
                     rules[name] = [rule]

@@ -213,7 +213,8 @@ class WttAgreementTable:
     entry of a 0-position (empty when a 1-position never enters). At stage t
     the operator answers with the first rule, in `compiled_for` order, whose
     window holds t, so each row changes value only at window ends and is
-    built from them without applying the operator."""
+    built from them without applying the operator. A guard's part of the
+    window is found once per distinct (mask, ones) and side."""
 
     def __init__(self, a: StageSet, b: StageSet, gamma, delta, f, horizon):
         self.horizon = horizon
@@ -221,20 +222,25 @@ class WttAgreementTable:
         a_final = a.snapshot(horizon)
         b_final = b.snapshot(horizon)
 
-        def run_table(op, w, entry, want):
+        def run_table(op, w, entry, want, guard_windows):
             """The stages at which the row's value changes, and its values."""
             windows = []
             ends = {0}
             for available_at, _, mask, ones, output in op.program.compiled_for(w):
-                lo, hi = available_at, horizon + 1
-                while mask and lo < hi:
-                    low = mask & -mask
-                    mask ^= low
-                    t = entry.get(low.bit_length() - 1)
-                    if ones & low:
-                        lo = hi if t is None else max(lo, t)
-                    elif t is not None:
-                        hi = min(hi, t)
+                key = (mask, ones)
+                window = guard_windows.get(key)
+                if window is None:
+                    lo, hi = 0, horizon + 1
+                    while mask and lo < hi:
+                        low = mask & -mask
+                        mask ^= low
+                        t = entry.get(low.bit_length() - 1)
+                        if ones & low:
+                            lo = hi if t is None else max(lo, t)
+                        elif t is not None:
+                            hi = min(hi, t)
+                    window = guard_windows[key] = (lo, hi)
+                lo, hi = max(available_at, window[0]), window[1]
                 if lo < hi:
                     windows.append((lo, hi, output == want))
                     ends.add(lo)
@@ -256,10 +262,11 @@ class WttAgreementTable:
         self._gamma: list[tuple[list[int], list[bool]]] = []
         self._delta: list[tuple[list[int], list[bool]]] = []
         self.width = min(f.domain, horizon)
+        gamma_windows, delta_windows = {}, {}  # (mask, ones) -> (lo, hi)
         for w in range(self.width):
             want_g, want_d = int(w in b_final), int(w in a_final)
-            self._gamma.append(run_table(gamma, w, a.entry, want_g))
-            self._delta.append(run_table(delta, w, b.entry, want_d))
+            self._gamma.append(run_table(gamma, w, a.entry, want_g, gamma_windows))
+            self._delta.append(run_table(delta, w, b.entry, want_d, delta_windows))
 
     def _ok(self, table, w, s):
         stages, values = table[w]

@@ -5,8 +5,10 @@ but a rule has a fixed token count (`case 1 <k>` takes 3, `case 2` takes 2),
 and every rule is checked by `naive_rule` (sort the guard, refuse a repeated
 position, then check each entry) before it becomes an `OracleRule`.
 `naive_compatible` decides guard compatibility through a position -> bit
-dict. The fast paths in `sepsim.scenario` and `sepsim.functionals` must agree
-with these on every input: the same scenario, or the same error.
+dict. `naive_canonical` renders a scenario's canonical text pair by pair,
+rule by rule. The fast paths in `sepsim.scenario` and `sepsim.functionals`
+must agree with these on every input: the same scenario (and text), or the
+same error.
 """
 
 from sepsim.errors import UsageError
@@ -136,3 +138,32 @@ def naive_parse_scenario(text: str) -> Scenario:
         sc.horizon = DEFAULT_HORIZON
     validate_schema(sc)
     return sc
+
+
+def naive_canonical(sc: Scenario) -> str:
+    """The canonical text with every rule's guard rendered afresh."""
+    lines = ["sepsim-scenario 1", f"construction {sc.construction}"]
+    lines.append(f"horizon {sc.horizon}")
+    if sc.case is not None:
+        lines.append(f"case 1 {sc.case.k}" if sc.case.tag == 1 else "case 2")
+    for c in sc.certs:
+        parity = "odd" if c.parity == 1 else "even"
+        lines.append(f"cert {c.attempt} {c.ell} {c.k} {parity} {c.settling_stage}")
+    for name in sorted(sc.sets):
+        for e, t in sorted(sc.sets[name], key=lambda p: (p[1], p[0])):
+            lines.append(f"set {name} {e} {t}")
+    for x, fx in sorted(sc.bound_table):
+        lines.append(f"bound f {x} {fx}")
+    for prog in sorted(sc.rules):
+        for r in sorted(
+            sc.rules[prog],
+            key=lambda r: (r.input, r.use, r.available_at, r.guard, r.output),
+        ):
+            parts = ["rule", prog, str(r.input), str(r.output), str(r.use)]
+            parts += [str(r.available_at), str(len(r.guard))]
+            for p, b in r.guard:
+                parts.append(str(p))
+                parts.append(str(b))
+            lines.append(" ".join(parts))
+    lines.append("end")
+    return "\n".join(lines) + "\n"

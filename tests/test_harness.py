@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import random
 import shutil
 import subprocess
 import sys
@@ -19,14 +20,17 @@ import sepsim.scenario
 import sepsim.trace
 import sepsim.verify
 from cli_env import cli_env
-from naive_parse import naive_parse_scenario
+from naive_parse import naive_canonical, naive_parse_scenario
 from sepsim.anticomplete import decode_anticomplete, run_anticomplete
 from sepsim.cli import main
 from sepsim.corpus import (
+    anticomplete_corpus,
     anticomplete_scenario,
     chain_certificates,
     nosupermax_scenario,
+    twodegrees_corpus,
     twodegrees_scenario,
+    upclosure_corpus,
     upclosure_scenario,
 )
 from sepsim.errors import HypothesisViolation, UsageError
@@ -348,6 +352,88 @@ class TestParseDifferential:
             assert got[0] == "UsageError" and got[2] == "line 4"
             assert got[1].endswith(error)
 
+
+
+def corpus_scenarios():
+    """Corpus scenarios of every construction, nosupermax with chains."""
+    scenarios = [sc for _, sc in anticomplete_corpus(20, 1000)]
+    scenarios += [sc for _, sc in twodegrees_corpus(20, 1000)]
+    scenarios += [sc for _, sc in upclosure_corpus(50)]
+    for seed in range(8):
+        sc = nosupermax_scenario(seed, 200)
+        sc.certs = chain_certificates(sc, want=2)
+        scenarios.append(sc)
+    return scenarios
+
+
+class TestCanonicalText:
+    """`Scenario.canonical` renders each distinct guard once; its text must
+    equal the rule-by-rule rendering of `naive_canonical`."""
+
+    def test_corpora(self):
+        for sc in corpus_scenarios():
+            text = sc.canonical()
+            assert text == naive_canonical(sc)
+            # parsed back, equal guard texts share one tuple
+            assert parse_scenario(text).canonical() == text
+
+    def test_duplicate_rules_and_shared_guards(self):
+        guard = "2 3 1 5 0"
+        lines = [
+            f"rule phi0 0 1 6 0 {guard}",
+            f"rule phi0 0 1 6 0 {guard}",  # the same rule twice
+            f"rule phi0 0 1 6 4 {guard}",
+            f"rule phi0 3 0 6 0 {guard}",  # the guard on another input
+            f"rule phi1 0 0 9 2 {guard}",  # and in another program
+            "rule phi1 1 0 9 2 2 5 0 3 1",  # the same pairs, unsorted
+            "rule phi1 1 0 9 2 0",
+        ]
+        text = MINIMAL_ANTICOMPLETE.replace("end\n", "\n".join(lines) + "\nend\n")
+        sc = parse_scenario(text)
+        assert sc.canonical() == naive_canonical(sc)
+        rules = sc.canonical().splitlines()[3:-1]
+        assert rules == [
+            "rule phi0 0 1 6 0 2 3 1 5 0",
+            "rule phi0 0 1 6 0 2 3 1 5 0",
+            "rule phi0 0 1 6 4 2 3 1 5 0",
+            "rule phi0 3 0 6 0 2 3 1 5 0",
+            "rule phi1 0 0 9 2 2 3 1 5 0",
+            "rule phi1 1 0 9 2 0",
+            "rule phi1 1 0 9 2 2 3 1 5 0",
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        text=st.sampled_from(FUZZ_TEXTS),
+        guard_op=st.sampled_from(["none", "reverse", "repeat", "clash"]),
+        op=st.sampled_from(["replace", "delete", "duplicate", "none"]),
+        token=FUZZ_TOKENS,
+        data=st.data(),
+    )
+    def test_mutated_scenarios(self, text, guard_op, op, token, data):
+        text = mutate_tokens(edit_guard(text, guard_op, data), op, token, data)
+        try:
+            sc = parse_scenario(text)
+        except UsageError:
+            return
+        assert sc.canonical() == naive_canonical(sc)
+
+    @pytest.mark.parametrize(
+        "stem, name",
+        [("anticomplete-readers", "phi0"), ("upclosure-leastpoint", "gamma")],
+    )
+    def test_huge_use_exits_two_at_once(self, stem, name, tmp_path, capsys):
+        # the use bound is checked before any guard becomes a mask
+        text = (SAMPLES / f"{stem}.scn").read_text()
+        line = f"rule {name} 0 0 99999999999 0 1 99999999998 1"
+        path = tmp_path / "huge.scn"
+        path.write_text(text.replace("\nend\n", f"\n{line}\nend\n"))
+        start = time.perf_counter()
+        code = main(["run", "--scenario", str(path), "--trace-out", str(tmp_path / "t")])
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        assert elapsed < 0.1, elapsed
+        assert f"program {name}: rule use 99999999999 exceeds 4096" in capsys.readouterr().err
 
 class TestProgramBuilds:
     def test_program_is_built_once(self):
@@ -1104,6 +1190,110 @@ class TestSectionReuse:
             assert got == want, seed
             assert reused == sections, seed
 
+
+
+class TestCanonicalIntegers:
+    """Every integer a trace carries is written in canonical decimal. The
+    nosupermax verifier compares decoded records, so it refuses a respelled
+    integer itself; the other constructions compare tokens with a fresh run."""
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("ev 59 boundary 0", "ev +59 boundary 0"),
+            ("ev 59 boundary 0", "ev 5_9 boundary 0"),
+            ("ev 59 boundary 0", "ev 59 boundary 00"),
+            ("ev 59 boundary 0", "ev 59 boundary +0"),
+            ("ev 2 xin 1", "ev 2 xin \u0661"),
+            ("attempt 1 begin -1 200", "attempt 1 begin -01 200"),
+            ("attempt 1 begin -1 200", "attempt 1 begin -1 +200"),
+            ("attempt 1 end", "attempt 01 end"),
+            ("cert 1 accepted", "cert +1 accepted"),
+        ],
+    )
+    def test_respelled_integer_exits_two(self, old, new, tmp_path, capsys):
+        lines = list(CHAIN_LINES)
+        lines[lines.index(old)] = new
+        path = tmp_path / "respelled.trc"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["verify", "--trace", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"record {new}: an integer is not in canonical decimal" in err
+
+    def test_respelled_map_stage_exits_two(self):
+        line = next(line for line in CHAIN_LINES if line.startswith("map "))
+        new = line.replace("map ", "map 0", 1)
+        lines = [new if l == line else l for l in CHAIN_LINES]
+        with pytest.raises(UsageError, match="an integer is not in canonical decimal"):
+            verify_trace(parse_trace("\n".join(lines) + "\n"))
+
+
+def body_token(tok, rng, pool):
+    """A token from the body, or for an integer token one of its neighbours
+    or a respelling of it that int() still reads."""
+    choices = [rng.choice(pool)]
+    if tok.lstrip("-").isdigit():
+        n = int(tok)
+        respelled = f"{tok[:-1]}_{tok[-1]}" if len(tok) > 1 else f"0_{tok}"
+        choices += [str(n + 1), str(n - 1), f"+{tok}", f"0{tok}", respelled]
+    return rng.choice(choices)
+
+
+def edit_body(lines, first, last, rng, pool):
+    """The trace lines with one body line (lines[first:last]), or one token
+    of it, appended, dropped, replaced or duplicated."""
+    lines = list(lines)
+    i = rng.randrange(first, last)
+    op = rng.choice(("append", "drop", "replace", "duplicate"))
+    if rng.random() < 0.5:
+        if op == "append":
+            lines.insert(i + 1, lines[rng.randrange(first, last)])
+        elif op == "drop":
+            del lines[i]
+        elif op == "replace":
+            lines[i] = lines[rng.randrange(first, last)]
+        else:
+            lines.insert(i, lines[i])
+        return lines
+    toks = lines[i].split()
+    j = rng.randrange(len(toks))
+    if op == "append":
+        toks.append(body_token(toks[j], rng, pool))
+    elif op == "drop":
+        del toks[j]
+    elif op == "replace":
+        toks[j] = body_token(toks[j], rng, pool)
+    else:
+        toks.insert(j, toks[j])
+    lines[i] = " ".join(toks)
+    return lines
+
+
+class TestBodyEditFuzz:
+    EDITS_PER_SAMPLE = 80
+
+    @pytest.mark.parametrize("stem", sorted(SAMPLE_TRACES))
+    def test_edited_body_never_passes(self, stem):
+        """Seeded edits of a sample trace's body: every edit that changes the
+        body's token sequence ends in exit 2 or a failing report."""
+        rng = random.Random(f"body-edit {stem}")
+        lines = SAMPLE_TRACES[stem].splitlines()
+        first, last = lines.index("scenario-end") + 1, len(lines) - 1
+        body = [line.split() for line in lines[first:last]]
+        pool = sorted({tok for toks in body for tok in toks})
+        passed = []
+        for _ in range(self.EDITS_PER_SAMPLE):
+            edited = edit_body(lines, first, last, rng, pool)
+            tokens = [line.split() for line in edited[first:-1] if line.split()]
+            if tokens == body:
+                continue
+            try:
+                report = verify_trace(parse_trace("\n".join(edited) + "\n"))
+            except UsageError:
+                continue
+            if report.passed:
+                passed.append(next(a for a, b in zip(edited, lines) if a != b))
+        assert not passed, passed
 
 def run_cli(args, cwd):
     return subprocess.run(

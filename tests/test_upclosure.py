@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import sepsim.functionals as functionals
 import sepsim.upclosure as upclosure
-from sepsim.corpus import upclosure_scenario
+from sepsim.corpus import upclosure_corpus, upclosure_scenario
 from sepsim.enumcore import SeparatorSnapshot, StageSet
 from sepsim.errors import HypothesisViolation
 from sepsim.functionals import (
@@ -546,3 +546,113 @@ class TestAgreementTable:
                 sc.stage_set("A"), sc.stage_set("B"), gamma, delta, f, sc.horizon
             )
             assert table.agree_prefix(sc.horizon) > 0
+
+
+def naive_row(op, w, entry, want, horizon):
+    """The agreement row of input w, each rule's window walked position by
+    position: (stages at which the value changes, the values)."""
+    windows = []
+    ends = {0}
+    for available_at, _, mask, ones, output in op.program.compiled_for(w):
+        lo, hi = available_at, horizon + 1
+        for p in range(mask.bit_length()):
+            if not mask >> p & 1:
+                continue
+            t = entry.get(p)
+            if ones >> p & 1:
+                lo = hi if t is None else max(lo, t)
+            elif t is not None:
+                hi = min(hi, t)
+        if lo < hi:
+            windows.append((lo, hi, output == want))
+            ends.update((lo, hi))
+    stages, values = [], []
+    for t in sorted(ends):
+        if t > horizon:
+            break
+        value = next((ok for lo, hi, ok in windows if lo <= t < hi), False)
+        if not values or value != values[-1]:
+            stages.append(t)
+            values.append(value)
+    return stages, values
+
+
+def per_stage(row, horizon):
+    """A row's value at every stage 0..horizon; a row starts at stage 0."""
+    stages, values = row
+    assert stages[0] == 0
+    ends = stages[1:] + [horizon + 1]
+    return [v for v, lo, hi in zip(values, stages, ends) for _ in range(lo, hi)]
+
+
+def assert_rows_match_naive(a, b, gamma, delta, f, horizon):
+    table = WttAgreementTable(a, b, gamma, delta, f, horizon)
+    a_final, b_final = a.snapshot(horizon), b.snapshot(horizon)
+    assert table.width == min(f.domain, horizon)
+    for w in range(table.width):
+        for got, op, entry, target in (
+            (table._gamma[w], gamma, a.entry, b_final),
+            (table._delta[w], delta, b.entry, a_final),
+        ):
+            want = naive_row(op, w, entry, int(w in target), horizon)
+            assert per_stage(got, horizon) == per_stage(want, horizon), w
+
+
+def operators(sc):
+    f = sc.use_bound()
+    return f, *(
+        UseBoundedOperator(program=OracleProgram(sc.rules[name]), bound=f)
+        for name in ("gamma", "delta")
+    )
+
+
+@st.composite
+def mutated_case2(draw):
+    """A case-2 corpus scenario whose rules are edited: a guard replaced by
+    another rule's (cut below the use), a bit flipped or a pair dropped, an
+    availability moved, or a copy of a rule added with its own availability.
+    Each input keeps one output and use, so the programs stay deterministic."""
+    sc = upclosure_scenario(draw(st.integers(0, 99)), 2)
+    for name in ("gamma", "delta"):
+        rules = sc.rules[name]
+        for _ in range(draw(st.integers(0, 12))):
+            i = draw(st.integers(0, len(rules) - 1))
+            r = rules[i]
+            guard, avail = list(r.guard), r.available_at
+            op = draw(st.sampled_from(["share", "flip", "drop", "avail", "copy"]))
+            if op == "share":
+                other = rules[draw(st.integers(0, len(rules) - 1))].guard
+                guard = [(p, bit) for p, bit in other if p < r.use]
+            elif op in ("flip", "drop") and guard:
+                k = draw(st.integers(0, len(guard) - 1))
+                p, bit = guard.pop(k)
+                if op == "flip":
+                    guard.insert(k, (p, 1 - bit))
+            else:
+                avail = draw(st.integers(0, sc.horizon + 1))
+            new = OracleRule(tuple(guard), r.input, r.output, r.use, avail)
+            if op == "copy":
+                rules.append(new)
+            else:
+                rules[i] = new
+    return sc
+
+
+class TestAgreementRowsAgainstNaive:
+    """Rows built once per distinct guard window equal the per-rule walk at
+    every stage from 0 to the horizon."""
+
+    def test_every_case2_corpus_scenario(self):
+        for name, sc in upclosure_corpus():
+            if sc.case.tag != 2:
+                continue
+            f, gamma, delta = operators(sc)
+            a, b = sc.stage_set("A"), sc.stage_set("B")
+            assert_rows_match_naive(a, b, gamma, delta, f, sc.horizon)
+
+    @settings(max_examples=40, deadline=None)
+    @given(mutated_case2())
+    def test_mutated_guards_and_availabilities(self, sc):
+        f, gamma, delta = operators(sc)
+        a, b = sc.stage_set("A"), sc.stage_set("B")
+        assert_rows_match_naive(a, b, gamma, delta, f, sc.horizon)
