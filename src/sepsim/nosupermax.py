@@ -1022,18 +1022,15 @@ def decode_nosupermax(body, horizon):
             raise UsageError(f"{parts[0]} record out of place in trace body")
         prev = kind
         if kind == "ev":
-            if len(parts) != 4 or parts[2] not in arity:
-                decode_ev(parts, arity)  # raises, naming the wrong shape
-            value = int(parts[3])  # before the stage, as decode_ev reads them
-            rec = (parts[2], int(parts[1]), value)
             # bounded before any attempt is rebuilt from the records: a kept
             # index sizes the per-entry reset lists
+            rec = decode_ev(parts, arity)
             _, _, h, records = attempts[-1]
             if not 1 <= rec[1] <= h:
                 raise _bad_record(parts, f"stage outside 1..{h}")
-            if rec[0] == "boundary" and not -1 <= value < h:
+            if rec[0] == "boundary" and not -1 <= rec[2] < h:
                 raise _bad_record(parts, f"kept index outside -1..{h - 1}")
-            if str(rec[1]) != parts[1] or str(value) != parts[3]:
+            if str(rec[1]) != parts[1] or str(rec[2]) != parts[3]:
                 raise _bad_record(parts, "an integer is not in canonical decimal")
             records.append(rec)
             continue

@@ -110,6 +110,9 @@ def decode_ev(parts, arity) -> tuple:
     kind = parts[2] if len(parts) > 2 else "-"
     if kind not in arity:
         raise UsageError(f"unknown event {kind} in trace body")
+    if arity[kind] == 1 and len(parts) == 4:  # one field: read without slicing
+        value = int(parts[3])  # the field before the stage, as below
+        return (kind, int(parts[1]), value)
     toks = parts[3:]
     if kind == "ract":
         ai, bi = toks.index("a"), toks.index("b")

@@ -422,18 +422,31 @@ class TestCanonicalText:
         "stem, name",
         [("anticomplete-readers", "phi0"), ("upclosure-leastpoint", "gamma")],
     )
-    def test_huge_use_exits_two_at_once(self, stem, name, tmp_path, capsys):
-        # the use bound is checked before any guard becomes a mask
+    def test_huge_use_exits_two_at_once(self, stem, name, tmp_path, capsys, monkeypatch):
+        # the use bound is checked before any guard becomes a mask: no
+        # program is built from the rule
         text = (SAMPLES / f"{stem}.scn").read_text()
         line = f"rule {name} 0 0 99999999999 0 1 99999999998 1"
         path = tmp_path / "huge.scn"
         path.write_text(text.replace("\nend\n", f"\n{line}\nend\n"))
+        argv = ["run", "--scenario", str(path), "--trace-out", str(tmp_path / "t")]
+        assert main(argv) == 2  # imports the construction before the timed run
+        built = []
+        init = OracleProgram.__init__
+
+        def counted(self, rules=()):
+            built.append(tuple(rules))
+            init(self, rules)
+
+        monkeypatch.setattr(OracleProgram, "__init__", counted)
         start = time.perf_counter()
-        code = main(["run", "--scenario", str(path), "--trace-out", str(tmp_path / "t")])
+        code = main(argv)
         elapsed = time.perf_counter() - start
         assert code == 2
+        assert not any(r.use == 99999999999 for rules in built for r in rules)
         assert elapsed < 0.1, elapsed
         assert f"program {name}: rule use 99999999999 exceeds 4096" in capsys.readouterr().err
+
 
 class TestProgramBuilds:
     def test_program_is_built_once(self):
@@ -1191,7 +1204,6 @@ class TestSectionReuse:
             assert reused == sections, seed
 
 
-
 class TestCanonicalIntegers:
     """Every integer a trace carries is written in canonical decimal. The
     nosupermax verifier compares decoded records, so it refuses a respelled
@@ -1219,6 +1231,15 @@ class TestCanonicalIntegers:
         assert main(["verify", "--trace", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"record {new}: an integer is not in canonical decimal" in err
+
+    def test_two_bad_fields_name_the_value(self, tmp_path, capsys):
+        # a one-field record is read value first, as every other record is
+        lines = list(CHAIN_LINES)
+        lines[lines.index("ev 59 boundary 0")] = "ev x boundary y"
+        path = tmp_path / "bad.trc"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["verify", "--trace", str(path)]) == 2
+        assert "invalid literal for int() with base 10: 'y'" in capsys.readouterr().err
 
     def test_respelled_map_stage_exits_two(self):
         line = next(line for line in CHAIN_LINES if line.startswith("map "))
