@@ -662,10 +662,10 @@ def decode_anticomplete(body, horizon):
 
 
 def verify_trace(parsed, report):
-    records, finals = decode_anticomplete(parsed.body, parsed.horizon)
+    records, finals = decode_anticomplete(parsed.body, parsed.scenario.horizon)
     report.checks.append(fresh_run_check("run-exactness", parsed))
     checks, caveats = verify_anticomplete(
-        records, finals["A"], finals["B"], finals["D"], parsed.horizon
+        records, finals["A"], finals["B"], finals["D"], parsed.scenario.horizon
     )
     report.checks.extend(checks)
     report.caveats.extend(caveats)

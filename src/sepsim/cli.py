@@ -79,10 +79,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_replay(args) -> int:
     sc = load_scenario_file(args.scenario, args.horizon)
+    recorded = _read(args.trace)  # before --trace-out may overwrite it
     fresh = run_scenario(sc).render()
     if args.trace_out:
         _write(args.trace_out, fresh)
-    recorded = _read(args.trace)
     if fresh == recorded:
         sys.stdout.write("replay identical\n")
         return EXIT_OK

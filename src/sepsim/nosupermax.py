@@ -1012,10 +1012,10 @@ def decode_nosupermax(body, horizon):
         if kind in ("attempt", "cert"):
             if len(parts) < 3:
                 raise _bad_record(parts, "too few tokens")
-            if kind == "attempt":
-                kind = parts[2]  # begin or end
-            else:
-                kind = "accepted" if parts[2] == "accepted" else "rejected"
+            words = ("begin", "end") if kind == "attempt" else ("accepted", "rejected")
+            if parts[2] not in words:
+                raise _bad_record(parts, f"third token not {' or '.join(words)}")
+            kind = parts[2]
         if kind not in follows:
             raise UsageError(f"unknown record {parts[0]} in trace body")
         if prev not in follows[kind]:

@@ -33,7 +33,6 @@ rules, after the shared ones) and audit(sc) (its hypothesis audit).
 
 from __future__ import annotations
 
-import hashlib
 import importlib
 
 from .enumcore import StageSet
@@ -84,7 +83,7 @@ class Scenario:
         # program name -> its OracleProgram, filled by program()
         self._programs: dict[str, OracleProgram] = {}
 
-    # -- canonical form and digest
+    # -- canonical form
 
     def canonical(self) -> str:
         lines = ["sepsim-scenario 1", f"construction {self.construction}"]
@@ -122,9 +121,6 @@ class Scenario:
         texts.clear()  # the lines hold copies; free the texts before the join
         lines += ("end", "")
         return "\n".join(lines)
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.canonical().encode()).hexdigest()
 
     # -- typed views
 

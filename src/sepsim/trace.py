@@ -3,9 +3,16 @@
 A trace is line-delimited text: a header (tool version, pairing scheme,
 scenario digest, notes), the canonical scenario embedded verbatim between
 scenario-begin/scenario-end (so verification is a pure function of the trace
-bytes), then one record per event, then final snapshots. Running the same
-scenario twice yields byte-identical traces. `parse_trace` requires the
-header to be, line for line, the `header_lines` that `Trace.render` writes.
+bytes), then one record per event, then final snapshots, then `end`. Running
+the same scenario twice yields byte-identical traces.
+
+`parse_trace` reads exactly the frame `Trace.render` writes, before any
+hypothesis audit: the lines from HEADER to scenario-begin are, line for line,
+the `header_lines` of the embedded scenario, with the digest of the embedded
+text as read (its lines joined by newlines, plus a final newline), so any
+edit of that text, a comment or a respelled integer included, fails on the
+`scenariohash` line; and the last non-blank line reads exactly `end`. The
+canonical text is never rendered again to check a trace.
 
 The header, the `ev`/`final` codecs and the body framing live here. The
 construction's module (`scenario.construction_module`) supplies NOTE, the
@@ -25,7 +32,6 @@ from .scenario import Scenario, audit_scenario, construction_module, parse_scena
 
 HEADER = "sepsim-trace 1"
 
-_META_KINDS = ("construction", "toolversion", "pairing", "scenariohash", "horizon")
 _PAIRING_NOTE = "pairing greedy least-unused-cube in diagonal order"
 
 
@@ -259,89 +265,47 @@ def run_scenario(sc: Scenario) -> Trace:
 
 
 class ParsedTrace:
-    __slots__ = ("construction", "horizon", "scenario", "scenario_hash", "body")
+    __slots__ = ("construction", "scenario", "scenario_hash", "body")
 
-    def __init__(self, construction, horizon, scenario: Scenario, scenario_hash, body):
+    def __init__(self, construction, scenario: Scenario, scenario_hash, body):
         self.construction = construction
-        self.horizon = horizon
         self.scenario = scenario
         self.scenario_hash = scenario_hash
         self.body: list[list[str]] = body
 
 
 def parse_trace(text: str) -> ParsedTrace:
+    """Check the frame (see above), then audit; the body is handed on as one
+    token list per non-blank line."""
     lines = text.splitlines()
-    if not lines or lines[0] != HEADER:
-        raise UsageError("missing or unsupported trace header", location="line 1")
-    meta = {}
-    body: list[list[str]] = []
-    scenario_lines: list[str] = []
-    stray = 0  # line number of the first header line past the scenario
-    in_scenario = False
-    ended = False
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if in_scenario:
-            if raw == "scenario-end":
-                in_scenario = False
-            else:
-                scenario_lines.append(raw)
-            continue
-        line = raw.strip()
-        if not line:
-            continue
-        if ended:
-            raise UsageError("content after end record", location=f"line {lineno}")
-        parts = line.split()
-        kind = parts[0]
-        if scenario_lines and not stray and (kind == "note" or kind in _META_KINDS):
-            stray = lineno
-        if kind in _META_KINDS:
-            if len(parts) != 2:
-                raise UsageError(f"malformed {kind} header", location=f"line {lineno}")
-            if kind == "pairing" and parts[1] != PAIRING_SCHEME_ID:
-                raise UsageError(
-                    f"unknown pairing scheme {parts[1]}", location=f"line {lineno}"
-                )
-            meta[kind] = parts[1]
-        elif kind == "note":
-            continue
-        elif kind == "scenario-begin":
-            in_scenario = True
-        elif kind == "end":
-            ended = True
-        else:
-            body.append(parts)
-    if not ended:
-        raise UsageError("missing end record")
-    for key in ("construction", "scenariohash", "horizon"):
-        if key not in meta:
-            raise UsageError(f"trace header missing {key}")
-    scenario = parse_scenario("\n".join(scenario_lines) + "\n")
-    if scenario.digest() != meta["scenariohash"]:
-        raise UsageError("embedded scenario does not match the recorded digest")
-    audit_scenario(scenario)
-    if meta["horizon"] != str(scenario.horizon):
-        raise UsageError("horizon header does not match the embedded scenario")
-    if meta["construction"] != scenario.construction:
-        construction_module(meta["construction"])  # an unknown name says so
-        raise UsageError("construction header does not match the embedded scenario")
-    want = header_lines(scenario.construction, meta["scenariohash"], scenario.horizon)
-    # no header line reads scenario-begin, so a missing or extra line shows
-    # up as a difference among the first len(want) + 1 lines
-    for lineno, (got, line) in enumerate(
-        zip(lines[1:], [*want, "scenario-begin"]), start=2
-    ):
+    try:
+        begin = lines.index("scenario-begin")
+        end = lines.index("scenario-end", begin)
+    except ValueError:
+        raise UsageError("trace lacks a scenario-begin or scenario-end line")
+    scenario_text = "\n".join(lines[begin + 1 : end]) + "\n"
+    scenario = parse_scenario(scenario_text)
+    digest = hashlib.sha256(scenario_text.encode()).hexdigest()
+    want = [
+        HEADER,
+        *header_lines(scenario.construction, digest, scenario.horizon),
+        "scenario-begin",
+    ]
+    # no other line of `want` reads scenario-begin, so a missing or extra
+    # header line shows up as a difference among the first len(want) lines
+    for lineno, (got, line) in enumerate(zip(lines, want), start=1):
         if got != line:
             raise UsageError(
-                f"header reads {got!r}, expected {line!r}",
-                location=f"line {lineno}",
+                f"header reads {got!r}, expected {line!r}", location=f"line {lineno}"
             )
-    if stray:
-        raise UsageError("header line after the scenario", location=f"line {stray}")
-    return ParsedTrace(
-        construction=scenario.construction,
-        horizon=scenario.horizon,
-        scenario=scenario,
-        scenario_hash=meta["scenariohash"],
-        body=body,
-    )
+    last = len(lines)
+    while not lines[last - 1].strip():  # stops at scenario-end at the latest
+        last -= 1
+    if lines[last - 1] != "end":
+        raise UsageError(
+            f"last line reads {lines[last - 1]!r}, expected 'end'",
+            location=f"line {last}",
+        )
+    audit_scenario(scenario)
+    body = [parts for parts in map(str.split, lines[end + 1 : last - 1]) if parts]
+    return ParsedTrace(scenario.construction, scenario, digest, body)

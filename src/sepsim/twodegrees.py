@@ -650,7 +650,7 @@ def decode_twodegrees(body, horizon):
 
 
 def verify_trace(parsed, report):
-    records, _ = decode_twodegrees(parsed.body, parsed.horizon)
+    records, _ = decode_twodegrees(parsed.body, parsed.scenario.horizon)
     report.checks.append(fresh_run_check("run-exactness", parsed))
     checks, caveats = verify_twodegrees(
         TwoDegreesRun(*twodegrees_inputs(parsed.scenario)).replay(records)

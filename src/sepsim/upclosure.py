@@ -520,7 +520,7 @@ def decode_upclosure(body, horizon):
 
 def verify_trace(parsed, report):
     sc = parsed.scenario
-    recorded = decode_upclosure(parsed.body, parsed.horizon)
+    recorded = decode_upclosure(parsed.body, sc.horizon)
     values = recorded["m_values"]
 
     report.checks.append(

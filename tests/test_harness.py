@@ -1,8 +1,10 @@
 """Scenario loading, trace round trips, verification dispatch, CLI, lint."""
 
 import ast
+import hashlib
 import importlib.util
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -73,6 +75,11 @@ end
 MINIMAL_ANTICOMPLETE = MINIMAL_TWODEGREES.replace("twodegrees", "anticomplete")
 
 
+def digest(sc):
+    """The `scenariohash` a trace of `sc` carries."""
+    return hashlib.sha256(sc.canonical().encode()).hexdigest()
+
+
 class TestScenarioParsing:
     def test_minimal_loads(self):
         sc = load_scenario(MINIMAL_TWODEGREES)
@@ -90,7 +97,6 @@ class TestScenarioParsing:
             text = sc.canonical()
             again = parse_scenario(text)
             assert again.canonical() == text
-            assert again.digest() == sc.digest()
 
     def test_stage_beyond_horizon_named(self):
         text = MINIMAL_TWODEGREES.replace("end\n", "set C 3 10\nend\n")
@@ -492,7 +498,7 @@ class TestRunVerify:
         trace = run_scenario(sc)
         text = trace.render()
         parsed = parse_trace(text)
-        assert parsed.scenario_hash == sc.digest()
+        assert parsed.scenario_hash == digest(sc)
         report = verify_trace(parsed)
         assert report.passed, report.render()
 
@@ -564,7 +570,8 @@ class TestRunVerify:
         assert "\npairing greedy-cantor-cube\n" in text
         path = tmp_path / "edited.trc"
         path.write_text(text.replace("greedy-cantor-cube", "bogus-scheme", 1))
-        with pytest.raises(UsageError, match="unknown pairing scheme bogus") as err:
+        want = "header reads 'pairing bogus-scheme', expected 'pairing greedy-cantor"
+        with pytest.raises(UsageError, match=want) as err:
             parse_trace(path.read_text())
         assert err.value.location == "line 4"
         assert main(["verify", "--trace", str(path)]) == 2
@@ -579,8 +586,9 @@ class TestRunVerify:
             i for i in range(start, len(lines)) if lines[i] == "horizon 60"
         )
         lines[idx] = "horizon 61"
-        with pytest.raises(UsageError, match="digest"):
+        with pytest.raises(UsageError, match="header reads 'scenariohash ") as err:
             parse_trace("\n".join(lines) + "\n")
+        assert err.value.location == "line 5"
 
 
 SAMPLE_TRACES = {
@@ -656,22 +664,70 @@ class TestTraceHeader:
     def test_header_line_in_the_body_is_refused(self, line):
         lines = SAMPLE_TRACES["nosupermax-sparse"].splitlines()
         lines.insert(len(lines) - 1, line)
-        with pytest.raises(UsageError, match="header line after the scenario"):
-            parse_trace("\n".join(lines) + "\n")
+        kind = line.split()[0]
+        with pytest.raises(UsageError, match=f"unknown record {kind} in trace body"):
+            verify_trace(parse_trace("\n".join(lines) + "\n"))
 
-    @pytest.mark.parametrize(
-        "label, message",
-        [
-            ("anticomplete", "construction header does not match the embedded"),
-            ("nosupermax", "construction header does not match the embedded"),
-            ("bogus", "unknown construction bogus"),
-        ],
-    )
-    def test_relabelled_construction_is_refused(self, label, message):
+    @pytest.mark.parametrize("label", ["anticomplete", "nosupermax", "bogus"])
+    def test_relabelled_construction_is_refused(self, label):
         text = SAMPLE_TRACES["twodegrees-mixed"]
         edited = text.replace("construction twodegrees", f"construction {label}", 1)
-        with pytest.raises(UsageError, match=message):
+        want = f"header reads 'construction {label}', expected 'construction twodeg"
+        with pytest.raises(UsageError, match=want) as err:
             parse_trace(edited)
+        assert err.value.location == "line 2"
+
+
+class TestTraceFrame:
+    """The embedded scenario is hashed as read, and the last line is `end`."""
+
+    @pytest.mark.parametrize("token", ["end", "0", "99999999999"])
+    @pytest.mark.parametrize(
+        "stem",
+        [
+            "anticomplete-quiet",
+            "nosupermax-sparse",
+            "twodegrees-mixed",
+            "upclosure-leastpoint",
+        ],
+    )
+    def test_end_with_a_token_exits_two(self, stem, token, tmp_path):
+        lines = SAMPLE_TRACES[stem].splitlines()
+        assert lines[-1] == "end"
+        lines[-1] = f"end {token}"
+        path = tmp_path / "edited.trc"
+        path.write_text("\n".join(lines) + "\n")
+        want = f"last line reads 'end {token}', expected 'end'"
+        with pytest.raises(UsageError, match=want) as err:
+            parse_trace(path.read_text())
+        assert err.value.location == f"line {len(lines)}"
+        assert main(["verify", "--trace", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "stem, old, new",
+        [
+            ("anticomplete-readers", "rule phi0 5 0 0 0 0", "rule phi0 +5 0 0 0 0"),
+            ("twodegrees-blocking", "rule phi0 5 1 4", "rule phi0 +5 1 4"),
+            ("upclosure-leastpoint", "end", "# a comment\nend"),
+            ("nosupermax-sparse", "horizon 300", "horizon 300 # the horizon"),
+        ],
+        ids=["anticomplete-plus", "twodegrees-plus", "comment-line", "comment"],
+    )
+    def test_respelled_embedded_scenario_exits_two(self, stem, old, new, tmp_path):
+        # the edit leaves the canonical text, and so its digest, as it was
+        text = SAMPLE_TRACES[stem]
+        lines = text.splitlines()
+        begin, end = lines.index("scenario-begin"), lines.index("scenario-end")
+        i = next(i for i in range(begin, end) if lines[i].startswith(old))
+        lines[i] = lines[i].replace(old, new)
+        embedded = parse_scenario("\n".join(lines[begin + 1 : end]) + "\n")
+        assert embedded.canonical() == parse_trace(text).scenario.canonical()
+        path = tmp_path / "edited.trc"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(UsageError, match="header reads 'scenariohash ") as err:
+            parse_trace(path.read_text())
+        assert err.value.location == "line 5"
+        assert main(["verify", "--trace", str(path)]) == 2
 
 
 def final_line_edits(body):
@@ -1071,6 +1127,12 @@ class TestNosupermaxChainVerify:
             ("attempt 1 begin -1", "attempt 1 begin ", "4 tokens, expected 5"),
             ("attempt 1 end now", "attempt 1 end", "4 tokens, expected 3"),
             ("attempt 1", "attempt 1 end", "too few tokens"),
+            ("attempt 1 accepted", "attempt 1 end", "third token not begin or end"),
+            (
+                "cert 1 73 43 why",
+                "cert 1 accepted",
+                "third token not accepted or rejected",
+            ),
             ("cert 1 accepted extra", "cert 1 accepted", "4 tokens, expected 3"),
             ("cert 1 rejected", "cert 1 accepted", "3 tokens, expected at least 4"),
             ("cert -1 accepted", "cert 1 accepted", "in the section of attempt 1"),
@@ -1249,8 +1311,8 @@ class TestCanonicalIntegers:
             verify_trace(parse_trace("\n".join(lines) + "\n"))
 
 
-def body_token(tok, rng, pool):
-    """A token from the body, or for an integer token one of its neighbours
+def trace_token(tok, rng, pool):
+    """A token from the trace, or for an integer token one of its neighbours
     or a respelling of it that int() still reads."""
     choices = [rng.choice(pool)]
     if tok.lstrip("-").isdigit():
@@ -1260,30 +1322,30 @@ def body_token(tok, rng, pool):
     return rng.choice(choices)
 
 
-def edit_body(lines, first, last, rng, pool):
-    """The trace lines with one body line (lines[first:last]), or one token
-    of it, appended, dropped, replaced or duplicated."""
+def edit_trace(lines, rng, pool):
+    """The trace lines with one line (header, embedded scenario, body or
+    `end`), or one token of it, appended, dropped, replaced or duplicated."""
     lines = list(lines)
-    i = rng.randrange(first, last)
+    i = rng.randrange(len(lines))
     op = rng.choice(("append", "drop", "replace", "duplicate"))
     if rng.random() < 0.5:
         if op == "append":
-            lines.insert(i + 1, lines[rng.randrange(first, last)])
+            lines.insert(i + 1, rng.choice(lines))
         elif op == "drop":
             del lines[i]
         elif op == "replace":
-            lines[i] = lines[rng.randrange(first, last)]
+            lines[i] = rng.choice(lines)
         else:
             lines.insert(i, lines[i])
         return lines
     toks = lines[i].split()
     j = rng.randrange(len(toks))
     if op == "append":
-        toks.append(body_token(toks[j], rng, pool))
+        toks.append(trace_token(toks[j], rng, pool))
     elif op == "drop":
         del toks[j]
     elif op == "replace":
-        toks[j] = body_token(toks[j], rng, pool)
+        toks[j] = trace_token(toks[j], rng, pool)
     else:
         toks.insert(j, toks[j])
     lines[i] = " ".join(toks)
@@ -1295,18 +1357,17 @@ class TestBodyEditFuzz:
 
     @pytest.mark.parametrize("stem", sorted(SAMPLE_TRACES))
     def test_edited_body_never_passes(self, stem):
-        """Seeded edits of a sample trace's body: every edit that changes the
-        body's token sequence ends in exit 2 or a failing report."""
+        """Seeded edits of any line of a sample trace, from its header through
+        the embedded scenario and the body to `end`: every edit that changes
+        the trace's token sequence ends in exit 2 or a failing report."""
         rng = random.Random(f"body-edit {stem}")
         lines = SAMPLE_TRACES[stem].splitlines()
-        first, last = lines.index("scenario-end") + 1, len(lines) - 1
-        body = [line.split() for line in lines[first:last]]
-        pool = sorted({tok for toks in body for tok in toks})
+        tokens = [line.split() for line in lines]
+        pool = sorted({tok for toks in tokens for tok in toks})
         passed = []
         for _ in range(self.EDITS_PER_SAMPLE):
-            edited = edit_body(lines, first, last, rng, pool)
-            tokens = [line.split() for line in edited[first:-1] if line.split()]
-            if tokens == body:
+            edited = edit_trace(lines, rng, pool)
+            if [toks for toks in map(str.split, edited) if toks] == tokens:
                 continue
             try:
                 report = verify_trace(parse_trace("\n".join(edited) + "\n"))
@@ -1358,6 +1419,24 @@ class TestCli:
         )
         assert res.returncode == 0, res.stderr
         assert "identical" in res.stdout
+
+    def test_replay_reads_the_trace_before_writing_over_it(self, tmp_path, scenario_file):
+        trace = tmp_path / "out.trc"
+        res = run_cli(
+            ["run", "--scenario", str(scenario_file), "--trace-out", str(trace)],
+            tmp_path,
+        )
+        assert res.returncode == 0, res.stderr
+        fresh = trace.read_text()
+        lines = fresh.splitlines()
+        i = next(i for i, line in enumerate(lines) if " xin " in line)
+        lines[i] += "0"
+        trace.write_text("\n".join(lines) + "\n")
+        args = ["--scenario", str(scenario_file), "--trace", str(trace)]
+        res = run_cli(["replay", *args, "--trace-out", str(trace)], tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert res.stdout == "replay mismatch\n"
+        assert trace.read_text() == fresh
 
     def test_verify_scenario_direct(self, tmp_path, scenario_file):
         res = run_cli(["verify", "--scenario", str(scenario_file)], tmp_path)
@@ -1437,10 +1516,10 @@ class TestCli:
                 "rule gamma 12 1 15 33 3 4 1 0 1 14 1",
             )
         )
-        assert bad.digest() != good.digest()
+        assert bad.canonical() != good.canonical()
         text = text.replace(good.canonical(), bad.canonical())
         trace = tmp_path / "bad.trc"
-        trace.write_text(text.replace(good.digest(), bad.digest()))
+        trace.write_text(text.replace(digest(good), digest(bad)))
         res = run_cli(["verify", "--trace", str(trace)], tmp_path)
         assert res.returncode == 3, res.stderr
         assert "hypothesis violation" in res.stderr
@@ -1534,6 +1613,52 @@ class TestLint:
                 if name not in used
             ]
         assert not unused, unused
+
+    def test_every_definition_is_read(self):
+        """Each module-level function, class and constant of the package is
+        read somewhere in src, tests, tools or perfbench: loaded as a name or
+        an attribute, or named in a dotted string such as perfbench's tracing
+        targets. A method, dunders aside, must be read as an attribute or in a
+        dotted string."""
+        root = PACKAGE.parents[1]
+        dotted = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
+        names, attrs = set(), set()
+        for folder in ("src", "tests", "tools", "perfbench"):
+            for path in sorted((root / folder).rglob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                    loaded = isinstance(getattr(node, "ctx", None), ast.Load)
+                    if isinstance(node, ast.Name) and loaded:
+                        names.add(node.id)
+                    elif isinstance(node, ast.Attribute) and loaded:
+                        attrs.add(node.attr)
+                    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                        if dotted.fullmatch(node.value):
+                            attrs.update(node.value.split("."))
+        unread = []
+        for path in sorted(PACKAGE.glob("*.py")):
+            for node in ast.parse(path.read_text(), filename=str(path)).body:
+                defined = []  # (name, the reads that count for it)
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined.append((node.name, names | attrs))
+                if isinstance(node, ast.ClassDef):
+                    defined += [
+                        (f"{node.name}.{item.name}", attrs)
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("__")
+                    ]
+                elif isinstance(node, ast.Assign):
+                    defined += [
+                        (t.id, names | attrs)
+                        for t in node.targets
+                        if isinstance(t, ast.Name) and not t.id.startswith("__")
+                    ]
+                unread += [
+                    f"{path.name}:{node.lineno} {name}"
+                    for name, reads in defined
+                    if name.rpartition(".")[2] not in reads
+                ]
+        assert not unread, unread
 
 
 def load_tracing():
