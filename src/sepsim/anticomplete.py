@@ -26,6 +26,11 @@ one claimed n therefore sees fixed A, B and D, all of A and B below the
 stage, and a growing set of usable rules, so it keeps failing until a new
 usable rule appears. Guard positions lie below the use, so they need no wake
 of their own.
+
+Verification runs the embedded scenario once. A trace body that equals the
+fresh run's encoding is not decoded: the invariant suite reads the fresh
+run's own records and final logs. Any other body is decoded first, so its
+report is the one a decode-first verifier gives.
 """
 
 from __future__ import annotations
@@ -36,10 +41,9 @@ from collections import Counter
 
 from .enumcore import FreshSource, StageSet
 from .functionals import EMPTY_PROGRAM, OracleProgram, bits_of, evaluate
-from .report import CheckResult, first_counterexample
+from .report import CheckResult, first_counterexample, first_divergence
 from .scenario import no_rules
 from .trace import decode_event_log, encode_event_log
-from .verify import fresh_run_check
 
 
 class NStrategyState:
@@ -86,63 +90,45 @@ def sigma_search(prog: OracleProgram, n: int, s: int, a_mem, b_mem, d_mem):
     failure. That is a rule for the first input with no usable rule when
     there is one, else a rule for any input not already satisfied by the
     forced bits. The wake is None when no rule could lift the failure.
+
+    Bits are ints, as the compiled guards are: `known` holds the positions
+    with a value, `ones` those whose value is 1, and a guard (mask, want) is
+    consistent with them when (want ^ ones) & mask & known is 0 and fully
+    decided when mask & known == mask.
     """
     if n >= prog.contiguous_cover:
         return None, None
-    forced: dict[int, int] = {}
-    for x in a_mem:
-        if x < s:
-            forced[x] = 1
-    for x in b_mem:
-        if x < s:
-            forced[x] = 0
+    zeros = bits_of(x for x in b_mem if x < s)
+    ones = bits_of(x for x in a_mem if x < s) & ~zeros
+    known = ones | zeros
 
     # Candidate guards per needed input, filtered by required output,
     # compatibility with the forced bits, availability and width; the rules
     # that only fail the last two set the wake.
-    constraints: list[list[tuple[tuple[int, int], ...]]] = []
+    constraints: list[list[tuple[int, int]]] = []
     wake = None
+    compiled_for = prog.compiled_for
     for y in range(n + 1):
-        want = 1 if y in d_mem else 0
+        out = 1 if y in d_mem else 0
         cands = []
         y_wake = None
-        satisfied = False
-        for r in prog.rules_for(y):
-            if r.output != want:
+        for available_at, use, mask, want, output in compiled_for(y):
+            if output != out or (want ^ ones) & mask & known:
                 continue
-            ok = True
-            fully_forced = True
-            for p, b in r.guard:
-                v = forced.get(p)
-                if v is None:
-                    fully_forced = False
-                elif v != b:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            ready = max(r.available_at, r.use)
+            ready = use if use > available_at else available_at
             if ready > s:
                 if y_wake is None or ready < y_wake:
                     y_wake = ready
                 continue
-            if fully_forced:
-                satisfied = True
-                break
-            cands.append(r.guard)
-        if satisfied:
-            continue
-        if not cands:
-            return None, y_wake
-        if y_wake is not None and (wake is None or y_wake < wake):
-            wake = y_wake
-        constraints.append(cands)
-
-    assigned: dict[int, int] = {}
-
-    def value(p):
-        v = forced.get(p)
-        return assigned.get(p) if v is None else v
+            if mask & known == mask:
+                break  # satisfied by the forced bits
+            cands.append((mask, want))
+        else:
+            if not cands:
+                return None, y_wake
+            if y_wake is not None and (wake is None or y_wake < wake):
+                wake = y_wake
+            constraints.append(cands)
 
     # Unit propagation: a constraint with a single candidate pins its guard.
     queue = list(range(len(constraints)))
@@ -154,119 +140,77 @@ def sigma_search(prog: OracleProgram, n: int, s: int, a_mem, b_mem, d_mem):
             if not live[ci]:
                 continue
             cands = []
-            satisfied = False
-            for g in constraints[ci]:
-                ok = True
-                full = True
-                for p, b in g:
-                    v = value(p)
-                    if v is None:
-                        full = False
-                    elif v != b:
-                        ok = False
-                        break
-                if not ok:
+            for mask, want in constraints[ci]:
+                if (want ^ ones) & mask & known:
                     continue
-                if full:
-                    satisfied = True
+                if mask & known == mask:
+                    live[ci] = False
                     break
-                cands.append(g)
-            if satisfied:
-                live[ci] = False
-                continue
-            if not cands:
-                return None, wake
-            constraints[ci] = cands
-            if len(cands) == 1:
-                for p, b in cands[0]:
-                    if value(p) is None:
-                        assigned[p] = b
-                        fresh_bits = True
-                live[ci] = False
+                cands.append((mask, want))
             else:
-                next_queue.append(ci)
+                if not cands:
+                    return None, wake
+                constraints[ci] = cands
+                if len(cands) == 1:
+                    mask, want = cands[0]
+                    known |= mask
+                    ones |= want
+                    fresh_bits = True
+                    live[ci] = False
+                else:
+                    next_queue.append(ci)
         queue = next_queue if fresh_bits else []
 
-    remaining = [constraints[ci] for ci in range(len(constraints)) if live[ci]]
+    # Solve independent components (constraints linked through their free
+    # positions) with lexicographic backtracking, least position first.
+    components: list[tuple[int, list]] = []  # (free positions, constraints)
+    for ci, cands in enumerate(constraints):
+        if not live[ci]:
+            continue
+        free = 0
+        for mask, _ in cands:
+            free |= mask & ~known
+        group = [cands]
+        for comp in [c for c in components if c[0] & free]:
+            components.remove(comp)
+            free |= comp[0]
+            group += comp[1]
+        components.append((free, group))
+    for free, group in components:
+        positions = [p for p in range(free.bit_length()) if free >> p & 1]
+        solved = _least_solution(group, positions, 0, known, ones)
+        if solved is None:
+            return None, wake
+        known, ones = solved
 
-    if remaining:
-        # Solve independent components with lexicographic backtracking.
-        pos_of = [sorted({p for g in cs for p, _ in g if value(p) is None}) for cs in remaining]
-        parent = {}
-
-        def find(x):
-            while parent.get(x, x) != x:
-                parent[x] = parent.get(parent[x], parent[x])
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        for ps in pos_of:
-            for p in ps:
-                parent.setdefault(p, p)
-            for p in ps[1:]:
-                union(ps[0], p)
-        comp_cons: dict[int, list[int]] = {}
-        for i, ps in enumerate(pos_of):
-            root = find(ps[0])
-            comp_cons.setdefault(root, []).append(i)
-        for root in sorted(comp_cons):
-            idxs = comp_cons[root]
-            positions = sorted({p for i in idxs for p in pos_of[i]})
-            cons = [remaining[i] for i in idxs]
-
-            def feasible():
-                for cs in cons:
-                    ok = False
-                    for g in cs:
-                        good = True
-                        for p, b in g:
-                            v = value(p)
-                            if v is not None and v != b:
-                                good = False
-                                break
-                        if good:
-                            ok = True
-                            break
-                    if not ok:
-                        return False
-                return True
-
-            def dfs(i):
-                if i == len(positions):
-                    return feasible()
-                p = positions[i]
-                if value(p) is not None:
-                    return feasible() and dfs(i + 1)
-                for bit in (0, 1):
-                    assigned[p] = bit
-                    if feasible() and dfs(i + 1):
-                        return True
-                    del assigned[p]
-                return False
-
-            if not dfs(0):
-                return None, wake
-
-    bits = ["0"] * s
-    for p, b in forced.items():
-        bits[p] = "01"[b]
-    for p, b in assigned.items():
-        bits[p] = "01"[b]
-    sigma = "".join(bits)
+    sigma = format(ones | 1 << s, "b")[:0:-1]  # position p is character p
 
     # Honest re-check through the evaluator.
-    sigma_bits = bits_of(p for p, c in enumerate(sigma) if c == "1")
     for y in range(n + 1):
-        want = 1 if y in d_mem else 0
-        res = evaluate(prog, sigma_bits, s, y, s)
-        if res is None or res[0] != want:
+        res = evaluate(prog, ones, s, y, s)
+        if res is None or res[0] != (1 if y in d_mem else 0):
             raise AssertionError("sigma search produced a non-witness")
     return sigma, None
+
+
+def _least_solution(group, positions, i, known, ones):
+    """(known, ones) extended over positions[i:], 0 before 1, so that every
+    constraint of the group keeps a consistent candidate; None when no
+    extension does."""
+    for cands in group:
+        for mask, want in cands:
+            if not (want ^ ones) & mask & known:
+                break
+        else:
+            return None
+    if i == len(positions):
+        return known, ones
+    bit = 1 << positions[i]
+    for value in (0, bit):
+        solved = _least_solution(group, positions, i + 1, known | bit, ones | value)
+        if solved:
+            return solved
+    return None
 
 
 def apply_sigma(sigma: str, r: int, a_mem, b_mem):
@@ -296,7 +240,11 @@ def apply_sigma(sigma: str, r: int, a_mem, b_mem):
 
 
 # ---------------------------------------------------------------------------
-# strategy steps (shared by the reference and the event-driven runner)
+# strategy steps
+#
+# Each record notes its largest field into the fresh-number source: the
+# stage s, or a restraint or claim above it. A strategy's index and every
+# position of a sigma lie below s.
 
 
 def n_strategy_step(st: NStrategyState, s: int, run: "AnticompleteRun") -> bool:
@@ -305,30 +253,24 @@ def n_strategy_step(st: NStrategyState, s: int, run: "AnticompleteRun") -> bool:
     if st.satisfied_at is None and s > st.k:
         st.satisfied_at = s
         st.restraint = s + 1
-        run._emit(("nact", s, st.k, s + 1))
+        run._emit(("nact", s, st.k, s + 1), s + 1)
         return True
     return False
 
 
-def r_strategy_step(
-    st: RStrategyState, s: int, run: "AnticompleteRun", use_memo: bool
-) -> bool:
+def r_strategy_step(st: RStrategyState, s: int, run: "AnticompleteRun") -> bool:
     """One loop iteration: claim a fresh number if none is claimed, then
     search for sigma; on success copy the tail into A/B above the restraint,
-    put the claimed number into D, and return to the claiming phase."""
+    put the claimed number into D, and return to the claiming phase. A
+    failed search is not repeated before its wake in the same epoch."""
     prog = run.programs.get(st.e, EMPTY_PROGRAM)
     if st.claimed_n is None:
         n = run.fresh.fresh()
         st.claimed_n = n
-        run._emit(("rclaim", s, st.e, n))
+        run._emit(("rclaim", s, st.e, n), max(s, n))
     if len(prog) == 0:
         return False
-    if (
-        use_memo
-        and st.memo_epoch == run.epoch
-        and st.memo_n == st.claimed_n
-        and s < st.memo_wake
-    ):
+    if st.memo_epoch == run.epoch and st.memo_n == st.claimed_n and s < st.memo_wake:
         return False
     sigma, wake = sigma_search(
         prog, st.claimed_n, s, run.a.entry, run.b.entry, run.d.entry
@@ -337,7 +279,7 @@ def r_strategy_step(
         st.memo_epoch = run.epoch
         st.memo_n = st.claimed_n
         st.memo_wake = run.horizon + 1 if wake is None else wake
-        if use_memo and st.memo_wake <= run.horizon:
+        if st.memo_wake <= run.horizon:
             run._schedule(st.memo_wake, 2 * st.e + 1)
         return False
     m, new_a, new_b = apply_sigma(sigma, st.restraint, run.a.entry, run.b.entry)
@@ -346,11 +288,11 @@ def r_strategy_step(
     for x in new_b:
         run.b.add(x, s + 1)
     run.d.add(st.claimed_n, s + 1)
-    run._emit(("ract", s, st.e, st.claimed_n, st.restraint, m, new_a, new_b))
+    record = ("ract", s, st.e, st.claimed_n, st.restraint, m, new_a, new_b)
+    run._emit(record, max(s, st.claimed_n, st.restraint))
     run.epoch += 1
-    if use_memo:
-        for e in run.scripted:
-            run._schedule(s + 1, 2 * e + 1)
+    for e in run.scripted:
+        run._schedule(s + 1, 2 * e + 1)
     st.claimed_n = None
     return True
 
@@ -360,12 +302,13 @@ def r_strategy_step(
 
 
 class AnticompleteRun:
-    """Priority scheduler over the interleaved strategy list.
+    """Event-driven priority scheduler over the interleaved strategy list.
 
-    run_stage() is the reference stepper: at stage s it steps every strategy
-    with index < s in priority order. run_to_horizon() steps the event-driven
-    equivalent, which skips strategies whose step is provably a no-op; the
-    two produce identical traces (tested).
+    At stage s, run_stage() steps strategy s - 1 (new at s), the strategies
+    whose wake is s, and, once some strategy acts, every strategy below s
+    after it; every other step is provably a no-op. The reference stepper,
+    which steps every strategy with index < s, lives with the tests; the two
+    produce identical traces.
     """
 
     def __init__(self, programs: dict[int, OracleProgram], horizon: int):
@@ -386,13 +329,10 @@ class AnticompleteRun:
 
     # -- plumbing
 
-    def _emit(self, record: tuple):
+    def _emit(self, record: tuple, top: int):
+        """Record an event whose largest field is top."""
         self.records.append(record)
-        for v in record[1:]:
-            if isinstance(v, int):
-                self.fresh.note(v)
-            elif isinstance(v, tuple):
-                self.fresh.note(*v)
+        self.fresh.note(top)
 
     def _schedule(self, stage: int, idx: int):
         if stage <= self.horizon:
@@ -400,14 +340,13 @@ class AnticompleteRun:
             if idx not in bucket:
                 insort(bucket, idx)
 
-    def _materialize(self, idx: int):
-        base = self._last_act_stage + 1
-        while 2 * len(self.nstates) <= idx:
-            self.nstates.append(NStrategyState(k=len(self.nstates)))
-        while 2 * len(self.rstates) + 1 <= idx:
-            self.rstates.append(
-                RStrategyState(e=len(self.rstates), restraint=base)
-            )
+    def _enter(self, idx: int):
+        """Build strategy idx, the one after the last one built."""
+        if idx % 2 == 0:
+            self.nstates.append(NStrategyState(k=idx // 2))
+        else:
+            base = self._last_act_stage + 1
+            self.rstates.append(RStrategyState(e=idx // 2, restraint=base))
 
     def _reset(self, idx: int, s: int):
         if idx % 2 == 0:
@@ -420,34 +359,29 @@ class AnticompleteRun:
             st.claimed_n = None
             st.memo_epoch = -1
 
-    def _visit(self, idx: int, s: int, reset: bool, use_memo: bool) -> bool:
-        self._materialize(idx)
+    def _visit(self, idx: int, s: int, reset: bool) -> bool:
         if reset:
             self._reset(idx, s)
         if idx % 2 == 0:
             acted = n_strategy_step(self.nstates[idx // 2], s, self)
         else:
-            acted = r_strategy_step(self.rstates[idx // 2], s, self, use_memo)
+            acted = r_strategy_step(self.rstates[idx // 2], s, self)
         if acted:
             self._last_act_stage = s
         return acted
 
-    # -- steppers
+    # -- stepping
 
     def run_stage(self):
-        """Reference semantics: step every strategy with index < s."""
         s = self.stage
-        floor = None
-        for idx in range(s):
-            acted = self._visit(idx, s, reset=(floor is not None), use_memo=False)
-            if acted and floor is None:
-                floor = idx
         self.stage = s + 1
-
-    def _run_stage_fast(self):
-        s = self.stage
-        pend = self._pending.pop(s, [])
-        if s >= 1 and (s - 1) not in pend:
+        if s == 0:
+            return
+        self._enter(s - 1)  # strategy s - 1 is new at s
+        pend = self._pending.pop(s, None)
+        if pend is None:
+            pend = [s - 1]
+        elif s - 1 not in pend:
             insort(pend, s - 1)
         floor = None
         cur = -1
@@ -465,14 +399,13 @@ class AnticompleteRun:
                 if idx >= s:
                     break
             cur = idx
-            acted = self._visit(idx, s, reset=(floor is not None), use_memo=True)
+            acted = self._visit(idx, s, reset=(floor is not None))
             if acted and floor is None:
                 floor = idx
-        self.stage = s + 1
 
     def run_to_horizon(self):
         while self.stage < self.horizon:
-            self._run_stage_fast()
+            self.run_stage()
         return self
 
 
@@ -650,10 +583,13 @@ NOTE = "fresh numbers exceed every number recorded so far"
 check_set = check_schema = audit = no_rules
 
 
+def _finals(run):
+    return {"A": run.a.events, "B": run.b.events, "D": run.d.events}
+
+
 def trace_body(sc) -> list[str]:
     run = run_anticomplete(sc.programs_by_index(), sc.horizon)
-    finals = {"A": run.a.events, "B": run.b.events, "D": run.d.events}
-    return encode_event_log((run.records, finals))
+    return encode_event_log((run.records, _finals(run)))
 
 
 def decode_anticomplete(body, horizon):
@@ -662,10 +598,24 @@ def decode_anticomplete(body, horizon):
 
 
 def verify_trace(parsed, report):
-    records, finals = decode_anticomplete(parsed.body, parsed.scenario.horizon)
-    report.checks.append(fresh_run_check("run-exactness", parsed))
+    """One fresh run of the embedded scenario. A body that equals the fresh
+    run's encoding, token for token, is not decoded: the invariants run on
+    the fresh run's own records and final logs, which equal the decoded
+    ones since the codec round-trips. Any other body is decoded before a
+    check is added, so a malformed one exits 2 with no report, and
+    run-exactness names its first diverging record."""
+    horizon = parsed.scenario.horizon
+    run = run_anticomplete(parsed.scenario.programs_by_index(), horizon)
+    finals = _finals(run)
+    fresh = list(map(str.split, encode_event_log((run.records, finals))))
+    if fresh == parsed.body:
+        records, detail = run.records, ""
+    else:
+        records, finals = decode_anticomplete(parsed.body, horizon)
+        detail = first_divergence(parsed.body, fresh)
+    report.checks.append(CheckResult("run-exactness", not detail, detail))
     checks, caveats = verify_anticomplete(
-        records, finals["A"], finals["B"], finals["D"], parsed.scenario.horizon
+        records, finals["A"], finals["B"], finals["D"], horizon
     )
     report.checks.extend(checks)
     report.caveats.extend(caveats)

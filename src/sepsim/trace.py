@@ -100,15 +100,19 @@ def _parse_events(fields):
 
 def encode_ev(rec) -> str:
     """`ev <stage> <kind> <fields>` for a record (kind, stage, *fields); None
-    and the empty string are written as '-'. An anticomplete act ends with
-    its two enumeration runs, `a <ints> b <ints>`, either of which may be
-    empty."""
+    and the empty string are written as '-'. The fields of a one- or
+    two-field record are ints. An anticomplete act ends with its two
+    enumeration runs, `a <ints> b <ints>`, either of which may be empty."""
+    if len(rec) == 3:  # nosupermax's kinds
+        return f"ev {rec[1]} {rec[0]} {rec[2]}"
+    if len(rec) == 4:  # nact, rclaim
+        return f"ev {rec[1]} {rec[0]} {rec[2]} {rec[3]}"
+    if rec[0] == "ract":
+        _, stage, e, n, r, m, new_a, new_b = rec
+        runs = f"a {fmt_ints(new_a)} b {fmt_ints(new_b)}"
+        return f"ev {stage} ract {e} {n} {r} {fmt_opt(m)} {runs}".rstrip()
     kind, stage, *fields = rec
-    runs = ""
-    if kind == "ract":
-        *fields, new_a, new_b = fields
-        runs = f" a {fmt_ints(new_a)} b {fmt_ints(new_b)}"
-    return f"ev {stage} {kind} {' '.join(map(fmt_opt, fields))}{runs}".rstrip()
+    return f"ev {stage} {kind} {' '.join(map(fmt_opt, fields))}"
 
 
 def decode_ev(parts, arity) -> tuple:

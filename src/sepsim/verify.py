@@ -5,8 +5,11 @@ is embedded in the trace, so the verifier can rebuild stage views, run the
 construction once afresh where agreement checks need a reference, and check
 each named invariant without any outside state. `verify_trace` hands the
 trace and an empty report to the verify_trace(parsed, report) of the
-construction's module, which decodes the body and adds its checks and
-caveats, most of them with `fresh_run_check`.
+construction's module, which adds its checks and caveats. Most decode the
+body and check it against a fresh run with `fresh_run_check`. Anticomplete
+runs the scenario once and compares the body with that run's encoding
+first: a matching body is not decoded, and its invariants are checked on
+the fresh run's own records.
 """
 
 from __future__ import annotations

@@ -2,23 +2,34 @@
 
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import naive_anticomplete
 import sepsim.anticomplete as anticomplete
+from naive_anticomplete import NaiveAnticompleteRun
 from sepsim.anticomplete import (
     AnticompleteRun,
     NStrategyState,
     apply_sigma,
+    decode_anticomplete,
     n_strategy_step,
     run_anticomplete,
     sigma_search,
     verify_anticomplete,
 )
 from sepsim.corpus import anticomplete_corpus
+from sepsim.errors import UsageError
 from sepsim.functionals import OracleProgram, OracleRule
+from sepsim.scenario import load_scenario_file
+from sepsim.trace import parse_trace, run_scenario
+from sepsim.verify import fresh_run_check, verify_trace
+
+SAMPLES = Path(__file__).resolve().parents[1] / "scenarios" / "samples"
+FAULTS = SAMPLES.parent / "faults"
 
 
 def always_zero_program(width):
@@ -190,7 +201,7 @@ def satisfied_ks(run):
 
 class TestRuns:
     def test_stage_zero_runs_nothing(self):
-        run = AnticompleteRun({}, 5)
+        run = NaiveAnticompleteRun({}, 5)
         run.run_stage()
         assert run.records == [] and run.stage == 1
 
@@ -248,9 +259,7 @@ class TestRuns:
                 )
         horizon = rng.randrange(60, 90)
         fast = run_anticomplete(programs, horizon)
-        ref = AnticompleteRun(programs, horizon)
-        while ref.stage < horizon:
-            ref.run_stage()
+        ref = NaiveAnticompleteRun(programs, horizon).run_to_horizon()
         assert fast.records == ref.records
         assert fast.a.entry == ref.a.entry
         assert fast.b.entry == ref.b.entry
@@ -309,9 +318,7 @@ class TestExactWakes:
             e: random_wake_program(rng, 2 * horizon, horizon) for e in sorted(indices)
         }
         fast = run_anticomplete(programs, horizon)
-        ref = AnticompleteRun(programs, horizon)
-        while ref.stage < horizon:
-            ref.run_stage()
+        ref = NaiveAnticompleteRun(programs, horizon).run_to_horizon()
         assert fast.records == ref.records
         assert fast.a.entry == ref.a.entry
         assert fast.b.entry == ref.b.entry
@@ -329,6 +336,124 @@ class TestExactWakes:
         for _, sc in anticomplete_corpus(20, 1000):
             run_anticomplete(sc.programs_by_index(), sc.horizon)
         assert 0 < calls <= 1000
+
+
+class TestMaskSearch:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_dict_search(self, seed):
+        # A, B and D are drawn as a run would hold them at stage s: A and B
+        # below s, D sparse; n is mostly small, so that some searches find
+        # a sigma, some of them by backtracking
+        rng = random.Random(seed)
+        horizon = rng.randrange(20, 71)
+        prog = random_wake_program(rng, 2 * horizon, horizon)
+        s = rng.randrange(horizon // 2, horizon + 1)
+        reach = rng.choice([4, 8, 16, 2 * horizon])
+        n = rng.randrange(min(prog.contiguous_cover + 1, reach))
+        members = rng.sample(range(s), rng.randrange(s // 3))
+        cut = rng.randrange(len(members) + 1)
+        a, b = set(members[:cut]), set(members[cut:])
+        d = {y for y in range(n + 1) if rng.random() < 0.1}
+        assert sigma_search(prog, n, s, a, b, d) == naive_anticomplete.sigma_search(
+            prog, n, s, a, b, d
+        )
+
+
+def decode_first(parsed, report):
+    """The verify hook that decodes every body before its checks."""
+    horizon = parsed.scenario.horizon
+    records, finals = decode_anticomplete(parsed.body, horizon)
+    report.checks.append(fresh_run_check("run-exactness", parsed))
+    checks, caveats = verify_anticomplete(
+        records, finals["A"], finals["B"], finals["D"], horizon
+    )
+    report.checks.extend(checks)
+    report.caveats.extend(caveats)
+
+
+def body_token_edits(text, count, seed):
+    """`count` copies of the trace, each with one token of one body line
+    replaced, dropped or duplicated."""
+    lines = text.splitlines()
+    first, last = lines.index("scenario-end") + 1, len(lines) - 1
+    words = ["-", "a", "b", "ev", "final", "nact", "rclaim", "ract", "A", "D", "x"]
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        edited = list(lines)
+        i = rng.randrange(first, last)
+        toks = edited[i].split()
+        j = rng.randrange(len(toks))
+        op = rng.choice(("replace", "drop", "duplicate"))
+        if op == "replace":
+            tok = toks[j].split(":")[0]
+            near = [str(int(tok) + 1), str(int(tok) - 1)] if tok.isdigit() else []
+            toks[j] = rng.choice([w for w in near + words if w != toks[j]])
+        elif op == "drop":
+            del toks[j]
+        else:
+            toks.insert(j, toks[j])
+        edited[i] = " ".join(toks)
+        out.append("\n".join(edited) + "\n")
+    return out
+
+
+class TestMatchingVerify:
+    """A body that equals the fresh run's encoding is verified on the fresh
+    run, undecoded; every report and exit must equal decode-first verify."""
+
+    @staticmethod
+    def outcomes(text, monkeypatch):
+        """(outcome, decode calls) with the matching path, then the outcome
+        with decode-first verify; an outcome is a report or an exit-2
+        message."""
+        parsed = parse_trace(text)
+        decodes = 0
+
+        def counted(body, horizon):
+            nonlocal decodes
+            decodes += 1
+            return decode_anticomplete(body, horizon)
+
+        def outcome():
+            try:
+                return verify_trace(parsed).render()
+            except UsageError as exc:
+                return f"exit 2: {exc}"
+
+        with monkeypatch.context() as patch:
+            patch.setattr(anticomplete, "decode_anticomplete", counted)
+            got = outcome()
+        with monkeypatch.context() as patch:
+            patch.setattr(anticomplete, "verify_trace", decode_first)
+            want = outcome()
+        return got, decodes, want
+
+    def test_corpus_is_verified_undecoded(self, monkeypatch):
+        for name, sc in anticomplete_corpus(20, 300):
+            text = run_scenario(sc).render()
+            got, decodes, want = self.outcomes(text, monkeypatch)
+            assert got == want, name
+            assert decodes == 0 and got.endswith("result pass\n"), name
+
+    @pytest.mark.parametrize(
+        "path", sorted(FAULTS.glob("anticomplete-*.trc")), ids=lambda path: path.stem
+    )
+    def test_fault_reports_agree(self, path, monkeypatch):
+        got, decodes, want = self.outcomes(path.read_text(), monkeypatch)
+        assert got == want
+        assert decodes == 1 and got.endswith("result fail\n")
+
+    def test_body_edits_agree(self, monkeypatch):
+        text = run_scenario(load_scenario_file(SAMPLES / "anticomplete-readers.scn"))
+        seen = set()
+        for edited in body_token_edits(text.render(), 120, "matching verify"):
+            got, decodes, want = self.outcomes(edited, monkeypatch)
+            assert got == want
+            assert decodes == 1
+            seen.add("exit 2" if got.startswith("exit 2") else got.splitlines()[-1])
+        assert seen == {"exit 2", "result fail"}
 
 
 class TestVerifier:
