@@ -26,11 +26,6 @@ one claimed n therefore sees fixed A, B and D, all of A and B below the
 stage, and a growing set of usable rules, so it keeps failing until a new
 usable rule appears. Guard positions lie below the use, so they need no wake
 of their own.
-
-Verification runs the embedded scenario once. A trace body that equals the
-fresh run's encoding is not decoded: the invariant suite reads the fresh
-run's own records and final logs. Any other body is decoded first, so its
-report is the one a decode-first verifier gives.
 """
 
 from __future__ import annotations
@@ -41,7 +36,7 @@ from collections import Counter
 
 from .enumcore import FreshSource, StageSet
 from .functionals import EMPTY_PROGRAM, OracleProgram, bits_of, evaluate
-from .report import CheckResult, first_counterexample, first_divergence
+from .report import CheckResult, first_counterexample
 from .scenario import no_rules
 from .trace import decode_event_log, encode_event_log
 
@@ -583,39 +578,23 @@ NOTE = "fresh numbers exceed every number recorded so far"
 check_set = check_schema = audit = no_rules
 
 
-def _finals(run):
-    return {"A": run.a.events, "B": run.b.events, "D": run.d.events}
-
-
-def trace_body(sc) -> list[str]:
+def fresh(sc):
     run = run_anticomplete(sc.programs_by_index(), sc.horizon)
-    return encode_event_log((run.records, _finals(run)))
+    finals = {"A": run.a.events, "B": run.b.events, "D": run.d.events}
+    return run, (run.records, finals)
 
 
-def decode_anticomplete(body, horizon):
+encode = encode_event_log
+
+
+def decode(body, horizon):
     arity = {"nact": 2, "rclaim": 2, "ract": 6}
     return decode_event_log(body, arity, "ABD", horizon)
 
 
-def verify_trace(parsed, report):
-    """One fresh run of the embedded scenario. A body that equals the fresh
-    run's encoding, token for token, is not decoded: the invariants run on
-    the fresh run's own records and final logs, which equal the decoded
-    ones since the codec round-trips. Any other body is decoded before a
-    check is added, so a malformed one exits 2 with no report, and
-    run-exactness names its first diverging record."""
-    horizon = parsed.scenario.horizon
-    run = run_anticomplete(parsed.scenario.programs_by_index(), horizon)
-    finals = _finals(run)
-    fresh = list(map(str.split, encode_event_log((run.records, finals))))
-    if fresh == parsed.body:
-        records, detail = run.records, ""
-    else:
-        records, finals = decode_anticomplete(parsed.body, horizon)
-        detail = first_divergence(parsed.body, fresh)
-    report.checks.append(CheckResult("run-exactness", not detail, detail))
+def check(sc, run, log, detail):
+    records, finals = log
     checks, caveats = verify_anticomplete(
-        records, finals["A"], finals["B"], finals["D"], horizon
+        records, finals["A"], finals["B"], finals["D"], sc.horizon
     )
-    report.checks.extend(checks)
-    report.caveats.extend(caveats)
+    return [CheckResult("run-exactness", not detail, detail or ""), *checks], caveats

@@ -1,8 +1,8 @@
 """Command line interface.
 
     sepsim run    --scenario S [--horizon N] [--trace-out T]
-    sepsim verify (--trace T ... | --scenario S [--horizon N])
-                  [--report-out R] [--fail-fast] [--trace-out T]
+    sepsim verify (--trace T ... | --scenario S [--horizon N] [--trace-out T])
+                  [--report-out R] [--fail-fast]
     sepsim replay --scenario S --trace T [--horizon N] [--trace-out T2]
 
 Exit codes: 0 all passed, 1 invariant violation or replay mismatch,
@@ -58,6 +58,10 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     reports = []
     if args.trace:
+        for option in ("scenario", "horizon", "trace_out"):
+            if getattr(args, option) is not None:
+                flag = "--" + option.replace("_", "-")
+                raise UsageError(f"verify --trace takes no {flag}")
         for path in args.trace:
             parsed = parse_trace(_read(path))
             report = verify_trace(parsed)

@@ -949,7 +949,7 @@ def audit(sc):
         raise HypothesisViolation(f"scripted sets intersect at element {min(inter)}")
 
 
-def trace_body(sc) -> list[str]:
+def fresh(sc):
     result = run_nosupermax(
         sc.sets.get("A", []), sc.sets.get("B", []), sc.horizon, sc.certs
     )
@@ -959,10 +959,10 @@ def trace_body(sc) -> list[str]:
         stage_map = res.stage_map if res.accepted else None
         fields = (res.accepted, res.witness_stage, res.reason, stage_map)
         certs.append((cert.attempt, *fields))
-    return encode_nosupermax((attempts, certs))
+    return result, (attempts, certs)
 
 
-def encode_nosupermax(log) -> list[str]:
+def encode(log) -> list[str]:
     attempts, certs = log
     lines = []
     for i, (attempt, base, horizon, records) in enumerate(attempts):
@@ -982,7 +982,7 @@ def _bad_record(parts, why):
     return UsageError(f"record {' '.join(parts)}: {why}")
 
 
-def decode_nosupermax(body, horizon):
+def decode(body, horizon):
     """(attempts, certs) from the body lines. An attempt's own horizon
     bounds the stages of its records. `horizon`, the scenario's, bounds each
     attempt's base and the stages of each map; not the attempt's horizon, so
@@ -1081,34 +1081,23 @@ def decode_nosupermax(body, horizon):
     return attempts, certs
 
 
-def _recorded_attempt(section, ref):
-    """The attempt a trace section records. A section that repeats `ref`,
-    the fresh attempt in its place, record for record is `ref` itself; any
-    other is rebuilt from its records, with the scripted events of `ref`
-    (none when the fresh run lacks the attempt)."""
-    if ref is not None and section == (ref.attempt, ref.base, ref.horizon, ref.records):
-        return ref
-    att, base, horizon, records = section
-    events = (ref.a.events, ref.b.events) if ref else ([], [])
-    return AttemptRun.from_records(att, base, *events, horizon, records)
-
-
-def verify_trace(parsed, report):
-    sc = parsed.scenario
-    sections, recorded_certs = decode_nosupermax(parsed.body, sc.horizon)
-    fresh = run_nosupermax(
-        sc.sets.get("A", []), sc.sets.get("B", []), sc.horizon, sc.certs
-    )
-    attempts = [
-        _recorded_attempt(section, _at(fresh.attempts, i))
-        for i, section in enumerate(sections)
-    ]
-    outcomes = [scenario_outcome(run, sc.horizon) for run in attempts]
+def check(sc, run, log, detail):
+    """A decoded log is checked on attempts rebuilt from its sections, each
+    with the scripted events of the fresh attempt in its place (none when
+    the fresh run lacks the attempt)."""
+    if detail is None:
+        return verify_nosupermax(run, run)
+    sections, certs = log
+    attempts = []
+    for i, (attempt, base, horizon, records) in enumerate(sections):
+        ref = _at(run.attempts, i)
+        events = (ref.a.events, ref.b.events) if ref else ([], [])
+        attempts.append(
+            AttemptRun.from_records(attempt, base, *events, horizon, records)
+        )
+    outcomes = [scenario_outcome(att, sc.horizon) for att in attempts]
     cert_results = [
         (sc.certs[i], SpeedupResult(accepted, reason, witness, stage_map or []))
-        for i, (_, accepted, witness, reason, stage_map) in enumerate(recorded_certs)
+        for i, (_, accepted, witness, reason, stage_map) in enumerate(certs)
     ]
-    recorded = NosupermaxResult(attempts, outcomes, cert_results)
-    checks, caveats = verify_nosupermax(recorded, fresh)
-    report.checks.extend(checks)
-    report.caveats.extend(caveats)
+    return verify_nosupermax(NosupermaxResult(attempts, outcomes, cert_results), run)

@@ -16,8 +16,9 @@ canonical text is never rendered again to check a trace.
 
 The header, the `ev`/`final` codecs and the body framing live here. The
 construction's module (`scenario.construction_module`) supplies NOTE, the
-header's note, and trace_body(sc), which runs the scenario and encodes the
-run; its decoder sits beside it, so decode(encode(records)) == records.
+header's note; fresh(sc), which runs the scenario and returns the run with
+its log; and encode(log), which writes the body. Its decoder sits beside
+them, so decode(encode(log)) == log.
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ def decode_event_log(body, arity, names, horizon):
 def run_upclosure_pipeline(sc: Scenario):
     """Audit is assumed done at load; classify, build boundaries, encode,
     decode every block, and in the least-x flavour re-derive each boundary
-    from the encoded separator. upclosure's trace_body calls it through this
+    from the encoded separator. upclosure's fresh calls it through this
     module, whose attribute the benchmark's tracer rebinds to time it."""
     from .upclosure import (
         WttAgreementTable,
@@ -255,12 +256,13 @@ def run_upclosure_pipeline(sc: Scenario):
 def run_scenario(sc: Scenario) -> Trace:
     """Run the construction and serialize the run."""
     text = sc.canonical()
+    module = construction_module(sc.construction)
     return Trace(
         construction=sc.construction,
         horizon=sc.horizon,
         scenario_text=text,
         scenario_hash=hashlib.sha256(text.encode()).hexdigest(),
-        body=construction_module(sc.construction).trace_body(sc),
+        body=module.encode(module.fresh(sc)[1]),
     )
 
 

@@ -40,7 +40,6 @@ from .functionals import EMPTY_PROGRAM, bits_of, evaluate
 from .report import CheckResult, first_counterexample
 from .scenario import no_rules
 from .trace import decode_event_log, encode_event_log
-from .verify import fresh_run_check
 
 
 class VeAxiom:
@@ -639,21 +638,22 @@ def twodegrees_inputs(sc):
     return (*sets, w_events, sc.programs_by_index(), sc.horizon)
 
 
-def trace_body(sc) -> list[str]:
+def fresh(sc):
     run = run_twodegrees(*twodegrees_inputs(sc))
-    return encode_event_log((run.records, {"A": run.a.events, "B": run.b.events}))
+    return run, (run.records, {"A": run.a.events, "B": run.b.events})
 
 
-def decode_twodegrees(body, horizon):
+encode = encode_event_log
+
+
+def decode(body, horizon):
     arity = {"axiom": 5, "kill": 4, "promote": 3, "pfire": 3}
     return decode_event_log(body, arity, "AB", horizon)
 
 
-def verify_trace(parsed, report):
-    records, _ = decode_twodegrees(parsed.body, parsed.scenario.horizon)
-    report.checks.append(fresh_run_check("run-exactness", parsed))
-    checks, caveats = verify_twodegrees(
-        TwoDegreesRun(*twodegrees_inputs(parsed.scenario)).replay(records)
-    )
-    report.checks.extend(checks)
-    report.caveats.extend(caveats)
+def check(sc, run, log, detail):
+    """A decoded log is checked on a run replayed from its records."""
+    if detail is not None:
+        run = TwoDegreesRun(*twodegrees_inputs(sc)).replay(log[0])
+    checks, caveats = verify_twodegrees(run)
+    return [CheckResult("run-exactness", not detail, detail or ""), *checks], caveats

@@ -2,7 +2,6 @@
 
 import random
 from itertools import product
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,21 +14,13 @@ from sepsim.anticomplete import (
     AnticompleteRun,
     NStrategyState,
     apply_sigma,
-    decode_anticomplete,
     n_strategy_step,
     run_anticomplete,
     sigma_search,
     verify_anticomplete,
 )
 from sepsim.corpus import anticomplete_corpus
-from sepsim.errors import UsageError
 from sepsim.functionals import OracleProgram, OracleRule
-from sepsim.scenario import load_scenario_file
-from sepsim.trace import parse_trace, run_scenario
-from sepsim.verify import fresh_run_check, verify_trace
-
-SAMPLES = Path(__file__).resolve().parents[1] / "scenarios" / "samples"
-FAULTS = SAMPLES.parent / "faults"
 
 
 def always_zero_program(width):
@@ -358,102 +349,6 @@ class TestMaskSearch:
         assert sigma_search(prog, n, s, a, b, d) == naive_anticomplete.sigma_search(
             prog, n, s, a, b, d
         )
-
-
-def decode_first(parsed, report):
-    """The verify hook that decodes every body before its checks."""
-    horizon = parsed.scenario.horizon
-    records, finals = decode_anticomplete(parsed.body, horizon)
-    report.checks.append(fresh_run_check("run-exactness", parsed))
-    checks, caveats = verify_anticomplete(
-        records, finals["A"], finals["B"], finals["D"], horizon
-    )
-    report.checks.extend(checks)
-    report.caveats.extend(caveats)
-
-
-def body_token_edits(text, count, seed):
-    """`count` copies of the trace, each with one token of one body line
-    replaced, dropped or duplicated."""
-    lines = text.splitlines()
-    first, last = lines.index("scenario-end") + 1, len(lines) - 1
-    words = ["-", "a", "b", "ev", "final", "nact", "rclaim", "ract", "A", "D", "x"]
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        edited = list(lines)
-        i = rng.randrange(first, last)
-        toks = edited[i].split()
-        j = rng.randrange(len(toks))
-        op = rng.choice(("replace", "drop", "duplicate"))
-        if op == "replace":
-            tok = toks[j].split(":")[0]
-            near = [str(int(tok) + 1), str(int(tok) - 1)] if tok.isdigit() else []
-            toks[j] = rng.choice([w for w in near + words if w != toks[j]])
-        elif op == "drop":
-            del toks[j]
-        else:
-            toks.insert(j, toks[j])
-        edited[i] = " ".join(toks)
-        out.append("\n".join(edited) + "\n")
-    return out
-
-
-class TestMatchingVerify:
-    """A body that equals the fresh run's encoding is verified on the fresh
-    run, undecoded; every report and exit must equal decode-first verify."""
-
-    @staticmethod
-    def outcomes(text, monkeypatch):
-        """(outcome, decode calls) with the matching path, then the outcome
-        with decode-first verify; an outcome is a report or an exit-2
-        message."""
-        parsed = parse_trace(text)
-        decodes = 0
-
-        def counted(body, horizon):
-            nonlocal decodes
-            decodes += 1
-            return decode_anticomplete(body, horizon)
-
-        def outcome():
-            try:
-                return verify_trace(parsed).render()
-            except UsageError as exc:
-                return f"exit 2: {exc}"
-
-        with monkeypatch.context() as patch:
-            patch.setattr(anticomplete, "decode_anticomplete", counted)
-            got = outcome()
-        with monkeypatch.context() as patch:
-            patch.setattr(anticomplete, "verify_trace", decode_first)
-            want = outcome()
-        return got, decodes, want
-
-    def test_corpus_is_verified_undecoded(self, monkeypatch):
-        for name, sc in anticomplete_corpus(20, 300):
-            text = run_scenario(sc).render()
-            got, decodes, want = self.outcomes(text, monkeypatch)
-            assert got == want, name
-            assert decodes == 0 and got.endswith("result pass\n"), name
-
-    @pytest.mark.parametrize(
-        "path", sorted(FAULTS.glob("anticomplete-*.trc")), ids=lambda path: path.stem
-    )
-    def test_fault_reports_agree(self, path, monkeypatch):
-        got, decodes, want = self.outcomes(path.read_text(), monkeypatch)
-        assert got == want
-        assert decodes == 1 and got.endswith("result fail\n")
-
-    def test_body_edits_agree(self, monkeypatch):
-        text = run_scenario(load_scenario_file(SAMPLES / "anticomplete-readers.scn"))
-        seen = set()
-        for edited in body_token_edits(text.render(), 120, "matching verify"):
-            got, decodes, want = self.outcomes(edited, monkeypatch)
-            assert got == want
-            assert decodes == 1
-            seen.add("exit 2" if got.startswith("exit 2") else got.splitlines()[-1])
-        assert seen == {"exit 2", "result fail"}
 
 
 class TestVerifier:

@@ -23,7 +23,6 @@ import sepsim.trace
 import sepsim.verify
 from cli_env import cli_env
 from naive_parse import naive_canonical, naive_parse_scenario
-from sepsim.anticomplete import decode_anticomplete, run_anticomplete
 from sepsim.cli import main
 from sepsim.corpus import (
     anticomplete_corpus,
@@ -35,30 +34,18 @@ from sepsim.corpus import (
     upclosure_corpus,
     upclosure_scenario,
 )
-from sepsim.errors import HypothesisViolation, UsageError
+from sepsim.errors import HardFault, HypothesisViolation, SepsimError, UsageError
 from sepsim.functionals import OracleProgram
-from sepsim.nosupermax import (
-    AttemptRun,
-    decode_nosupermax,
-    encode_nosupermax,
-    run_nosupermax,
-)
-from sepsim.report import first_divergence
+from sepsim.report import VerificationReport, first_divergence
 from sepsim.scenario import (
     CONSTRUCTIONS,
     Scenario,
+    construction_module,
     load_scenario,
     load_scenario_file,
     parse_scenario,
 )
-from sepsim.trace import (
-    encode_event_log,
-    parse_trace,
-    run_scenario,
-    run_upclosure_pipeline,
-)
-from sepsim.twodegrees import decode_twodegrees, run_twodegrees, twodegrees_inputs
-from sepsim.upclosure import decode_upclosure, encode_upclosure
+from sepsim.trace import parse_trace, run_scenario
 from sepsim.verify import verify_trace
 
 SAMPLES = Path(__file__).resolve().parents[1] / "scenarios" / "samples"
@@ -923,36 +910,11 @@ class TestAnticompleteEdits:
 
 
 def expected_log(sc):
-    """The run's records, taken from the construction itself, with the
+    """The run's log as the construction's fresh hook gives it, with the
     encoder and decoder of its trace body."""
-    if sc.construction == "upclosure":
-        decode = partial(decode_upclosure, horizon=sc.horizon)
-        return run_upclosure_pipeline(sc), encode_upclosure, decode
-    if sc.construction == "nosupermax":
-        result = run_nosupermax(
-            sc.sets.get("A", []), sc.sets.get("B", []), sc.horizon, sc.certs
-        )
-        attempts = [(r.attempt, r.base, r.horizon, r.records) for r in result.attempts]
-        certs = [
-            (
-                cert.attempt,
-                res.accepted,
-                res.witness_stage,
-                res.reason,
-                res.stage_map if res.accepted else None,
-            )
-            for cert, res in result.cert_results
-        ]
-        decode = partial(decode_nosupermax, horizon=sc.horizon)
-        return (attempts, certs), encode_nosupermax, decode
-    if sc.construction == "anticomplete":
-        run = run_anticomplete(sc.programs_by_index(), sc.horizon)
-        sets, decode = {"A": run.a, "B": run.b, "D": run.d}, decode_anticomplete
-    else:
-        run = run_twodegrees(*twodegrees_inputs(sc))
-        sets, decode = {"A": run.a, "B": run.b}, decode_twodegrees
-    finals = {name: s.events for name, s in sets.items()}
-    return (run.records, finals), encode_event_log, partial(decode, horizon=sc.horizon)
+    module = construction_module(sc.construction)
+    decode = partial(module.decode, horizon=sc.horizon)
+    return module.fresh(sc)[1], module.encode, decode
 
 
 def codec_scenarios():
@@ -1205,71 +1167,159 @@ class TestNosupermaxChainVerify:
             pass
 
 
-class TestSectionReuse:
-    """A nosupermax section that repeats its fresh attempt is checked on that
-    attempt; the report must equal the one with every section rebuilt."""
+def body_token_edits(text, count, seed):
+    """`count` copies of the trace, each with one token of one body line
+    replaced by another token of the body or a neighbouring integer, dropped
+    or duplicated."""
+    lines = text.splitlines()
+    first, last = lines.index("scenario-end") + 1, len(lines) - 1
+    pool = sorted({tok for line in lines[first:last] for tok in line.split()})
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        edited = list(lines)
+        i = rng.randrange(first, last)
+        toks = edited[i].split()
+        j = rng.randrange(len(toks))
+        op = rng.choice(("replace", "drop", "duplicate"))
+        if op == "replace":
+            tok = toks[j].split(":")[0]
+            near = [str(int(tok) + 1), str(int(tok) - 1)] if tok.isdigit() else []
+            toks[j] = rng.choice([w for w in near + pool if w != toks[j]])
+        elif op == "drop":
+            del toks[j]
+        else:
+            toks.insert(j, toks[j])
+        edited[i] = " ".join(toks)
+        out.append("\n".join(edited) + "\n")
+    return out
 
-    @staticmethod
-    def reports(text, monkeypatch):
-        """(report with reuse, report with every section rebuilt, sections
-        reused, sections in the trace)."""
-        parsed = parse_trace(text)
-        sections = sum(parts[2:3] == ["begin"] for parts in parsed.body)
-        original = sepsim.nosupermax._recorded_attempt
-        reused = 0
 
-        def counted(section, ref):
-            nonlocal reused
-            run = original(section, ref)
-            reused += run is ref
-            return run
-
-        def rebuilt(section, ref):
-            att, base, horizon, records = section
-            events = (ref.a.events, ref.b.events) if ref else ([], [])
-            return AttemptRun.from_records(att, base, *events, horizon, records)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(sepsim.nosupermax, "_recorded_attempt", counted)
-            got = verify_trace(parsed).render()
-        with monkeypatch.context() as patch:
-            patch.setattr(sepsim.nosupermax, "_recorded_attempt", rebuilt)
-            want = verify_trace(parsed).render()
-        return got, want, reused, sections
-
-    @pytest.mark.parametrize(
-        "path",
-        sorted(SAMPLES.glob("nosupermax-*.scn"))
-        + sorted(FAULTS.parent.glob("certs/*.scn")),
-        ids=lambda path: path.stem,
-    )
-    def test_fixture_reports_agree(self, path, monkeypatch):
-        text = run_scenario(load_scenario(path.read_text())).render()
-        got, want, reused, sections = self.reports(text, monkeypatch)
-        assert got == want
-        assert reused == sections
-
-    @pytest.mark.parametrize(
-        "path", sorted(FAULTS.glob("nosupermax-*.trc")), ids=lambda path: path.stem
-    )
-    def test_fault_reports_agree(self, path, monkeypatch):
-        got, want, _, _ = self.reports(path.read_text(), monkeypatch)
-        assert got == want
-
-    def test_corpus_reports_agree(self, monkeypatch):
+def corpus_scenarios_of(group):
+    """(name, scenario) of one corpus group."""
+    if group == "nosupermax-chains":
+        out = []
         for seed in range(24):
             sc = nosupermax_scenario(seed, 200)
             sc.certs = chain_certificates(sc, want=2)
-            text = run_scenario(sc).render()
-            got, want, reused, sections = self.reports(text, monkeypatch)
-            assert got == want, seed
-            assert reused == sections, seed
+            out.append((f"nsm-{seed}", sc))
+        return out
+    if group == "upclosure":
+        return upclosure_corpus(20)
+    corpus = anticomplete_corpus if group == "anticomplete" else twodegrees_corpus
+    return corpus(20, 300)
+
+
+class TestOneVerifyPath:
+    """verify_trace decodes a body only when it differs, token for token,
+    from the fresh run's encoding. Every outcome, a report or an error, must
+    equal decode-first verify's, which decodes every body and hands check a
+    string detail."""
+
+    @staticmethod
+    def decode_first(parsed):
+        """The reference: every body is decoded before the run."""
+        sc = parsed.scenario
+        module = construction_module(parsed.construction)
+        report = VerificationReport(parsed.construction, parsed.scenario_hash)
+        try:
+            log = module.decode(parsed.body, sc.horizon)
+            run, fresh_log = module.fresh(sc)
+            fresh = map(str.split, module.encode(fresh_log))
+            detail = first_divergence(parsed.body, fresh)
+            report.checks, report.caveats = module.check(sc, run, log, detail)
+        except (ValueError, IndexError, KeyError, TypeError) as exc:
+            raise UsageError(f"malformed trace body: {exc}")
+        return report
+
+    @classmethod
+    def assert_agrees(cls, text, monkeypatch):
+        """Checks the outcome and the decode calls of verify_trace: one when
+        the body differs from a fresh run's, none otherwise. Returns both."""
+        parsed = parse_trace(text)
+        module = construction_module(parsed.construction)
+        fresh = [line.split() for line in run_scenario(parsed.scenario).body]
+        decode = module.decode
+        calls = 0
+
+        def counted(body, horizon):
+            nonlocal calls
+            calls += 1
+            return decode(body, horizon)
+
+        def outcome(verify):
+            try:
+                return verify(parsed).render()
+            except SepsimError as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "decode", counted)
+            got = outcome(verify_trace)
+        assert got == outcome(cls.decode_first)
+        assert calls == (parsed.body != fresh)
+        return got, calls
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted(SAMPLES.glob("*.scn")) + sorted(SAMPLES.parent.glob("certs/*.scn")),
+        ids=lambda path: path.stem,
+    )
+    def test_fixture_traces_are_not_decoded(self, path, monkeypatch):
+        text = run_scenario(load_scenario(path.read_text())).render()
+        outcome, calls = self.assert_agrees(text, monkeypatch)
+        assert calls == 0 and outcome.startswith("sepsim-report")
+
+    @pytest.mark.parametrize(
+        "group", ["anticomplete", "twodegrees", "upclosure", "nosupermax-chains"]
+    )
+    def test_corpus_traces_are_not_decoded(self, group, monkeypatch):
+        for name, sc in corpus_scenarios_of(group):
+            outcome, calls = self.assert_agrees(run_scenario(sc).render(), monkeypatch)
+            assert calls == 0 and outcome.startswith("sepsim-report"), name
+
+    @pytest.mark.parametrize(
+        "path", sorted(FAULTS.glob("*.trc")), ids=lambda path: path.stem
+    )
+    def test_fault_traces_agree(self, path, monkeypatch):
+        outcome, _ = self.assert_agrees(path.read_text(), monkeypatch)
+        assert outcome.endswith("result fail\n")
+
+    @pytest.mark.parametrize("stem", sorted(SAMPLE_TRACES))
+    def test_body_edits_are_decoded_once(self, stem, monkeypatch):
+        seen = set()
+        for edited in body_token_edits(SAMPLE_TRACES[stem], 40, f"one path {stem}"):
+            outcome, calls = self.assert_agrees(edited, monkeypatch)
+            assert calls == 1
+            seen.add(outcome.splitlines()[-1].split(":")[0])
+        assert seen == {"UsageError", "result fail"}, seen
+
+    @pytest.mark.parametrize("body, code", [("bogus 1", 2), (None, 1)])
+    def test_malformed_body_exits_two_before_a_hard_fault(
+        self, body, code, tmp_path, capsys, monkeypatch
+    ):
+        """A twodegrees trace whose run hard-faults exits 2 when its body is
+        malformed, and 1 (the hard fault) otherwise."""
+
+        def fault(*_):
+            raise HardFault("no free column slot")
+
+        monkeypatch.setattr(construction_module("twodegrees"), "run_twodegrees", fault)
+        lines = SAMPLE_TRACES["twodegrees-mixed"].splitlines()
+        if body is not None:
+            lines.insert(lines.index("scenario-end") + 1, body)
+        path = tmp_path / "faulting.trc"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["verify", "--trace", str(path)]) == code
+        want = "error: unknown record bogus" if code == 2 else "hard fault: no free"
+        assert capsys.readouterr().err.startswith(want)
 
 
 class TestCanonicalIntegers:
-    """Every integer a trace carries is written in canonical decimal. The
-    nosupermax verifier compares decoded records, so it refuses a respelled
-    integer itself; the other constructions compare tokens with a fresh run."""
+    """Every integer a trace carries is written in canonical decimal. A
+    respelled integer makes the body differ from the fresh run's, so it is
+    decoded, and the nosupermax decoder refuses it; the other constructions'
+    exactness checks fail on it."""
 
     @pytest.mark.parametrize(
         "old, new",
@@ -1437,6 +1487,22 @@ class TestCli:
         assert res.returncode == 1, res.stderr
         assert res.stdout == "replay mismatch\n"
         assert trace.read_text() == fresh
+
+    def test_verify_trace_takes_no_scenario_options(self, tmp_path, capsys):
+        trace = tmp_path / "in.trc"
+        trace.write_text(SAMPLE_TRACES["nosupermax-sparse"])
+        out = tmp_path / "out.trc"
+        scenario = str(SAMPLES / "nosupermax-sparse.scn")
+        options = [
+            ["--scenario", scenario],
+            ["--horizon", "5"],
+            ["--trace-out", str(out)],
+        ]
+        for given in (*options, [tok for option in options for tok in option]):
+            assert main(["verify", "--trace", str(trace), *given]) == 2, given
+            err = capsys.readouterr().err
+            assert err == f"error: verify --trace takes no {given[0]}\n"
+        assert not out.exists()
 
     def test_verify_scenario_direct(self, tmp_path, scenario_file):
         res = run_cli(["verify", "--scenario", str(scenario_file)], tmp_path)
