@@ -588,8 +588,7 @@ encode = encode_event_log
 
 
 def decode(body, horizon):
-    arity = {"nact": 2, "rclaim": 2, "ract": 6}
-    return decode_event_log(body, arity, "ABD", horizon)
+    return decode_event_log(body, ("nact", "rclaim", "ract"), "ABD", horizon)
 
 
 def check(sc, run, log, detail):

@@ -46,9 +46,10 @@ from itertools import chain, zip_longest
 
 from .enumcore import StageSet
 from .errors import HypothesisViolation, UsageError
+from .records import FieldError, Tail, bad_record, read_record
 from .report import CheckResult, first_counterexample, first_divergence
 from .scenario import no_rules
-from .trace import decode_ev, encode_ev, fmt_ints, fmt_opt, ints, parse_opt
+from .trace import encode_ev, fmt_ints, fmt_opt
 
 MIN_SPEEDUP_FRACTION = 4  # accept when selected stages >= available / this
 
@@ -65,14 +66,6 @@ def trigger_prefix(limit, x_mem, a_new, b_new):
     limit + 2, and no number up to limit + 1 is permitted through it."""
     fresh = [z for z in b_new if z in x_mem] + [z for z in a_new if z not in x_mem]
     return min(fresh, default=limit + 2)
-
-
-def permitted(y, s1, x_mem, a_now, b_now, m):
-    """Permission at stage s1 = s+1: outside both scripted sets, and either
-    y equals s or a smaller number freshly crossed X (y > m)."""
-    if y in a_now or y in b_now:
-        return False
-    return y == s1 - 1 or y > m
 
 
 def boundary_update(base, old_entries, s1, m, bare, scripted):
@@ -178,14 +171,13 @@ class AttemptRun:
     @classmethod
     def from_records(cls, attempt, base, a_events, b_events, horizon, records):
         """A finished attempt rebuilt from its recorded boundary and X
-        events, without stepping it. The records are those of a decoded
-        trace section: one boundary record per stage, each within bounds."""
+        events, without stepping it. The records are those of a section
+        decoded by RECORDS: boundary, xin and xout records, one boundary
+        record per stage, each within bounds."""
         run = cls(attempt, base, a_events, b_events, horizon)
         for kind, s1, val in records:
             if kind == "boundary":
                 run._record_boundary(s1, val)
-            elif kind not in ("xin", "xout"):
-                raise UsageError(f"unknown attempt event {kind}")
             elif (kind == "xin") == (val in run.x):
                 where = "already in X" if kind == "xin" else "outside X"
                 raise UsageError(f"record ev {s1} {kind} {val}: number {where}")
@@ -568,7 +560,9 @@ def apply_speedup(run: AttemptRun, cert: SpeedupCertificate) -> SpeedupResult:
         return SpeedupResult(False, reason="certificate parity does not match k")
     if not (1 <= cert.settling_stage <= horizon):
         return SpeedupResult(False, reason="settling stage outside trace")
-    values = [run.entry_value_at(j, cert.settling_stage) for j in range(cert.k)]
+    # no entry past the last one ever set is defined, however large k is
+    reach = range(min(cert.k, len(run.entry_resets) + 1))
+    values = [run.entry_value_at(j, cert.settling_stage) for j in reach]
     if any(v is None for v in values):
         return SpeedupResult(
             False,
@@ -728,7 +722,9 @@ def _verify_attempt(run: AttemptRun, ref: AttemptRun | None, checks):
     def ev(records):
         return [("ev", s1, kind, val) for kind, s1, val in records]
 
-    detail = first_divergence(ev(run.records), ev(ref.records if ref else []))
+    detail = ""
+    if ref is None or run.records != ref.records:
+        detail = first_divergence(ev(run.records), ev(ref.records if ref else []))
     checks.append(CheckResult(f"{tag}-boundary-exactness", not detail, detail))
 
     w, fwd, bwd = derive_w(run)
@@ -978,21 +974,37 @@ def encode(log) -> list[str]:
     return lines
 
 
-def _bad_record(parts, why):
-    return UsageError(f"record {' '.join(parts)}: {why}")
+def dec(tok):
+    """An integer in canonical decimal: records are compared by value, so a
+    respelled one would pass."""
+    value = int(tok)
+    if str(value) != tok:
+        raise FieldError("an integer is not in canonical decimal")
+    return value
+
+
+# a body's records by their first token, then attempt, cert and ev records
+# by their third: the types of the tokens after that one. The second token
+# of those (the attempt or the stage) is read by dec after them.
+RECORDS = {
+    "attempt": {"begin": (dec, dec), "end": ()},
+    # a rejection's witness stage, then its free-text reason
+    "cert": {
+        "accepted": (),
+        "rejected": (lambda tok: None if tok == "-" else dec(tok), Tail(list)),
+    },
+    "ev": {"boundary": (dec,), "xin": (dec,), "xout": (dec,)},
+    "map": {"map": (Tail(lambda toks: map(dec, toks)),)},
+}
 
 
 def decode(body, horizon):
-    """(attempts, certs) from the body lines. An attempt's own horizon
-    bounds the stages of its records. `horizon`, the scenario's, bounds each
-    attempt's base and the stages of each map; not the attempt's horizon, so
-    that a section whose horizon alone was edited still gets a report (its
-    timeline check names the change). Every integer must be in canonical
-    decimal: records are compared by value, so a respelled one would pass."""
-    arity = {"boundary": 1, "xin": 1, "xout": 1}
-    # token counts of the fixed-length records; a rejection's reason is free
-    # text after its witness stage
-    width = {"begin": 5, "end": 3, "accepted": 3}
+    """(attempts, certs) from the body lines, each record read by RECORDS,
+    so that every integer in it is in canonical decimal. An attempt's own
+    horizon bounds the stages of its records. `horizon`, the scenario's,
+    bounds each attempt's base and the stages of each map; not the attempt's
+    horizon, so that a section whose horizon alone was edited still gets a
+    report (its timeline check names the change)."""
     # the records each record may follow; None stands for the start of the
     # body. A section may follow a section without a certificate: the
     # verifier, not the decoder, reports a chain that differs from the fresh
@@ -1008,60 +1020,50 @@ def decode(body, horizon):
     attempts, certs = [], []
     prev = None
     for parts in body:
-        kind = parts[0]
-        if kind in ("attempt", "cert"):
-            if len(parts) < 3:
-                raise _bad_record(parts, "too few tokens")
-            words = ("begin", "end") if kind == "attempt" else ("accepted", "rejected")
-            if parts[2] not in words:
-                raise _bad_record(parts, f"third token not {' or '.join(words)}")
-            kind = parts[2]
-        if kind not in follows:
+        table = RECORDS.get(parts[0])
+        if table is None:
             raise UsageError(f"unknown record {parts[0]} in trace body")
+        at = 0 if parts[0] == "map" else 2
+        fields = read_record(parts, table, at, dec)
+        if fields is None and parts[0] == "ev":
+            raise UsageError(f"unknown event {parts[2]} in trace body")
+        if fields is None:
+            raise bad_record(parts, f"third token not {' or '.join(table)}")
+        kind = parts[at] if parts[0] != "ev" else "ev"
         if prev not in follows[kind]:
             raise UsageError(f"{parts[0]} record out of place in trace body")
         prev = kind
         if kind == "ev":
             # bounded before any attempt is rebuilt from the records: a kept
             # index sizes the per-entry reset lists
-            rec = decode_ev(parts, arity)
+            s1, value = fields
             _, _, h, records = attempts[-1]
-            if not 1 <= rec[1] <= h:
-                raise _bad_record(parts, f"stage outside 1..{h}")
-            if rec[0] == "boundary" and not -1 <= rec[2] < h:
-                raise _bad_record(parts, f"kept index outside -1..{h - 1}")
-            if str(rec[1]) != parts[1] or str(rec[2]) != parts[3]:
-                raise _bad_record(parts, "an integer is not in canonical decimal")
-            records.append(rec)
+            if not 1 <= s1 <= h:
+                raise bad_record(parts, f"stage outside 1..{h}")
+            if parts[2] == "boundary" and not -1 <= value < h:
+                raise bad_record(parts, f"kept index outside -1..{h - 1}")
+            records.append((parts[2], s1, value))
             continue
-        if kind in width and len(parts) != width[kind]:
-            raise _bad_record(parts, f"{len(parts)} tokens, expected {width[kind]}")
-        if kind == "rejected" and len(parts) < 4:
-            raise _bad_record(parts, f"{len(parts)} tokens, expected at least 4")
-        numbers = parts[1:4] if kind == "rejected" else parts[1:]  # then a reason
-        if any(str(int(t)) != t for t in numbers if t != "-" and not t.isalpha()):
-            raise _bad_record(parts, "an integer is not in canonical decimal")
         if kind == "begin":
             # an attempt's base is -1 or a settled boundary value; the
             # verifier's scans start just above it
-            base = int(parts[3])
+            attempt, base, h = fields
             if base < -1:
-                raise _bad_record(parts, "base below -1")
+                raise bad_record(parts, "base below -1")
             if base > horizon:
-                raise _bad_record(parts, f"base above the scenario horizon {horizon}")
-            attempts.append((int(parts[1]), base, int(parts[4]), []))
+                raise bad_record(parts, f"base above the scenario horizon {horizon}")
+            attempts.append((attempt, base, h, []))
             continue
         attempt, _, h, records = attempts[-1]
         if kind == "map":
-            stage_map = list(ints(parts[1:]))
-            rising = all(u < v for u, v in zip(stage_map, stage_map[1:]))
-            inside = not stage_map or 0 < stage_map[0] and stage_map[-1] <= horizon
+            rising = all(u < v for u, v in zip(fields, fields[1:]))
+            inside = not fields or 0 < fields[0] and fields[-1] <= horizon
             if not (rising and inside):
                 why = f"stages not strictly rising within 1..{horizon}"
-                raise _bad_record(parts, why)
-            certs[-1] = (*certs[-1][:4], stage_map)
-        elif int(parts[1]) != attempt:
-            raise _bad_record(parts, f"in the section of attempt {attempt}")
+                raise bad_record(parts, why)
+            certs[-1] = (*certs[-1][:4], fields)
+        elif fields[0] != attempt:
+            raise bad_record(parts, f"in the section of attempt {attempt}")
         elif kind == "end":
             count = sum(rec[0] == "boundary" for rec in records)
             if count != h:
@@ -1072,8 +1074,8 @@ def decode(body, horizon):
         elif kind == "accepted":
             certs.append((attempt, True, None, "", None))
         else:
-            reason = " ".join(parts[4:])
-            certs.append((attempt, False, parse_opt(parts[3]), reason, None))
+            _, witness, *reason = fields
+            certs.append((attempt, False, witness, " ".join(reason), None))
     if prev is None:
         raise UsageError("trace carries no attempts")
     if prev in ("begin", "ev"):

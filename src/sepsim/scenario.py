@@ -24,6 +24,10 @@ scripted sides, a hole below the horizon, and operators that compute each
 side from the other bit by bit; nosupermax scenarios must script disjoint
 sides.
 
+Every record but a rule is read through RECORDS, its table of token types,
+so a record with more or fewer tokens reads `line N: record <tokens>: <n>
+tokens, expected <m>`; a rule keeps its own path, which caches its guards.
+
 The grammar, the canonical form and the shared checks live here; the rest
 is read from the construction's module (`construction_module`): SET_NAMES
 and PROGRAM_NAMES (full-match patterns, or None for no names), FIRST_STAGE
@@ -38,6 +42,7 @@ import importlib
 from .enumcore import StageSet
 from .errors import UsageError
 from .functionals import OracleProgram, OracleRule, UseBound
+from .records import read_record
 
 CONSTRUCTIONS = ("anticomplete", "upclosure", "nosupermax", "twodegrees")
 
@@ -156,10 +161,20 @@ def _schema_error(msg, lineno=None):
     return UsageError(msg, location=loc)
 
 
-def _arity(parts, n, lineno):
-    # a trailing token would vanish from the canonical text and the digest
-    if len(parts) != n:
-        raise _schema_error(f"malformed {parts[0]} record: token count not {n}", lineno)
+# the types of each scenario record's tokens after its kind, so its token
+# count too: a trailing token would vanish from the canonical text and the
+# digest. A rule is read on its own path, and `case 1 <k>` is the case
+# record whose tag reads 1.
+RECORDS = {
+    "set": (str, int, int),
+    "construction": (str,),
+    "horizon": (int,),
+    "case": (int,),
+    "cert": (int, int, int, str, int),
+    "bound": (str, int, int),
+    "end": (),
+}
+CASE_1 = {"case": (int, int)}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -173,8 +188,9 @@ def parse_scenario(text: str) -> Scenario:
     guards: dict[str, tuple[tuple[int, int], ...]] = {}
     horizon_seen = False
     ended = False
-    # rule records outnumber all others, then set records, so they come
-    # first; only a rule reads past the seventh field (its guard)
+    # rule records outnumber all others, so they come first; only a rule
+    # reads past the seventh field (its guard), and only a rule is read
+    # outside the record table
     for lineno, raw in enumerate(lines[1:], start=2):
         parts = (raw.split("#")[0] if "#" in raw else raw).split(None, 7)
         if not parts:
@@ -204,48 +220,37 @@ def parse_scenario(text: str) -> Scenario:
                     rules[name] = [rule]
                 else:
                     prog.append(rule)
-            elif kind == "set":
-                _arity(parts, 4, lineno)
-                sc.sets.setdefault(parts[1], []).append((int(parts[2]), int(parts[3])))
-            elif kind == "construction":
-                _arity(parts, 2, lineno)
-                if parts[1] not in CONSTRUCTIONS:
-                    raise _schema_error(f"unknown construction {parts[1]}", lineno)
-                sc.construction = parts[1]
-            elif kind == "horizon":
-                _arity(parts, 2, lineno)
-                sc.horizon = int(parts[1])
-                horizon_seen = True
-            elif kind == "case":
-                from .upclosure import CaseTag
-                tag = int(parts[1]) if len(parts) > 1 else 0
-                _arity(parts, 3 if tag == 1 else 2, lineno)  # case 1 <k> | case 2
-                sc.case = CaseTag(tag, *map(int, parts[2:]))
-            elif kind == "cert":
-                from .nosupermax import SpeedupCertificate
-                _arity(parts, 6, lineno)
-                parity = {"odd": 1, "even": 0}.get(parts[4])
-                if parity is None:
-                    raise _schema_error(f"bad parity word {parts[4]}", lineno)
-                sc.certs.append(
-                    SpeedupCertificate(
-                        attempt=int(parts[1]),
-                        ell=int(parts[2]),
-                        k=int(parts[3]),
-                        parity=parity,
-                        settling_stage=int(parts[5]),
-                    )
-                )
-            elif kind == "bound":
-                _arity(parts, 4, lineno)
-                if parts[1] != "f":
-                    raise _schema_error("only the bound named f exists", lineno)
-                sc.bound_table.append((int(parts[2]), int(parts[3])))
-            elif kind == "end":
-                _arity(parts, 1, lineno)
-                ended = True
             else:
-                raise _schema_error(f"unknown record {kind}", lineno)
+                table = RECORDS
+                if kind == "case" and len(parts) > 1 and int(parts[1]) == 1:
+                    table = CASE_1
+                fields = read_record(parts, table, lineno=lineno)
+                if fields is None:
+                    raise _schema_error(f"unknown record {kind}", lineno)
+                if kind == "set":
+                    sc.sets.setdefault(fields[0], []).append((fields[1], fields[2]))
+                elif kind == "construction":
+                    if fields[0] not in CONSTRUCTIONS:
+                        raise _schema_error(f"unknown construction {fields[0]}", lineno)
+                    sc.construction = fields[0]
+                elif kind == "horizon":
+                    sc.horizon = fields[0]
+                    horizon_seen = True
+                elif kind == "case":
+                    from .upclosure import CaseTag
+                    sc.case = CaseTag(*fields)
+                elif kind == "cert":
+                    from .nosupermax import SpeedupCertificate
+                    parity = {"odd": 1, "even": 0}.get(fields[3])
+                    if parity is None:
+                        raise _schema_error(f"bad parity word {fields[3]}", lineno)
+                    sc.certs.append(SpeedupCertificate(*fields[:3], parity, fields[4]))
+                elif kind == "bound":
+                    if fields[0] != "f":
+                        raise _schema_error("only the bound named f exists", lineno)
+                    sc.bound_table.append((fields[1], fields[2]))
+                else:  # end
+                    ended = True
         except (ValueError, IndexError) as exc:
             raise _schema_error(f"malformed {kind} record: {exc}", lineno)
     if not ended:

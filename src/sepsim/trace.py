@@ -15,10 +15,14 @@ edit of that text, a comment or a respelled integer included, fails on the
 canonical text is never rendered again to check a trace.
 
 The header, the `ev`/`final` codecs and the body framing live here. The
-construction's module (`scenario.construction_module`) supplies NOTE, the
-header's note; fresh(sc), which runs the scenario and returns the run with
-its log; and encode(log), which writes the body. Its decoder sits beside
-them, so decode(encode(log)) == log.
+event log is read through its record tables, EVENTS (every construction's
+`ev` kinds) and FINAL, by `records.read_record`, so a record with a wrong
+token count exits 2 as `record <tokens>: <n> tokens, expected <m>`, as in
+every other format. The construction's module
+(`scenario.construction_module`) supplies NOTE, the header's note; fresh(sc),
+which runs the scenario and returns the run with its log; and encode(log),
+which writes the body. Its decoder sits beside them, so
+decode(encode(log)) == log.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from . import __version__
 from .enumcore import PAIRING_SCHEME_ID
 from .errors import UsageError
 from .functionals import UseBoundedOperator
+from .records import Tail, bad_record, read_record
 from .scenario import Scenario, audit_scenario, construction_module, parse_scenario
 
 HEADER = "sepsim-trace 1"
@@ -95,8 +100,29 @@ def fmt_ints(values) -> str:
     return " ".join(map(str, values))
 
 
-def _parse_events(fields):
-    return tuple((int(e), int(t)) for e, t in (f.split(":") for f in fields))
+def _stamped(tok):
+    e, t = tok.split(":")
+    return int(e), int(t)
+
+
+def _runs(toks):
+    b = toks.index("b")
+    return ints(toks[1:b]), ints(toks[b + 1 :])
+
+
+# the types of each event's fields after its kind: anticomplete's, then
+# twodegrees'. An act ends with its enumeration runs, `a <ints> b <ints>`,
+# and an axiom with its prefix, written '-' when empty.
+EVENTS = {
+    "nact": (int, int),
+    "rclaim": (int, int),
+    "ract": (int, int, int, parse_opt, Tail(_runs, least=2, marker="a")),
+    "axiom": (int, int, int, int, lambda tok: "" if tok == "-" else tok),
+    "kill": (int, int, int, int),
+    "promote": (int, int, int),
+    "pfire": (int, int, int),
+}
+FINAL = {"final": (str, Tail(lambda toks: map(_stamped, toks)))}
 
 
 def encode_ev(rec) -> str:
@@ -116,28 +142,6 @@ def encode_ev(rec) -> str:
     return f"ev {stage} {kind} {' '.join(map(fmt_opt, fields))}"
 
 
-def decode_ev(parts, arity) -> tuple:
-    """Inverse of encode_ev for the kinds in `arity` (kind -> field count)."""
-    kind = parts[2] if len(parts) > 2 else "-"
-    if kind not in arity:
-        raise UsageError(f"unknown event {kind} in trace body")
-    if arity[kind] == 1 and len(parts) == 4:  # one field: read without slicing
-        value = int(parts[3])  # the field before the stage, as below
-        return (kind, int(parts[1]), value)
-    toks = parts[3:]
-    if kind == "ract":
-        ai, bi = toks.index("a"), toks.index("b")
-        runs = ints(toks[ai + 1 : bi]), ints(toks[bi + 1 :])
-        fields = (*ints(toks[: ai - 1]), parse_opt(toks[ai - 1]), *runs)
-    elif kind == "axiom":
-        fields = (*ints(toks[:-1]), "" if toks[-1] == "-" else toks[-1])
-    else:
-        fields = ints(toks)
-    if len(fields) != arity[kind]:
-        raise UsageError(f"malformed {kind} record in trace body")
-    return (kind, int(parts[1]), *fields)
-
-
 def encode_event_log(log) -> list[str]:
     """(records, finals) -> one ev line per record, then one `final` line per
     named set, in the order of `finals`."""
@@ -148,32 +152,33 @@ def encode_event_log(log) -> list[str]:
     ]
 
 
-def decode_event_log(body, arity, names, horizon):
-    """The ev records, then exactly one `final` line per set of `names`, in
-    that order; anything else is a UsageError naming the line. A stage lies
-    in 0..horizon and a final stamp in 1..horizon. Stages run up to
-    horizon - 1; a record at the horizon itself still gets a report, which
-    names it as a divergence from the fresh run."""
+def decode_event_log(body, kinds, names, horizon):
+    """The ev records of `kinds`, read by EVENTS, then exactly one `final`
+    line per set of `names`, in that order; anything else is a UsageError
+    naming the line. A stage lies in 0..horizon and a final stamp in
+    1..horizon. Stages run up to horizon - 1; a record at the horizon itself
+    still gets a report, which names it as a divergence from the fresh run."""
+    events = {kind: EVENTS[kind] for kind in kinds}
     records = []
     finals = {}
     for parts in body:
         want = names[len(finals)] if len(finals) < len(names) else None
         if parts[0] == "ev" and not finals:
-            rec = decode_ev(parts, arity)
-            if not 0 <= rec[1] <= horizon:
-                raise UsageError(
-                    f"record {' '.join(parts)}: stage outside 0..{horizon}"
-                )
-            records.append(rec)
-        elif parts[0] == "final" and parts[1:2] == [want]:
-            events = _parse_events(parts[2:])
-            for e, t in events:
+            rec = read_record(parts, events, 2, int)
+            if rec is None:
+                raise UsageError(f"unknown event {parts[2]} in trace body")
+            if not 0 <= rec[0] <= horizon:
+                raise bad_record(parts, f"stage outside 0..{horizon}")
+            records.append((parts[2], *rec))
+        elif parts[0] == "final" and parts[1:2] in ([], [want]):
+            _, *stamped = read_record(parts, FINAL)  # a bare final is too short
+            for e, t in stamped:
                 if not 1 <= t <= horizon:
                     raise UsageError(
                         f"record final {want}: entry {e}:{t} stamped outside"
                         f" 1..{horizon}"
                     )
-            finals[want] = events
+            finals[want] = tuple(stamped)
         elif parts[0] in ("ev", "final"):
             line = " ".join(parts[:2] if parts[0] == "final" else parts)
             expected = f"final {want}" if want else "end"

@@ -195,7 +195,8 @@ class TwoDegreesRun:
             return
         counter = self._search_counter[e]
         bound = self._bound[e]
-        while bound <= s and column_threshold(max(e, bound)) < s:
+        # pair(n, i) >= n^3, so once e^3 >= s no threshold lies below s
+        while bound <= s and e**3 < s and column_threshold(max(e, bound)) < s:
             bound += 1
         self._bound[e] = bound
         if self._quiet.get(e) == (counter, bound):
@@ -647,8 +648,7 @@ encode = encode_event_log
 
 
 def decode(body, horizon):
-    arity = {"axiom": 5, "kill": 4, "promote": 3, "pfire": 3}
-    return decode_event_log(body, arity, "AB", horizon)
+    return decode_event_log(body, ("axiom", "kill", "promote", "pfire"), "AB", horizon)
 
 
 def check(sc, run, log, detail):

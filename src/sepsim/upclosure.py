@@ -25,6 +25,7 @@ from . import trace
 from .enumcore import SeparatorSnapshot, StageSet, is_separator
 from .errors import HypothesisViolation, UsageError
 from .functionals import UseBound, UseBoundedOperator, bits_of, wtt_apply
+from .records import Tail, bad_record, read_record
 from .report import CheckResult, first_counterexample
 from .scenario import no_rules
 from .trace import fmt_ints, fmt_opt, ints, parse_opt
@@ -463,12 +464,32 @@ def encode(out) -> list[str]:
     ]
 
 
+def _truth(tok):
+    if tok not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return tok == "true"
+
+
+# the types of each record's tokens after its kind
+RECORDS = {
+    "caseok": (_truth,),
+    "mseq": (Tail(ints),),
+    "mseq-missing": (parse_opt,),
+    "z": (lambda tok: None if tok == "-" else SeparatorSnapshot(tok),),
+    "block": (int, int, int, int),
+    "recover": (int, int, int, int),
+}
+# the pipeline output that each record but a block or recover record sets,
+# z's under its own name
+_SLOTS = {"caseok": "consistent", "mseq": "m_values", "mseq-missing": "m_missing"}
+
+
 def decode(body, horizon):
-    """A block or recover record carries exactly 4 integers: an index that
-    names an mseq position, then (block) a bit, a stage in 0..horizon and a
-    bit, or (recover) a boundary, a stage in 0..horizon and a boundary.
-    caseok reads true or false, and caseok, mseq, mseq-missing and z appear
-    at most once; anything else is a UsageError naming the record."""
+    """The pipeline output from the body, each record read by RECORDS. A
+    block carries an mseq index, a bit, a stage in 0..horizon and a bit; a
+    recover record an mseq index, a boundary, a stage in 0..horizon and a
+    boundary. caseok, mseq, mseq-missing and z appear at most once; anything
+    else is a UsageError naming the record."""
     out = {
         "consistent": None,
         "m_values": [],
@@ -480,41 +501,29 @@ def decode(body, horizon):
     seen = set()
     indexed = []  # (record, index) of every block and recover record
     for parts in body:
-        kind, fields = parts[0], parts[1:]
-        if kind in ("caseok", "mseq", "mseq-missing", "z"):
-            if kind in seen:
-                raise UsageError(f"record {' '.join(parts)}: a second {kind} record")
+        kind = parts[0]
+        if kind in seen:
+            raise bad_record(parts, f"a second {kind} record")
+        if kind not in ("block", "recover"):
             seen.add(kind)
         try:
-            if kind in ("block", "recover"):
-                if len(fields) != 4:
-                    raise ValueError("expected 4 integers")
-                rec = ints(fields)
-                if not 0 <= rec[2] <= horizon:
-                    raise ValueError(f"stage outside 0..{horizon}")
-                if kind == "block" and not {rec[1], rec[3]} <= {0, 1}:
-                    raise ValueError("block bits must be 0 or 1")
-                indexed.append((parts, rec[0]))
-                out["blocks" if kind == "block" else "recovered"].append(rec)
-            elif kind == "mseq":
-                out["m_values"] = list(ints(fields))
-            elif kind not in ("caseok", "mseq-missing", "z"):
+            fields = read_record(parts, RECORDS)
+            if fields is None:
                 raise UsageError(f"unknown record {kind} in trace body")
-            elif len(fields) != 1:
-                raise ValueError("expected one field")
-            elif kind == "caseok":
-                if fields[0] not in ("true", "false"):
-                    raise ValueError("expected true or false")
-                out["consistent"] = fields[0] == "true"
-            elif kind == "mseq-missing":
-                out["m_missing"] = parse_opt(fields[0])
+            if kind not in ("block", "recover"):
+                out[_SLOTS.get(kind, kind)] = fields if kind == "mseq" else fields[0]
+            elif not 0 <= fields[2] <= horizon:
+                raise ValueError(f"stage outside 0..{horizon}")
+            elif kind == "block" and not {fields[1], fields[3]} <= {0, 1}:
+                raise ValueError("block bits must be 0 or 1")
             else:
-                out["z"] = None if fields[0] == "-" else SeparatorSnapshot(fields[0])
+                indexed.append((parts, fields[0]))
+                out["blocks" if kind == "block" else "recovered"].append(tuple(fields))
         except ValueError as exc:
-            raise UsageError(f"record {' '.join(parts)}: {exc}")
+            raise bad_record(parts, exc)
     for parts, n in indexed:
         if not 0 <= n < len(out["m_values"]):
-            raise UsageError(f"record {' '.join(parts)}: no mseq position {n}")
+            raise bad_record(parts, f"no mseq position {n}")
     return out
 
 

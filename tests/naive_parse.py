@@ -24,7 +24,9 @@ from sepsim.scenario import (
 from sepsim.upclosure import CaseTag
 
 
-# token count of each record but rule and case
+# token count of each record but rule and case, written out apart from
+# sepsim.scenario.RECORDS: a count wrong in a shared table would agree with
+# itself
 ARITY = {"construction": 2, "horizon": 2, "set": 4, "cert": 6, "bound": 4, "end": 1}
 
 
@@ -73,7 +75,8 @@ def naive_parse_scenario(text: str) -> Scenario:
                 arity = ARITY.get(kind)
             if arity is not None and len(parts) != arity:
                 raise _schema_error(
-                    f"malformed {kind} record: token count not {arity}", lineno
+                    f"record {' '.join(parts)}: {len(parts)} tokens, expected {arity}",
+                    lineno,
                 )
             if kind == "construction":
                 if parts[1] not in CONSTRUCTIONS:

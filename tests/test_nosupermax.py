@@ -1,6 +1,7 @@
 """Boundary sequences, permissions, X updates, speedups, verification."""
 
 import random
+import time
 from bisect import bisect_right
 from pathlib import Path
 
@@ -19,14 +20,15 @@ from sepsim.nosupermax import (
     boundary_update,
     derive_w,
     detect_outcome,
-    permitted,
     run_attempt,
     run_nosupermax,
     trigger_prefix,
     verify_nosupermax,
     x_update,
 )
-from sepsim.scenario import load_scenario_file
+from sepsim.scenario import load_scenario, load_scenario_file
+from sepsim.trace import parse_trace, run_scenario
+from sepsim.verify import verify_trace
 
 SAMPLES = Path(__file__).resolve().parents[1] / "scenarios" / "samples"
 CHAIN_SAMPLE = SAMPLES / "nosupermax-chain.scn"
@@ -218,19 +220,24 @@ class TestBoundary:
 
 
 class TestPermitted:
+    """x_update applies the permission rule at stage s1 = 7: a number outside
+    both scripted sets may change side when it is the stage number 6 or lies
+    above the least fresh crossing. Entries [0, 6] put 1..6 in an odd
+    interval, where a permitted number outside X comes in."""
+
     def test_stage_escape(self):
         trig = trigger_prefix(6, set(), [], [])
-        assert permitted(6, 7, set(), set(), set(), trig)
+        assert x_update([0, 6], -1, 7, set(), set(), set(), trig, [6]) == ([6], [])
 
     def test_excluded_by_membership(self):
         trig = trigger_prefix(6, set(), [], [])
-        assert not permitted(6, 7, set(), set(), {6}, trig)
+        assert x_update([0, 6], -1, 7, set(), set(), {6}, trig, [6]) == ([], [])
 
     def test_crossing_trigger(self):
         # z = 2 freshly enters B while inside X
         trig = trigger_prefix(6, {2}, [], [2])
-        assert permitted(5, 7, set(), set(), {2}, trig)
-        assert not permitted(1, 7, set(), set(), {2}, trig)
+        assert x_update([0, 6], -1, 7, set(), set(), {2}, trig, [5]) == ([5], [])
+        assert x_update([0, 6], -1, 7, set(), set(), {2}, trig, [1]) == ([], [])
 
 
 def range_walk(base, s1, m, extra=()):
@@ -723,6 +730,21 @@ class TestWorkBounds:
         sc = nosupermax_scenario(0, 4000)
         run_nosupermax(sc.sets["A"], sc.sets["B"], sc.horizon, sc.certs)
         assert 0 < examined <= 8000, examined
+
+    def test_huge_certificate_k_is_rejected_at_once(self):
+        # the settled prefix below k used to be listed entry by entry, so a
+        # k of 10^11 ran for minutes
+        k = 10**12
+        text = (SAMPLES / "nosupermax-sparse.scn").read_text()
+        text = text.replace("end\n", f"cert 1 {k - 1} {k} even 5\nend\n")
+        start = time.perf_counter()
+        trace = run_scenario(load_scenario(text)).render()
+        report = verify_trace(parse_trace(trace))
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1, elapsed
+        line = "cert 1 rejected 5 settled prefix not defined at settling stage"
+        assert line in trace.splitlines()
+        assert report.passed, report.render()
 
     def test_speedup_decides_each_position_once_per_change(self, monkeypatch):
         # the zone is swept, not rescanned: X membership is looked up once

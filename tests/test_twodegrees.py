@@ -1,7 +1,9 @@
 """Spectrum construction: axioms, blocking, column coding, censuses."""
 
 import random
+import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from sepsim.corpus import twodegrees_corpus
 from sepsim.enumcore import pair
 from sepsim.errors import HardFault
 from sepsim.functionals import OracleProgram, OracleRule
+from sepsim.scenario import load_scenario
+from sepsim.trace import parse_trace, run_scenario
 from sepsim.twodegrees import (
     TwoDegreesRun,
     VeAxiom,
@@ -25,6 +29,7 @@ from sepsim.twodegrees import (
     twodegrees_inputs,
     verify_twodegrees,
 )
+from sepsim.verify import verify_trace
 
 
 def block_census(run: TwoDegreesRun, n: int, s: int) -> int:
@@ -118,6 +123,23 @@ class TestRStrategy:
         assert set(run.a.entry) == set()  # nothing promoted without K
         checks, _ = verify_twodegrees(run)
         assert all(c.passed for c in checks)
+
+    def test_huge_program_index_walks_no_pairs(self):
+        # pair(n, i) >= n^3: an index whose cube passes every stage never
+        # searches, so its rule changes nothing, and the column threshold
+        # it would have walked for about e^4 / 2 pairs is never computed
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "samples"
+        text = (path / "twodegrees-mixed.scn").read_text()
+        huge = text.replace("end\n", "rule phi1000000000000 0 0 1 0 0\nend\n")
+        start = time.perf_counter()
+        trace = run_scenario(load_scenario(huge)).render()
+        report = verify_trace(parse_trace(trace))
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1, elapsed
+        assert report.passed, report.render()
+        plain = run_scenario(load_scenario(text)).render()
+        body = trace.split("scenario-end\n")[1]
+        assert body == plain.split("scenario-end\n")[1]
 
     def test_promotion_witness_in_b_is_a_hard_fault(self):
         prog = prefix_program([("0000", {9}, 0)], 30)
