@@ -24,15 +24,17 @@ class StageSet:
 
     `entry` maps each element to its entry stage and is the ground truth, so
     entry stages are never lost; the per-stage index, the event log and the
-    snapshots are views of it. Constructor events are checked against the
-    horizon. `add`, which a running construction calls, is not: a
+    snapshots are views of it. `by_stage`, the per-stage index, maps a stage
+    to its elements, sorted; hot loops read it without a copy, and nothing
+    outside `add` may change it or its lists. Constructor events are checked
+    against the horizon. `add`, which a running construction calls, is not: a
     re-indexed attempt keeps the events that fall past its own horizon.
     """
 
     def __init__(self, events=(), *, horizon: int):
         self.horizon = horizon
         self.entry: dict[int, int] = {}
-        self._by_stage: dict[int, list[int]] = {}
+        self.by_stage: dict[int, list[int]] = {}
         for element, stage in events:
             if element < 0 or stage < 0:
                 raise ValueError(f"negative event ({element}, {stage})")
@@ -46,12 +48,12 @@ class StageSet:
         if element in self.entry:
             return False
         self.entry[element] = stage
-        insort(self._by_stage.setdefault(stage, []), element)
+        insort(self.by_stage.setdefault(stage, []), element)
         return True
 
     def entered_at(self, s: Stage) -> tuple[int, ...]:
         """The elements stamped s, sorted."""
-        return tuple(self._by_stage.get(s, ()))
+        return tuple(self.by_stage.get(s, ()))
 
     def member_at(self, element: int, s: Stage) -> bool:
         """Whether the element has entered by stage s."""
@@ -61,7 +63,7 @@ class StageSet:
     @property
     def events(self) -> tuple[tuple[int, int], ...]:
         """(element, entry stage) pairs in (stage, element) order."""
-        return tuple((e, t) for t in sorted(self._by_stage) for e in self._by_stage[t])
+        return tuple((e, t) for t in sorted(self.by_stage) for e in self.by_stage[t])
 
     def snapshot(self, s: Stage) -> frozenset[int]:
         """Elements with entry stage <= s."""

@@ -22,6 +22,11 @@ indices and all.
 
 A stage costs what its events and the boundary's witness-free intervals
 cost, not the stage number:
+- A quiet stage keeps every entry and gains s: it has no events, the stage
+  before moved only its own stage number and kept no entry through a
+  crossing alone, and s - 1 is free and on its interval's side. It writes
+  the interval (s-1, s], its boundary record and at most the move of s into
+  X directly, with no boundary walk and no X update.
 - The fresh crossings of a stage enter only through m, the least of them:
   a number y is permitted by a crossing exactly when y > m.
 - Each boundary interval keeps counts of its numbers outside A and B,
@@ -30,9 +35,10 @@ cost, not the stage number:
   toggles and resets update these, so the boundary walk looks only at
   witness-free intervals.
 - After every stage A is inside X and B outside it, since the A and B rules
-  fire first and nothing else moves an A member. So the X update visits
-  only the stage's events, s, and the numbers above max(base, m) in the
-  intervals with a free number on the wrong side.
+  fire first and nothing else moves an A member. So the X update of any
+  other stage visits only its events, s, and the numbers above max(base, m)
+  in the intervals with a free number on the wrong side. The events are the
+  scripted sets' per-stage lists, read without a copy.
 - The speedup certificate's zone check, and the verifier's settled-zone
   census, sweep the stage upward and recheck a number only when it toggles
   in X or enters A or B.
@@ -46,7 +52,7 @@ from itertools import chain, zip_longest
 
 from .enumcore import StageSet
 from .errors import HypothesisViolation, UsageError
-from .records import FieldError, Tail, bad_record, read_record
+from .records import FieldError, Tail, bad_record, read_record, record_table
 from .report import CheckResult, first_counterexample, first_divergence
 from .scenario import no_rules
 from .trace import encode_ev, fmt_ints, fmt_opt
@@ -64,8 +70,12 @@ def trigger_prefix(limit, x_mem, a_new, b_new):
     fresh crossing exactly when y > m, so this one integer stands for the
     whole trigger prefix over [0, limit + 1]. At quiet stages m is
     limit + 2, and no number up to limit + 1 is permitted through it."""
-    fresh = [z for z in b_new if z in x_mem] + [z for z in a_new if z not in x_mem]
-    return min(fresh, default=limit + 2)
+    m = None
+    for crossed, new in ((True, b_new), (False, a_new)):
+        for z in new:
+            if (z in x_mem) == crossed and (m is None or z < m):
+                m = z
+    return limit + 2 if m is None else m
 
 
 def boundary_update(base, old_entries, s1, m, bare, scripted):
@@ -108,7 +118,7 @@ def x_update(entries, base, s1, x_mem, a_now, b_now, m, positions):
     out, everything else keeps its side. Only `positions` (ascending, each
     once) are visited. A stepping attempt hands over the stage's events, s,
     and the numbers above max(base, m) in the intervals that hold a free
-    number on the wrong side of X (see AttemptRun._x_positions): as long as
+    number on the wrong side of X (see AttemptRun.step): as long as
     A is inside X and B outside it before the stage, no other number can
     change. Returns (added, removed), sorted."""
     s = s1 - 1
@@ -135,8 +145,9 @@ def x_update(entries, base, s1, x_mem, a_now, b_now, m, positions):
 class AttemptRun:
     """One attempt: boundary plus X evolution over a (possibly re-indexed)
     timeline. Records one boundary record per stage and one record per X
-    membership change; a fast step keeps quiet stages cheap and is checked
-    against the full recomputation by the test suite."""
+    membership change. `step` builds a quiet stage in place; every other
+    stage takes its events, then calls trigger_prefix, boundary_update and
+    x_update, which the test suite checks against a full recomputation."""
 
     def __init__(self, attempt, base, a_events, b_events, horizon):
         self.attempt = attempt
@@ -205,14 +216,6 @@ class AttemptRun:
         j = bisect_left(self.entries, y)
         return j if j < len(self.entries) else None
 
-    def _free_counts(self, lo, hi):
-        """(inside X, outside X) counts of the numbers in (lo, hi] outside A
-        and B."""
-        a, b = self.a_now, self.b_now
-        free = [y for y in range(lo + 1, hi + 1) if y not in a and y not in b]
-        inside = sum(y in self.x for y in free)
-        return inside, len(free) - inside
-
     def _count(self, j, d_in, d_out):
         """Shift the counts of interval j, keeping `bare` and `misplaced` in
         step."""
@@ -234,49 +237,31 @@ class AttemptRun:
             else:
                 insort(self.misplaced, j)
 
-    def _push_interval(self, lo, s):
-        """Open a new last interval holding the numbers in (lo, s]."""
+    def _open_last(self, c_in, c_out):
+        """Open a new last interval with these counts."""
         j = len(self.c_in)
-        self.c_in.append(0)
-        self.c_out.append(0)
-        self.bare.append(j)
-        if s > lo + 1:
-            self._count(j, *self._free_counts(lo, s))
-        elif s not in self.a_now and s not in self.b_now:
-            self._count(j, *((1, 0) if s in self.x else (0, 1)))
+        self.c_in.append(c_in)
+        self.c_out.append(c_out)
+        own, other = (c_in, c_out) if j % 2 else (c_out, c_in)
+        if not own:
+            self.bare.append(j)
+        if other:
+            self.misplaced.append(j)
 
     def _apply_delta(self, added, removed, s1):
-        if not added and not removed:
-            return
         changes = self.x_changes.setdefault(s1, [])
-        for y in added:
-            self.x.add(y)
-            self.x_toggles.setdefault(y, []).append(s1)
-            self.records.append(("xin", s1, y))
-            changes.append(self.records[-1])
-            j = self._interval(y)
-            if j is not None:
-                self._count(j, 1, -1)
-        for y in removed:
-            self.x.discard(y)
-            self.x_toggles.setdefault(y, []).append(s1)
-            self.records.append(("xout", s1, y))
-            changes.append(self.records[-1])
-            j = self._interval(y)
-            if j is not None:
-                self._count(j, -1, 1)
-
-    def _ingest(self, a_new, b_new):
-        """Take in this stage's scripted events; a number that enters A or B
-        leaves its interval's counts."""
-        for now, new in ((self.a_now, a_new), (self.b_now, b_new)):
-            for e in new:
-                j = self._interval(e)
+        for kind, moved, d_in in (("xin", added, 1), ("xout", removed, -1)):
+            for y in moved:
+                if d_in > 0:
+                    self.x.add(y)
+                else:
+                    self.x.discard(y)
+                self.x_toggles.setdefault(y, []).append(s1)
+                self.records.append((kind, s1, y))
+                changes.append(self.records[-1])
+                j = self._interval(y)
                 if j is not None:
-                    self._count(j, *((-1, 0) if e in self.x else (0, -1)))
-                if e not in self.a_now and e not in self.b_now:
-                    insort(self.scripted, e)
-                now.add(e)
+                    self._count(j, d_in, -d_in)
 
     def _reset_counts(self, kept, s):
         """Counts for the stage's new boundary, which keeps the first `kept`
@@ -285,13 +270,19 @@ class AttemptRun:
         if kept < 0:
             self.c_in, self.c_out, self.bare, self.misplaced = [], [], [], []
             return
-        top = self.entries[-1] if self.entries else self.base
-        merged = sum(self.c_in[kept:]), sum(self.c_out[kept:])
-        del self.c_in[kept:], self.c_out[kept:]
-        del self.bare[bisect_left(self.bare, kept) :]
-        del self.misplaced[bisect_left(self.misplaced, kept) :]
-        self._push_interval(top, s)
-        self._count(kept, *merged)
+        a, b, x = self.a_now, self.b_now, self.x
+        counts = [0, 0]  # the newly covered numbers outside A and B: out, in X
+        for y in range((self.entries[-1] if self.entries else self.base) + 1, s + 1):
+            if y not in a and y not in b:
+                counts[y in x] += 1
+        c_out, c_in = counts
+        if kept < len(self.c_in):
+            c_in += sum(self.c_in[kept:])
+            c_out += sum(self.c_out[kept:])
+            del self.c_in[kept:], self.c_out[kept:]
+            del self.bare[bisect_left(self.bare, kept) :]
+            del self.misplaced[bisect_left(self.misplaced, kept) :]
+        self._open_last(c_in, c_out)
 
     def _record_boundary(self, s1, kept):
         self.kept_counts.append(kept)
@@ -304,66 +295,73 @@ class AttemptRun:
     def step(self):
         s1 = len(self.kept_counts) + 1
         s = s1 - 1
-        a_new = self.a.entered_at(s1)
-        b_new = self.b.entered_at(s1)
-        if not a_new and not b_new and not self._dirty and self._fast_ok(s1):
-            self._fast_step(s1)
+        a_new = self.a.by_stage.get(s1, ())
+        b_new = self.b.by_stage.get(s1, ())
+        base, entries, x = self.base, self.entries, self.x
+        a_now, b_now = self.a_now, self.b_now
+        j = len(entries)
+        if not (a_new or b_new or self._dirty) and j and entries[-1] == s - 1 and (
+            s - 1 not in a_now and s - 1 not in b_now and (s - 1 in x) == (j % 2 == 0)
+        ):
+            # quiet: the boundary keeps every entry and gains s, so the new
+            # last interval is (s-1, s] and only s can move, into X
+            entries.append(s)
+            self.kept_counts.append(j)
+            self.records.append(("boundary", s1, j))
+            if len(self.entry_resets) == j:
+                self.entry_resets.append([s1])
+            else:
+                self.entry_resets[j].append(s1)
+            if s in a_now or s in b_now:
+                self._open_last(0, 0)
+                grow = s in a_now and s not in x
+            else:
+                grow = j % 2 == 1 and s not in x
+                self._open_last(*((1, 0) if grow or s in x else (0, 1)))
+            if grow:
+                x.add(s)
+                self.x_toggles.setdefault(s, []).append(s1)
+                self.records.append(("xin", s1, s))
+                self.x_changes[s1] = [self.records[-1]]
             return
-        self._ingest(a_new, b_new)
-        m = trigger_prefix(s, self.x, a_new, b_new)
+        # the stage's events leave their intervals' counts
+        for now, new in ((a_now, a_new), (b_now, b_new)):
+            for e in new:
+                if e not in a_now and e not in b_now:
+                    insort(self.scripted, e)
+                    i = bisect_left(entries, e)
+                    if e > base and i < j:
+                        self._count(i, *((-1, 0) if e in x else (0, -1)))
+                now.add(e)
+        m = trigger_prefix(s, x, a_new, b_new)
         entries, kept, fragile = boundary_update(
-            self.base, self.entries, s1, m, self.bare, self.scripted
+            base, entries, s1, m, self.bare, self.scripted
         )
         self._reset_counts(kept, s)
         self.entries = entries
         self._record_boundary(s1, kept)
-        positions = self._x_positions(s, m, a_new + b_new)
-        added, removed = x_update(
-            entries, self.base, s1, self.x, self.a_now, self.b_now, m, positions
-        )
-        self._apply_delta(added, removed, s1)
-        self._dirty = fragile or any(y != s for y in chain(added, removed))
-
-    def _x_positions(self, s, m, events):
-        """The numbers whose X side can change at stage s+1, ascending: every
-        number above max(base, m) in an interval of the new boundary that
-        holds a free number on the wrong side, s when it is not above
-        max(base, m), and the stage's events."""
-        lo = max(self.base, m)
-        entries, misplaced = self.entries, self.misplaced
-        out = []
-        first = bisect_right(entries, lo)  # the first interval reaching above lo
-        for j in misplaced[bisect_left(misplaced, first) :]:
-            start = max(entries[j - 1] if j else self.base, lo)
-            out.extend(range(start + 1, entries[j] + 1))
-        if lo >= s:  # permitted as the stage number all the same
-            out.append(s)
-        for y in events:
-            i = bisect_left(out, y)
-            if i == len(out) or out[i] != y:
-                out.insert(i, y)
-        return out
-
-    def _fast_ok(self, s1):
-        s = s1 - 1
-        if self.base >= s or not self.entries:
-            return False
-        last = self.entries[-1]
-        if last != s - 1 or last in self.a_now or last in self.b_now:
-            return False
-        return (last in self.x) == ((len(self.entries) - 1) % 2 == 1)
-
-    def _fast_step(self, s1):
-        s = s1 - 1
-        self._push_interval(s - 1, s)
-        self.entries.append(s)
-        self._record_boundary(s1, len(self.entries) - 1)
-        idx = len(self.entries) - 1
-        if s in self.a_now:
-            if s not in self.x:
-                self._apply_delta([s], [], s1)
-        elif s not in self.b_now and idx % 2 == 1 and s not in self.x:
-            self._apply_delta([s], [], s1)
+        # the numbers whose side can change, ascending: those above
+        # max(base, m) in the intervals with a free number on the wrong side,
+        # s when it is not above max(base, m), and the stage's events
+        lo = max(base, m)
+        positions = []
+        misplaced = self.misplaced
+        for i in misplaced[bisect_left(misplaced, bisect_right(entries, lo)) :]:
+            start = max(entries[i - 1] if i else base, lo)
+            positions.extend(range(start + 1, entries[i] + 1))
+        if lo >= s:
+            positions.append(s)
+        for events in (a_new, b_new):
+            for y in events:
+                i = bisect_left(positions, y)
+                if i == len(positions) or positions[i] != y:
+                    positions.insert(i, y)
+        added, removed = x_update(entries, base, s1, x, a_now, b_now, m, positions)
+        if added or removed:
+            self._apply_delta(added, removed, s1)
+        # each number moves at most once, so only s moved when the moves
+        # read [] or [s]
+        self._dirty = fragile or added + removed not in ([], [s])
 
     def run(self):
         while len(self.kept_counts) < self.horizon:
@@ -410,7 +408,7 @@ def derive_w(run: AttemptRun):
     ]
     backward = []
     for t, changes in run.x_changes.items():
-        ws = w.entered_at(t)
+        ws = w.by_stage.get(t)
         for _, _, x in changes:
             if t - 1 > x and (not ws or ws[0] > x):
                 backward.append((x, t))
@@ -535,7 +533,7 @@ class _ZoneSweep:
         stages must come in ascending order."""
         run = self.run
         toggled = (y for _, _, y in run.x_changes.get(t, ()))
-        for y in chain(toggled, run.a.entered_at(t), run.b.entered_at(t)):
+        for y in chain(toggled, run.a.by_stage.get(t, ()), run.b.by_stage.get(t, ())):
             if self.x_ell < y <= self.top:
                 self._decide(y, t)
         while self.top < top:
@@ -732,10 +730,11 @@ def _verify_attempt(run: AttemptRun, ref: AttemptRun | None, checks):
     disc_viol = []
     shape_viol = []
     rec_entries: list[int] = []
+    a_by, b_by, w_by = run.a.by_stage, run.b.by_stage, w.by_stage
     for s1 in range(1, horizon + 1):
         s = s1 - 1
-        a_new = run.a.entered_at(s1)
-        b_new = run.b.entered_at(s1)
+        a_new = a_by.get(s1, ())
+        b_new = b_by.get(s1, ())
         kept = run.kept_counts[s1 - 1]
         # boundary shape on the recorded kept counts
         if kept > len(rec_entries):
@@ -756,7 +755,7 @@ def _verify_attempt(run: AttemptRun, ref: AttemptRun | None, checks):
         # change discipline on the recorded deltas; W's least entry of the
         # stage is the stage's least crossing
         changes = run.x_changes.get(s1, ())
-        crossed = w.entered_at(s1)
+        crossed = w_by.get(s1)
         for kind, _, y in changes:
             was_in = run.x_member_at(y, s)
             ok = (
@@ -987,14 +986,14 @@ def dec(tok):
 # by their third: the types of the tokens after that one. The second token
 # of those (the attempt or the stage) is read by dec after them.
 RECORDS = {
-    "attempt": {"begin": (dec, dec), "end": ()},
+    "attempt": record_table({"begin": (dec, dec), "end": ()}),
     # a rejection's witness stage, then its free-text reason
-    "cert": {
+    "cert": record_table({
         "accepted": (),
         "rejected": (lambda tok: None if tok == "-" else dec(tok), Tail(list)),
-    },
-    "ev": {"boundary": (dec,), "xin": (dec,), "xout": (dec,)},
-    "map": {"map": (Tail(lambda toks: map(dec, toks)),)},
+    }),
+    "ev": record_table({"boundary": (dec,), "xin": (dec,), "xout": (dec,)}),
+    "map": record_table({"map": (Tail(lambda toks: map(dec, toks)),)}),
 }
 
 

@@ -42,7 +42,7 @@ import importlib
 from .enumcore import StageSet
 from .errors import UsageError
 from .functionals import OracleProgram, OracleRule, UseBound
-from .records import read_record
+from .records import read_record, record_table
 
 CONSTRUCTIONS = ("anticomplete", "upclosure", "nosupermax", "twodegrees")
 
@@ -165,7 +165,7 @@ def _schema_error(msg, lineno=None):
 # count too: a trailing token would vanish from the canonical text and the
 # digest. A rule is read on its own path, and `case 1 <k>` is the case
 # record whose tag reads 1.
-RECORDS = {
+RECORDS = record_table({
     "set": (str, int, int),
     "construction": (str,),
     "horizon": (int,),
@@ -173,8 +173,8 @@ RECORDS = {
     "cert": (int, int, int, str, int),
     "bound": (str, int, int),
     "end": (),
-}
-CASE_1 = {"case": (int, int)}
+})
+CASE_1 = record_table({"case": (int, int)})
 
 
 def parse_scenario(text: str) -> Scenario:

@@ -33,7 +33,7 @@ from . import __version__
 from .enumcore import PAIRING_SCHEME_ID
 from .errors import UsageError
 from .functionals import UseBoundedOperator
-from .records import Tail, bad_record, read_record
+from .records import Tail, bad_record, read_record, record_table
 from .scenario import Scenario, audit_scenario, construction_module, parse_scenario
 
 HEADER = "sepsim-trace 1"
@@ -113,7 +113,7 @@ def _runs(toks):
 # the types of each event's fields after its kind: anticomplete's, then
 # twodegrees'. An act ends with its enumeration runs, `a <ints> b <ints>`,
 # and an axiom with its prefix, written '-' when empty.
-EVENTS = {
+EVENTS = record_table({
     "nact": (int, int),
     "rclaim": (int, int),
     "ract": (int, int, int, parse_opt, Tail(_runs, least=2, marker="a")),
@@ -121,8 +121,8 @@ EVENTS = {
     "kill": (int, int, int, int),
     "promote": (int, int, int),
     "pfire": (int, int, int),
-}
-FINAL = {"final": (str, Tail(lambda toks: map(_stamped, toks)))}
+})
+FINAL = record_table({"final": (str, Tail(lambda toks: map(_stamped, toks)))})
 
 
 def encode_ev(rec) -> str:

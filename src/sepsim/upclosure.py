@@ -25,7 +25,7 @@ from . import trace
 from .enumcore import SeparatorSnapshot, StageSet, is_separator
 from .errors import HypothesisViolation, UsageError
 from .functionals import UseBound, UseBoundedOperator, bits_of, wtt_apply
-from .records import Tail, bad_record, read_record
+from .records import Tail, bad_record, read_record, record_table
 from .report import CheckResult, first_counterexample
 from .scenario import no_rules
 from .trace import fmt_ints, fmt_opt, ints, parse_opt
@@ -471,14 +471,14 @@ def _truth(tok):
 
 
 # the types of each record's tokens after its kind
-RECORDS = {
+RECORDS = record_table({
     "caseok": (_truth,),
     "mseq": (Tail(ints),),
     "mseq-missing": (parse_opt,),
     "z": (lambda tok: None if tok == "-" else SeparatorSnapshot(tok),),
     "block": (int, int, int, int),
     "recover": (int, int, int, int),
-}
+})
 # the pipeline output that each record but a block or recover record sets,
 # z's under its own name
 _SLOTS = {"caseok": "consistent", "mseq": "m_values", "mseq-missing": "m_missing"}

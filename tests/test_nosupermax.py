@@ -636,12 +636,30 @@ def attempt_scripts(draw, max_horizon):
     return base, a, b, horizon
 
 
+# long quiet stretches, which the drawn horizons are too short for: a few
+# sparse events, some landing on s or s - 1 right after a quiet run, and
+# numbers that enter A or B before they become the stage number
+QUIET_RUNS = [
+    (-1, [(149, 150), (170, 100)], [(178, 180), (190, 120)], 200),
+    (40, [(99, 100)], [(120, 122), (60, 150)], 200),
+    (-1, [(151, 152), (150, 152)], [(152, 154)], 200),
+    (7, [], [(197, 199)], 199),
+]
+
+
+def with_quiet_runs(test):
+    for script in QUIET_RUNS:
+        test = example(script=script)(test)
+    return test
+
+
 class TestIncrementalAgainstNaive:
     """The incremental stage update and the swept speedup zone against
     from-scratch oracles."""
 
     @settings(max_examples=100, deadline=None)
     @given(attempt_scripts(max_horizon=24))
+    @with_quiet_runs
     def test_run_matches_naive_stage_by_stage(self, script):
         base, a, b, horizon = script
         run = run_attempt(1, base, a, b, horizon)
@@ -653,6 +671,7 @@ class TestIncrementalAgainstNaive:
 
     @settings(max_examples=60, deadline=None)
     @given(attempt_scripts(max_horizon=40))
+    @with_quiet_runs
     def test_interval_counts_match_a_recount(self, script):
         base, a, b, horizon = script
         run = AttemptRun(1, base, a, b, horizon)
@@ -730,6 +749,35 @@ class TestWorkBounds:
         sc = nosupermax_scenario(0, 4000)
         run_nosupermax(sc.sets["A"], sc.sets["B"], sc.horizon, sc.certs)
         assert 0 < examined <= 8000, examined
+
+    @pytest.mark.parametrize(
+        "seed, horizon, chained, stages, full",
+        [
+            (0, 4000, False, 4000, 197),
+            (3, 4000, False, 4000, 3997),
+            (1, 1000, True, 2970, 2970),
+        ],
+    )
+    def test_quiet_full_split(self, seed, horizon, chained, stages, full, monkeypatch):
+        # every stage steps once and only a full step computes the trigger
+        # prefix; a stricter quiet test leaves every trace as it is and shows
+        # only in these counts
+        sc = nosupermax_scenario(seed, horizon)
+        certs = chain_certificates(sc, want=2) if chained else sc.certs
+        calls = {"step": 0, "trigger_prefix": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return call
+
+        monkeypatch.setattr(AttemptRun, "step", counted("step", AttemptRun.step))
+        prefix = counted("trigger_prefix", trigger_prefix)
+        monkeypatch.setattr(sepsim.nosupermax, "trigger_prefix", prefix)
+        run_nosupermax(sc.sets["A"], sc.sets["B"], sc.horizon, certs)
+        assert calls == {"step": stages, "trigger_prefix": full}
 
     def test_huge_certificate_k_is_rejected_at_once(self):
         # the settled prefix below k used to be listed entry by entry, so a
