@@ -55,7 +55,7 @@ from .errors import HypothesisViolation, UsageError
 from .records import FieldError, Tail, bad_record, read_record, record_table
 from .report import CheckResult, first_counterexample, first_divergence
 from .scenario import no_rules
-from .trace import encode_ev, fmt_ints, fmt_opt
+from .trace import fmt_ints, fmt_opt
 
 MIN_SPEEDUP_FRACTION = 4  # accept when selected stages >= available / this
 
@@ -90,13 +90,15 @@ def boundary_update(base, old_entries, s1, m, bare, scripted):
     the indices of the old intervals that hold no witness (A and B taken
     with this stage's events, X as the previous stage left it), and
     `scripted` is the sorted list of the scripted numbers; every other
-    interval survives without a look. Returns (entries, kept, fragile):
-    fragile flags a kept entry whose interval holds no witness, so that it
-    survived only through a crossing.
+    interval survives without a look. Cuts `old_entries` in place to its
+    first `kept` entries and appends s. Returns (kept, fragile): fragile
+    flags a kept entry whose interval holds no witness, so that it survived
+    only through a crossing.
     """
     s = s1 - 1
     if base >= s:
-        return [], -1, False
+        old_entries.clear()
+        return -1, False
     fragile = False
     for idx in bare:
         lo = max(old_entries[idx - 1] if idx else base, m)
@@ -107,7 +109,8 @@ def boundary_update(base, old_entries, s1, m, bare, scripted):
         fragile = True
     else:
         idx = len(old_entries)
-    return old_entries[:idx] + [s], idx, fragile
+    old_entries[idx:] = [s]
+    return idx, fragile
 
 
 def x_update(entries, base, s1, x_mem, a_now, b_now, m, positions):
@@ -263,16 +266,16 @@ class AttemptRun:
                 if j is not None:
                     self._count(j, d_in, -d_in)
 
-    def _reset_counts(self, kept, s):
+    def _reset_counts(self, kept, last, s):
         """Counts for the stage's new boundary, which keeps the first `kept`
         intervals: the dropped ones merge into the new last interval, which
-        also takes the numbers newly covered up to s."""
+        also takes the numbers from the old last entry `last` + 1 up to s."""
         if kept < 0:
             self.c_in, self.c_out, self.bare, self.misplaced = [], [], [], []
             return
         a, b, x = self.a_now, self.b_now, self.x
         counts = [0, 0]  # the newly covered numbers outside A and B: out, in X
-        for y in range((self.entries[-1] if self.entries else self.base) + 1, s + 1):
+        for y in range(last + 1, s + 1):
             if y not in a and y not in b:
                 counts[y in x] += 1
         c_out, c_in = counts
@@ -334,11 +337,9 @@ class AttemptRun:
                         self._count(i, *((-1, 0) if e in x else (0, -1)))
                 now.add(e)
         m = trigger_prefix(s, x, a_new, b_new)
-        entries, kept, fragile = boundary_update(
-            base, entries, s1, m, self.bare, self.scripted
-        )
-        self._reset_counts(kept, s)
-        self.entries = entries
+        last = entries[-1] if j else base
+        kept, fragile = boundary_update(base, entries, s1, m, self.bare, self.scripted)
+        self._reset_counts(kept, last, s)
         self._record_boundary(s1, kept)
         # the numbers whose side can change, ascending: those above
         # max(base, m) in the intervals with a free number on the wrong side,
@@ -962,7 +963,7 @@ def encode(log) -> list[str]:
     lines = []
     for i, (attempt, base, horizon, records) in enumerate(attempts):
         lines.append(f"attempt {attempt} begin {base} {horizon}")
-        lines.extend(encode_ev(rec) for rec in records)
+        lines.extend(f"ev {stage} {kind} {value}" for kind, stage, value in records)
         lines.append(f"attempt {attempt} end")
         if i < len(certs):
             attempt, accepted, witness, reason, stage_map = certs[i]

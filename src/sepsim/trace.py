@@ -127,11 +127,9 @@ FINAL = record_table({"final": (str, Tail(lambda toks: map(_stamped, toks)))})
 
 def encode_ev(rec) -> str:
     """`ev <stage> <kind> <fields>` for a record (kind, stage, *fields); None
-    and the empty string are written as '-'. The fields of a one- or
-    two-field record are ints. An anticomplete act ends with its two
-    enumeration runs, `a <ints> b <ints>`, either of which may be empty."""
-    if len(rec) == 3:  # nosupermax's kinds
-        return f"ev {rec[1]} {rec[0]} {rec[2]}"
+    and the empty string are written as '-'. The fields of a two-field
+    record are ints. An anticomplete act ends with its two enumeration runs,
+    `a <ints> b <ints>`, either of which may be empty."""
     if len(rec) == 4:  # nact, rclaim
         return f"ev {rec[1]} {rec[0]} {rec[2]} {rec[3]}"
     if rec[0] == "ract":

@@ -64,9 +64,9 @@ class VeAxiom:
 @cache
 def column_threshold(m_cap: int) -> int:
     """Largest column code with both coordinates bounded by m_cap: witnesses
-    must exceed every pair(n, i) with n <= m_cap, i < n^2 + 1."""
-    codes = (pair(n, i) for n in range(m_cap + 1) for i in range(n * n + 1))
-    return max(codes, default=0)
+    must exceed every pair(n, i) with n <= m_cap, i < n^2 + 1. A floor's
+    codes rise with i, so each floor's largest is pair(n, n^2)."""
+    return max(pair(n, n * n) for n in range(m_cap + 1))
 
 
 def prefix_string(bits: int, length: int) -> str:
@@ -257,7 +257,7 @@ class TwoDegreesRun:
     def run_stage(self):
         s = self.stage
         # scripted set growth visible at stage s
-        k_fresh = self.k.entered_at(s)
+        k_fresh = self.k.by_stage.get(s, ())
         self._k_now.update(k_fresh)
         for e in self.scripted:
             ptr = self._avail_ptr[e]
@@ -267,7 +267,7 @@ class TwoDegreesRun:
                 self._search_counter[e] += 1
             self._avail_ptr[e] = ptr
         for e, w in self.w.items():
-            fresh = w.entered_at(s)
+            fresh = w.by_stage.get(s, ())
             if not fresh:
                 continue
             self._w_bits[e] |= bits_of(fresh)
@@ -282,7 +282,7 @@ class TwoDegreesRun:
                     self.records.append(("kill", s, e, ax.m, ax.x, least))
         for e in self.scripted:
             self.r_strategy_step(e, s, k_fresh)
-        for n in self.c.entered_at(s):
+        for n in self.c.by_stage.get(s, ()):
             self.p_strategy_step(n, s)
         self.stage = s + 1
 

@@ -44,7 +44,7 @@ class NaiveTwoDegreesRun(TwoDegreesRun):
 
     def r_strategy_step(self, e: int, s: int, k_fresh):
         prog = self.programs.get(e, EMPTY_PROGRAM)
-        for m in self.k.entered_at(s):
+        for m in self.k.by_stage.get(s, ()):
             if m > s:
                 continue
             ax = self.live.get((e, m))

@@ -67,7 +67,7 @@ class TestStageSet:
                 assert snap == brute_snapshot(events, s)
                 prev = snap
                 entered = sorted(e for e, t in events if t == s)
-                assert ss.entered_at(s) == tuple(entered)
+                assert ss.by_stage.get(s, []) == entered
                 for e in range(100):
                     assert ss.member_at(e, s) == (e in snap)
             stage_of = dict(events)
@@ -106,6 +106,48 @@ class TestSeparator:
             is_separator(SeparatorSnapshot("010"), {3}, set())
 
 
+class FourStructurePairing:
+    """The greedy walk as it was first stored: a code per pair, a pair per
+    code, the set of taken codes and a scan start per floor. The
+    differential reference for PairingScheme's two structures."""
+
+    def __init__(self):
+        self._code: dict[tuple[int, int], int] = {}
+        self._pair_of: dict[int, tuple[int, int]] = {}
+        self._used: set[int] = set()
+        self._min_unused = 0
+        self._diag = 0
+        self._next_free: dict[int, int] = {}
+
+    def _assign_diagonal(self):
+        d = self._diag
+        for n in range(d, -1, -1):
+            i = d - n
+            floor = n * n * n
+            c = max(floor, self._next_free.get(floor, floor))
+            while c in self._used:
+                c += 1
+            self._used.add(c)
+            self._next_free[floor] = c + 1
+            self._code[(n, i)] = c
+            self._pair_of[c] = (n, i)
+        while self._min_unused in self._used:
+            self._min_unused += 1
+        self._diag += 1
+
+    def code(self, n, i):
+        while (n, i) not in self._code:
+            self._assign_diagonal()
+        return self._code[(n, i)]
+
+    def decode(self, c):
+        if c < 0:
+            return None
+        while self._min_unused <= c and c not in self._pair_of:
+            self._assign_diagonal()
+        return self._pair_of.get(c)
+
+
 def brute_greedy_codes(limit_diag):
     """Independent re-enumeration of the greedy assignment in Cantor order."""
     used = set()
@@ -131,6 +173,19 @@ class TestPairing:
         scheme = PairingScheme()
         for (n, i), c in oracle.items():
             assert scheme.code(n, i) == c
+
+    def test_matches_four_structure_reference(self):
+        scheme, ref = PairingScheme(), FourStructurePairing()
+        for c in range(-1, 20_000):
+            assert scheme.decode(c) == ref.decode(c), c
+        for d in range(600):
+            for n in range(d + 1):
+                assert scheme.code(n, d - n) == ref.code(n, d - n), (n, d - n)
+
+    def test_floor_codes_rise(self):
+        for n in range(40):
+            codes = [pair(n, i) for i in range(201)]
+            assert all(a < b for a, b in zip(codes, codes[1:])), n
 
     def test_lower_bound_and_injectivity(self):
         seen = {}

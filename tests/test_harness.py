@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import importlib.util
+import json
 import random
 import re
 import shutil
@@ -1854,19 +1855,58 @@ class TestLint:
         assert not unread, unread
 
 
-def load_tracing():
-    path = PACKAGE.parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+def load_perfbench(stem):
+    """A benchmark module, read from its file and left unchanged. It is
+    registered before it runs, as `dataclass` looks its module up."""
+    path = PACKAGE.parents[1] / "perfbench" / f"{stem}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{stem}", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkReference:
+    def test_traces_match_the_reference_digests(self):
+        """Every trace the benchmark checks hashes to its digest in
+        perfbench/reference.json, so a changed trace byte fails here and not
+        only in a benchmark run."""
+        workloads = load_perfbench("workloads")
+        reference = json.loads(workloads.REFERENCE.read_text())
+        got = {
+            workload: {
+                name: workloads.sha256(run_scenario(load_scenario(text)).render())
+                for name, text, _, _ in build()
+            }
+            for workload, build in (
+                ("oracle-corpora", workloads.oracle_pool),
+                ("nosupermax-horizon", workloads.nosupermax_pool),
+            )
+        }
+        got["cli-fixtures"] = {
+            scn.stem: workloads.sha256(run_scenario(load_scenario_file(scn)).render())
+            for scn in sorted(SAMPLES.glob("*.scn"))
+        }
+        assert {w: sorted(d) for w, d in got.items()} == {
+            w: sorted(d) for w, d in reference.items()
+        }
+        differ = [
+            f"{workload} {name}"
+            for workload, digests in sorted(reference.items())
+            for name, digest in sorted(digests.items())
+            if got[workload][name] != digest
+        ]
+        assert not differ, (
+            f"trace digest differs from perfbench/reference.json: {differ};"
+            " if the change is meant to alter trace bytes, rerun"
+            " perfbench/record_reference.py and say why"
+        )
 
 
 class TestBenchmarkTracing:
     def test_tracer_binds_every_name_and_unbinds(self):
         """The benchmark's tracer wraps package functions by name; a rename
         that drops one fails here, not in a traced benchmark run."""
-        tracing = load_tracing()
+        tracing = load_perfbench("tracing")
 
         def target(module, attr):
             owner = importlib.import_module(module)
@@ -1889,7 +1929,7 @@ class TestBenchmarkTracing:
         """Constructions are imported when a runner or verifier is called, so
         the calls reach the names the tracer rebound; a dispatch table that
         captured function objects at import would leave these counts at 0."""
-        tracer = load_tracing().Tracer()
+        tracer = load_perfbench("tracing").Tracer()
         scenarios = [
             anticomplete_scenario(1, 60),
             nosupermax_scenario(1, 100),

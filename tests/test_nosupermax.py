@@ -169,8 +169,9 @@ def boundary_inputs(base, entries, x, a_now, b_now):
 class TestBoundary:
     def test_first_stage(self):
         trig = trigger_prefix(0, set(), [], [])
-        entries, kept, fragile = boundary_update(
-            -1, [], 1, trig, *boundary_inputs(-1, [], set(), set(), set())
+        entries = []
+        kept, fragile = boundary_update(
+            -1, entries, 1, trig, *boundary_inputs(-1, [], set(), set(), set())
         )
         assert entries == [0] and kept == 0
 
@@ -288,9 +289,10 @@ class TestXUpdate:
             a_new = sorted(a_now)[:2]
             b_new = sorted(b_now)[:2]
             trig = trigger_prefix(s1 - 1, x_prev, a_new, b_new)
-            old = list(range(0, s1 - 1, 2))
-            entries, _, _ = boundary_update(
-                base, old, s1, trig, *boundary_inputs(base, old, x_prev, a_now, b_now)
+            entries = list(range(0, s1 - 1, 2))
+            boundary_update(
+                base, entries, s1, trig,
+                *boundary_inputs(base, entries, x_prev, a_now, b_now),
             )
             added, removed = x_update(
                 entries, base, s1, x_prev, a_now, b_now, trig,

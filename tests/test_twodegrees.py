@@ -88,6 +88,11 @@ class TestThresholds:
         assert column_threshold(2) == 15  # pair(2, 4) lands on 15
         assert column_threshold(3) == 42  # pair(3, 9) lands on 42
 
+    def test_threshold_is_the_box_maximum(self):
+        for m_cap in range(16):
+            box = (pair(n, i) for n in range(m_cap + 1) for i in range(n * n + 1))
+            assert column_threshold(m_cap) == max(box), m_cap
+
 
 class TestRStrategy:
     def test_empty_program_no_axioms(self):
@@ -149,7 +154,7 @@ class TestRStrategy:
         run.horizon = 14
         run._k_now.add(0)
         with pytest.raises(HardFault, match="already enumerated into B"):
-            run.r_strategy_step(0, 12, run.k.entered_at(12))
+            run.r_strategy_step(0, 12, run.k.by_stage.get(12, ()))
 
 
 class TestPStrategy:
