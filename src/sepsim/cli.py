@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from .errors import HardFault, HypothesisViolation, UsageError
-from .scenario import load_scenario_file
+from .scenario import load_scenario_file, read_file
 from .trace import parse_trace, run_scenario
 from .verify import verify_trace
 
@@ -36,18 +36,6 @@ def _write(path, text):
         raise UsageError(f"cannot write {path}: {exc}")
 
 
-def _read(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}")
-    except UnicodeDecodeError as exc:
-        raise UsageError(
-            f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
-        )
-
-
 def _cmd_run(args) -> int:
     sc = load_scenario_file(args.scenario, args.horizon)
     trace = run_scenario(sc)
@@ -63,7 +51,7 @@ def _cmd_verify(args) -> int:
                 flag = "--" + option.replace("_", "-")
                 raise UsageError(f"verify --trace takes no {flag}")
         for path in args.trace:
-            parsed = parse_trace(_read(path))
+            parsed = parse_trace(read_file(path))
             report = verify_trace(parsed)
             reports.append((path, report))
             if args.fail_fast and not report.passed:
@@ -83,7 +71,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_replay(args) -> int:
     sc = load_scenario_file(args.scenario, args.horizon)
-    recorded = _read(args.trace)  # before --trace-out may overwrite it
+    recorded = read_file(args.trace)  # before --trace-out may overwrite it
     fresh = run_scenario(sc).render()
     if args.trace_out:
         _write(args.trace_out, fresh)

@@ -18,7 +18,8 @@ K, W0, W1, ... Program names: anticomplete and twodegrees use phi0, phi1,
 
 Scripted event stages must stay below the horizon so every event is visible
 to an executed stage; nosupermax events additionally start at stage 1. Set
-elements exceed the horizon by at most 4096, as bound table values do.
+elements, bound table values and rule uses exceed the horizon by at most
+PAST_HORIZON (4096), the one cap `width_cap` states.
 Hypothesis audits run at load time: upclosure scenarios must have disjoint
 scripted sides, a hole below the horizon, and operators that compute each
 side from the other bit by bit; nosupermax scenarios must script disjoint
@@ -61,6 +62,15 @@ def no_rules(*_):
 
 DEFAULT_HORIZON = 1000
 MAX_HORIZON = 10_000  # to be raised once every construction is linear in h
+# how far past the horizon a set element, a bound table value or a rule use
+# may reach: oracle ints and bit tables are as wide as the largest of them
+PAST_HORIZON = 4096
+
+
+def width_cap(horizon: int) -> int:
+    """The largest set element, bound table value or rule use allowed at
+    that horizon; never below PAST_HORIZON."""
+    return horizon + PAST_HORIZON
 
 
 class Scenario:
@@ -269,6 +279,7 @@ def validate_schema(sc: Scenario):
     if sc.horizon > MAX_HORIZON:
         raise _schema_error(f"horizon {sc.horizon} exceeds {MAX_HORIZON}")
     module = construction_module(sc.construction)
+    cap = width_cap(sc.horizon)
     for name, events in sc.sets.items():
         if module.SET_NAMES is None or not module.SET_NAMES.fullmatch(name):
             raise _schema_error(
@@ -278,10 +289,10 @@ def validate_schema(sc: Scenario):
         for e, t in events:
             if e < 0:
                 raise _schema_error(f"set {name} element {e} negative")
-            if e > sc.horizon + 4096:
-                # oracle ints and bit tables are as wide as the largest element
+            if e > cap:
                 raise _schema_error(
-                    f"set {name} element {e} exceeds the horizon by more than 4096"
+                    f"set {name} element {e} exceeds the horizon by more than"
+                    f" {PAST_HORIZON}"
                 )
             if t < module.FIRST_STAGE or t > sc.horizon - 1:
                 raise _schema_error(
@@ -298,9 +309,10 @@ def validate_schema(sc: Scenario):
                 f"program {name} not allowed for {sc.construction}"
             )
         for r in rules:
-            if r.use > 4096:
+            if r.use > cap:
                 raise _schema_error(
-                    f"program {name}: rule use {r.use} exceeds 4096"
+                    f"program {name}: rule use {r.use} exceeds the horizon by more"
+                    f" than {PAST_HORIZON}"
                 )
         try:
             sc.program(name)
@@ -330,15 +342,19 @@ def load_scenario(text: str, horizon_override: int | None = None) -> Scenario:
     return sc
 
 
-def load_scenario_file(path, horizon_override: int | None = None) -> Scenario:
+def read_file(path) -> str:
+    """The text of a scenario or trace file; a UsageError naming the path
+    when it cannot be read or is not UTF-8."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
-        raise UsageError(f"cannot read scenario: {exc}")
+        raise UsageError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
         raise UsageError(
-            f"cannot read scenario {path}: not UTF-8 text"
-            f" ({exc.reason} at byte {exc.start})"
+            f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         )
-    return load_scenario(text, horizon_override)
+
+
+def load_scenario_file(path, horizon_override: int | None = None) -> Scenario:
+    return load_scenario(read_file(path), horizon_override)

@@ -38,7 +38,7 @@ from .enumcore import StageSet, pair, unpair
 from .errors import HardFault, UsageError
 from .functionals import EMPTY_PROGRAM, bits_of, evaluate
 from .report import CheckResult, first_counterexample
-from .scenario import no_rules
+from .scenario import no_rules, width_cap
 from .trace import decode_event_log, encode_event_log
 
 
@@ -394,7 +394,7 @@ def verify_twodegrees(run: TwoDegreesRun):
     viol = []
     no_w = StageSet(horizon=horizon)
     for ax in run.axioms:
-        if ax.gamma > 4096:
+        if ax.gamma > width_cap(horizon):
             viol.append((ax, "use length beyond any admissible rule"))
             continue
         w = run.w.get(ax.e, no_w)

@@ -14,6 +14,12 @@ Block boundaries come in two flavours, declared by the scenario:
 Decoding waits, per block, for a stage at which Z agrees with the current A
 or with the complement of the current B on the block; in case 2 the
 boundaries themselves are recovered from Z by a four-condition stage search.
+
+Every decoder reads one fold, `agreement_windows`, which narrows Z's two
+agreement windows on a block (the stages at which Z agrees with A_s, and
+with the complement of B_s) to closed intervals, empty for a side that
+never agrees, and can widen a block it returned: the recovery search
+carries the windows of (m_n, x] along x.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .errors import HypothesisViolation, UsageError
 from .functionals import UseBound, UseBoundedOperator, bits_of, wtt_apply
 from .records import Tail, bad_record, read_record, record_table
 from .report import CheckResult, first_counterexample
-from .scenario import no_rules
+from .scenario import PAST_HORIZON, no_rules, width_cap
 from .trace import fmt_ints, fmt_opt, ints, parse_opt
 
 
@@ -113,9 +119,7 @@ def m_sequence(
     return MSequenceResult(values=values)
 
 
-def encode_separator(
-    c_mem, m_values, a_mem, b_mem, length: int | None = None
-) -> SeparatorSnapshot:
+def encode_separator(c_mem, m_values, a_mem, b_mem) -> SeparatorSnapshot:
     """Write C into a separator string over [0, last boundary].
 
     Block n is (m_n, m_{n+1}]; inside C the block copies the complement of B,
@@ -123,43 +127,49 @@ def encode_separator(
     """
     if not m_values:
         raise ValueError("m-sequence too short")
-    last = m_values[-1]
-    if length is None:
-        length = last + 1
-    if length - 1 > last:
-        raise ValueError("m-sequence too short")
     bits = []
-    for y in range(length):
+    for y in range(m_values[-1] + 1):
         n = bisect_left(m_values, y) - 1  # block index with m_n < y <= m_{n+1}
-        if y <= m_values[0]:
-            bits.append("1" if y in a_mem else "0")
-            continue
-        if n in c_mem:
+        if y > m_values[0] and n in c_mem:
             bits.append("0" if y in b_mem else "1")
         else:
             bits.append("1" if y in a_mem else "0")
     return SeparatorSnapshot("".join(bits))
 
 
-def _agreement_window(z, stage_of, block, positive):
-    """Stages s at which z matches the indicator run 'position entered by s'
-    (positive=True: match means bit 1 once entered; False: bit 0 once entered).
+INF = float("inf")
+# the windows of an empty block: Z agrees with either side at every stage
+EVERY_STAGE = ((0, INF), (0, INF))
 
-    Returns a half-open interval [lo, hi) in stage numbers, possibly empty
-    (lo > hi). stage_of maps position -> entry stage or None.
-    """
-    lo, hi = 0, float("inf")
-    want_in = "1" if positive else "0"
-    for y in block:
-        t = stage_of(y)
-        if z.bits[y] == want_in:
-            if t is None:
-                return (1, 0)  # never agrees
-            lo = max(lo, t)
+
+def agreement_windows(z, a: StageSet, b: StageSet, positions, windows=EVERY_STAGE):
+    """The stages s at which Z agrees on a block with A_s, and those at which
+    it agrees with the complement of B_s, as closed intervals (lo, hi), empty
+    when lo > hi; a side that never agrees has lo = INF. Given the windows of
+    a block, returns those of the block widened by `positions`."""
+    (alo, ahi), (blo, bhi) = windows
+    for y in positions:
+        ta, tb = a.entry.get(y, INF), b.entry.get(y, INF)
+        if z.bits[y] == "1":  # A_s holds y from ta on; B's complement before tb
+            alo, bhi = max(alo, ta), min(bhi, tb - 1)
         else:
-            if t is not None:
-                hi = min(hi, t - 1)
-    return (lo, hi)
+            ahi, blo = min(ahi, ta - 1), max(blo, tb)
+    return (alo, ahi), (blo, bhi)
+
+
+def agrees(windows, s: int) -> bool:
+    """Whether Z agrees with A_s or with the complement of B_s on the block."""
+    (alo, ahi), (blo, bhi) = windows
+    return alo <= s <= ahi or blo <= s <= bhi
+
+
+def _cover_stage(a: StageSet, b: StageSet, positions):
+    """The least stage by which every position lies in A ∪ B; INF when one
+    never enters."""
+    return max(
+        (min(a.entry.get(y, INF), b.entry.get(y, INF)) for y in positions),
+        default=0,
+    )
 
 
 def decode_block(
@@ -178,16 +188,11 @@ def decode_block(
     under further enumeration); if no stage up to the horizon decides,
     raises "undecided at horizon".
     """
-    block = range(m_n + 1, m_n1 + 1)
-    wa = _agreement_window(z, a.entry_stage, block, positive=True)
-    wb = _agreement_window(z, b.entry_stage, block, positive=False)
+    (alo, ahi), (blo, bhi) = agreement_windows(z, a, b, range(m_n + 1, m_n1 + 1))
     for s in range(horizon + 1):
-        ina = wa[0] <= s <= wa[1]
-        inb = wb[0] <= s <= wb[1]
-        if ina != inb:
+        ina = alo <= s <= ahi
+        if ina != (blo <= s <= bhi):
             return (0 if ina else 1, s)
-        if ina and inb:
-            continue
     raise ValueError("undecided at horizon")
 
 
@@ -195,11 +200,8 @@ def simultaneous_agreement_stages(z, a, b, m_n, m_n1, horizon):
     """Stages at which Z agrees with both sides on the block (empty when the
     block keeps a point out of A and B, which is the mutual-exclusion fact
     the decoder relies on)."""
-    block = range(m_n + 1, m_n1 + 1)
-    wa = _agreement_window(z, a.entry_stage, block, positive=True)
-    wb = _agreement_window(z, b.entry_stage, block, positive=False)
-    lo = max(wa[0], wb[0])
-    hi = min(wa[1], wb[1], horizon)
+    (alo, ahi), (blo, bhi) = agreement_windows(z, a, b, range(m_n + 1, m_n1 + 1))
+    lo, hi = max(alo, blo), min(ahi, bhi, horizon)
     return range(lo, hi + 1) if lo <= hi else range(0)
 
 
@@ -293,7 +295,7 @@ def recover_m_next(
     f: UseBound,
     m_prefix,
     horizon: int,
-    table: WttAgreementTable | None = None,
+    table: WttAgreementTable,
 ):
     """Recover the next block boundary from Z by the four-condition stage
     search; returns (boundary, stage at which the search first succeeds).
@@ -305,63 +307,32 @@ def recover_m_next(
     (last, x], (iii) a point of (last, x] outside the stage-s union, and
     (iv) (x, f(x)] inside the stage-s union. The least such x wins.
     """
-    if table is None:
-        table = WttAgreementTable(a, b, gamma, delta, f, horizon)
     m_n = m_prefix[-1]
-    n = len(m_prefix) - 1
-    windows = []
-    for i in range(n):
-        block = range(m_prefix[i] + 1, m_prefix[i + 1] + 1)
-        wa = _agreement_window(z, a.entry_stage, block, positive=True)
-        wb = _agreement_window(z, b.entry_stage, block, positive=False)
-        windows.append((wa, wb))
-
+    earlier = [
+        agreement_windows(z, a, b, range(lo + 1, hi + 1))
+        for lo, hi in zip(m_prefix, m_prefix[1:])
+    ]
+    covered = max(
+        (_cover_stage(a, b, range(m + 1, f(m) + 1)) for m in m_prefix[:-1] if m >= 0),
+        default=0,
+    )
     candidate_stages = {0, *a.entry.values(), *b.entry.values()}
     for op in (gamma, delta):
-        for r in op.program.rules:
-            candidate_stages.add(r.available_at)
-
+        candidate_stages.update(r.available_at for r in op.program.rules)
     for s in sorted(t for t in candidate_stages if t <= horizon):
-        ok = True
-        for i in range(n):
-            wa, wb = windows[i]
-            if not (wa[0] <= s <= wa[1] or wb[0] <= s <= wb[1]):
-                ok = False
-                break
-        if ok:
-            for i in range(n):
-                mi = m_prefix[i]
-                if mi < 0:
-                    continue
-                if not all(
-                    a.member_at(y, s) or b.member_at(y, s)
-                    for y in range(mi + 1, f(mi) + 1)
-                ):
-                    ok = False
-                    break
-        if not ok:
+        if s < covered or not all(agrees(w, s) for w in earlier):
             continue
-        prefix = table.agree_prefix(s)
         hole_seen = False
-        for x in range(m_n + 1, min(f.domain, z.length)):
-            if x >= prefix:
-                break
-            if not (a.member_at(x, s) or b.member_at(x, s)):
-                hole_seen = True
-            # block agreement on (m_n, x]
-            blk = range(m_n + 1, x + 1)
-            wa = _agreement_window(z, a.entry_stage, blk, positive=True)
-            wb = _agreement_window(z, b.entry_stage, blk, positive=False)
-            if not (wa[0] <= s <= wa[1] or wb[0] <= s <= wb[1]):
-                continue
-            if not hole_seen:
-                continue
-            if not all(
-                a.member_at(y, s) or b.member_at(y, s)
-                for y in range(x + 1, f(x) + 1)
+        windows = EVERY_STAGE  # of (m_n, x], carried from those of (m_n, x - 1]
+        for x in range(m_n + 1, min(f.domain, z.length, table.agree_prefix(s))):
+            hole_seen = hole_seen or not (a.member_at(x, s) or b.member_at(x, s))
+            windows = agreement_windows(z, a, b, (x,), windows)
+            if (
+                hole_seen
+                and agrees(windows, s)
+                and _cover_stage(a, b, range(x + 1, f(x) + 1)) <= s
             ):
-                continue
-            return (x, s)
+                return (x, s)
     raise ValueError("not settled")
 
 
@@ -426,8 +397,8 @@ def check_schema(sc):
         raise UsageError(f"bound table: {exc}")
     if f.domain < sc.horizon:
         raise UsageError(f"bound table covers [0, {f.domain}), horizon {sc.horizon}")
-    if f.table and max(f.table) > sc.horizon + 4096:
-        raise UsageError("bound table values exceed the horizon by 4096")
+    if f.table and max(f.table) > width_cap(sc.horizon):
+        raise UsageError(f"bound table values exceed the horizon by {PAST_HORIZON}")
     for name in ("gamma", "delta"):
         try:
             UseBoundedOperator(program=sc.program(name), bound=f)

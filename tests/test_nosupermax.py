@@ -818,3 +818,46 @@ class TestWorkBounds:
             toggles = sum(len(stages) for stages in run.x_toggles.values())
             bound = run.horizon + toggles + len(run.a) + len(run.b)
             assert 0 < calls <= bound, (cert, calls, bound)
+
+
+# Seeds whose chained scenario at h = 200 fails a1-settled-zone-census on its
+# own fresh trace. Each mark fails the suite once its trace verifies.
+CENSUS_FAILS = {2, 3, 4, 6, 8, 10, 11, 14, 15, 18, 20, 22, 23}
+ITEM_1 = pytest.mark.xfail(
+    reason="ROADMAP item 1: certificate acceptance and the settled-zone census"
+    " test different zones",
+    raises=AssertionError,
+    strict=True,
+)
+
+
+def chained(seed):
+    sc = nosupermax_scenario(seed, 200)
+    sc.certs = chain_certificates(sc, want=2)
+    return sc.canonical()
+
+
+class TestOwnTracesVerify:
+    """A chained scenario's own fresh trace verifies (ROADMAP item 1, left
+    open: the strict xfails keep the known failures visible)."""
+
+    @staticmethod
+    def assert_verifies(text):
+        report = verify_trace(parse_trace(run_scenario(load_scenario(text)).render()))
+        assert report.passed, report.render()
+
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            pytest.param(seed, marks=[ITEM_1] if seed in CENSUS_FAILS else [])
+            for seed in range(24)
+        ],
+    )
+    def test_chained_scenario(self, seed):
+        self.assert_verifies(chained(seed))
+
+    @ITEM_1
+    def test_moved_b_element(self):
+        # one B element of the cofinite flavour moved past the horizon
+        head, tail = chained(1).split("set B 165 157\n")
+        self.assert_verifies(f"{head}set B 4096 157\n{tail}")

@@ -178,17 +178,18 @@ class TestRecoveryLeastStage:
             if len(values) < 3:
                 continue
             z = encode_separator(set(), values, sc["a"].final(), sc["b"].final())
-            got, stage = recover_m_next(
-                z, sc["a"], sc["b"], sc["gamma"], sc["delta"], sc["f"],
-                values[:2], sc["horizon"],
-            )
-            assert got == values[2]
-            # brute force over every stage, scanning candidates directly
-            from sepsim.upclosure import WttAgreementTable, _agreement_window
+            from naive_upclosure import _agreement_window
+            from sepsim.upclosure import WttAgreementTable
 
             table = WttAgreementTable(
                 sc["a"], sc["b"], sc["gamma"], sc["delta"], sc["f"], sc["horizon"]
             )
+            got, stage = recover_m_next(
+                z, sc["a"], sc["b"], sc["gamma"], sc["delta"], sc["f"],
+                values[:2], sc["horizon"], table,
+            )
+            assert got == values[2]
+            # brute force over every stage, scanning candidates directly
             a_entry = {e: t for e, t in sc["a"].events}
             b_entry = {e: t for e, t in sc["b"].events}
 

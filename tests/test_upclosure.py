@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import naive_upclosure
 import sepsim.functionals as functionals
 import sepsim.upclosure as upclosure
 from sepsim.corpus import upclosure_corpus, upclosure_scenario
@@ -19,6 +20,8 @@ from sepsim.functionals import (
     bits_of,
     wtt_apply,
 )
+from sepsim.scenario import load_scenario
+from sepsim.trace import parse_trace, run_scenario
 from sepsim.upclosure import (
     CaseTag,
     WttAgreementTable,
@@ -30,6 +33,7 @@ from sepsim.upclosure import (
     recover_m_next,
     simultaneous_agreement_stages,
 )
+from sepsim.verify import verify_trace
 
 
 def member_reader(members, f, avail_of=None):
@@ -103,6 +107,17 @@ def build_settled(rng, case_tag, horizon=100, domain=64):
         "horizon": horizon,
         "holes": holes,
     }
+
+
+class TestWidthCap:
+    @pytest.mark.parametrize("case_tag", [1, 2])
+    def test_uses_past_4096_within_the_cap_verify(self, case_tag):
+        """At h = 4200 the corpus builder writes rule uses up to 4202 and
+        bound values up to 4208, past 4096 but within the horizon + 4096."""
+        sc = load_scenario(upclosure_scenario(3, case_tag, 4200).canonical())
+        assert max(r.use for rules in sc.rules.values() for r in rules) > 4096
+        report = verify_trace(parse_trace(run_scenario(sc).render()))
+        assert report.passed, report.render()
 
 
 class TestClassify:
@@ -342,6 +357,9 @@ class TestRecovery:
         bits = list(z.bits)
         bits[hole] = "1" if bits[hole] == "0" else "0"
         z2 = SeparatorSnapshot("".join(bits))
+        table = WttAgreementTable(
+            sc["a"], sc["b"], sc["gamma"], sc["delta"], sc["f"], sc["horizon"]
+        )
         try:
             got, _ = recover_m_next(
                 z2,
@@ -352,6 +370,7 @@ class TestRecovery:
                 sc["f"],
                 values[:2],
                 sc["horizon"],
+                table,
             )
         except ValueError as e:
             assert "not settled" in str(e)
@@ -374,8 +393,9 @@ class TestRecovery:
         # (x, f(x)] covered
         assert res.values[0] == -1
         z = encode_separator(set(), res.values, a_mem, b_mem)
+        table = WttAgreementTable(a, b, gamma, delta, f, 20)
         got, _ = recover_m_next(
-            z, a, b, gamma, delta, f, res.values[:1], 20
+            z, a, b, gamma, delta, f, res.values[:1], 20, table
         )
         assert got == res.values[1]
 
@@ -656,3 +676,104 @@ class TestAgreementRowsAgainstNaive:
         f, gamma, delta = operators(sc)
         a, b = sc.stage_set("A"), sc.stage_set("B")
         assert_rows_match_naive(a, b, gamma, delta, f, sc.horizon)
+
+
+def recovery_calls(sc, name, flips):
+    """The arguments of one recover_m_next call per block of the scenario's
+    case-2 m-sequence, on Z with each count of bits in `flips` flipped, and
+    the block (m_n, m_{n+1}] each call ends at."""
+    f, gamma, delta = operators(sc)
+    a, b = sc.stage_set("A"), sc.stage_set("B")
+    values = m_sequence(CaseTag(2), a.final(), b.final(), f, 9).values
+    table = WttAgreementTable(a, b, gamma, delta, f, sc.horizon)
+    z = encode_separator(sc.stage_set("C").final(), values, a.final(), b.final())
+    rng = random.Random(name)
+    calls = []
+    for count in flips:
+        bits = list(z.bits)
+        for y in rng.sample(range(len(bits)), min(count, len(bits))):
+            bits[y] = "1" if bits[y] == "0" else "0"
+        zz = SeparatorSnapshot("".join(bits))
+        for n in range(len(values) - 1):
+            args = (zz, a, b, gamma, delta, f, values[: n + 1], sc.horizon, table)
+            calls.append((args, values[n + 1]))
+    return calls
+
+
+def unguarded(seed):
+    """A case-2 corpus scenario whose A and B entry stages are drawn anew and
+    whose rules lose their guards, some also their availability: the
+    operators then agree early, so the cover conditions decide."""
+    sc = upclosure_scenario(seed, 2)
+    rng = random.Random(seed)
+    for name in ("A", "B"):
+        sc.sets[name] = [(e, rng.randrange(sc.horizon)) for e, _ in sc.sets[name]]
+    for name in ("gamma", "delta"):
+        sc.rules[name] = [
+            OracleRule((), r.input, r.output, r.use, rng.choice((0, r.available_at)))
+            for r in sc.rules[name]
+        ]
+    return sc
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_blocks_match(block):
+    for name in ("decode_block", "simultaneous_agreement_stages"):
+        got = outcome(getattr(upclosure, name), *block)
+        assert got == outcome(getattr(naive_upclosure, name), *block), (name, block)
+
+
+@st.composite
+def random_blocks(draw):
+    """Any Z, A and B entry stages drawn independently, any block: windows
+    that overlap, which no m-sequence block has."""
+    horizon = draw(st.integers(1, 12))
+    z = SeparatorSnapshot(draw(st.text("01", min_size=1, max_size=10)))
+    stages = st.dictionaries(st.integers(0, z.length - 1), st.integers(0, horizon))
+    a = StageSet(draw(stages).items(), horizon=horizon)
+    b = StageSet(draw(stages).items(), horizon=horizon)
+    m_n = draw(st.integers(-1, z.length - 1))
+    return z, a, b, m_n, draw(st.integers(m_n, z.length - 1)), horizon
+
+
+class TestWindowFoldAgainstNaive:
+    """The one window fold, the carried (m_n, x] windows and the per-call
+    cover stages give the results and errors of the decoders as first
+    written (tests/naive_upclosure.py)."""
+
+    @staticmethod
+    def assert_match(calls):
+        got = [outcome(upclosure.recover_m_next, *args) for args, _ in calls]
+        want = [outcome(naive_upclosure.recover_m_next, *args) for args, _ in calls]
+        assert got == want
+        for (z, a, b, _, _, _, prefix, horizon, _), m_n1 in calls:
+            assert_blocks_match((z, a, b, prefix[-1], m_n1, horizon))
+        return want
+
+    def test_every_corpus_block_with_flipped_bits(self):
+        """Every block of the case-2 m-sequence of all 200 corpus scenarios,
+        on the true Z and on Z with 1, 3 or 6 bits flipped."""
+        calls = [
+            call
+            for name, sc in upclosure_corpus()
+            for call in recovery_calls(sc, name, (0, 1, 3, 6))
+        ]
+        assert len(calls) == 3164
+        assert self.assert_match(calls).count("not settled") == 1556
+
+    def test_unguarded_operators(self):
+        calls = []
+        for seed in range(40):
+            calls += recovery_calls(unguarded(seed), seed, (0,))
+        self.assert_match(calls)
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_blocks())
+    def test_random_blocks(self, block):
+        assert_blocks_match(block)
