@@ -27,7 +27,8 @@ def bad_record(parts, why, lineno=None) -> UsageError:
     return UsageError(f"record {' '.join(parts)}: {why}", location)
 
 
-def _count_error(parts, want, lineno):
+def count_error(parts, want, lineno=None) -> UsageError:
+    """`record <tokens>: <n> tokens, expected <want>`."""
     tokens = " ".join(parts).split()  # a scenario's last part may hold several
     return bad_record(tokens, f"{len(tokens)} tokens, expected {want}", lineno)
 
@@ -53,7 +54,7 @@ def read_record(parts, table, at=0, first=None, lineno=None):
     <tokens>: <n> tokens, expected <m>` (or `at least <m>`) and a FieldError
     `record <tokens>: <its reason>`; a type's ValueError passes as it is."""
     if len(parts) <= at:  # too short to name its kind
-        raise _count_error(parts, f"at least {at + 1}", lineno)
+        raise count_error(parts, f"at least {at + 1}", lineno)
     shape = table.get(parts[at])
     if shape is None:
         return None
@@ -61,15 +62,15 @@ def read_record(parts, table, at=0, first=None, lineno=None):
     end = at + 1 + count
     if tail is None:
         if len(parts) != end:
-            raise _count_error(parts, end, lineno)
+            raise count_error(parts, end, lineno)
     elif len(parts) < end + tail.least:
-        raise _count_error(parts, f"at least {end + tail.least}", lineno)
+        raise count_error(parts, f"at least {end + tail.least}", lineno)
     try:
         if tail:
             cut = parts.index(tail.marker, at + 1) if tail.marker else end
             rest = list(tail.read(parts[cut:]))
             if cut != end:
-                raise _count_error(parts, len(parts) - cut + end, lineno)
+                raise count_error(parts, len(parts) - cut + end, lineno)
         values = []
         i = at
         for read in readers:  # faster than a comprehension over zip

@@ -10,9 +10,12 @@ the same scenario twice yields byte-identical traces.
 hypothesis audit: the lines from HEADER to scenario-begin are, line for line,
 the `header_lines` of the embedded scenario, with the digest of the embedded
 text as read (its lines joined by newlines, plus a final newline), so any
-edit of that text, a comment or a respelled integer included, fails on the
-`scenariohash` line; and the last non-blank line reads exactly `end`. The
-canonical text is never rendered again to check a trace.
+edit of that text fails on the `scenariohash` line; an edited text whose
+digest was taken again must still be canonical, and fails on its first line
+that is not (the parse notes it as `noncanonical_line`); and the last
+non-blank line reads exactly `end`. The canonical text is never rendered
+again to check a trace, and `run_scenario` embeds the text a scenario was
+parsed from when that text was canonical.
 
 The header, the `ev`/`final` codecs and the body framing live here. The
 event log is read through its record tables, EVENTS (every construction's
@@ -32,7 +35,6 @@ import hashlib
 from . import __version__
 from .enumcore import PAIRING_SCHEME_ID
 from .errors import UsageError
-from .functionals import UseBoundedOperator
 from .records import Tail, bad_record, read_record, record_table
 from .scenario import Scenario, audit_scenario, construction_module, parse_scenario
 
@@ -245,8 +247,7 @@ def run_upclosure_pipeline(sc: Scenario):
         bit, stage = decode_block(z, a, b, values[n], values[n + 1], sc.horizon)
         out["blocks"].append((n, bit, stage, 1 if n in c_final else 0))
     if sc.case.tag == 2:
-        gamma = UseBoundedOperator(program=sc.program("gamma"), bound=f)
-        delta = UseBoundedOperator(program=sc.program("delta"), bound=f)
+        gamma, delta = sc.operator("gamma"), sc.operator("delta")
         table = WttAgreementTable(a, b, gamma, delta, f, sc.horizon)
         for n in range(len(values) - 1):
             got, stage = recover_m_next(
@@ -285,7 +286,8 @@ class ParsedTrace:
 
 def parse_trace(text: str) -> ParsedTrace:
     """Check the frame (see above), then audit; the body is handed on as one
-    token list per non-blank line."""
+    token list per non-blank line. The scenario does not keep its embedded
+    text, which the trace already holds: verifying renders nothing."""
     lines = text.splitlines()
     try:
         begin = lines.index("scenario-begin")
@@ -307,6 +309,12 @@ def parse_trace(text: str) -> ParsedTrace:
             raise UsageError(
                 f"header reads {got!r}, expected {line!r}", location=f"line {lineno}"
             )
+    departs = scenario.noncanonical_line
+    if departs is not None:
+        raise UsageError(
+            f"embedded scenario is not canonical: {lines[begin + departs]!r}",
+            location=f"line {begin + 1 + departs}",
+        )
     last = len(lines)
     while not lines[last - 1].strip():  # stops at scenario-end at the latest
         last -= 1
@@ -316,5 +324,6 @@ def parse_trace(text: str) -> ParsedTrace:
             location=f"line {last}",
         )
     audit_scenario(scenario)
+    scenario._text = None
     body = [parts for parts in map(str.split, lines[end + 1 : last - 1]) if parts]
     return ParsedTrace(scenario.construction, scenario, digest, body)

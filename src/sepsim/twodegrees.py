@@ -106,7 +106,7 @@ class TwoDegreesRun:
         self._bound: dict[int, int] = {e: 0 for e in self.scripted}
         self._quiet: dict[int, tuple[int, int] | None] = {}
         self._avail_wakes: dict[int, list[int]] = {
-            e: sorted({r.available_at for r in self.programs[e].rules})
+            e: sorted({row[0] for row in self.programs[e].compiled_rows()})
             for e in self.scripted
         }
         self._avail_ptr: dict[int, int] = {e: 0 for e in self.scripted}
@@ -115,8 +115,8 @@ class TwoDegreesRun:
         self._uses: dict[int, list[tuple[int, int]]] = {}
         for e in self.scripted:
             first: dict[int, int] = {}
-            for r in self.programs[e].rules:
-                first[r.use] = min(first.get(r.use, r.available_at), r.available_at)
+            for available_at, use, *_ in self.programs[e].compiled_rows():
+                first[use] = min(first.get(use, available_at), available_at)
             self._uses[e] = sorted(first.items())
 
     def blocked_now(self, s: int) -> set[int]:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 
 from . import trace
 from .enumcore import SeparatorSnapshot, StageSet, is_separator
@@ -261,6 +262,7 @@ class WttAgreementTable:
                     values.append(value)
             return stages, values
 
+        self._prefixes: dict[int, int] = {}  # stage -> agree_prefix(stage)
         self._gamma: list[tuple[list[int], list[bool]]] = []
         self._delta: list[tuple[list[int], list[bool]]] = []
         self.width = min(f.domain, horizon)
@@ -277,12 +279,16 @@ class WttAgreementTable:
 
     def agree_prefix(self, s: int) -> int:
         """Largest X such that both operators match their targets on every
-        input below X at stage s."""
-        w = 0
-        while w < self.width and self._ok(self._gamma, w, s) and self._ok(
-            self._delta, w, s
-        ):
-            w += 1
+        input below X at stage s; worked out once per stage, since the
+        table never changes."""
+        w = self._prefixes.get(s)
+        if w is None:
+            w = 0
+            while w < self.width and self._ok(self._gamma, w, s) and self._ok(
+                self._delta, w, s
+            ):
+                w += 1
+            self._prefixes[s] = w
         return w
 
 
@@ -318,7 +324,7 @@ def recover_m_next(
     )
     candidate_stages = {0, *a.entry.values(), *b.entry.values()}
     for op in (gamma, delta):
-        candidate_stages.update(r.available_at for r in op.program.rules)
+        candidate_stages.update(map(itemgetter(0), op.program.compiled_rows()))
     for s in sorted(t for t in candidate_stages if t <= horizon):
         if s < covered or not all(agrees(w, s) for w in earlier):
             continue
@@ -401,19 +407,18 @@ def check_schema(sc):
         raise UsageError(f"bound table values exceed the horizon by {PAST_HORIZON}")
     for name in ("gamma", "delta"):
         try:
-            UseBoundedOperator(program=sc.program(name), bound=f)
+            sc.operator(name)
         except ValueError as exc:
             raise UsageError(f"operator {name}: {exc}")
 
 
 def audit(sc):
-    f = sc.use_bound()
     audit_hypotheses(
         sc.stage_set("A"),
         sc.stage_set("B"),
-        UseBoundedOperator(program=sc.program("gamma"), bound=f),
-        UseBoundedOperator(program=sc.program("delta"), bound=f),
-        f,
+        sc.operator("gamma"),
+        sc.operator("delta"),
+        sc.use_bound(),
         sc.horizon,
     )
 

@@ -3,8 +3,9 @@
 The decoders as first written: `_agreement_window` rebuilds a block's window
 for one side and returns at the first position that never agrees;
 `recover_m_next` rebuilds the (m_n, x] windows for every x at every
-candidate stage and rescans every earlier boundary's f-interval at every
-stage. `upclosure`'s one window fold, its carried windows and its per-call
+candidate stage, rescans every earlier boundary's f-interval at every
+stage and walks the operators' agreement prefix afresh (`agree_prefix`) at
+every stage it reaches. `upclosure`'s one window fold, its carried windows and its per-call
 cover stages must give the same results and the same errors on every input.
 """
 
@@ -53,6 +54,16 @@ def simultaneous_agreement_stages(z, a, b, m_n, m_n1, horizon):
     return range(lo, hi + 1) if lo <= hi else range(0)
 
 
+def agree_prefix(table, s):
+    """The table's agree_prefix(s) walked afresh, w from 0, on every call."""
+    w = 0
+    while w < table.width and table._ok(table._gamma, w, s) and table._ok(
+        table._delta, w, s
+    ):
+        w += 1
+    return w
+
+
 def recover_m_next(z, a, b, gamma, delta, f, m_prefix, horizon, table):
     m_n = m_prefix[-1]
     n = len(m_prefix) - 1
@@ -88,7 +99,7 @@ def recover_m_next(z, a, b, gamma, delta, f, m_prefix, horizon, table):
                     break
         if not ok:
             continue
-        prefix = table.agree_prefix(s)
+        prefix = agree_prefix(table, s)
         hole_seen = False
         for x in range(m_n + 1, min(f.domain, z.length)):
             if x >= prefix:

@@ -193,7 +193,7 @@ class TestScenarioParsing:
     def test_element_bound(self):
         # an oracle int as wide as 10^15 bits would exhaust memory
         at_bound = MINIMAL_TWODEGREES.replace("end\n", "set K 4106 3\nend\n")
-        assert load_scenario(at_bound).sets["K"] == [(4106, 3)]
+        assert load_scenario(at_bound).sets["K"] == ((4106, 3),)
         text = upclosure_scenario(0, 2).canonical()
         line = next(l for l in text.splitlines() if l.startswith("set A "))
         huge = " ".join(["set", "A", str(10**15), line.split()[3]])
@@ -212,6 +212,37 @@ FUZZ_TEXTS = [
         upclosure_scenario(0, 2),
     )
 ]
+
+
+def respellings(text):
+    """The text with its first set or rule line respelled in each way that
+    split() and int() still read (its first integer with a sign, a leading
+    zero, an underscore or non-ASCII digits; a tab, a doubled space or a
+    comment), with CR line ends, with a blank line, and with two lines out
+    of canonical order."""
+    lines = text.splitlines()
+    i = next(i for i, l in enumerate(lines) if l.startswith(("set ", "rule ")))
+    j = next(j for j in range(i, len(lines) - 1) if lines[j] != lines[j + 1])
+    kind, name, num, *rest = lines[i].split(" ")
+    arabic = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+    tokens = [f"+{num}", f"0{num}", f"{num[:-1]}_{num[-1]}" if num[1:] else f"0_{num}"]
+    tokens += [num.translate(arabic)] + (["-0"] if num == "0" else [])
+    edited = [" ".join([kind, name, tok, *rest]) for tok in tokens]
+    edited += [lines[i].replace(" ", "\t", 1), lines[i].replace(" ", "  ", 1)]
+    edited += [lines[i] + " # a comment", lines[i] + "\n"]
+    texts = ["\n".join(lines[:i] + [line] + lines[i + 1 :]) + "\n" for line in edited]
+    texts.append("\r\n".join(lines) + "\r\n")
+    for order in ([j + 1, j], [2, 1]):  # two records, construction and horizon
+        k = min(order)
+        texts.append("\n".join(lines[:k] + [lines[n] for n in order] + lines[k + 2 :]) + "\n")
+    return texts
+
+
+FUZZ_TEXTS += [
+    text
+    for sc in (anticomplete_scenario(0, 60), nosupermax_scenario(1, 60))
+    for text in respellings(sc.canonical())
+]
 FUZZ_WORDS = [
     "end", "set", "rule", "bound", "cert", "case", "horizon", "construction",
     "A", "B", "C", "K", "W0", "f", "phi0", "phi7", "gamma", "odd", "even",
@@ -221,9 +252,9 @@ FUZZ_WORDS = [
 
 def mutate_tokens(text, op, token, data):
     """One token of one line of the text replaced, deleted or duplicated;
-    any other op leaves the tokens as they are."""
+    any other op leaves the tokens as they are. Blank lines are passed over."""
     lines = text.splitlines()
-    i = data.draw(st.integers(0, len(lines) - 1))
+    i = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line.split()]))
     tokens = lines[i].split()
     j = data.draw(st.integers(0, len(tokens) - 1))
     if op == "replace":
@@ -309,9 +340,10 @@ class TestParseDifferential:
     )
     def test_same_scenario_or_same_error(self, text, guard_op, op, token, data):
         text = mutate_tokens(edit_guard(text, guard_op, data), op, token, data)
-        assert parse_outcome(parse_scenario, text) == parse_outcome(
-            naive_parse_scenario, text
-        )
+        got = parse_outcome(parse_scenario, text)
+        assert got == parse_outcome(naive_parse_scenario, text)
+        if got[0] == "ok":
+            assert_kept_exactly_when_canonical(text)
 
     def test_shared_guard_text_keeps_its_count_check(self):
         lines = "rule phi0 0 0 4 0 2 1 0 3 1\nrule phi0 1 0 4 0 1 1 0 3 1\n"
@@ -351,6 +383,16 @@ class TestParseDifferential:
 
 
 
+def assert_kept_exactly_when_canonical(text):
+    """parse_scenario keeps the text, for canonical() to return, exactly
+    when the naive rendering of the naive parse gives the text back; only
+    then is its noncanonical_line None."""
+    sc = parse_scenario(text)
+    canonical = naive_canonical(naive_parse_scenario(text)) == text
+    assert (sc._text is text) == canonical == (sc.noncanonical_line is None)
+    assert sc.canonical() == naive_canonical(sc)
+
+
 def corpus_scenarios():
     """Corpus scenarios of every construction, nosupermax with chains."""
     scenarios = [sc for _, sc in anticomplete_corpus(20, 1000)]
@@ -371,8 +413,13 @@ class TestCanonicalText:
         for sc in corpus_scenarios():
             text = sc.canonical()
             assert text == naive_canonical(sc)
-            # parsed back, equal guard texts share one tuple
-            assert parse_scenario(text).canonical() == text
+            assert_kept_exactly_when_canonical(text)
+
+    def test_samples_and_respellings(self):
+        texts = [path.read_text() for path in sorted(SAMPLES.parent.rglob("*.scn"))]
+        for text in texts + FUZZ_TEXTS:
+            assert_kept_exactly_when_canonical(text)
+        assert sum(parse_scenario(t).noncanonical_line is None for t in FUZZ_TEXTS) == 6
 
     def test_duplicate_rules_and_shared_guards(self):
         guard = "2 3 1 5 0"
@@ -431,16 +478,16 @@ class TestCanonicalText:
         built = []
         init = OracleProgram.__init__
 
-        def counted(self, rules=()):
-            built.append(tuple(rules))
-            init(self, rules)
+        def counted(self, rules=(), rows=None):
+            init(self, rules, rows)
+            built.append(self)
 
         monkeypatch.setattr(OracleProgram, "__init__", counted)
         start = time.perf_counter()
         code = main(argv)
         elapsed = time.perf_counter() - start
         assert code == 2
-        assert not any(r.use == 99999999999 for rules in built for r in rules)
+        assert not any(r.use == 99999999999 for prog in built for r in prog.rules)
         assert elapsed < 0.1, elapsed
         want = f"program {name}: rule use 99999999999 exceeds the horizon by more"
         assert f"{want} than 4096" in capsys.readouterr().err
@@ -458,9 +505,9 @@ class TestProgramBuilds:
         built = []
         init = OracleProgram.__init__
 
-        def counted(self, rules=()):
-            built.append(tuple(rules))
-            init(self, rules)
+        def counted(self, rules=(), rows=None):
+            init(self, rules, rows)
+            built.append(tuple(self.rules))
 
         monkeypatch.setattr(OracleProgram, "__init__", counted)
         text = upclosure_scenario(3, 2).canonical()
@@ -470,6 +517,84 @@ class TestProgramBuilds:
         # once for the loaded Scenario, once for the trace's
         assert sorted(sc.rules) == ["delta", "gamma"]
         assert Counter(built) == {tuple(rules): 2 for rules in sc.rules.values()}
+
+
+def mutations():
+    """(builder, change): each change of a field as a caller writes it, for a
+    scenario the builder makes."""
+
+    def sets(sc):
+        sc.sets = {name: list(events[:-1]) for name, events in sc.sets.items()}
+
+    def rules(sc):
+        sc.rules = {name: list(rules[1:]) for name, rules in sc.rules.items()}
+
+    def bound_table(sc):
+        table = sorted(sc.bound_table)
+        sc.bound_table = table[:-1] + [(table[-1][0], table[-1][1] + 1)]
+
+    def certs(sc):
+        sc.certs = chain_certificates(sc, want=2)
+
+    return {
+        "horizon": (partial(anticomplete_scenario, 1, 60), None),
+        "sets": (partial(nosupermax_scenario, 2, 120), sets),
+        "rules": (partial(twodegrees_scenario, 1, 120), rules),
+        "bound_table": (partial(upclosure_scenario, 3, 2), bound_table),
+        "certs": (partial(nosupermax_scenario, 1, 200), certs),
+    }
+
+
+class TestKeptText:
+    """A parsed scenario keeps its canonical text until a field changes; a
+    changed one writes the trace that a freshly rendered copy writes."""
+
+    @pytest.mark.parametrize("field", list(mutations()))
+    def test_a_changed_field_drops_the_kept_text(self, field):
+        build, change = mutations()[field]
+        built = build()
+        text = built.canonical()
+        if change is None:  # the horizon override
+            sc = load_scenario(text, horizon_override=built.horizon + 20)
+            built.horizon += 20
+        else:
+            sc = load_scenario(text)
+            assert sc.canonical() is text
+            change(sc)
+            change(built)
+        assert sc._text is None
+        trace = run_scenario(sc).render()
+        assert trace == run_scenario(built).render()
+        assert trace != run_scenario(load_scenario(text)).render()
+
+    def test_parsed_fields_are_read_only(self):
+        sc = parse_scenario(upclosure_scenario(0, 2).canonical())
+        with pytest.raises(TypeError):
+            sc.sets["A"] = []
+        with pytest.raises(AttributeError):
+            sc.sets["A"].append((1, 1))
+        with pytest.raises(TypeError):
+            sc.rules["gamma"] = []
+        with pytest.raises(AttributeError):
+            sc.bound_table.append((0, 1))
+        with pytest.raises(AttributeError):
+            sc.certs.append(None)
+        assert sc.canonical() is sc._text
+
+    def test_verdicts_render_no_scenario(self, monkeypatch):
+        texts = [sc.canonical() for _, sc in anticomplete_corpus(20, 1000)]
+        renders = []
+        render = Scenario._render
+
+        def counted(self):
+            renders.append(self)
+            return render(self)
+
+        monkeypatch.setattr(Scenario, "_render", counted)
+        for text in texts:
+            trace = run_scenario(load_scenario(text)).render()
+            assert verify_trace(parse_trace(trace)).passed
+        assert renders == []
 
 
 class TestRunVerify:
@@ -720,6 +845,52 @@ class TestTraceFrame:
             parse_trace(path.read_text())
         assert err.value.location == "line 5"
         assert main(["verify", "--trace", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "stem, old, new, moved",
+        [
+            ("anticomplete-readers", "rule phi0 5 0 0 0 0", "rule phi0 +5 0 0 0 0", 0),
+            ("twodegrees-blocking", "rule phi0 5 1 4", "rule phi0 05 1 4", 0),
+            ("upclosure-leastpoint", "end", "# a comment\nend", 0),
+            ("nosupermax-sparse", "horizon 300", "horizon  300", 0),
+            ("upclosure-iterated", "case 1 1", "case 1 1\ncase 1 1", 1),
+        ],
+        ids=["plus", "leading-zero", "comment-line", "doubled-space", "repeated-case"],
+    )
+    def test_noncanonical_embedded_scenario_with_its_digest_exits_two(
+        self, stem, old, new, moved, tmp_path
+    ):
+        # the header carries the digest of the edited text, so only the
+        # parse's own canonical check can refuse it; it names the first line
+        # that departs from canonical form
+        lines = SAMPLE_TRACES[stem].splitlines()
+        begin, end = lines.index("scenario-begin"), lines.index("scenario-end")
+        i = next(i for i in range(begin, end) if lines[i].startswith(old))
+        lines[i : i + 1] = lines[i].replace(old, new).split("\n")
+        end += new.count("\n")
+        embedded = "\n".join(lines[begin + 1 : end]) + "\n"
+        lines[4] = f"scenariohash {hashlib.sha256(embedded.encode()).hexdigest()}"
+        path = tmp_path / "edited.trc"
+        path.write_text("\n".join(lines) + "\n")
+        first = i + 1 + moved  # moved: lines from the edit to the departure
+        with pytest.raises(UsageError) as err:
+            parse_trace(path.read_text())
+        assert err.value.location == f"line {first}"
+        assert str(err.value) == (
+            f"line {first}: embedded scenario is not canonical: {lines[first - 1]!r}"
+        )
+        assert main(["verify", "--trace", str(path)]) == 2
+
+    def test_records_out_of_canonical_order_exit_two(self, tmp_path):
+        lines = SAMPLE_TRACES["anticomplete-readers"].splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("rule "))
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        begin, end = lines.index("scenario-begin"), lines.index("scenario-end")
+        embedded = "\n".join(lines[begin + 1 : end]) + "\n"
+        lines[4] = f"scenariohash {hashlib.sha256(embedded.encode()).hexdigest()}"
+        with pytest.raises(UsageError) as err:
+            parse_trace("\n".join(lines) + "\n")
+        assert err.value.location == f"line {i + 2}"  # the record that sorts first
 
 
 def final_line_edits(body):

@@ -742,6 +742,26 @@ def random_blocks(draw):
     return z, a, b, m_n, draw(st.integers(m_n, z.length - 1)), horizon
 
 
+class TestOperatorsBuiltOnce:
+    def test_each_scenario_builds_each_operator_once(self, monkeypatch):
+        built = []
+        init = UseBoundedOperator.__init__
+
+        def counted(self, program, bound):
+            init(self, program, bound)
+            built.append(self)
+
+        monkeypatch.setattr(UseBoundedOperator, "__init__", counted)
+        for case in (1, 2):
+            built.clear()
+            sc = load_scenario(upclosure_scenario(3, case).canonical())
+            assert sc.operator("gamma") is sc.operator("gamma")
+            assert verify_trace(parse_trace(run_scenario(sc).render())).passed
+            # gamma and delta: for the schema check, the audit and the
+            # pipeline of the loaded scenario, then of the trace's
+            assert len(built) == 4
+
+
 class TestWindowFoldAgainstNaive:
     """The one window fold, the carried (m_n, x] windows and the per-call
     cover stages give the results and errors of the decoders as first
@@ -752,6 +772,13 @@ class TestWindowFoldAgainstNaive:
         got = [outcome(upclosure.recover_m_next, *args) for args, _ in calls]
         want = [outcome(naive_upclosure.recover_m_next, *args) for args, _ in calls]
         assert got == want
+        # each table works agree_prefix out once per stage; the reference
+        # walks it afresh on every call
+        tables = {id(args[-1]): args[-1] for args, _ in calls}.values()
+        assert any(table._prefixes for table in tables)
+        for table in tables:
+            for s, w in table._prefixes.items():
+                assert w == naive_upclosure.agree_prefix(table, s) == table.agree_prefix(s)
         for (z, a, b, _, _, _, prefix, horizon, _), m_n1 in calls:
             assert_blocks_match((z, a, b, prefix[-1], m_n1, horizon))
         return want
