@@ -37,7 +37,7 @@ from collections import Counter
 from .enumcore import FreshSource, StageSet
 from .functionals import EMPTY_PROGRAM, OracleProgram, bits_of, evaluate
 from .report import CheckResult, first_counterexample
-from .scenario import no_rules
+from .scenario import INDEX, no_rules
 from .trace import decode_event_log, encode_event_log
 
 
@@ -572,7 +572,7 @@ def verify_anticomplete(records, a_events, b_events, d_events, horizon):
 # events}) in the shared event-log codec
 
 SET_NAMES = None
-PROGRAM_NAMES = re.compile(r"phi\d+")
+PROGRAM_NAMES = re.compile("phi" + INDEX)
 FIRST_STAGE = 0
 NOTE = "fresh numbers exceed every number recorded so far"
 check_set = check_schema = audit = no_rules

@@ -16,8 +16,8 @@ import sys
 
 from .errors import HardFault, HypothesisViolation, UsageError
 from .scenario import load_scenario_file, read_file
-from .trace import parse_trace, run_scenario
-from .verify import verify_trace
+from .trace import parse_trace, run_scenario, run_traced
+from .verify import check_run, verify_trace
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -51,17 +51,15 @@ def _cmd_verify(args) -> int:
                 flag = "--" + option.replace("_", "-")
                 raise UsageError(f"verify --trace takes no {flag}")
         for path in args.trace:
-            parsed = parse_trace(read_file(path))
-            report = verify_trace(parsed)
+            report = verify_trace(parse_trace(read_file(path)))
             reports.append((path, report))
             if args.fail_fast and not report.passed:
                 break
     elif args.scenario:
-        sc = load_scenario_file(args.scenario, args.horizon)
-        text = run_scenario(sc).render()
+        trace, ran = run_traced(load_scenario_file(args.scenario, args.horizon))
         if args.trace_out:
-            _write(args.trace_out, text)
-        reports.append((args.scenario, verify_trace(parse_trace(text))))
+            _write(args.trace_out, trace.render())
+        reports.append((args.scenario, check_run(trace, ran)))
     else:
         raise UsageError("verify needs --trace or --scenario")
     text = "".join(r.render() for _, r in reports)

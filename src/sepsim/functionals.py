@@ -137,7 +137,6 @@ class OracleProgram:
         self._rules = rules
         self._read = by_input  # rows in rule order, from which rules derive
         self._order = order
-        self._rules_by_input = None  # input -> its rules, filled by rules_for
         # input -> compiled_for(input)
         self._compiled: dict[int, list[tuple[int, int, int, int, int]]] = {}
         for y, compiled in by_input.items():
@@ -171,13 +170,6 @@ class OracleProgram:
                 )
             )
         return self._rules
-
-    def rules_for(self, y: int) -> list[OracleRule]:
-        if self._rules_by_input is None:
-            self._rules_by_input = {}
-            for r in self.rules:
-                self._rules_by_input.setdefault(r.input, []).append(r)
-        return self._rules_by_input.get(y, [])
 
     def compiled_for(self, y: int) -> list[tuple[int, int, int, int, int]]:
         """The rules for input y as (available_at, use, mask, want, output)

@@ -14,7 +14,8 @@ Line-delimited text, one record per line, integers in decimal:
 
 Set names: upclosure uses A, B, C; nosupermax uses A, B; twodegrees uses C,
 K, W0, W1, ... Program names: anticomplete and twodegrees use phi0, phi1,
-...; upclosure uses gamma and delta. '#' starts a comment.
+...; upclosure uses gamma and delta. An index is ASCII decimal without a
+leading zero (INDEX). '#' starts a comment.
 
 Scripted event stages must stay below the horizon so every event is visible
 to an executed stage; nosupermax events additionally start at stage 1. Set
@@ -73,6 +74,16 @@ from .functionals import (
 from .records import count_error, read_record, record_table
 
 CONSTRUCTIONS = ("anticomplete", "upclosure", "nosupermax", "twodegrees")
+
+
+# the index in a name such as phi3 or W12, so that each index has one name
+INDEX = "(0|[1-9][0-9]*)"
+
+
+def by_index(names, prefix) -> dict[int, str]:
+    """Index -> name, over the names that are the prefix and an INDEX."""
+    pattern = re.compile(prefix + INDEX)
+    return {int(m[1]): m[0] for m in map(pattern.fullmatch, names) if m}
 
 
 def construction_module(name: str):
@@ -241,11 +252,8 @@ class Scenario:
         return prog
 
     def programs_by_index(self) -> dict[int, OracleProgram]:
-        return {
-            int(name[3:]): self.program(name)
-            for name in self._program_names()
-            if name.startswith("phi")
-        }
+        names = by_index(self._program_names(), "phi")
+        return {i: self.program(name) for i, name in names.items()}
 
     def use_bound(self) -> UseBound:
         """The bound table as a UseBound, built once per Scenario."""
@@ -359,42 +367,30 @@ _LEADING_ZERO = re.compile(r" 0[0-9]")
 
 def _respelled_line(text: str, spaces: int):
     """None when the text spells its tokens as canonical text does, given
-    the count of spaces between the tokens of its records: single spaces, a
-    final newline, integers in canonical decimal, and characters outside
-    ASCII only in the names of sets and rules (`phi\\d+` matches any
-    decimal digit). Otherwise the number, counted in newlines, of the first
-    line that canonical text could not spell so; a text without a final
-    newline departs at its last line."""
+    the count of spaces between the tokens of its records: ASCII only,
+    single spaces, a final newline and integers in canonical decimal.
+    Otherwise the number, counted in newlines, of the first line that
+    canonical text could not spell so; a text without a final newline
+    departs at its last line."""
     if (
         text.endswith("\n")
+        and text.isascii()
         and not any(c in text for c in _NEVER)
         and (text.find("-", 7) < 0 or " -0" not in text)  # the header holds one
         and not _LEADING_ZERO.search(text)
         and text.count(" ") == spaces
-        and (text.isascii() or not any(map(_odd_token, text.split("\n"))))
     ):
         return None
     lines = text.split("\n")
     for lineno, line in enumerate(lines[:-1], start=1):
         padded = " " + line
         if (
-            line != " ".join(line.split()) or not line or _odd_token(line)
+            line != " ".join(line.split()) or not line or not line.isascii()
             or any(c in line for c in "#+_")
             or " -0" in padded or _LEADING_ZERO.search(padded)
         ):
             return lineno
     return len(lines) if lines[-1] else None
-
-
-def _odd_token(line: str) -> bool:
-    """Whether the line holds a character outside printable ASCII anywhere
-    but in the name of a set or a rule."""
-    if line.isascii() and line.isprintable():
-        return False
-    kind, name, *rest = line.split(" ") + [""]
-    return not (kind in ("set", "rule") and name.isalnum()) or not all(
-        t.isascii() and t.isprintable() for t in [kind, *rest]
-    )
 
 
 def parse_scenario(text: str) -> Scenario:

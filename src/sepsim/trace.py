@@ -13,9 +13,10 @@ text as read (its lines joined by newlines, plus a final newline), so any
 edit of that text fails on the `scenariohash` line; an edited text whose
 digest was taken again must still be canonical, and fails on its first line
 that is not (the parse notes it as `noncanonical_line`); and the last
-non-blank line reads exactly `end`. The canonical text is never rendered
-again to check a trace, and `run_scenario` embeds the text a scenario was
-parsed from when that text was canonical.
+non-blank line reads exactly `end`. An error in the embedded text names its
+trace line. The canonical text is never rendered again to check a trace, and
+`run_scenario` embeds the text a scenario was parsed from when that text was
+canonical. Both return a Trace, whose body is its lines as they stand.
 
 The header, the `ev`/`final` codecs and the body framing live here. The
 event log is read through its record tables, EVENTS (every construction's
@@ -58,11 +59,13 @@ def header_lines(construction, scenario_hash, horizon) -> list[str]:
 
 
 class Trace:
-    __slots__ = ("construction", "horizon", "scenario_text", "scenario_hash", "body")
+    """A run's trace, as run_scenario writes it or parse_trace reads it."""
 
-    def __init__(self, construction, horizon, scenario_text, scenario_hash, body):
-        self.construction = construction
-        self.horizon = horizon
+    __slots__ = ("scenario", "construction", "scenario_text", "scenario_hash", "body")
+
+    def __init__(self, scenario: Scenario, scenario_text, scenario_hash, body):
+        self.scenario = scenario
+        self.construction = scenario.construction
         self.scenario_text = scenario_text
         self.scenario_hash = scenario_hash
         self.body: list[str] = body
@@ -70,7 +73,7 @@ class Trace:
     def render(self) -> str:
         lines = [
             HEADER,
-            *header_lines(self.construction, self.scenario_hash, self.horizon),
+            *header_lines(self.construction, self.scenario_hash, self.scenario.horizon),
             "scenario-begin",
         ]
         lines.extend(self.scenario_text.rstrip("\n").split("\n"))
@@ -83,7 +86,7 @@ class Trace:
 # ---------------------------------------------------------------------------
 # shared record codecs
 #
-# Decoders read the body as parse_trace splits it: one token list per line.
+# Decoders read a body split into tokens: one token list per non-blank line.
 
 
 def fmt_opt(v) -> str:
@@ -259,35 +262,26 @@ def run_upclosure_pipeline(sc: Scenario):
 
 def run_scenario(sc: Scenario) -> Trace:
     """Run the construction and serialize the run."""
+    return run_traced(sc)[0]
+
+
+def run_traced(sc: Scenario):
+    """The Trace of one run of sc, and the (run, log) of that run, for a
+    caller that also checks it."""
     text = sc.canonical()
     module = construction_module(sc.construction)
-    return Trace(
-        construction=sc.construction,
-        horizon=sc.horizon,
-        scenario_text=text,
-        scenario_hash=hashlib.sha256(text.encode()).hexdigest(),
-        body=module.encode(module.fresh(sc)[1]),
-    )
+    ran = module.fresh(sc)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    return Trace(sc, text, digest, module.encode(ran[1])), ran
 
 
 # ---------------------------------------------------------------------------
 # parsing
 
 
-class ParsedTrace:
-    __slots__ = ("construction", "scenario", "scenario_hash", "body")
-
-    def __init__(self, construction, scenario: Scenario, scenario_hash, body):
-        self.construction = construction
-        self.scenario = scenario
-        self.scenario_hash = scenario_hash
-        self.body: list[list[str]] = body
-
-
-def parse_trace(text: str) -> ParsedTrace:
-    """Check the frame (see above), then audit; the body is handed on as one
-    token list per non-blank line. The scenario does not keep its embedded
-    text, which the trace already holds: verifying renders nothing."""
+def parse_trace(text: str) -> Trace:
+    """Check the frame (see above), then audit; the body is handed on as the
+    lines between scenario-end and the last line, `end`."""
     lines = text.splitlines()
     try:
         begin = lines.index("scenario-begin")
@@ -295,7 +289,13 @@ def parse_trace(text: str) -> ParsedTrace:
     except ValueError:
         raise UsageError("trace lacks a scenario-begin or scenario-end line")
     scenario_text = "\n".join(lines[begin + 1 : end]) + "\n"
-    scenario = parse_scenario(scenario_text)
+    try:
+        scenario = parse_scenario(scenario_text)
+    except UsageError as exc:
+        if exc.location is None:
+            raise
+        lineno = begin + 1 + int(exc.location[5:])  # it reads `line N`
+        raise UsageError(str(exc).partition(": ")[2], f"line {lineno}") from None
     digest = hashlib.sha256(scenario_text.encode()).hexdigest()
     want = [
         HEADER,
@@ -324,6 +324,4 @@ def parse_trace(text: str) -> ParsedTrace:
             location=f"line {last}",
         )
     audit_scenario(scenario)
-    scenario._text = None
-    body = [parts for parts in map(str.split, lines[end + 1 : last - 1]) if parts]
-    return ParsedTrace(scenario.construction, scenario, digest, body)
+    return Trace(scenario, scenario_text, digest, lines[end + 1 : last - 1])

@@ -38,7 +38,7 @@ from .enumcore import StageSet, pair, unpair
 from .errors import HardFault, UsageError
 from .functionals import EMPTY_PROGRAM, bits_of, evaluate
 from .report import CheckResult, first_counterexample
-from .scenario import no_rules, width_cap
+from .scenario import INDEX, by_index, no_rules, width_cap
 from .trace import decode_event_log, encode_event_log
 
 
@@ -615,8 +615,8 @@ def verify_twodegrees(run: TwoDegreesRun):
 # scenario and trace hooks; the body is (records, {"A", "B": final events})
 # in the shared event-log codec
 
-SET_NAMES = re.compile(r"C|K|W\d+")
-PROGRAM_NAMES = re.compile(r"phi\d+")
+SET_NAMES = re.compile("C|K|W" + INDEX)
+PROGRAM_NAMES = re.compile("phi" + INDEX)
 FIRST_STAGE = 0
 NOTE = "strategies run in index order; coding strategies after axiom ones"
 check_schema = audit = no_rules
@@ -634,7 +634,7 @@ def check_set(name, events):
 
 def twodegrees_inputs(sc):
     """TwoDegreesRun's constructor arguments, taken from the scenario."""
-    w_events = {int(n[1:]): list(ev) for n, ev in sc.sets.items() if n.startswith("W")}
+    w_events = {i: list(sc.sets[n]) for i, n in by_index(sc.sets, "W").items()}
     sets = sc.sets.get("C", []), sc.sets.get("K", [])
     return (*sets, w_events, sc.programs_by_index(), sc.horizon)
 

@@ -1,17 +1,14 @@
 """Trace verification: re-derive every checkable invariant from a trace.
 
-Verification is a pure function of the trace bytes: the canonical scenario
-is embedded in the trace, so the verifier runs the construction once afresh
-and checks each named invariant without any outside state. The
-construction's module (`scenario.construction_module`) supplies the hooks:
-fresh(sc) -> (run, log), encode(log) -> body lines, decode(body, horizon) ->
-log, and check(sc, run, log, detail) -> (checks, caveats).
-
-A body that equals the fresh log's encoding, token for token, is not
-decoded: check reads the fresh run's own objects, with detail None. Any
-other body is decoded, so a malformed one exits 2 with no report, and check
-reads the decoded log, with detail naming its first record that differs
-from the fresh run.
+The trace embeds its canonical scenario, so verifying is a pure function of
+its bytes: the scenario runs once afresh through its construction's hooks
+(`scenario.construction_module`): fresh(sc) -> (run, log), encode(log) ->
+body lines, decode(body, horizon) -> log and check(sc, run, log, detail) ->
+(checks, caveats). A body whose lines equal the fresh encoding is neither
+split nor decoded, and check reads the fresh run's own objects, with detail
+None. Any other body is split into tokens; one that still differs is
+decoded, so a malformed one exits 2 with no report, and check reads the
+decoded log, with detail naming its first record that differs from the run.
 """
 
 from __future__ import annotations
@@ -19,27 +16,41 @@ from __future__ import annotations
 from .errors import HardFault, UsageError
 from .report import VerificationReport, first_divergence
 from .scenario import construction_module
-from .trace import ParsedTrace
+from .trace import Trace
 
 
-def verify_trace(parsed: ParsedTrace) -> VerificationReport:
-    report = VerificationReport(
-        construction=parsed.construction, scenario_hash=parsed.scenario_hash
-    )
-    module = construction_module(parsed.construction)
-    sc = parsed.scenario
+def split_body(lines) -> list[list[str]]:
+    """One token list per non-blank line of a trace body."""
+    return [parts for parts in map(str.split, lines) if parts]
+
+
+def verify_trace(trace: Trace) -> VerificationReport:
+    return check_run(trace)
+
+
+def check_run(trace: Trace, ran=None) -> VerificationReport:
+    """The report on a trace. `ran` is the (run, log) that `run_traced` made
+    the trace of; without it the scenario runs afresh here, and a body that
+    differs from that run's is decoded for the checks to read."""
+    module = construction_module(trace.construction)
+    sc = trace.scenario
+    detail = None
     try:
-        try:
-            run, log = module.fresh(sc)
-        except HardFault:
-            # a malformed body exits 2 even when the run hard-faults
-            module.decode(parsed.body, sc.horizon)
-            raise
-        fresh = map(str.split, module.encode(log))
-        detail = first_divergence(parsed.body, fresh) or None
-        if detail is not None:
-            log = module.decode(parsed.body, sc.horizon)
-        report.checks, report.caveats = module.check(sc, run, log, detail)
+        if ran is None:
+            try:
+                ran = module.fresh(sc)
+            except HardFault:
+                # a malformed body exits 2 even when the run hard-faults
+                module.decode(split_body(trace.body), sc.horizon)
+                raise
+            fresh = module.encode(ran[1])
+            if trace.body != fresh:
+                body = split_body(trace.body)
+                detail = first_divergence(body, map(str.split, fresh)) or None
+                if detail is not None:
+                    ran = ran[0], module.decode(body, sc.horizon)
+        report = VerificationReport(trace.construction, trace.scenario_hash)
+        report.checks, report.caveats = module.check(sc, *ran, detail)
     except (ValueError, IndexError, KeyError, TypeError) as exc:
         raise UsageError(f"malformed trace body: {exc}")
     return report

@@ -32,6 +32,10 @@ def sigma_search(prog, n, s, a_mem, b_mem, d_mem):
         if x < s:
             forced[x] = 0
 
+    rules_for = {}  # input -> its rules, in rule order
+    for r in prog.rules:
+        rules_for.setdefault(r.input, []).append(r)
+
     # Candidate guards per needed input, filtered by required output,
     # compatibility with the forced bits, availability and width; the rules
     # that only fail the last two set the wake.
@@ -42,7 +46,7 @@ def sigma_search(prog, n, s, a_mem, b_mem, d_mem):
         cands = []
         y_wake = None
         satisfied = False
-        for r in prog.rules_for(y):
+        for r in rules_for.get(y, ()):
             if r.output != want:
                 continue
             ok = True

@@ -41,13 +41,14 @@ from sepsim.report import VerificationReport, first_divergence
 from sepsim.scenario import (
     CONSTRUCTIONS,
     Scenario,
+    by_index,
     construction_module,
     load_scenario,
     load_scenario_file,
     parse_scenario,
 )
 from sepsim.trace import parse_trace, run_scenario
-from sepsim.verify import verify_trace
+from sepsim.verify import split_body, verify_trace
 
 SAMPLES = Path(__file__).resolve().parents[1] / "scenarios" / "samples"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sepsim"
@@ -66,6 +67,66 @@ MINIMAL_ANTICOMPLETE = MINIMAL_TWODEGREES.replace("twodegrees", "anticomplete")
 def digest(sc):
     """The `scenariohash` a trace of `sc` carries."""
     return hashlib.sha256(sc.canonical().encode()).hexdigest()
+
+
+def minimal(construction, *records, horizon=10):
+    """A scenario text of that construction and horizon with these records."""
+    head = f"sepsim-scenario 1\nconstruction {construction}\nhorizon {horizon}\n"
+    return head + "".join(record + "\n" for record in records) + "end\n"
+
+
+# (scenario text, the start of the error it exits 2 with)
+REFUSALS = [
+    (minimal("nosupermax") + "set A 1 1\n", "line 5: content after end record"),
+    (minimal("nosupermax", "cert 1 2 3 odd5 4"), "line 4: bad parity word odd5"),
+    ("sepsim-scenario 1\nhorizon 10\nend\n", "missing construction record"),
+    (minimal("nosupermax", "case 2"), "only upclosure scenarios declare a case"),
+    (
+        minimal("nosupermax", "bound f 0 1"),
+        "only upclosure scenarios carry a bound table",
+    ),
+    (
+        minimal("anticomplete", "cert 1 2 3 odd 4"),
+        "only nosupermax scenarios carry certificates",
+    ),
+    (minimal("nosupermax", *["cert 1 2 3 odd 4"] * 3), "at most two certificates"),
+    (minimal("nosupermax", "cert 2 2 3 odd 4"), "certificate 1 must target attempt 1"),
+    (
+        minimal("upclosure", "case 2", "bound f 0 1", "bound f 1 2", "bound f 2 3"),
+        "bound table covers [0, 3), horizon 10",
+    ),
+    (
+        minimal("upclosure", "case 2", "bound f 0 1", "bound f 1 4099", horizon=2),
+        "bound table values exceed the horizon by 4096",
+    ),
+    (minimal("twodegrees", "set C 33 1"), "set C column 33 exceeds 32"),
+    # an index has one name: no leading zero, ASCII digits only
+    (
+        minimal("anticomplete", "rule phi05 0 1 0 0 0", "rule phi5 0 0 0 0 0"),
+        "program phi05 not allowed for anticomplete",
+    ),
+    (
+        minimal("twodegrees", "rule phi\u0665 0 1 0 0 0"),
+        "program phi\u0665 not allowed for twodegrees",
+    ),
+    (minimal("twodegrees", "set W05 1 1"), "set W05 not allowed for twodegrees"),
+]
+
+
+class TestSchemaRefusals:
+    """Each schema refusal, on one minimal scenario, exits 2 naming itself."""
+
+    @pytest.mark.parametrize("text, error", REFUSALS, ids=[e for _, e in REFUSALS])
+    def test_refusal_exits_two(self, text, error, tmp_path, capsys):
+        path = tmp_path / "refused.scn"
+        path.write_text(text, encoding="utf-8")
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {error}")
+
+    def test_each_index_has_one_name(self):
+        names = ["phi0", "phi10", "phi05", "phi\u0665", "phi", "phi-1", "W3", "xphi2"]
+        assert by_index(names, "phi") == {0: "phi0", 10: "phi10"}
+        assert by_index(names, "W") == {3: "W3"}
 
 
 class TestScenarioParsing:
@@ -798,6 +859,26 @@ class TestTraceHeader:
 class TestTraceFrame:
     """The embedded scenario is hashed as read, and the last line is `end`."""
 
+    @pytest.mark.parametrize(
+        "lineno, edit, want",
+        [
+            (12, lambda line: "horizon x", "malformed horizon record"),
+            (20, lambda line: line + " 7", "guard pair count mismatch"),
+            (10, lambda line: "sepsim-scenario 2", "missing or unsupported scenario"),
+        ],
+        ids=["horizon", "rule", "header"],
+    )
+    def test_error_in_the_embedded_scenario_names_the_trace_line(
+        self, lineno, edit, want, tmp_path, capsys
+    ):
+        lines = SAMPLE_TRACES["anticomplete-readers"].splitlines()
+        assert lines.index("scenario-begin") == 8  # its line 1 is trace line 10
+        lines[lineno - 1] = edit(lines[lineno - 1])
+        path = tmp_path / "edited.trc"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["verify", "--trace", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: line {lineno}: {want}")
+
     @pytest.mark.parametrize("token", ["end", "0", "99999999999"])
     @pytest.mark.parametrize(
         "stem",
@@ -897,7 +978,7 @@ def final_line_edits(body):
     """Every body with one `final` line dropped, duplicated in place, or moved
     to another position."""
     for i, line in enumerate(body):
-        if line[0] != "final":
+        if line.split()[0] != "final":
             continue
         rest = body[:i] + body[i + 1 :]
         yield rest
@@ -927,7 +1008,7 @@ class TestFinalLines:
             with pytest.raises(UsageError, match="final"):
                 verify_trace(parsed)
             edits += 1
-        finals = sum(parts[0] == "final" for parts in original)
+        finals = sum(line.split()[0] == "final" for line in original)
         assert finals == (3 if stem.startswith("anticomplete") else 2)
         assert edits == finals * (len(original) + 1)
 
@@ -962,12 +1043,12 @@ class TestEventLogBounds:
         sc = load_scenario((SAMPLES / f"{stem}.scn").read_text())
         parsed = parse_trace(run_scenario(sc).render())
         i, parts = next(
-            (i, parts) for i, parts in enumerate(parsed.body)
+            (i, parts) for i, parts in enumerate(map(str.split, parsed.body))
             if parts[0] == "final" and len(parts) > 2
         )
         element = parts[2].split(":")[0]
         for stamp in (0, sc.horizon + 1):
-            edited = [*parts[:2], f"{element}:{stamp}", *parts[3:]]
+            edited = " ".join([*parts[:2], f"{element}:{stamp}", *parts[3:]])
             parsed.body = parsed.body[:i] + [edited] + parsed.body[i + 1 :]
             with pytest.raises(
                 UsageError,
@@ -1034,9 +1115,9 @@ class TestUpclosureRecordShapes:
     def test_repeated_single_record_is_named(self, kind):
         sc = load_scenario((SAMPLES / "upclosure-iterated.scn").read_text())
         parsed = parse_trace(run_scenario(sc).render())
-        i = next(i for i, parts in enumerate(parsed.body) if parts[0] == kind)
+        i = next(i for i, line in enumerate(parsed.body) if line.split()[0] == kind)
         parsed.body = parsed.body[: i + 1] + parsed.body[i:]
-        line = " ".join(parsed.body[i])
+        line = parsed.body[i]
         with pytest.raises(UsageError) as excinfo:
             verify_trace(parsed)
         assert str(excinfo.value) == f"record {line}: a second {kind} record"
@@ -1044,9 +1125,9 @@ class TestUpclosureRecordShapes:
     def test_non_monotone_mseq_still_gets_a_report(self):
         sc = load_scenario((SAMPLES / "upclosure-iterated.scn").read_text())
         parsed = parse_trace(run_scenario(sc).render())
-        i = next(i for i, parts in enumerate(parsed.body) if parts[0] == "mseq")
-        values = parsed.body[i][1:]
-        parsed.body[i] = ["mseq", values[0], *values]
+        i = next(i for i, line in enumerate(parsed.body) if line.startswith("mseq "))
+        values = parsed.body[i].split()[1:]
+        parsed.body[i] = " ".join(["mseq", values[0], *values])
         report = verify_trace(parsed)
         assert not report.passed
         assert any(c.name == "mseq-monotone" and not c.passed for c in report.checks)
@@ -1523,10 +1604,11 @@ class TestOneVerifyPath:
         module = construction_module(parsed.construction)
         report = VerificationReport(parsed.construction, parsed.scenario_hash)
         try:
-            log = module.decode(parsed.body, sc.horizon)
+            body = split_body(parsed.body)
+            log = module.decode(body, sc.horizon)
             run, fresh_log = module.fresh(sc)
             fresh = map(str.split, module.encode(fresh_log))
-            detail = first_divergence(parsed.body, fresh)
+            detail = first_divergence(body, fresh)
             report.checks, report.caveats = module.check(sc, run, log, detail)
         except (ValueError, IndexError, KeyError, TypeError) as exc:
             raise UsageError(f"malformed trace body: {exc}")
@@ -1557,7 +1639,7 @@ class TestOneVerifyPath:
             patch.setattr(module, "decode", counted)
             got = outcome(verify_trace)
         assert got == outcome(cls.decode_first)
-        assert calls == (parsed.body != fresh)
+        assert calls == (split_body(parsed.body) != fresh)
         return got, calls
 
     @pytest.mark.parametrize(
@@ -1569,6 +1651,33 @@ class TestOneVerifyPath:
         text = run_scenario(load_scenario(path.read_text())).render()
         outcome, calls = self.assert_agrees(text, monkeypatch)
         assert calls == 0 and outcome.startswith("sepsim-report")
+
+    @pytest.mark.parametrize("stem", sorted(SAMPLE_TRACES))
+    def test_matching_body_is_neither_split_nor_decoded(self, stem, monkeypatch):
+        """A body equal line for line to the fresh run's is not split; one
+        that differs only in spacing or blank lines is split once, and its
+        report is the same, with no decode."""
+        text = SAMPLE_TRACES[stem]
+        trace = parse_trace(text)
+        assert trace.render() == text  # a read trace is the trace written
+        module = construction_module(trace.construction)
+        calls = Counter()
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return call
+
+        monkeypatch.setattr(sepsim.verify, "split_body", counted("split", split_body))
+        monkeypatch.setattr(module, "decode", counted("decode", module.decode))
+        report = verify_trace(trace).render()
+        assert calls == Counter()
+        respaced = [line.replace(" ", "  ") for line in trace.body]
+        trace.body = [" " + respaced[0], "", *respaced[1:], "  "]
+        assert verify_trace(trace).render() == report
+        assert calls == Counter(split=1)
 
     @pytest.mark.parametrize(
         "group", ["anticomplete", "twodegrees", "upclosure", "nosupermax-chains"]
@@ -1613,6 +1722,37 @@ class TestOneVerifyPath:
         assert main(["verify", "--trace", str(path)]) == code
         want = "error: unknown record bogus" if code == 2 else "hard fault: no free"
         assert capsys.readouterr().err.startswith(want)
+
+
+class TestVerifyScenario:
+    """`verify --scenario` runs the construction once, and its report, exit
+    code and trace equal those of `run` followed by `verify --trace`."""
+
+    @pytest.mark.parametrize("longer", [None, 6, 50], ids=["own", "plus6", "plus50"])
+    @pytest.mark.parametrize(
+        "path",
+        sorted(SAMPLES.glob("*.scn")) + sorted(SAMPLES.parent.glob("certs/*.scn")),
+        ids=lambda path: path.stem,
+    )
+    def test_one_run_same_outcome(self, path, longer, tmp_path, capsys, monkeypatch):
+        sc = load_scenario_file(path)
+        horizon = [] if longer is None else ["--horizon", str(sc.horizon + longer)]
+        module = construction_module(sc.construction)
+        written, verified = tmp_path / "run.trc", tmp_path / "verify.trc"
+        args = ["--scenario", str(path), *horizon, "--trace-out"]
+        code = main(["run", *args, str(written)])
+        if code == 0:
+            code = main(["verify", "--trace", str(written)])
+        expected = code, capsys.readouterr()
+        fresh = module.fresh
+        runs = []
+        monkeypatch.setattr(module, "fresh", lambda sc: runs.append(sc) or fresh(sc))
+        assert (main(["verify", *args, str(verified)]), capsys.readouterr()) == expected
+        if written.exists():
+            assert verified.read_bytes() == written.read_bytes()
+            assert len(runs) == 1
+        else:
+            assert not verified.exists() and not runs
 
 
 class TestCanonicalIntegers:
