@@ -35,10 +35,15 @@ cost, not the stage number:
   toggles and resets update these, so the boundary walk looks only at
   witness-free intervals.
 - After every stage A is inside X and B outside it, since the A and B rules
-  fire first and nothing else moves an A member. So the X update of any
-  other stage visits only its events, s, and the numbers above max(base, m)
-  in the intervals with a free number on the wrong side. The events are the
-  scripted sets' per-stage lists, read without a copy.
+  fire first and nothing else moves an A member, and X holds no number above
+  the stage but members of A. So a stage with no crossing at or below s
+  (m > s, base < s) keeps just the entries below its first witness-free
+  interval, and only s and its own crossings, A events outside X, can
+  move: one lookup per rule, with no boundary walk and no X update.
+- The X update of any other stage visits only its events, s, and the
+  numbers above max(base, m) in the intervals with a free number on the
+  wrong side. The events are the scripted sets' per-stage lists, read
+  without a copy.
 - The speedup certificate's zone check, and the verifier's settled-zone
   census, sweep the stage upward and recheck a number only when it toggles
   in X or enters A or B.
@@ -119,11 +124,12 @@ def x_update(entries, base, s1, x_mem, a_now, b_now, m, positions):
     Rules in order: members of A are in, members of B are out, permitted
     numbers in odd intervals come in, permitted numbers in even intervals go
     out, everything else keeps its side. Only `positions` (ascending, each
-    once) are visited. A stepping attempt hands over the stage's events, s,
-    and the numbers above max(base, m) in the intervals that hold a free
-    number on the wrong side of X (see AttemptRun.step): as long as
-    A is inside X and B outside it before the stage, no other number can
-    change. Returns (added, removed), sorted."""
+    once) are visited. A stepping attempt calls this only at a stage with a
+    crossing at or below s, or with s at or below the base, and hands over
+    the stage's events, s, and the numbers above max(base, m) in the
+    intervals that hold a free number on the wrong side of X (see
+    AttemptRun.step): as long as A is inside X and B outside it before the
+    stage, no other number can change. Returns (added, removed), sorted."""
     s = s1 - 1
     added, removed = [], []
     for y in positions:
@@ -148,9 +154,9 @@ def x_update(entries, base, s1, x_mem, a_now, b_now, m, positions):
 class AttemptRun:
     """One attempt: boundary plus X evolution over a (possibly re-indexed)
     timeline. Records one boundary record per stage and one record per X
-    membership change. `step` builds a quiet stage in place; every other
-    stage takes its events, then calls trigger_prefix, boundary_update and
-    x_update, which the test suite checks against a full recomputation."""
+    membership change. `step` takes one of three paths per stage; the test
+    suite checks them against a full recomputation and against a stepper
+    that walks the boundary at every stage that is not quiet."""
 
     def __init__(self, attempt, base, a_events, b_events, horizon):
         self.attempt = attempt
@@ -269,7 +275,9 @@ class AttemptRun:
     def _reset_counts(self, kept, last, s):
         """Counts for the stage's new boundary, which keeps the first `kept`
         intervals: the dropped ones merge into the new last interval, which
-        also takes the numbers from the old last entry `last` + 1 up to s."""
+        also takes the numbers from the old last entry `last` + 1 up to s.
+        When only the old last interval is dropped, as at most cofinite
+        stages, it is widened in place."""
         if kept < 0:
             self.c_in, self.c_out, self.bare, self.misplaced = [], [], [], []
             return
@@ -279,6 +287,9 @@ class AttemptRun:
             if y not in a and y not in b:
                 counts[y in x] += 1
         c_out, c_in = counts
+        if kept == len(self.c_in) - 1:
+            self._count(kept, c_in, c_out)
+            return
         if kept < len(self.c_in):
             c_in += sum(self.c_in[kept:])
             c_out += sum(self.c_out[kept:])
@@ -296,6 +307,13 @@ class AttemptRun:
             self.entry_resets[kept].append(s1)
 
     def step(self):
+        """Stage s1 = s + 1 on one of three paths. Quiet (see the module
+        docstring): the boundary gains s and only s can move. Short, after
+        the events and trigger_prefix: no crossing at or below s and base
+        below s, so every witness-free interval fails (max(prev, m) > s >=
+        its entry), and as A is inside X and B outside it, only s and the
+        crossings above s, A events outside X, can move. Crossing: every
+        other stage, through boundary_update and x_update."""
         s1 = len(self.kept_counts) + 1
         s = s1 - 1
         a_new = self.a.by_stage.get(s1, ())
@@ -338,6 +356,19 @@ class AttemptRun:
                 now.add(e)
         m = trigger_prefix(s, x, a_new, b_new)
         last = entries[-1] if j else base
+        if m > s and base < s:
+            # short; s is outside X unless in A, and by_stage lists ascend
+            kept = self.bare[0] if self.bare else j
+            entries[kept:] = [s]
+            self._reset_counts(kept, last, s)
+            self._record_boundary(s1, kept)
+            added = [e for e in a_new if e not in x]
+            if kept % 2 and s not in a_now and s not in b_now:
+                added.insert(0, s)
+            if added:
+                self._apply_delta(added, [], s1)
+            self._dirty = added not in ([], [s])
+            return
         kept, fragile = boundary_update(base, entries, s1, m, self.bare, self.scripted)
         self._reset_counts(kept, last, s)
         self._record_boundary(s1, kept)

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sepsim.nosupermax
+from reference_nosupermax import FullStepRun
 from sepsim.corpus import chain_certificates, nosupermax_scenario
 from sepsim.nosupermax import (
     MIN_SPEEDUP_FRACTION,
@@ -671,6 +672,30 @@ class TestIncrementalAgainstNaive:
             assert boundary_at(run, t) == [base] + entries, f"stage {t}"
             assert {y for y in domain if run.x_member_at(y, t)} == x, f"stage {t}"
 
+    @settings(max_examples=100, deadline=None)
+    @given(attempt_scripts(max_horizon=40))
+    @with_quiet_runs
+    @example(script=(-1, [(10, 3)], [], 12))  # an A event above s + 1 outside X
+    @example(script=(-1, [(12, 3), (9, 3)], [], 14))  # two, listed descending
+    @example(script=(5, [(8, 2)], [(3, 4)], 12))  # base at or above s, stages 1-6
+    @example(script=(-1, [(6, 2)], [(9, 3)], 12))  # s scripted before stage s + 1
+    def test_steps_like_the_full_step_reference(self, script):
+        # the records in order, the boundary and the interval counts after
+        # every stage, against the step that walks the boundary and hands
+        # x_update a position list at every stage that is not quiet
+        base, a, b, horizon = script
+        run = AttemptRun(1, base, a, b, horizon)
+        ref = FullStepRun(1, base, a, b, horizon)
+
+        def state(att):
+            counts = att.c_in, att.c_out, att.bare, att.misplaced
+            return att.records, att.entries, *counts
+
+        for t in range(1, horizon + 1):
+            run.step()
+            ref.step()
+            assert state(run) == state(ref), f"stage {t}"
+
     @settings(max_examples=60, deadline=None)
     @given(attempt_scripts(max_horizon=40))
     @with_quiet_runs
@@ -700,23 +725,51 @@ class TestIncrementalAgainstNaive:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_x_positions_change_what_the_range_walk_changes(self, seed, monkeypatch):
-        # every stage's X update on the handed positions against the same
-        # update on every number above max(base, m) and every scripted one
-        calls = 0
+        # every full stage's X moves against x_update on every number above
+        # max(base, m) and every scripted one; a crossing stage's own
+        # position list must change the same. The stages each path checked
+        # are pinned, so that neither count falls to 0 unnoticed
+        paths = {0: (62, 292), 1: (27, 2933), 2: (772, 668), 3: (326, 1080)}
+        crossing, short = paths[seed]
+        checked = {"crossing": 0, "short": 0, "positions": 0}
+        prefixes = []
+
+        def prefix(limit, x_mem, a_new, b_new):
+            prefixes.append(trigger_prefix(limit, x_mem, a_new, b_new))
+            return prefixes[-1]
 
         def both(entries, base, s1, x_mem, a_now, b_now, m, positions):
-            nonlocal calls
-            calls += 1
+            checked["positions"] += 1
             walk = range_walk(base, s1, m, sorted(a_now | b_now))
             want = x_update(entries, base, s1, x_mem, a_now, b_now, m, walk)
             got = x_update(entries, base, s1, x_mem, a_now, b_now, m, positions)
             assert got == want, (s1, m)
             return got
 
+        def step(run):
+            s1 = len(run.kept_counts) + 1
+            x_before = set(run.x)
+            prefixes.clear()
+            original_step(run)
+            if not prefixes:
+                return
+            m, base = prefixes[0], run.base
+            walk = range_walk(base, s1, m, sorted(run.a_now | run.b_now))
+            added, removed = x_update(
+                run.entries, base, s1, x_before, run.a_now, run.b_now, m, walk
+            )
+            moves = [("xin", s1, y) for y in added] + [("xout", s1, y) for y in removed]
+            assert run.x_changes.get(s1, []) == moves, (s1, m)
+            checked["short" if m > s1 - 1 and base < s1 - 1 else "crossing"] += 1
+
+        original_step = AttemptRun.step
+        monkeypatch.setattr(AttemptRun, "step", step)
+        monkeypatch.setattr(sepsim.nosupermax, "trigger_prefix", prefix)
         monkeypatch.setattr(sepsim.nosupermax, "x_update", both)
         sc = nosupermax_scenario(seed, 600)
         run_nosupermax(sc.sets["A"], sc.sets["B"], sc.horizon, chain_certificates(sc))
-        assert calls > 0
+        want = {"crossing": crossing, "short": short, "positions": crossing}
+        assert checked == want
 
     @settings(max_examples=60, deadline=None)
     @given(attempt_scripts(max_horizon=60), st.integers(1, 60))
@@ -758,15 +811,18 @@ class TestWorkBounds:
             (0, 4000, False, 4000, 197),
             (3, 4000, False, 4000, 3997),
             (1, 1000, True, 2970, 2970),
+            (2, 1000, False, 1000, 999),
         ],
     )
     def test_quiet_full_split(self, seed, horizon, chained, stages, full, monkeypatch):
         # every stage steps once and only a full step computes the trigger
-        # prefix; a stricter quiet test leaves every trace as it is and shows
-        # only in these counts
+        # prefix; of those, only a step with a crossing at or below s, or
+        # with s at or below the base, walks the boundary. A stricter quiet
+        # test leaves every trace as it is and shows only in these counts
+        crossing = {0: 26, 3: 27, 1: 18, 2: 443}[seed]
         sc = nosupermax_scenario(seed, horizon)
         certs = chain_certificates(sc, want=2) if chained else sc.certs
-        calls = {"step": 0, "trigger_prefix": 0}
+        calls = {"step": 0, "trigger_prefix": 0, "boundary_update": 0}
 
         def counted(name, fn):
             def call(*args):
@@ -778,8 +834,11 @@ class TestWorkBounds:
         monkeypatch.setattr(AttemptRun, "step", counted("step", AttemptRun.step))
         prefix = counted("trigger_prefix", trigger_prefix)
         monkeypatch.setattr(sepsim.nosupermax, "trigger_prefix", prefix)
+        walk = counted("boundary_update", boundary_update)
+        monkeypatch.setattr(sepsim.nosupermax, "boundary_update", walk)
         run_nosupermax(sc.sets["A"], sc.sets["B"], sc.horizon, certs)
-        assert calls == {"step": stages, "trigger_prefix": full}
+        want = {"step": stages, "trigger_prefix": full, "boundary_update": crossing}
+        assert calls == want
 
     def test_huge_certificate_k_is_rejected_at_once(self):
         # the settled prefix below k used to be listed entry by entry, so a
