@@ -274,10 +274,10 @@ class AttemptRun:
 
     def _reset_counts(self, kept, last, s):
         """Counts for the stage's new boundary, which keeps the first `kept`
-        intervals: the dropped ones merge into the new last interval, which
-        also takes the numbers from the old last entry `last` + 1 up to s.
-        When only the old last interval is dropped, as at most cofinite
-        stages, it is widened in place."""
+        intervals: the new last interval `kept` takes the numbers from the old
+        last entry `last` + 1 up to s. When interval `kept` exists, the ones
+        after it merge into it and it is widened in place through `_count`;
+        at most cofinite stages none follow it, and the merge is skipped."""
         if kept < 0:
             self.c_in, self.c_out, self.bare, self.misplaced = [], [], [], []
             return
@@ -287,16 +287,16 @@ class AttemptRun:
             if y not in a and y not in b:
                 counts[y in x] += 1
         c_out, c_in = counts
-        if kept == len(self.c_in) - 1:
-            self._count(kept, c_in, c_out)
-            return
         if kept < len(self.c_in):
-            c_in += sum(self.c_in[kept:])
-            c_out += sum(self.c_out[kept:])
-            del self.c_in[kept:], self.c_out[kept:]
-            del self.bare[bisect_left(self.bare, kept) :]
-            del self.misplaced[bisect_left(self.misplaced, kept) :]
-        self._open_last(c_in, c_out)
+            if kept + 1 < len(self.c_in):
+                c_in += sum(self.c_in[kept + 1 :])
+                c_out += sum(self.c_out[kept + 1 :])
+                del self.c_in[kept + 1 :], self.c_out[kept + 1 :]
+                del self.bare[bisect_right(self.bare, kept) :]
+                del self.misplaced[bisect_right(self.misplaced, kept) :]
+            self._count(kept, c_in, c_out)
+        else:
+            self._open_last(c_in, c_out)
 
     def _record_boundary(self, s1, kept):
         self.kept_counts.append(kept)
@@ -356,39 +356,37 @@ class AttemptRun:
                 now.add(e)
         m = trigger_prefix(s, x, a_new, b_new)
         last = entries[-1] if j else base
-        if m > s and base < s:
-            # short; s is outside X unless in A, and by_stage lists ascend
-            kept = self.bare[0] if self.bare else j
+        short = m > s and base < s
+        if short:
+            kept, fragile = (self.bare[0] if self.bare else j), False
             entries[kept:] = [s]
-            self._reset_counts(kept, last, s)
-            self._record_boundary(s1, kept)
-            added = [e for e in a_new if e not in x]
-            if kept % 2 and s not in a_now and s not in b_now:
-                added.insert(0, s)
-            if added:
-                self._apply_delta(added, [], s1)
-            self._dirty = added not in ([], [s])
-            return
-        kept, fragile = boundary_update(base, entries, s1, m, self.bare, self.scripted)
+        else:
+            kept, fragile = boundary_update(base, entries, s1, m, self.bare, self.scripted)
         self._reset_counts(kept, last, s)
         self._record_boundary(s1, kept)
-        # the numbers whose side can change, ascending: those above
-        # max(base, m) in the intervals with a free number on the wrong side,
-        # s when it is not above max(base, m), and the stage's events
-        lo = max(base, m)
-        positions = []
-        misplaced = self.misplaced
-        for i in misplaced[bisect_left(misplaced, bisect_right(entries, lo)) :]:
-            start = max(entries[i - 1] if i else base, lo)
-            positions.extend(range(start + 1, entries[i] + 1))
-        if lo >= s:
-            positions.append(s)
-        for events in (a_new, b_new):
-            for y in events:
-                i = bisect_left(positions, y)
-                if i == len(positions) or positions[i] != y:
-                    positions.insert(i, y)
-        added, removed = x_update(entries, base, s1, x, a_now, b_now, m, positions)
+        if short:
+            # s is outside X unless in A, and by_stage lists ascend
+            added, removed = [e for e in a_new if e not in x], []
+            if kept % 2 and s not in a_now and s not in b_now:
+                added.insert(0, s)
+        else:
+            # the numbers whose side can change, ascending: those above
+            # max(base, m) in the intervals with a free number on the wrong
+            # side, s when it is not above max(base, m), and the stage's events
+            lo = max(base, m)
+            positions = []
+            misplaced = self.misplaced
+            for i in misplaced[bisect_left(misplaced, bisect_right(entries, lo)) :]:
+                start = max(entries[i - 1] if i else base, lo)
+                positions.extend(range(start + 1, entries[i] + 1))
+            if lo >= s:
+                positions.append(s)
+            for events in (a_new, b_new):
+                for y in events:
+                    i = bisect_left(positions, y)
+                    if i == len(positions) or positions[i] != y:
+                        positions.insert(i, y)
+            added, removed = x_update(entries, base, s1, x, a_now, b_now, m, positions)
         if added or removed:
             self._apply_delta(added, removed, s1)
         # each number moves at most once, so only s moved when the moves
