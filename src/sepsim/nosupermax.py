@@ -22,11 +22,10 @@ indices and all.
 
 A stage costs what its events and the boundary's witness-free intervals
 cost, not the stage number:
-- A quiet stage keeps every entry and gains s: it has no events, the stage
-  before moved only its own stage number and kept no entry through a
-  crossing alone, and s - 1 is free and on its interval's side. It writes
-  the interval (s-1, s], its boundary record and at most the move of s into
-  X directly, with no boundary walk and no X update.
+- A quiet stage has no events, a witness in every interval and base < s.
+  An entry survives only through a witness or a crossing, so it keeps every
+  entry and gains s. It opens the interval (s-1, s] and moves at most s into
+  X, with no boundary walk and no X update.
 - The fresh crossings of a stage enter only through m, the least of them:
   a number y is permitted by a crossing exactly when y > m.
 - Each boundary interval keeps counts of its numbers outside A and B,
@@ -73,7 +72,7 @@ def trigger_prefix(limit, x_mem, a_new, b_new):
     """m, the least number that freshly crossed X this stage: it entered B
     while inside X, or entered A while outside X. A number y sees a smaller
     fresh crossing exactly when y > m, so this one integer stands for the
-    whole trigger prefix over [0, limit + 1]. At quiet stages m is
+    whole trigger prefix over [0, limit + 1]. When nothing crossed, m is
     limit + 2, and no number up to limit + 1 is permitted through it."""
     m = None
     for crossed, new in ((True, b_new), (False, a_new)):
@@ -96,26 +95,22 @@ def boundary_update(base, old_entries, s1, m, bare, scripted):
     with this stage's events, X as the previous stage left it), and
     `scripted` is the sorted list of the scripted numbers; every other
     interval survives without a look. Cuts `old_entries` in place to its
-    first `kept` entries and appends s. Returns (kept, fragile): fragile
-    flags a kept entry whose interval holds no witness, so that it survived
-    only through a crossing.
+    first `kept` entries, appends s and returns kept.
     """
     s = s1 - 1
     if base >= s:
         old_entries.clear()
-        return -1, False
-    fragile = False
+        return -1
     for idx in bare:
         lo = max(old_entries[idx - 1] if idx else base, m)
         hi = old_entries[idx]
         scripted_in = bisect_right(scripted, hi) - bisect_right(scripted, lo)
         if lo >= hi or scripted_in == hi - lo:
             break
-        fragile = True
     else:
         idx = len(old_entries)
     old_entries[idx:] = [s]
-    return idx, fragile
+    return idx
 
 
 def x_update(entries, base, s1, x_mem, a_now, b_now, m, positions):
@@ -156,7 +151,7 @@ class AttemptRun:
     timeline. Records one boundary record per stage and one record per X
     membership change. `step` takes one of three paths per stage; the test
     suite checks them against a full recomputation and against a stepper
-    that walks the boundary at every stage that is not quiet."""
+    that walks the boundary at every stage."""
 
     def __init__(self, attempt, base, a_events, b_events, horizon):
         self.attempt = attempt
@@ -186,7 +181,6 @@ class AttemptRun:
         # stage -> the stage's X change records, in record order
         self.x_changes: dict[int, list[tuple]] = {}
         self.entry_resets: list[list[int]] = []  # per index: reset stages
-        self._dirty = True
 
     @classmethod
     def from_records(cls, attempt, base, a_events, b_events, horizon, records):
@@ -307,13 +301,14 @@ class AttemptRun:
             self.entry_resets[kept].append(s1)
 
     def step(self):
-        """Stage s1 = s + 1 on one of three paths. Quiet (see the module
-        docstring): the boundary gains s and only s can move. Short, after
-        the events and trigger_prefix: no crossing at or below s and base
-        below s, so every witness-free interval fails (max(prev, m) > s >=
-        its entry), and as A is inside X and B outside it, only s and the
-        crossings above s, A events outside X, can move. Crossing: every
-        other stage, through boundary_update and x_update."""
+        """Stage s1 = s + 1 on one of three paths. Quiet, with no events, no
+        witness-free interval and base below s (see the module docstring):
+        the boundary gains s and only s can move. Short, after the events
+        and trigger_prefix: no crossing at or below s and base below s, so
+        every witness-free interval fails (max(prev, m) > s >= its entry),
+        and as A is inside X and B outside it, only s and the crossings
+        above s, A events outside X, can move. Crossing: every other stage,
+        through boundary_update and x_update."""
         s1 = len(self.kept_counts) + 1
         s = s1 - 1
         a_new = self.a.by_stage.get(s1, ())
@@ -321,29 +316,22 @@ class AttemptRun:
         base, entries, x = self.base, self.entries, self.x
         a_now, b_now = self.a_now, self.b_now
         j = len(entries)
-        if not (a_new or b_new or self._dirty) and j and entries[-1] == s - 1 and (
-            s - 1 not in a_now and s - 1 not in b_now and (s - 1 in x) == (j % 2 == 0)
-        ):
-            # quiet: the boundary keeps every entry and gains s, so the new
-            # last interval is (s-1, s] and only s can move, into X
+        if not (a_new or b_new or self.bare) and base < s:
+            # quiet: every entry is kept and the new last interval is (s-1, s].
+            # X holds no number above s - 1 but members of A, so s is in X
+            # only when in A, and a free s on an odd interval moves in
             entries.append(s)
-            self.kept_counts.append(j)
-            self.records.append(("boundary", s1, j))
-            if len(self.entry_resets) == j:
-                self.entry_resets.append([s1])
-            else:
-                self.entry_resets[j].append(s1)
+            self._record_boundary(s1, j)
             if s in a_now or s in b_now:
                 self._open_last(0, 0)
-                grow = s in a_now and s not in x
-            else:
-                grow = j % 2 == 1 and s not in x
-                self._open_last(*((1, 0) if grow or s in x else (0, 1)))
-            if grow:
+            elif j % 2:
+                self._open_last(1, 0)
                 x.add(s)
-                self.x_toggles.setdefault(s, []).append(s1)
+                self.x_toggles[s] = [s1]
                 self.records.append(("xin", s1, s))
                 self.x_changes[s1] = [self.records[-1]]
+            else:
+                self._open_last(0, 1)
             return
         # the stage's events leave their intervals' counts
         for now, new in ((a_now, a_new), (b_now, b_new)):
@@ -358,10 +346,10 @@ class AttemptRun:
         last = entries[-1] if j else base
         short = m > s and base < s
         if short:
-            kept, fragile = (self.bare[0] if self.bare else j), False
+            kept = self.bare[0] if self.bare else j
             entries[kept:] = [s]
         else:
-            kept, fragile = boundary_update(base, entries, s1, m, self.bare, self.scripted)
+            kept = boundary_update(base, entries, s1, m, self.bare, self.scripted)
         self._reset_counts(kept, last, s)
         self._record_boundary(s1, kept)
         if short:
@@ -389,9 +377,6 @@ class AttemptRun:
             added, removed = x_update(entries, base, s1, x, a_now, b_now, m, positions)
         if added or removed:
             self._apply_delta(added, removed, s1)
-        # each number moves at most once, so only s moved when the moves
-        # read [] or [s]
-        self._dirty = fragile or added + removed not in ([], [s])
 
     def run(self):
         while len(self.kept_counts) < self.horizon:

@@ -220,8 +220,6 @@ class WttAgreementTable:
     window is found once per distinct (mask, ones) and side."""
 
     def __init__(self, a: StageSet, b: StageSet, gamma, delta, f, horizon):
-        self.horizon = horizon
-        self.f = f
         a_final = a.snapshot(horizon)
         b_final = b.snapshot(horizon)
 

@@ -1,12 +1,11 @@
-"""Reference stepper for nosupermax's short full step.
+"""Reference stepper for nosupermax's quiet and short steps.
 
-`FullStepRun` steps an attempt as the step was written before the short
-path: every stage that is not quiet walks `bare` against `scripted` in
-`boundary_update`, builds the list of positions whose side can change and
-hands it to `x_update`, and every boundary reset sums, deletes and reopens
-the dropped intervals' counts. `AttemptRun` must leave the same records in
-the same order, and the same boundary and interval counts, after every
-stage.
+`FullStepRun` steps an attempt with no quiet or short path: every stage
+walks `bare` against `scripted` in `boundary_update`, builds the list of
+positions whose side can change and hands it to `x_update`, and every
+boundary reset sums, deletes and reopens the dropped intervals' counts.
+`AttemptRun` must leave the same records in the same order, and the same
+boundary and interval counts, after every stage.
 """
 
 from bisect import bisect_left, bisect_right, insort
@@ -41,28 +40,6 @@ class FullStepRun(AttemptRun):
         base, entries, x = self.base, self.entries, self.x
         a_now, b_now = self.a_now, self.b_now
         j = len(entries)
-        if not (a_new or b_new or self._dirty) and j and entries[-1] == s - 1 and (
-            s - 1 not in a_now and s - 1 not in b_now and (s - 1 in x) == (j % 2 == 0)
-        ):
-            entries.append(s)
-            self.kept_counts.append(j)
-            self.records.append(("boundary", s1, j))
-            if len(self.entry_resets) == j:
-                self.entry_resets.append([s1])
-            else:
-                self.entry_resets[j].append(s1)
-            if s in a_now or s in b_now:
-                self._open_last(0, 0)
-                grow = s in a_now and s not in x
-            else:
-                grow = j % 2 == 1 and s not in x
-                self._open_last(*((1, 0) if grow or s in x else (0, 1)))
-            if grow:
-                x.add(s)
-                self.x_toggles.setdefault(s, []).append(s1)
-                self.records.append(("xin", s1, s))
-                self.x_changes[s1] = [self.records[-1]]
-            return
         for now, new in ((a_now, a_new), (b_now, b_new)):
             for e in new:
                 if e not in a_now and e not in b_now:
@@ -73,7 +50,7 @@ class FullStepRun(AttemptRun):
                 now.add(e)
         m = trigger_prefix(s, x, a_new, b_new)
         last = entries[-1] if j else base
-        kept, fragile = boundary_update(base, entries, s1, m, self.bare, self.scripted)
+        kept = boundary_update(base, entries, s1, m, self.bare, self.scripted)
         self._reset_counts(kept, last, s)
         self._record_boundary(s1, kept)
         lo = max(base, m)
@@ -92,4 +69,3 @@ class FullStepRun(AttemptRun):
         added, removed = x_update(entries, base, s1, x, a_now, b_now, m, positions)
         if added or removed:
             self._apply_delta(added, removed, s1)
-        self._dirty = fragile or added + removed not in ([], [s])

@@ -2099,6 +2099,27 @@ class TestColdStart:
         assert "result pass" in report.read_text()
 
 
+def attribute_reads():
+    """Every attribute read in src, tests, tools or perfbench, and every
+    name loaded there: (names, attrs). Each part of a dotted string, such as
+    perfbench's tracing targets, counts as an attribute read."""
+    root = PACKAGE.parents[1]
+    dotted = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
+    names, attrs = set(), set()
+    for folder in ("src", "tests", "tools", "perfbench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                loaded = isinstance(getattr(node, "ctx", None), ast.Load)
+                if isinstance(node, ast.Name) and loaded:
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute) and loaded:
+                    attrs.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    if dotted.fullmatch(node.value):
+                        attrs.update(node.value.split("."))
+    return names, attrs
+
+
 class TestLint:
     def test_every_import_is_used(self):
         """Stdlib lint: each name a package module imports is read somewhere
@@ -2128,20 +2149,7 @@ class TestLint:
         an attribute, or named in a dotted string such as perfbench's tracing
         targets. A method, dunders aside, must be read as an attribute or in a
         dotted string."""
-        root = PACKAGE.parents[1]
-        dotted = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
-        names, attrs = set(), set()
-        for folder in ("src", "tests", "tools", "perfbench"):
-            for path in sorted((root / folder).rglob("*.py")):
-                for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-                    loaded = isinstance(getattr(node, "ctx", None), ast.Load)
-                    if isinstance(node, ast.Name) and loaded:
-                        names.add(node.id)
-                    elif isinstance(node, ast.Attribute) and loaded:
-                        attrs.add(node.attr)
-                    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                        if dotted.fullmatch(node.value):
-                            attrs.update(node.value.split("."))
+        names, attrs = attribute_reads()
         unread = []
         for path in sorted(PACKAGE.glob("*.py")):
             for node in ast.parse(path.read_text(), filename=str(path)).body:
@@ -2166,6 +2174,23 @@ class TestLint:
                     for name, reads in defined
                     if name.rpartition(".")[2] not in reads
                 ]
+        assert not unread, unread
+
+    def test_every_stored_attribute_is_read(self):
+        """Each attribute a package class stores on `self` is read as an
+        attribute, by the same name, somewhere in src, tests, tools or
+        perfbench, so that no field is written and never read."""
+        _, attrs = attribute_reads()
+        unread = [
+            f"{path.name}:{node.lineno} {node.attr}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+            and node.attr not in attrs
+        ]
         assert not unread, unread
 
 

@@ -171,7 +171,7 @@ class TestBoundary:
     def test_first_stage(self):
         trig = trigger_prefix(0, set(), [], [])
         entries = []
-        kept, fragile = boundary_update(
+        kept = boundary_update(
             -1, entries, 1, trig, *boundary_inputs(-1, [], set(), set(), set())
         )
         assert entries == [0] and kept == 0
@@ -650,10 +650,38 @@ QUIET_RUNS = [
 ]
 
 
+# no events, so stage 7 is quiet with an empty boundary and base = s - 1
+EMPTY_BOUNDARY_QUIET = (5, [], [], 10)
+
+
 def with_quiet_runs(test):
     for script in QUIET_RUNS:
         test = example(script=script)(test)
     return test
+
+
+def steps_like_reference(script):
+    """Step AttemptRun and FullStepRun side by side and compare the records
+    in order, the boundary and the interval counts after every stage.
+    Returns the boundary length j at each quiet stage met: no events, no
+    witness-free interval and base below s."""
+    base, a, b, horizon = script
+    run = AttemptRun(1, base, a, b, horizon)
+    ref = FullStepRun(1, base, a, b, horizon)
+
+    def state(att):
+        counts = att.c_in, att.c_out, att.bare, att.misplaced
+        return att.records, att.entries, *counts
+
+    quiet = []
+    for t in range(1, horizon + 1):
+        events = run.a.by_stage.get(t) or run.b.by_stage.get(t)
+        if not (events or run.bare) and base < t - 1:
+            quiet.append(len(run.entries))
+        run.step()
+        ref.step()
+        assert state(run) == state(ref), f"stage {t}"
+    return quiet
 
 
 class TestIncrementalAgainstNaive:
@@ -679,22 +707,15 @@ class TestIncrementalAgainstNaive:
     @example(script=(-1, [(12, 3), (9, 3)], [], 14))  # two, listed descending
     @example(script=(5, [(8, 2)], [(3, 4)], 12))  # base at or above s, stages 1-6
     @example(script=(-1, [(6, 2)], [(9, 3)], 12))  # s scripted before stage s + 1
+    @example(script=EMPTY_BOUNDARY_QUIET)
     def test_steps_like_the_full_step_reference(self, script):
-        # the records in order, the boundary and the interval counts after
-        # every stage, against the step that walks the boundary and hands
-        # x_update a position list at every stage that is not quiet
-        base, a, b, horizon = script
-        run = AttemptRun(1, base, a, b, horizon)
-        ref = FullStepRun(1, base, a, b, horizon)
+        # against the step that walks the boundary and hands x_update a
+        # position list at every stage
+        steps_like_reference(script)
 
-        def state(att):
-            counts = att.c_in, att.c_out, att.bare, att.misplaced
-            return att.records, att.entries, *counts
-
-        for t in range(1, horizon + 1):
-            run.step()
-            ref.step()
-            assert state(run) == state(ref), f"stage {t}"
+    def test_reference_meets_both_kinds_of_quiet_stage(self):
+        # stages 7-10 are quiet, the first with an empty boundary
+        assert steps_like_reference(EMPTY_BOUNDARY_QUIET) == [0, 1, 2, 3]
 
     @settings(max_examples=60, deadline=None)
     @given(attempt_scripts(max_horizon=40))
@@ -728,8 +749,10 @@ class TestIncrementalAgainstNaive:
         # every full stage's X moves against x_update on every number above
         # max(base, m) and every scripted one; a crossing stage's own
         # position list must change the same. The stages each path checked
-        # are pinned, so that neither count falls to 0 unnoticed
-        paths = {0: (62, 292), 1: (27, 2933), 2: (772, 668), 3: (326, 1080)}
+        # are pinned, so that neither count falls to 0 unnoticed; a stage
+        # with no events and a witness in every interval is quiet and in
+        # neither count
+        paths = {0: (62, 204), 1: (27, 2933), 2: (772, 666), 3: (326, 1034)}
         crossing, short = paths[seed]
         checked = {"crossing": 0, "short": 0, "positions": 0}
         prefixes = []
@@ -789,36 +812,50 @@ class TestIncrementalAgainstNaive:
                 assert apply_speedup(run, cert) == reference_speedup(run, cert), cert
 
 
-class TestWorkBounds:
-    def test_x_update_examines_wrong_side_numbers_only(self, monkeypatch):
-        # the range walk from just above max(base, m) to s examined 48,148
-        # positions over this run; the wrong-side intervals hold about 5,000
-        examined = 0
+# the most positions x_update may visit over an unchained run
+X_VISITS = {
+    (0, 2000): 5702, (0, 4000): 4901,
+    (2, 2000): 888, (2, 4000): 1776,
+    (3, 2000): 13454, (3, 4000): 8316,
+}
 
-        def counted(entries, base, s1, x_mem, a_now, b_now, m, positions):
-            nonlocal examined
-            examined += len(positions)
-            return x_update(entries, base, s1, x_mem, a_now, b_now, m, positions)
+
+class TestWorkBounds:
+    @pytest.mark.parametrize("seed, horizon", sorted(X_VISITS))
+    def test_x_update_examines_wrong_side_numbers_only(self, seed, horizon, monkeypatch):
+        # at seed 0 and h = 4,000, the range walk from just above max(base,
+        # m) to s examined 48,148 positions; the wrong-side intervals hold
+        # about 5,000. Staged-kill (seed 2) visits only the numbers it moves
+        work = {"calls": 0, "positions": 0, "changes": 0}
+
+        def counted(*args):
+            moves = x_update(*args)
+            work["calls"] += 1
+            work["positions"] += len(args[-1])  # the positions handed over
+            work["changes"] += len(moves[0]) + len(moves[1])
+            return moves
 
         monkeypatch.setattr(sepsim.nosupermax, "x_update", counted)
-        sc = nosupermax_scenario(0, 4000)
+        sc = nosupermax_scenario(seed, horizon)
         run_nosupermax(sc.sets["A"], sc.sets["B"], sc.horizon, sc.certs)
-        assert 0 < examined <= 8000, examined
+        assert 0 < work["positions"] <= X_VISITS[seed, horizon], work
+        if seed == 2:
+            assert work["calls"] == work["positions"] == work["changes"], work
 
     @pytest.mark.parametrize(
         "seed, horizon, chained, stages, full",
         [
-            (0, 4000, False, 4000, 197),
-            (3, 4000, False, 4000, 3997),
+            (0, 4000, False, 4000, 144),
+            (3, 4000, False, 4000, 3995),
             (1, 1000, True, 2970, 2970),
-            (2, 1000, False, 1000, 999),
+            (2, 1000, False, 1000, 998),
         ],
     )
     def test_quiet_full_split(self, seed, horizon, chained, stages, full, monkeypatch):
         # every stage steps once and only a full step computes the trigger
-        # prefix; of those, only a step with a crossing at or below s, or
-        # with s at or below the base, walks the boundary. A stricter quiet
-        # test leaves every trace as it is and shows only in these counts
+        # prefix: a stage with events, a witness-free interval, or s at or
+        # below the base. Of those, only a step with a crossing at or below
+        # s, or with s at or below the base, walks the boundary
         crossing = {0: 26, 3: 27, 1: 18, 2: 443}[seed]
         sc = nosupermax_scenario(seed, horizon)
         certs = chain_certificates(sc, want=2) if chained else sc.certs
