@@ -253,9 +253,7 @@ def run_upclosure_pipeline(sc: Scenario):
         gamma, delta = sc.operator("gamma"), sc.operator("delta")
         table = WttAgreementTable(a, b, gamma, delta, f, sc.horizon)
         for n in range(len(values) - 1):
-            got, stage = recover_m_next(
-                z, a, b, gamma, delta, f, values[: n + 1], sc.horizon, table=table
-            )
+            got, stage = recover_m_next(z, values[: n + 1], table)
             out["recovered"].append((n + 1, got, stage, values[n + 1]))
     return out
 

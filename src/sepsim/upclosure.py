@@ -19,7 +19,11 @@ Every decoder reads one fold, `agreement_windows`, which narrows Z's two
 agreement windows on a block (the stages at which Z agrees with A_s, and
 with the complement of B_s) to closed intervals, empty for a side that
 never agrees, and can widen a block it returned: the recovery search
-carries the windows of (m_n, x] along x.
+carries the windows of (m_n, x] along x. The blocks of one run share one
+`WttAgreementTable`, which holds what the search does not relearn per
+block: the sets, operators, f and horizon, the candidate stages, the cover
+stage of each f-interval and the operators' agreement rows. The case check
+and the boundaries read one list of the next point outside A ∪ B.
 """
 
 from __future__ import annotations
@@ -64,9 +68,19 @@ class MSequenceResult:
         return self.missing_index is None
 
 
-def _covered(x: int, f: UseBound, union) -> bool:
-    """(x, f(x)] fully inside the union."""
-    return all(y in union for y in range(x + 1, f(x) + 1))
+def _next_gaps(union, f: UseBound) -> list[int]:
+    """For every y up to the bound table's largest value, the least point
+    >= y outside the union; one past that value when there is none. So
+    (x, f(x)] is covered when gaps[x + 1] > f(x), and (prev, x] holds a
+    hole when gaps[prev + 1] <= x."""
+    top = max(f.table, default=0)
+    gaps, nxt = [], top + 1
+    for y in range(top, -1, -1):
+        if y not in union:
+            nxt = y
+        gaps.append(nxt)
+    gaps.reverse()
+    return gaps
 
 
 def classify_case(
@@ -79,9 +93,8 @@ def classify_case(
     consistent when no x >= k in the scannable range is covered; case 2 when
     at least ceil(horizon/10) points are covered.
     """
-    union = a.snapshot(horizon) | b.snapshot(horizon)
-    limit = min(f.domain, horizon)
-    covered = [x for x in range(limit) if _covered(x, f, union)]
+    gaps = _next_gaps(a.snapshot(horizon) | b.snapshot(horizon), f)
+    covered = [x for x in range(min(f.domain, horizon)) if gaps[x + 1] > f(x)]
     if declared.tag == 1:
         return not any(x >= declared.k for x in covered)
     return len(covered) >= -(-horizon // 10)
@@ -103,15 +116,14 @@ def m_sequence(
         while len(values) < count:
             values.append(f(values[-1]))  # raises "bound table exhausted"
         return MSequenceResult(values=values)
-    union = set(a_mem) | set(b_mem)
+    gaps = _next_gaps(set(a_mem) | set(b_mem), f)
     values = [-1]
     while len(values) < count:
-        prev = values[-1]
+        # the least x with a hole in (last boundary, x] and (x, f(x)]
+        # covered: the first such hole is the first x to try
         nxt = None
-        for x in range(prev + 1, f.domain):
-            if not all(y in union for y in range(prev + 1, x + 1)) and _covered(
-                x, f, union
-            ):
+        for x in range(gaps[values[-1] + 1], f.domain):
+            if gaps[x + 1] > f(x):
                 nxt = x
                 break
         if nxt is None:
@@ -164,15 +176,6 @@ def agrees(windows, s: int) -> bool:
     return alo <= s <= ahi or blo <= s <= bhi
 
 
-def _cover_stage(a: StageSet, b: StageSet, positions):
-    """The least stage by which every position lies in A ∪ B; INF when one
-    never enters."""
-    return max(
-        (min(a.entry.get(y, INF), b.entry.get(y, INF)) for y in positions),
-        default=0,
-    )
-
-
 def decode_block(
     z: SeparatorSnapshot,
     a: StageSet,
@@ -187,10 +190,13 @@ def decode_block(
 
     Stages where both sides agree are skipped (the answer must be stable
     under further enumeration); if no stage up to the horizon decides,
-    raises "undecided at horizon".
+    raises "undecided at horizon". Either side's agreement changes only
+    where a window opens or closes, so only those stages are tried.
     """
     (alo, ahi), (blo, bhi) = agreement_windows(z, a, b, range(m_n + 1, m_n1 + 1))
-    for s in range(horizon + 1):
+    for s in sorted({0, alo, ahi + 1, blo, bhi + 1}):
+        if s > horizon:
+            break
         ina = alo <= s <= ahi
         if ina != (blo <= s <= bhi):
             return (0 if ina else 1, s)
@@ -206,69 +212,90 @@ def simultaneous_agreement_stages(z, a, b, m_n, m_n1, horizon):
     return range(lo, hi + 1) if lo <= hi else range(0)
 
 
+def _row(windows, horizon):
+    """An agreement row from its live windows (lo, hi, ok), each holding on
+    [lo, hi): the stages up to the horizon at which its value changes, and
+    its values. At stage t the first window that holds t gives the value,
+    False when none does; with one window the row is read from it alone."""
+    if len(windows) < 2:  # False, then ok on [lo, hi), then False
+        lo, hi, ok = windows[0] if windows else (0, 0, False)
+        if not ok:
+            return [0], [False]
+        stages, values = ([0], [True]) if lo == 0 else ([0, lo], [False, True])
+        if hi <= horizon:
+            stages.append(hi)
+            values.append(False)
+        return stages, values
+    ends, stages, values = {0}, [], []
+    for lo, hi, _ in windows:
+        ends.update((lo, hi))
+    for t in sorted(ends):
+        if t > horizon:
+            break
+        value = next((ok for lo, hi, ok in windows if lo <= t < hi), False)
+        if not values or value != values[-1]:
+            stages.append(t)
+            values.append(value)
+    return stages, values
+
+
 class WttAgreementTable:
-    """Per-scenario cache: for each input w, the stages at which the two
-    operators both halt on the current-approximation oracle and match the
-    final target sets.
+    """Per-scenario cache for the recovery search: the scripted sets, the
+    operators, f and the horizon it was built from; the sorted candidate
+    stages up to the horizon (0, every entry stage of A and B and every rule
+    availability); the cover stage of each x, worked out on first use; and
+    for each input w, the stages at which the two operators both halt on the
+    current-approximation oracle and match the final target sets.
 
     A compiled rule for w holds on one stage window: from its availability,
     or the entry of its last 1-position if that is later, up to the first
     entry of a 0-position (empty when a 1-position never enters). At stage t
     the operator answers with the first rule, in `compiled_for` order, whose
     window holds t, so each row changes value only at window ends and is
-    built from them without applying the operator. A guard's part of the
-    window is found once per distinct (mask, ones) and side."""
+    built from them without applying the operator; a row with one live
+    window is read straight from it. A guard's part of the window is found
+    once per distinct (mask, ones) and side."""
 
     def __init__(self, a: StageSet, b: StageSet, gamma, delta, f, horizon):
-        a_final = a.snapshot(horizon)
-        b_final = b.snapshot(horizon)
-
-        def run_table(op, w, entry, want, guard_windows):
-            """The stages at which the row's value changes, and its values."""
-            windows = []
-            ends = {0}
-            for available_at, _, mask, ones, output in op.program.compiled_for(w):
-                key = (mask, ones)
-                window = guard_windows.get(key)
-                if window is None:
-                    lo, hi = 0, horizon + 1
-                    while mask and lo < hi:
-                        low = mask & -mask
-                        mask ^= low
-                        t = entry.get(low.bit_length() - 1)
-                        if ones & low:
-                            lo = hi if t is None else max(lo, t)
-                        elif t is not None:
-                            hi = min(hi, t)
-                    window = guard_windows[key] = (lo, hi)
-                lo, hi = max(available_at, window[0]), window[1]
-                if lo < hi:
-                    windows.append((lo, hi, output == want))
-                    ends.add(lo)
-                    ends.add(hi)
-            stages, values = [], []
-            for t in sorted(ends):
-                if t > horizon:
-                    break
-                value = False
-                for lo, hi, ok in windows:
-                    if lo <= t < hi:
-                        value = ok
-                        break
-                if not values or value != values[-1]:
-                    stages.append(t)
-                    values.append(value)
-            return stages, values
-
+        self.a, self.b, self.gamma, self.delta = a, b, gamma, delta
+        self.f, self.horizon = f, horizon
+        stages = {0, *a.entry.values(), *b.entry.values()}
+        for op in (gamma, delta):
+            stages.update(map(itemgetter(0), op.program.compiled_rows()))
+        self.candidate_stages = sorted(t for t in stages if t <= horizon)
+        self._covers: dict[int, int] = {}  # x -> cover_stage(x)
         self._prefixes: dict[int, int] = {}  # stage -> agree_prefix(stage)
-        self._gamma: list[tuple[list[int], list[bool]]] = []
-        self._delta: list[tuple[list[int], list[bool]]] = []
         self.width = min(f.domain, horizon)
-        gamma_windows, delta_windows = {}, {}  # (mask, ones) -> (lo, hi)
-        for w in range(self.width):
-            want_g, want_d = int(w in b_final), int(w in a_final)
-            self._gamma.append(run_table(gamma, w, a.entry, want_g, gamma_windows))
-            self._delta.append(run_table(delta, w, b.entry, want_d, delta_windows))
+
+        def rows(op, entry, target):
+            """Each input's row: the stages at which its value changes, and
+            its values."""
+            out, compiled_for = [], op.program.compiled_for
+            guard_windows = {}  # (mask, ones) -> (lo, hi)
+            for w in range(self.width):
+                want, windows = int(w in target), []
+                for available_at, _, mask, ones, output in compiled_for(w):
+                    key = (mask, ones)
+                    window = guard_windows.get(key)
+                    if window is None:
+                        lo, hi = 0, horizon + 1
+                        while mask and lo < hi:
+                            low = mask & -mask
+                            mask ^= low
+                            t = entry.get(low.bit_length() - 1)
+                            if ones & low:
+                                lo = hi if t is None else max(lo, t)
+                            elif t is not None:
+                                hi = min(hi, t)
+                        window = guard_windows[key] = (lo, hi)
+                    lo, hi = max(available_at, window[0]), window[1]
+                    if lo < hi:
+                        windows.append((lo, hi, output == want))
+                out.append(_row(windows, horizon))
+            return out
+
+        self._gamma = rows(gamma, a.entry, b.snapshot(horizon))
+        self._delta = rows(delta, b.entry, a.snapshot(horizon))
 
     def _ok(self, table, w, s):
         stages, values = table[w]
@@ -289,53 +316,55 @@ class WttAgreementTable:
             self._prefixes[s] = w
         return w
 
+    def cover_stage(self, x: int):
+        """The least stage by which (x, f(x)] lies inside A ∪ B, INF when a
+        point of it never enters; worked out once per x."""
+        t = self._covers.get(x)
+        if t is None:
+            entry_a, entry_b = self.a.entry, self.b.entry
+            t = self._covers[x] = max(
+                min(entry_a.get(y, INF), entry_b.get(y, INF))
+                for y in range(x + 1, self.f(x) + 1)
+            )
+        return t
 
-def recover_m_next(
-    z: SeparatorSnapshot,
-    a: StageSet,
-    b: StageSet,
-    gamma: UseBoundedOperator,
-    delta: UseBoundedOperator,
-    f: UseBound,
-    m_prefix,
-    horizon: int,
-    table: WttAgreementTable,
-):
+
+def recover_m_next(z: SeparatorSnapshot, m_prefix, table: WttAgreementTable):
     """Recover the next block boundary from Z by the four-condition stage
-    search; returns (boundary, stage at which the search first succeeds).
+    search, against the sets, operators and f the table was built from;
+    returns (boundary, stage at which the search first succeeds).
 
     Conditions at stage s: every earlier block agrees with A_s or with the
     complement of B_s; every earlier boundary's f-interval is covered by
     stage s; and some x past the last known boundary has (i) both operators
     matching the final sets on all inputs up to x, (ii) block agreement on
     (last, x], (iii) a point of (last, x] outside the stage-s union, and
-    (iv) (x, f(x)] inside the stage-s union. The least such x wins.
+    (iv) (x, f(x)] inside the stage-s union. The least such x wins. Only
+    the table's candidate stages are tried, from the first by which every
+    earlier f-interval is covered.
     """
+    a, b, f = table.a, table.b, table.f
     m_n = m_prefix[-1]
     earlier = [
         agreement_windows(z, a, b, range(lo + 1, hi + 1))
         for lo, hi in zip(m_prefix, m_prefix[1:])
     ]
-    covered = max(
-        (_cover_stage(a, b, range(m + 1, f(m) + 1)) for m in m_prefix[:-1] if m >= 0),
-        default=0,
-    )
-    candidate_stages = {0, *a.entry.values(), *b.entry.values()}
-    for op in (gamma, delta):
-        candidate_stages.update(map(itemgetter(0), op.program.compiled_rows()))
-    for s in sorted(t for t in candidate_stages if t <= horizon):
-        if s < covered or not all(agrees(w, s) for w in earlier):
+    covered = max((table.cover_stage(m) for m in m_prefix[:-1] if m >= 0), default=0)
+    # entry i: the stage by which (m_n, m_n + i] fills and its windows, each
+    # carried from entry i - 1 when an x first reaches it
+    reach = [(0, EVERY_STAGE)]
+    stages = table.candidate_stages
+    for s in stages[bisect_left(stages, covered) :]:
+        prefix = min(f.domain, z.length, table.agree_prefix(s))
+        if prefix <= m_n + 1 or not all(agrees(w, s) for w in earlier):
             continue
-        hole_seen = False
-        windows = EVERY_STAGE  # of (m_n, x], carried from those of (m_n, x - 1]
-        for x in range(m_n + 1, min(f.domain, z.length, table.agree_prefix(s))):
-            hole_seen = hole_seen or not (a.member_at(x, s) or b.member_at(x, s))
-            windows = agreement_windows(z, a, b, (x,), windows)
-            if (
-                hole_seen
-                and agrees(windows, s)
-                and _cover_stage(a, b, range(x + 1, f(x) + 1)) <= s
-            ):
+        for i, x in enumerate(range(m_n + 1, prefix), 1):
+            if i == len(reach):
+                filled, windows = reach[-1]
+                filled = max(filled, min(a.entry.get(x, INF), b.entry.get(x, INF)))
+                reach.append((filled, agreement_windows(z, a, b, (x,), windows)))
+            filled, windows = reach[i]
+            if s < filled and agrees(windows, s) and table.cover_stage(x) <= s:
                 return (x, s)
     raise ValueError("not settled")
 

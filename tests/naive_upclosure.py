@@ -1,13 +1,20 @@
-"""Naive reference for upclosure's block agreement and boundary recovery.
+"""Naive reference for upclosure's case split, boundaries, block agreement
+and boundary recovery.
 
-The decoders as first written: `_agreement_window` rebuilds a block's window
-for one side and returns at the first position that never agrees;
-`recover_m_next` rebuilds the (m_n, x] windows for every x at every
-candidate stage, rescans every earlier boundary's f-interval at every
-stage and walks the operators' agreement prefix afresh (`agree_prefix`) at
-every stage it reaches. `upclosure`'s one window fold, its carried windows and its per-call
-cover stages must give the same results and the same errors on every input.
+The functions as first written: `_agreement_window` rebuilds a block's
+window for one side and returns at the first position that never agrees;
+`recover_m_next` rebuilds its candidate stages (`candidate_stages`) from the
+table's sets and operators on every call, rebuilds the (m_n, x] windows for
+every x at every candidate stage, rescans every earlier boundary's
+f-interval at every stage and walks the operators' agreement prefix afresh
+(`agree_prefix`) at every stage it reaches; `classify_case` and
+`m_sequence` scan each interval they test for a point outside the union
+(`_covered`). `upclosure`'s one window fold, its carried windows, its
+table's stage list and cover stages, and its gap list must give the same
+results and the same errors on every input.
 """
+
+from sepsim.upclosure import MSequenceResult
 
 
 def _agreement_window(z, stage_of, block, positive):
@@ -64,7 +71,19 @@ def agree_prefix(table, s):
     return w
 
 
-def recover_m_next(z, a, b, gamma, delta, f, m_prefix, horizon, table):
+def candidate_stages(table):
+    """The stages the recovery search tries, built afresh from the table's
+    sets and operators on every call: 0, every entry stage of A and B and
+    every rule availability, up to the horizon, in order."""
+    stages = {0, *table.a.entry.values(), *table.b.entry.values()}
+    for op in (table.gamma, table.delta):
+        for r in op.program.rules:
+            stages.add(r.available_at)
+    return sorted(t for t in stages if t <= table.horizon)
+
+
+def recover_m_next(z, m_prefix, table):
+    a, b, f = table.a, table.b, table.f
     m_n = m_prefix[-1]
     n = len(m_prefix) - 1
     windows = []
@@ -74,12 +93,7 @@ def recover_m_next(z, a, b, gamma, delta, f, m_prefix, horizon, table):
         wb = _agreement_window(z, b.entry_stage, block, positive=False)
         windows.append((wa, wb))
 
-    candidate_stages = {0, *a.entry.values(), *b.entry.values()}
-    for op in (gamma, delta):
-        for r in op.program.rules:
-            candidate_stages.add(r.available_at)
-
-    for s in sorted(t for t in candidate_stages if t <= horizon):
+    for s in candidate_stages(table):
         ok = True
         for i in range(n):
             wa, wb = windows[i]
@@ -121,3 +135,42 @@ def recover_m_next(z, a, b, gamma, delta, f, m_prefix, horizon, table):
                 continue
             return (x, s)
     raise ValueError("not settled")
+
+
+def _covered(x, f, union):
+    """(x, f(x)] fully inside the union."""
+    return all(y in union for y in range(x + 1, f(x) + 1))
+
+
+def classify_case(a, b, f, horizon, declared):
+    union = a.snapshot(horizon) | b.snapshot(horizon)
+    limit = min(f.domain, horizon)
+    covered = [x for x in range(limit) if _covered(x, f, union)]
+    if declared.tag == 1:
+        return not any(x >= declared.k for x in covered)
+    return len(covered) >= -(-horizon // 10)
+
+
+def m_sequence(case, a_mem, b_mem, f, count):
+    if count <= 0:
+        return MSequenceResult(values=[])
+    if case.tag == 1:
+        values = [case.k]
+        while len(values) < count:
+            values.append(f(values[-1]))  # raises "bound table exhausted"
+        return MSequenceResult(values=values)
+    union = set(a_mem) | set(b_mem)
+    values = [-1]
+    while len(values) < count:
+        prev = values[-1]
+        nxt = None
+        for x in range(prev + 1, f.domain):
+            if not all(y in union for y in range(prev + 1, x + 1)) and _covered(
+                x, f, union
+            ):
+                nxt = x
+                break
+        if nxt is None:
+            return MSequenceResult(values=values, missing_index=len(values))
+        values.append(nxt)
+    return MSequenceResult(values=values)

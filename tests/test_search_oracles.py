@@ -184,10 +184,7 @@ class TestRecoveryLeastStage:
             table = WttAgreementTable(
                 sc["a"], sc["b"], sc["gamma"], sc["delta"], sc["f"], sc["horizon"]
             )
-            got, stage = recover_m_next(
-                z, sc["a"], sc["b"], sc["gamma"], sc["delta"], sc["f"],
-                values[:2], sc["horizon"], table,
-            )
+            got, stage = recover_m_next(z, values[:2], table)
             assert got == values[2]
             # brute force over every stage, scanning candidates directly
             a_entry = {e: t for e, t in sc["a"].events}

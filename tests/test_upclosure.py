@@ -1,9 +1,10 @@
 """Block coding into separators: case split, boundaries, encode/decode."""
 
+import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import naive_upclosure
@@ -109,6 +110,27 @@ def build_settled(rng, case_tag, horizon=100, domain=64):
     }
 
 
+# SHA-256 of run_scenario(upclosure_scenario(seed, case, horizon=2000)).render():
+# every case-2 trace here recovers all eight boundaries, at stages up to 1,997,
+# far past the h <= 100 of the benchmark's reference digests
+LONG_HORIZON_DIGESTS = {
+    (1, 0): "e3e8c7997bf8163007ffcd77476d1eca5cdb3257a17cefe05f97bcb0a0171d5e",
+    (1, 1): "97d4e51aef0d479021e772dafebd1c90409937e7d71f033949d43858ad468bc6",
+    (1, 2): "d4ea29ed113f97d10ad65243f1a4f2c81b6d65ac4db9e02ac3672f3ff5ae9448",
+    (1, 3): "3d0aa74947b99faa1cb6fb1fa255964bd14e2e1e39a962ac4889d7965058fd87",
+    (2, 0): "6335e0b605ca889dc2553903f15b20fcb8ffb0958d7941e5c441df10868015a5",
+    (2, 1): "90e753c56bbe59b47793eae6bd47b07c9d89eb770b220b457f26f2e267647bf6",
+    (2, 2): "0fa077b04868da93fcf0f5fa514087d742ff58170cb212ddbb2363907723406b",
+    (2, 3): "caa07cb4f41fc664bd7bac5e418ffd1f0ec4d82219e39923739b83d7ce3e64d5",
+}
+
+
+@pytest.mark.parametrize("case, seed", sorted(LONG_HORIZON_DIGESTS))
+def test_trace_digest_at_horizon_2000(case, seed):
+    text = run_scenario(upclosure_scenario(seed, case, horizon=2000)).render()
+    assert hashlib.sha256(text.encode()).hexdigest() == LONG_HORIZON_DIGESTS[case, seed]
+
+
 class TestWidthCap:
     @pytest.mark.parametrize("case_tag", [1, 2])
     def test_uses_past_4096_within_the_cap_verify(self, case_tag):
@@ -203,6 +225,77 @@ class TestMSequence:
             assert res.values == expected
             # strict monotonicity always
             assert all(u < v for u, v in zip(res.values, res.values[1:]))
+
+
+@st.composite
+def gap_inputs(draw):
+    """A and B over a random horizon, a strict monotone bound table, a
+    declared case and a boundary count. Each position up to the table's top
+    lies in A, in B or in neither with equal odds, so covered intervals and
+    holes both occur."""
+    horizon = draw(st.integers(1, 30))
+    table, prev = [], 0
+    for x in range(draw(st.integers(0, 25))):
+        prev = max(prev, x + 1) + draw(st.integers(0, 3))
+        table.append(prev)
+    f = UseBound(table=tuple(table))
+    sides = draw(st.lists(st.sampled_from("AB-"), max_size=prev + 2))
+    entered = [(y, at, draw(st.integers(0, horizon))) for y, at in enumerate(sides)]
+    a, b = (
+        StageSet([(y, t) for y, at, t in entered if at == side], horizon=horizon)
+        for side in "AB"
+    )
+    k = draw(st.none() | st.integers(0, 30))
+    declared = CaseTag(2) if k is None else CaseTag(1, k)
+    return a, b, f, horizon, declared, draw(st.integers(0, 10))
+
+
+def m_outcome(fn, case, a, b, f, count):
+    try:
+        res = fn(case, a.final(), b.final(), f, count)
+    except ValueError as exc:
+        return str(exc)
+    return res.values, res.missing_index
+
+
+class TestGapListAgainstNaive:
+    """classify_case and m_sequence read one gap list per call and give the
+    results and errors of the interval scans as first written
+    (tests/naive_upclosure.py)."""
+
+    @staticmethod
+    def assert_match(a, b, f, horizon, declared, count):
+        got = classify_case(a, b, f, horizon, declared)
+        assert got == naive_upclosure.classify_case(a, b, f, horizon, declared)
+        got = m_outcome(m_sequence, declared, a, b, f, count)
+        assert got == m_outcome(naive_upclosure.m_sequence, declared, a, b, f, count)
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(gap_inputs())
+    def test_random_snapshots(self, inputs):
+        self.assert_match(*inputs)
+
+    def test_missing_index_reached(self):
+        # (-1, 0] holds a hole and (0, 1] is covered, so m_1 = 0; past it no
+        # hole is followed by a covered interval, so index 2 is missing
+        a, b = StageSet([(1, 0)], horizon=3), StageSet([], horizon=3)
+        got = self.assert_match(a, b, UseBound(table=(1, 2, 3)), 3, CaseTag(2), 4)
+        assert got == ([-1, 0], 2)
+
+    def test_every_corpus_scenario(self):
+        """All 200 corpus scenarios, under their own case and under case 2,
+        for 9 and for 40 boundaries."""
+        results = [
+            self.assert_match(a, b, f, sc.horizon, declared, count)
+            for _, sc in upclosure_corpus()
+            for a, b, f in [(sc.stage_set("A"), sc.stage_set("B"), sc.use_bound())]
+            for declared in (sc.case, CaseTag(2))
+            for count in (9, 40)
+        ]
+        assert len(results) == 800
+        missing = [r for r in results if not isinstance(r, str) and r[1] is not None]
+        assert len(missing) == 442
 
 
 class TestEncodeDecode:
@@ -328,17 +421,7 @@ class TestRecovery:
                 sc["a"], sc["b"], sc["gamma"], sc["delta"], sc["f"], sc["horizon"]
             )
             for n in range(blocks):
-                got, stage = recover_m_next(
-                    z,
-                    sc["a"],
-                    sc["b"],
-                    sc["gamma"],
-                    sc["delta"],
-                    sc["f"],
-                    values[: n + 1],
-                    sc["horizon"],
-                    table=table,
-                )
+                got, stage = recover_m_next(z, values[: n + 1], table)
                 assert got == values[n + 1], f"seed {seed} index {n + 1}"
                 hits += 1
         assert hits > 0
@@ -361,17 +444,7 @@ class TestRecovery:
             sc["a"], sc["b"], sc["gamma"], sc["delta"], sc["f"], sc["horizon"]
         )
         try:
-            got, _ = recover_m_next(
-                z2,
-                sc["a"],
-                sc["b"],
-                sc["gamma"],
-                sc["delta"],
-                sc["f"],
-                values[:2],
-                sc["horizon"],
-                table,
-            )
+            got, _ = recover_m_next(z2, values[:2], table)
         except ValueError as e:
             assert "not settled" in str(e)
         else:
@@ -394,9 +467,7 @@ class TestRecovery:
         assert res.values[0] == -1
         z = encode_separator(set(), res.values, a_mem, b_mem)
         table = WttAgreementTable(a, b, gamma, delta, f, 20)
-        got, _ = recover_m_next(
-            z, a, b, gamma, delta, f, res.values[:1], 20, table
-        )
+        got, _ = recover_m_next(z, res.values[:1], table)
         assert got == res.values[1]
 
 
@@ -606,9 +677,12 @@ def per_stage(row, horizon):
 
 
 def assert_rows_match_naive(a, b, gamma, delta, f, horizon):
+    """Every row of the table equals the naive row, value for value and in
+    shape, and its stage list equals the naive reference's; returns it."""
     table = WttAgreementTable(a, b, gamma, delta, f, horizon)
     a_final, b_final = a.snapshot(horizon), b.snapshot(horizon)
     assert table.width == min(f.domain, horizon)
+    assert table.candidate_stages == naive_upclosure.candidate_stages(table)
     for w in range(table.width):
         for got, op, entry, target in (
             (table._gamma[w], gamma, a.entry, b_final),
@@ -616,6 +690,8 @@ def assert_rows_match_naive(a, b, gamma, delta, f, horizon):
         ):
             want = naive_row(op, w, entry, int(w in target), horizon)
             assert per_stage(got, horizon) == per_stage(want, horizon), w
+            assert got == want, w
+    return table
 
 
 def operators(sc):
@@ -662,6 +738,37 @@ class TestAgreementRowsAgainstNaive:
     """Rows built once per distinct guard window equal the per-rule walk at
     every stage from 0 to the horizon."""
 
+    # position 1 enters A at stage 3 and position 2 at stage 6; B stays
+    # empty, so a gamma rule for input 0 is ok when it outputs 0
+    @pytest.mark.parametrize(
+        "rules, row",
+        [
+            # one live window, lo = 0 and hi = horizon + 1
+            ([((), 0, 0)], ([0], [True])),
+            ([((), 1, 0)], ([0], [False])),  # not ok
+            ([(((1, 1),), 0, 0)], ([0, 3], [False, True])),  # lo > 0
+            ([((), 0, 4)], ([0, 4], [False, True])),  # lo from availability
+            ([(((2, 0),), 1, 1)], ([0], [False])),  # lo > 0, hi <= horizon, not ok
+            ([(((2, 0),), 0, 0)], ([0, 6], [True, False])),  # hi <= horizon
+            ([(((1, 1), (2, 0)), 0, 0)], ([0, 3, 6], [False, True, False])),
+            ([(((2, 0),), 0, 7)], ([0], [False])),  # emptied by availability
+            ([(((0, 1),), 0, 0)], ([0], [False])),  # a 1-position never enters
+            # two live windows: end to end, of different values, overlapping
+            ([(((1, 0),), 0, 0), (((1, 1), (2, 0)), 0, 0)], ([0, 6], [True, False])),
+            ([(((1, 0),), 0, 0), (((1, 1),), 1, 0)], ([0, 3], [True, False])),
+            ([((), 0, 5), (((2, 0),), 0, 0)], ([0], [True])),
+        ],
+    )
+    def test_row_shapes(self, rules, row):
+        f = UseBound(table=(3, 4, 5))
+        a = StageSet([(1, 3), (2, 6)], horizon=10)
+        b = StageSet([], horizon=10)
+        rules = [OracleRule(guard, 0, output, 3, at) for guard, output, at in rules]
+        gamma = UseBoundedOperator(program=OracleProgram(rules), bound=f)
+        delta = UseBoundedOperator(program=OracleProgram(), bound=f)
+        table = assert_rows_match_naive(a, b, gamma, delta, f, 10)
+        assert table._gamma[0] == row
+
     def test_every_case2_corpus_scenario(self):
         for name, sc in upclosure_corpus():
             if sc.case.tag != 2:
@@ -695,8 +802,7 @@ def recovery_calls(sc, name, flips):
             bits[y] = "1" if bits[y] == "0" else "0"
         zz = SeparatorSnapshot("".join(bits))
         for n in range(len(values) - 1):
-            args = (zz, a, b, gamma, delta, f, values[: n + 1], sc.horizon, table)
-            calls.append((args, values[n + 1]))
+            calls.append(((zz, values[: n + 1], table), values[n + 1]))
     return calls
 
 
@@ -727,6 +833,13 @@ def assert_blocks_match(block):
     for name in ("decode_block", "simultaneous_agreement_stages"):
         got = outcome(getattr(upclosure, name), *block)
         assert got == outcome(getattr(naive_upclosure, name), *block), (name, block)
+
+
+def block(bits, a_entry, b_entry, m_n1, horizon):
+    """The block (-1, m_n1] of Z = bits against A and B entering as given."""
+    a = StageSet(a_entry.items(), horizon=horizon)
+    b = StageSet(b_entry.items(), horizon=horizon)
+    return SeparatorSnapshot(bits), a, b, -1, m_n1, horizon
 
 
 @st.composite
@@ -763,9 +876,9 @@ class TestOperatorsBuiltOnce:
 
 
 class TestWindowFoldAgainstNaive:
-    """The one window fold, the carried (m_n, x] windows and the per-call
-    cover stages give the results and errors of the decoders as first
-    written (tests/naive_upclosure.py)."""
+    """The one window fold, the carried (m_n, x] windows, and the stage list
+    and cover stages built once per table give the results and errors of the
+    decoders as first written (tests/naive_upclosure.py)."""
 
     @staticmethod
     def assert_match(calls):
@@ -779,8 +892,8 @@ class TestWindowFoldAgainstNaive:
         for table in tables:
             for s, w in table._prefixes.items():
                 assert w == naive_upclosure.agree_prefix(table, s) == table.agree_prefix(s)
-        for (z, a, b, _, _, _, prefix, horizon, _), m_n1 in calls:
-            assert_blocks_match((z, a, b, prefix[-1], m_n1, horizon))
+        for (z, prefix, table), m_n1 in calls:
+            assert_blocks_match((z, table.a, table.b, prefix[-1], m_n1, table.horizon))
         return want
 
     def test_every_corpus_block_with_flipped_bits(self):
@@ -802,5 +915,13 @@ class TestWindowFoldAgainstNaive:
 
     @settings(max_examples=300, deadline=None)
     @given(random_blocks())
+    # block(z, A's entry stages, B's, m_{n+1}, horizon); each block is
+    # position 0, or positions 0 and 1, and the decoder's answer follows
+    @example(block("1", {0: 0}, {0: 3}, 0, 5))  # both open at 0: (0, 3)
+    @example(block("1", {0: 0}, {0: 5}, 0, 5))  # B closes at 4: (0, 5)
+    @example(block("1", {0: 0}, {}, 0, 5))  # both open to the horizon
+    @example(block("1", {}, {0: 2}, 0, 3))  # A never agrees: (1, 0)
+    @example(block("1", {}, {0: 0}, 0, 3))  # neither ever agrees
+    @example(block("10", {0: 2, 1: 4}, {}, 1, 5))  # A on [2, 3] alone: (0, 2)
     def test_random_blocks(self, block):
         assert_blocks_match(block)
