@@ -591,7 +591,7 @@ def decode(body, horizon):
     return decode_event_log(body, ("nact", "rclaim", "ract"), "ABD", horizon)
 
 
-def check(sc, run, log, detail):
+def check(sc, _run, log, detail):
     records, finals = log
     checks, caveats = verify_anticomplete(
         records, finals["A"], finals["B"], finals["D"], sc.horizon

@@ -207,6 +207,7 @@ def run_upclosure_pipeline(sc: Scenario):
     from .upclosure import (
         WttAgreementTable,
         classify_case,
+        covered_points,
         decode_block,
         encode_separator,
         m_sequence,
@@ -216,24 +217,20 @@ def run_upclosure_pipeline(sc: Scenario):
     a, b = sc.stage_set("A"), sc.stage_set("B")
     c_final = sc.stage_set("C").final()
     a_final, b_final = a.final(), b.final()
-    consistent = classify_case(a, b, f, sc.horizon, sc.case)
+    union = a_final | b_final
+    gaps, covered = covered_points(union, f)
+    consistent = classify_case(covered, sc.horizon, sc.case)
     max_blocks = 8
     if sc.case.tag == 1:
         # iterate f from k while the boundary stays near the scripted domain
         # and inside the 64-position working window
-        cap = min(
-            f.domain - 1,
-            max([e for e in a_final | b_final] + [16]) + 16,
-            58,
-        )
+        cap = min(f.domain - 1, max(union | {16}) + 16, 58)
         values = [sc.case.k]
         while len(values) <= max_blocks and values[-1] <= cap:
             values.append(f(values[-1]))
         missing = None
     else:
-        res = m_sequence(sc.case, a_final, b_final, f, max_blocks + 1)
-        values = res.values
-        missing = res.missing_index
+        values, missing = m_sequence(gaps, covered, max_blocks + 1)
     out = {
         "consistent": consistent,
         "m_values": values,

@@ -97,7 +97,6 @@ class TwoDegreesRun:
         self._w_bits: dict[int, int] = {e: 0 for e in self.w}
         self._k_now: set[int] = set()
         self._search_counter: dict[int, int] = {e: 0 for e in self.scripted}
-        self._search_memo: dict[tuple[int, int], int] = {}
         # per e: (epoch, {use gamma: scan}) with each scan of the epoch held
         # as [next input, diverged, sorted zero-answer inputs outside B]
         self._scans: dict[int, tuple[int, dict[int, list]]] = {}
@@ -118,9 +117,6 @@ class TwoDegreesRun:
             for available_at, use, *_ in self.programs[e].compiled_rows():
                 first[use] = min(first.get(use, available_at), available_at)
             self._uses[e] = sorted(first.items())
-
-    def blocked_now(self, s: int) -> set[int]:
-        return {ax.x for ax in self.live.values() if ax.alive_at(s)}
 
     # -- strategy steps
 
@@ -181,7 +177,7 @@ class TwoDegreesRun:
             if m > s:
                 continue
             ax = self.live.get((e, m))
-            if ax is None or not ax.alive_at(s) or ax.promoted_at is not None:
+            if ax is None:
                 continue
             if ax.x in self.b:
                 raise HardFault(
@@ -204,18 +200,11 @@ class TwoDegreesRun:
         settled = True
         for m in range(bound):
             key = (e, m)
-            if (
-                m in self._k_now
-                or key in self.live
-                or self._search_memo.get(key) == counter
-            ):
+            if m in self._k_now or key in self.live:
                 continue
             found, capped = self._search(e, m, s)
             if found is None:
-                if capped:
-                    settled = False
-                else:
-                    self._search_memo[key] = counter
+                settled = settled and not capped
             else:
                 gamma, x = found
                 ax = VeAxiom(
@@ -235,7 +224,7 @@ class TwoDegreesRun:
         """Fires exactly when n enters C: the least unavailable-free column
         slot goes into B. Running out of slots below n^2 + 1 is a hard
         fault."""
-        blocked = self.blocked_now(s)
+        blocked = {ax.x for ax in self.live.values()}
         chosen = None
         for i in range(n * n + 1):
             code = pair(n, i)
@@ -275,7 +264,7 @@ class TwoDegreesRun:
                 self._search_counter[e] += 1
             least = min(fresh)
             for key, ax in list(self.live.items()):
-                if key[0] == e and ax.death_stage is None and ax.gamma > least:
+                if key[0] == e and ax.gamma > least:
                     ax.death_stage = s
                     del self.live[key]
                     self._quiet[e] = None
@@ -355,12 +344,12 @@ def column_witnesses(c_members, b_events):
     return witnesses
 
 
-def decode_b_from_c(c_members, witnesses, query: int, horizon: int):
+def decode_b_from_c(c_members, witnesses, query: int):
     """Two-step decoding of B membership from C: non-column codes answer 0,
     columns outside C answer 0, otherwise wait for the column witness (see
     `column_witnesses`) and compare slots. Returns (bit, settled) where
-    settled is False when the witness has not appeared by the horizon. Only
-    the query itself is decoded."""
+    settled is False when the column has no witness in B. Only the query
+    itself is decoded."""
     decoded = unpair(query)
     if decoded is None:
         return 0, True
@@ -594,7 +583,7 @@ def verify_twodegrees(run: TwoDegreesRun):
         viol.append((stray[0], "not a slot of any scripted column"))
     witnesses = column_witnesses(c_members, run.b.events)
     for q in sorted(set(range(1001)) | legit_codes):
-        bit, settled = decode_b_from_c(c_members, witnesses, q, horizon)
+        bit, settled = decode_b_from_c(c_members, witnesses, q)
         if not settled:
             entry = run.c.entry_stage(unpair(q)[0])
             if entry is not None and entry < horizon:

@@ -23,7 +23,8 @@ carries the windows of (m_n, x] along x. The blocks of one run share one
 `WttAgreementTable`, which holds what the search does not relearn per
 block: the sets, operators, f and horizon, the candidate stages, the cover
 stage of each f-interval and the operators' agreement rows. The case check
-and the boundaries read one list of the next point outside A ∪ B.
+and the case-2 boundaries read one list of covered points, worked out once
+per run from the final A and B (`covered_points`).
 """
 
 from __future__ import annotations
@@ -56,23 +57,13 @@ class CaseTag:
         self.k = k  # case 1 only: bound below which covered points live
 
 
-class MSequenceResult:
-    __slots__ = ("values", "missing_index")
-
-    def __init__(self, values: list[int], missing_index: int | None = None):
-        self.values = values
-        self.missing_index = missing_index  # first index not witnessed below horizon
-
-    @property
-    def complete(self) -> bool:
-        return self.missing_index is None
-
-
-def _next_gaps(union, f: UseBound) -> list[int]:
-    """For every y up to the bound table's largest value, the least point
-    >= y outside the union; one past that value when there is none. So
-    (x, f(x)] is covered when gaps[x + 1] > f(x), and (prev, x] holds a
-    hole when gaps[prev + 1] <= x."""
+def covered_points(union, f: UseBound):
+    """The gap list and the covered points of a union, worked out once per
+    run. gaps[y], for every y up to the bound table's largest value, is the
+    least point >= y outside the union, one past that value when there is
+    none; so (prev, x] holds a hole when gaps[prev + 1] <= x. covered lists,
+    ascending, every x of f's domain whose interval (x, f(x)] lies inside
+    the union, which is when gaps[x + 1] > f(x)."""
     top = max(f.table, default=0)
     gaps, nxt = [], top + 1
     for y in range(top, -1, -1):
@@ -80,56 +71,41 @@ def _next_gaps(union, f: UseBound) -> list[int]:
             nxt = y
         gaps.append(nxt)
     gaps.reverse()
-    return gaps
+    return gaps, [x for x, fx in enumerate(f.table) if gaps[x + 1] > fx]
 
 
-def classify_case(
-    a: StageSet, b: StageSet, f: UseBound, horizon: int, declared: CaseTag
-) -> bool:
-    """Consistency of the declared case with the horizon snapshots.
+def classify_case(covered, horizon: int, declared: CaseTag) -> bool:
+    """Consistency of the declared case with the covered points of the
+    horizon snapshots (see `covered_points`).
 
     The true split is not decidable from finite data, so this only reports
     whether the snapshots contradict the declaration: case 1 with bound k is
-    consistent when no x >= k in the scannable range is covered; case 2 when
-    at least ceil(horizon/10) points are covered.
+    consistent when no covered x lies in [k, horizon); case 2 when at least
+    ceil(horizon/10) covered points lie below the horizon.
     """
-    gaps = _next_gaps(a.snapshot(horizon) | b.snapshot(horizon), f)
-    covered = [x for x in range(min(f.domain, horizon)) if gaps[x + 1] > f(x)]
+    below = bisect_left(covered, horizon)
     if declared.tag == 1:
-        return not any(x >= declared.k for x in covered)
-    return len(covered) >= -(-horizon // 10)
+        return bisect_left(covered, declared.k) >= below
+    return below >= -(-horizon // 10)
 
 
-def m_sequence(
-    case: CaseTag, a_mem, b_mem, f: UseBound, count: int
-) -> MSequenceResult:
-    """First `count` block boundaries against the given snapshots.
-
-    Case 1 iterates f from k. Case 2 runs the least-x recursion; when some
-    boundary is not witnessed within the bound table, the result carries the
-    index that is still missing.
+def m_sequence(gaps, covered, count: int):
+    """First `count` case-2 block boundaries, from the gap list and covered
+    points of the final snapshots (see `covered_points`): -1, then each the
+    least covered x with a hole in (last boundary, x]. Returns (values,
+    missing), where missing is the first index not witnessed within the
+    bound table, None when there is none.
     """
     if count <= 0:
-        return MSequenceResult(values=[])
-    if case.tag == 1:
-        values = [case.k]
-        while len(values) < count:
-            values.append(f(values[-1]))  # raises "bound table exhausted"
-        return MSequenceResult(values=values)
-    gaps = _next_gaps(set(a_mem) | set(b_mem), f)
+        return [], None
     values = [-1]
     while len(values) < count:
-        # the least x with a hole in (last boundary, x] and (x, f(x)]
-        # covered: the first such hole is the first x to try
-        nxt = None
-        for x in range(gaps[values[-1] + 1], f.domain):
-            if gaps[x + 1] > f(x):
-                nxt = x
-                break
-        if nxt is None:
-            return MSequenceResult(values=values, missing_index=len(values))
-        values.append(nxt)
-    return MSequenceResult(values=values)
+        # the first hole past the last boundary is the least x to try
+        i = bisect_left(covered, gaps[values[-1] + 1])
+        if i == len(covered):
+            return values, len(values)
+        values.append(covered[i])
+    return values, None
 
 
 def encode_separator(c_mem, m_values, a_mem, b_mem) -> SeparatorSnapshot:
@@ -245,7 +221,9 @@ class WttAgreementTable:
     stages up to the horizon (0, every entry stage of A and B and every rule
     availability); the cover stage of each x, worked out on first use; and
     for each input w, the stages at which the two operators both halt on the
-    current-approximation oracle and match the final target sets.
+    current-approximation oracle and match the final target sets. Sets and
+    targets are read from the `entry` maps of A and B, whose elements all
+    enter by the horizon, so the table takes no snapshot.
 
     A compiled rule for w holds on one stage window: from its availability,
     or the entry of its last 1-position if that is later, up to the first
@@ -294,8 +272,8 @@ class WttAgreementTable:
                 out.append(_row(windows, horizon))
             return out
 
-        self._gamma = rows(gamma, a.entry, b.snapshot(horizon))
-        self._delta = rows(delta, b.entry, a.snapshot(horizon))
+        self._gamma = rows(gamma, a.entry, b.entry)
+        self._delta = rows(delta, b.entry, a.entry)
 
     def _ok(self, table, w, s):
         stages, values = table[w]
@@ -530,7 +508,7 @@ def decode(body, horizon):
     return out
 
 
-def check(sc, run, recorded, detail):
+def check(sc, _run, recorded, detail):
     values = recorded["m_values"]
     checks = [
         CheckResult(

@@ -4,9 +4,10 @@
 the convergence of every input from 0 and tests every candidate witness
 afresh, a search that may still flip (capped) is repeated at the next stage,
 and every eligible number is visited at every stage. Only a search that
-failed for good is remembered, until the search counter of its index moves.
-The event-driven `TwoDegreesRun` must produce the same records, A and B on
-every input.
+failed for good is remembered, in a memo the reference keeps for itself,
+until the search counter of its index moves. The event-driven
+`TwoDegreesRun` keeps no such memo (its resumed scans answer a repeat) and
+must produce the same records, A and B on every input.
 """
 
 from sepsim.errors import HardFault
@@ -15,6 +16,11 @@ from sepsim.twodegrees import TwoDegreesRun, VeAxiom, column_threshold, prefix_s
 
 
 class NaiveTwoDegreesRun(TwoDegreesRun):
+    def __init__(self, *args):
+        super().__init__(*args)
+        # (e, m) -> the search counter at which its search failed for good
+        self._search_memo: dict[tuple[int, int], int] = {}
+
     def _search(self, e: int, m: int, s: int):
         prog = self.programs.get(e, EMPTY_PROGRAM)
         threshold = column_threshold(max(e, m))

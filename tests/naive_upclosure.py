@@ -7,14 +7,13 @@ window for one side and returns at the first position that never agrees;
 table's sets and operators on every call, rebuilds the (m_n, x] windows for
 every x at every candidate stage, rescans every earlier boundary's
 f-interval at every stage and walks the operators' agreement prefix afresh
-(`agree_prefix`) at every stage it reaches; `classify_case` and
-`m_sequence` scan each interval they test for a point outside the union
-(`_covered`). `upclosure`'s one window fold, its carried windows, its
-table's stage list and cover stages, and its gap list must give the same
-results and the same errors on every input.
+(`agree_prefix`) at every stage it reaches; `classify_case` and the
+case-2 `m_sequence` take the sets themselves and scan each interval they
+test for a point outside the union (`_covered`). `upclosure`'s one window
+fold, its carried windows, its table's stage list and cover stages, and
+the gap list and covered points it works out once per run must give the
+same results and the same errors on every input.
 """
-
-from sepsim.upclosure import MSequenceResult
 
 
 def _agreement_window(z, stage_of, block, positive):
@@ -151,14 +150,10 @@ def classify_case(a, b, f, horizon, declared):
     return len(covered) >= -(-horizon // 10)
 
 
-def m_sequence(case, a_mem, b_mem, f, count):
+def m_sequence(a_mem, b_mem, f, count):
+    """The case-2 boundaries and the first missing index, as a tuple."""
     if count <= 0:
-        return MSequenceResult(values=[])
-    if case.tag == 1:
-        values = [case.k]
-        while len(values) < count:
-            values.append(f(values[-1]))  # raises "bound table exhausted"
-        return MSequenceResult(values=values)
+        return [], None
     union = set(a_mem) | set(b_mem)
     values = [-1]
     while len(values) < count:
@@ -171,6 +166,6 @@ def m_sequence(case, a_mem, b_mem, f, count):
                 nxt = x
                 break
         if nxt is None:
-            return MSequenceResult(values=values, missing_index=len(values))
+            return values, len(values)
         values.append(nxt)
-    return MSequenceResult(values=values)
+    return values, None

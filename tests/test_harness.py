@@ -2176,6 +2176,33 @@ class TestLint:
                 ]
         assert not unread, unread
 
+    def test_every_parameter_is_read(self):
+        """Each parameter of a package function or lambda is read in its
+        body, so that no argument is passed and never used. `self` and a
+        name that starts with `_`, as in `no_rules(*_)`, are exempt."""
+        unread = []
+        for path in sorted(PACKAGE.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                    continue
+                args = node.args
+                params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+                params += [p for p in (args.vararg, args.kwarg) if p is not None]
+                body = node.body if isinstance(node, ast.FunctionDef) else [node.body]
+                read = {
+                    leaf.id
+                    for statement in body
+                    for leaf in ast.walk(statement)
+                    if isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Load)
+                }
+                name = getattr(node, "name", "lambda")
+                unread += [
+                    f"{path.name}:{node.lineno} {name} {p.arg}"
+                    for p in params
+                    if p.arg not in read and p.arg != "self" and p.arg[0] != "_"
+                ]
+        assert not unread, unread
+
     def test_every_stored_attribute_is_read(self):
         """Each attribute a package class stores on `self` is read as an
         attribute, by the same name, somewhere in src, tests, tools or

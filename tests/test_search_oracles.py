@@ -14,7 +14,7 @@ from sepsim.functionals import (
     evaluate,
 )
 from sepsim.twodegrees import TwoDegreesRun, column_threshold
-from sepsim.upclosure import encode_separator, m_sequence, recover_m_next, CaseTag
+from sepsim.upclosure import encode_separator, recover_m_next
 from test_functionals import oracle
 
 
@@ -168,13 +168,12 @@ class TestRecoveryLeastStage:
         from pathlib import Path
 
         sys.path.insert(0, str(Path(__file__).parent))
-        from test_upclosure import build_settled
+        from test_upclosure import boundaries, build_settled
 
         examined = 0
         for seed in range(6):
             sc = build_settled(random.Random(700 + seed), 2)
-            res = m_sequence(CaseTag(2), sc["a"].final(), sc["b"].final(), sc["f"], 6)
-            values = res.values
+            values = boundaries(sc, 6)
             if len(values) < 3:
                 continue
             z = encode_separator(set(), values, sc["a"].final(), sc["b"].final())

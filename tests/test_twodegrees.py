@@ -239,13 +239,13 @@ class TestDecoding:
         run = run_twodegrees([(2, 7)], [], {}, {}, 30)
         witnesses = column_witnesses({2}, run.b.events)
         # column outside C
-        bit, settled = decode_b_from_c({2}, witnesses, pair(5, 1), 30)
+        bit, settled = decode_b_from_c({2}, witnesses, pair(5, 1))
         assert (bit, settled) == (0, True)
         # inside C, wrong slot
-        bit, settled = decode_b_from_c({2}, witnesses, pair(2, 1), 30)
+        bit, settled = decode_b_from_c({2}, witnesses, pair(2, 1))
         assert (bit, settled) == (0, True)
         # inside C, right slot
-        bit, settled = decode_b_from_c({2}, witnesses, pair(2, 0), 30)
+        bit, settled = decode_b_from_c({2}, witnesses, pair(2, 0))
         assert (bit, settled) == (1, True)
 
 

@@ -22,12 +22,13 @@ from sepsim.functionals import (
     wtt_apply,
 )
 from sepsim.scenario import load_scenario
-from sepsim.trace import parse_trace, run_scenario
+from sepsim.trace import parse_trace, run_scenario, run_upclosure_pipeline
 from sepsim.upclosure import (
     CaseTag,
     WttAgreementTable,
     audit_hypotheses,
     classify_case,
+    covered_points,
     decode_block,
     encode_separator,
     m_sequence,
@@ -110,6 +111,23 @@ def build_settled(rng, case_tag, horizon=100, domain=64):
     }
 
 
+def boundaries(sc, count):
+    """The first `count` block boundaries of a `build_settled` scenario: f
+    iterated from k in case 1, the case-2 recursion otherwise."""
+    if sc["case"].tag == 1:
+        values = [sc["case"].k]
+        while len(values) < count:
+            values.append(sc["f"](values[-1]))  # raises "bound table exhausted"
+        return values
+    union = sc["a"].final() | sc["b"].final()
+    return m_sequence(*covered_points(union, sc["f"]), count)[0]
+
+
+def covered_of(a, b, f):
+    """The covered points of the final snapshots of A and B."""
+    return covered_points(a.final() | b.final(), f)[1]
+
+
 # SHA-256 of run_scenario(upclosure_scenario(seed, case, horizon=2000)).render():
 # every case-2 trace here recovers all eight boundaries, at stages up to 1,997,
 # far past the h <= 100 of the benchmark's reference digests
@@ -147,7 +165,7 @@ class TestClassify:
         f = UseBound(table=tuple(x + 1 for x in range(30)))
         a = StageSet(events=(), horizon=20)
         b = StageSet(events=(), horizon=20)
-        assert classify_case(a, b, f, 20, CaseTag(1, 0))
+        assert classify_case(covered_of(a, b, f), 20, CaseTag(1, 0))
 
     def test_cofinite_union_rejected_by_audit(self):
         f = UseBound(table=tuple(x + 1 for x in range(30)))
@@ -175,29 +193,19 @@ class TestClassify:
             if all(y in union for y in range(x + 1, f(x) + 1))
         ]
         assert covered == [5, 9]
+        assert covered_of(a, b, f) == [5, 9]
         # threshold ceil(40/10) = 4 > 2: case 2 declared inconsistent
-        assert not classify_case(a, b, f, 40, CaseTag(2))
+        assert not classify_case([5, 9], 40, CaseTag(2))
         # case 1 with k above the covered points is consistent
-        assert classify_case(a, b, f, 40, CaseTag(1, 10))
-        assert not classify_case(a, b, f, 40, CaseTag(1, 4))
+        assert classify_case([5, 9], 40, CaseTag(1, 10))
+        assert not classify_case([5, 9], 40, CaseTag(1, 4))
+        # a covered point at k contradicts case 1; one at the horizon is
+        # past the scanned range
+        assert not classify_case([5, 9], 40, CaseTag(1, 9))
+        assert classify_case([5, 9], 9, CaseTag(1, 6))
 
 
 class TestMSequence:
-    def test_case1_iterates_f(self):
-        f = UseBound(table=tuple(x + 1 for x in range(10)))
-        res = m_sequence(CaseTag(1, 3), set(), set(), f, 3)
-        assert res.values == [3, 4, 5] and res.complete
-
-    def test_case1_doubling(self):
-        f = UseBound(table=tuple(2 * x + 1 for x in range(10)))
-        res = m_sequence(CaseTag(1, 1), set(), set(), f, 3)
-        assert res.values == [1, 3, 7]
-
-    def test_case1_table_exhausted(self):
-        f = UseBound(table=tuple(2 * x + 1 for x in range(5)))
-        with pytest.raises(ValueError, match="bound table exhausted"):
-            m_sequence(CaseTag(1, 1), set(), set(), f, 5)
-
     def test_case2_matches_brute_force(self):
         rng = random.Random(5)
         for _ in range(30):
@@ -205,7 +213,7 @@ class TestMSequence:
             union = set(rng.sample(range(60), rng.randrange(20, 50)))
             a = {y for y in union if rng.random() < 0.5}
             b = union - a
-            res = m_sequence(CaseTag(2), a, b, f, 6)
+            values, _ = m_sequence(*covered_points(a | b, f), 6)
             # brute force the recursion definition
             expected = [-1]
             while len(expected) < 6:
@@ -222,9 +230,9 @@ class TestMSequence:
                 if found is None:
                     break
                 expected.append(found)
-            assert res.values == expected
+            assert values == expected
             # strict monotonicity always
-            assert all(u < v for u, v in zip(res.values, res.values[1:]))
+            assert all(u < v for u, v in zip(values, values[1:]))
 
 
 @st.composite
@@ -250,31 +258,47 @@ def gap_inputs(draw):
     return a, b, f, horizon, declared, draw(st.integers(0, 10))
 
 
-def m_outcome(fn, case, a, b, f, count):
-    try:
-        res = fn(case, a.final(), b.final(), f, count)
-    except ValueError as exc:
-        return str(exc)
-    return res.values, res.missing_index
-
-
 class TestGapListAgainstNaive:
-    """classify_case and m_sequence read one gap list per call and give the
-    results and errors of the interval scans as first written
-    (tests/naive_upclosure.py)."""
+    """covered_points works out the gap list and the covered points once per
+    run, and classify_case and m_sequence read them, with the results of
+    the interval scans as first written (tests/naive_upclosure.py). The
+    boundaries are compared under a case-2 declaration, the only one with a
+    recursion."""
 
     @staticmethod
     def assert_match(a, b, f, horizon, declared, count):
-        got = classify_case(a, b, f, horizon, declared)
+        """The m_sequence outcome under a case-2 declaration, else None."""
+        gaps, points = covered_points(a.final() | b.final(), f)
+        got = classify_case(points, horizon, declared)
         assert got == naive_upclosure.classify_case(a, b, f, horizon, declared)
-        got = m_outcome(m_sequence, declared, a, b, f, count)
-        assert got == m_outcome(naive_upclosure.m_sequence, declared, a, b, f, count)
+        if declared.tag == 1:
+            return None
+        got = m_sequence(gaps, points, count)
+        assert got == naive_upclosure.m_sequence(a.final(), b.final(), f, count)
         return got
 
     @settings(max_examples=300, deadline=None)
     @given(gap_inputs())
     def test_random_snapshots(self, inputs):
         self.assert_match(*inputs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(gap_inputs())
+    def test_covered_points(self, inputs):
+        """gaps[y] is the least point >= y outside the union, one past the
+        table's top when there is none, and the covered points are exactly
+        the x of f's domain whose interval the naive scan finds covered."""
+        a, b, f, *_ = inputs
+        union = a.final() | b.final()
+        gaps, points = covered_points(union, f)
+        top = max(f.table, default=0)
+        assert gaps == [
+            next((p for p in range(y, top + 1) if p not in union), top + 1)
+            for y in range(top + 1)
+        ]
+        assert points == [
+            x for x in range(f.domain) if naive_upclosure._covered(x, f, union)
+        ]
 
     def test_missing_index_reached(self):
         # (-1, 0] holds a hole and (0, 1] is covered, so m_1 = 0; past it no
@@ -294,7 +318,7 @@ class TestGapListAgainstNaive:
             for count in (9, 40)
         ]
         assert len(results) == 800
-        missing = [r for r in results if not isinstance(r, str) and r[1] is not None]
+        missing = [r for r in results if r is not None and r[1] is not None]
         assert len(missing) == 442
 
 
@@ -302,16 +326,7 @@ class TestEncodeDecode:
     def setup_scenario(self, seed, case_tag):
         rng = random.Random(seed)
         sc = build_settled(rng, case_tag)
-        count = 9
-        if case_tag == 1:
-            res = m_sequence(
-                sc["case"], sc["a"].final(), sc["b"].final(), sc["f"], count
-            )
-        else:
-            res = m_sequence(
-                sc["case"], sc["a"].final(), sc["b"].final(), sc["f"], count
-            )
-        values = res.values
+        values = boundaries(sc, 9)
         blocks = len(values) - 1
         c = {n for n in range(blocks) if rng.random() < 0.5}
         z = encode_separator(c, values, sc["a"].final(), sc["b"].final())
@@ -408,10 +423,7 @@ class TestRecovery:
         for seed in range(10):
             rng = random.Random(300 + seed)
             sc = build_settled(rng, 2)
-            res = m_sequence(
-                CaseTag(2), sc["a"].final(), sc["b"].final(), sc["f"], 8
-            )
-            values = res.values
+            values = boundaries(sc, 8)
             blocks = len(values) - 1
             if blocks < 2:
                 continue
@@ -429,8 +441,7 @@ class TestRecovery:
     def test_corrupted_z_not_settled_or_mismatch(self):
         rng = random.Random(404)
         sc = build_settled(rng, 2)
-        res = m_sequence(CaseTag(2), sc["a"].final(), sc["b"].final(), sc["f"], 6)
-        values = res.values
+        values = boundaries(sc, 6)
         assert len(values) >= 3
         z = encode_separator(set(), values, sc["a"].final(), sc["b"].final())
         # corrupt the first block at a hole position
@@ -461,14 +472,14 @@ class TestRecovery:
         b = StageSet(events=tuple((e, 0) for e in sorted(b_mem)), horizon=20)
         gamma = member_reader({"source": a_mem, "target": b_mem}, f)
         delta = member_reader({"source": b_mem, "target": a_mem}, f)
-        res = m_sequence(CaseTag(2), a_mem, b_mem, f, 3)
+        values, _ = m_sequence(*covered_points(union, f), 3)
         # direct recursion: m_1 is the least x > -1 with a gap below and
         # (x, f(x)] covered
-        assert res.values[0] == -1
-        z = encode_separator(set(), res.values, a_mem, b_mem)
+        assert values[0] == -1
+        z = encode_separator(set(), values, a_mem, b_mem)
         table = WttAgreementTable(a, b, gamma, delta, f, 20)
-        got, _ = recover_m_next(z, res.values[:1], table)
-        assert got == res.values[1]
+        got, _ = recover_m_next(z, values[:1], table)
+        assert got == values[1]
 
 
 class TestAudit:
@@ -791,7 +802,7 @@ def recovery_calls(sc, name, flips):
     the block (m_n, m_{n+1}] each call ends at."""
     f, gamma, delta = operators(sc)
     a, b = sc.stage_set("A"), sc.stage_set("B")
-    values = m_sequence(CaseTag(2), a.final(), b.final(), f, 9).values
+    values, _ = m_sequence(*covered_points(a.final() | b.final(), f), 9)
     table = WttAgreementTable(a, b, gamma, delta, f, sc.horizon)
     z = encode_separator(sc.stage_set("C").final(), values, a.final(), b.final())
     rng = random.Random(name)
@@ -873,6 +884,25 @@ class TestOperatorsBuiltOnce:
             # gamma and delta: for the schema check, the audit and the
             # pipeline of the loaded scenario, then of the trace's
             assert len(built) == 4
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_pipeline_takes_one_snapshot_per_set(monkeypatch, case):
+    """One pipeline run snapshots A, B and C once each, at the horizon: the
+    case check and the boundaries share one list of covered points, and the
+    agreement table reads the entry maps."""
+    sc = upclosure_scenario(3, case)
+    stages = []
+    snapshot = StageSet.snapshot
+
+    def counted(self, s):
+        stages.append(s)
+        return snapshot(self, s)
+
+    monkeypatch.setattr(StageSet, "snapshot", counted)
+    out = run_upclosure_pipeline(sc)
+    assert out["blocks"] and bool(out["recovered"]) == (case == 2)
+    assert stages == [sc.horizon] * 3
 
 
 class TestWindowFoldAgainstNaive:
