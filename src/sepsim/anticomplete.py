@@ -20,9 +20,10 @@ A failed sigma search is retried only at its wake (see sigma_search): the
 least stage at which a rule that could lift the failure becomes usable, that
 is, has the output D wants, a guard consistent with A and B, and
 max(available_at, use) at most the stage. The wake is exact. A, B and D
-change only when some strategy acts, which bumps the run's epoch and
-reschedules every diagonalization strategy; a search keyed to one epoch and
-one claimed n therefore sees fixed A, B and D, all of A and B below the
+change only when some strategy acts, and an act sets the wake of every
+scripted diagonalization strategy to 0; a claim changes only at an act or a
+reset, after which the strategy searches at once. Between two acts a search
+for one claimed n therefore sees fixed A, B and D, all of A and B below the
 stage, and a growing set of usable rules, so it keeps failing until a new
 usable rule appears. Guard positions lie below the use, so they need no wake
 of their own.
@@ -31,11 +32,10 @@ of their own.
 from __future__ import annotations
 
 import re
-from bisect import insort
 from collections import Counter
 
 from .enumcore import FreshSource, StageSet
-from .functionals import EMPTY_PROGRAM, OracleProgram, bits_of, evaluate
+from .functionals import OracleProgram, bits_of, evaluate
 from .report import CheckResult, first_counterexample
 from .scenario import INDEX, no_rules
 from .trace import decode_event_log, encode_event_log
@@ -51,15 +51,13 @@ class NStrategyState:
 
 
 class RStrategyState:
-    __slots__ = ("e", "restraint", "claimed_n", "memo_epoch", "memo_n", "memo_wake")
+    __slots__ = ("e", "restraint", "claimed_n", "wake")
 
     def __init__(self, e: int, restraint: int = 0):
         self.e = e
         self.restraint = restraint  # stage as of which it was last initialized
         self.claimed_n: int | None = None
-        self.memo_epoch = -1
-        self.memo_n = -1
-        self.memo_wake = 0
+        self.wake = 0  # the stage from which it needs another look
 
 
 # ---------------------------------------------------------------------------
@@ -257,25 +255,20 @@ def r_strategy_step(st: RStrategyState, s: int, run: "AnticompleteRun") -> bool:
     """One loop iteration: claim a fresh number if none is claimed, then
     search for sigma; on success copy the tail into A/B above the restraint,
     put the claimed number into D, and return to the claiming phase. A
-    failed search is not repeated before its wake in the same epoch."""
-    prog = run.programs.get(st.e, EMPTY_PROGRAM)
+    failed search sets the strategy's wake; an act sets every scripted
+    strategy's wake to 0."""
+    prog = run.programs.get(st.e)
     if st.claimed_n is None:
         n = run.fresh.fresh()
         st.claimed_n = n
         run._emit(("rclaim", s, st.e, n), max(s, n))
-    if len(prog) == 0:
-        return False
-    if st.memo_epoch == run.epoch and st.memo_n == st.claimed_n and s < st.memo_wake:
+    if prog is None:
         return False
     sigma, wake = sigma_search(
         prog, st.claimed_n, s, run.a.entry, run.b.entry, run.d.entry
     )
     if sigma is None:
-        st.memo_epoch = run.epoch
-        st.memo_n = st.claimed_n
-        st.memo_wake = run.horizon + 1 if wake is None else wake
-        if st.memo_wake <= run.horizon:
-            run._schedule(st.memo_wake, 2 * st.e + 1)
+        st.wake = run.horizon + 1 if wake is None else wake
         return False
     m, new_a, new_b = apply_sigma(sigma, st.restraint, run.a.entry, run.b.entry)
     for x in new_a:
@@ -285,9 +278,8 @@ def r_strategy_step(st: RStrategyState, s: int, run: "AnticompleteRun") -> bool:
     run.d.add(st.claimed_n, s + 1)
     record = ("ract", s, st.e, st.claimed_n, st.restraint, m, new_a, new_b)
     run._emit(record, max(s, st.claimed_n, st.restraint))
-    run.epoch += 1
-    for e in run.scripted:
-        run._schedule(s + 1, 2 * e + 1)
+    for other in run.scripted:
+        other.wake = 0
     st.claimed_n = None
     return True
 
@@ -299,27 +291,28 @@ def r_strategy_step(st: RStrategyState, s: int, run: "AnticompleteRun") -> bool:
 class AnticompleteRun:
     """Event-driven priority scheduler over the interleaved strategy list.
 
-    At stage s, run_stage() steps strategy s - 1 (new at s), the strategies
-    whose wake is s, and, once some strategy acts, every strategy below s
-    after it; every other step is provably a no-op. The reference stepper,
-    which steps every strategy with index < s, lives with the tests; the two
-    produce identical traces.
+    At stage s, run_stage() steps, in index order until one acts, each
+    scripted diagonalization strategy below s - 1 whose wake is at most s,
+    then strategy s - 1 (new at s); once one acts, it steps every strategy
+    below s after it; every other step is provably a no-op. The reference
+    stepper, which steps every strategy with index < s, lives with the
+    tests; the two produce identical traces.
     """
 
     def __init__(self, programs: dict[int, OracleProgram], horizon: int):
-        self.programs = dict(programs)
+        # the programs with rules; a strategy without one never searches
+        self.programs = {e: p for e, p in programs.items() if len(p) > 0}
         self.horizon = horizon
         self.a = StageSet(horizon=horizon)
         self.b = StageSet(horizon=horizon)
         self.d = StageSet(horizon=horizon)
         self.fresh = FreshSource()
         self.records: list[tuple] = []
-        self.epoch = 0
         self.stage = 0
         self.nstates: list[NStrategyState] = []
         self.rstates: list[RStrategyState] = []
-        self.scripted = sorted(e for e, p in self.programs.items() if len(p) > 0)
-        self._pending: dict[int, list[int]] = {}
+        # the diagonalization strategies built so far that have a program
+        self.scripted: list[RStrategyState] = []
         self._last_act_stage = -1
 
     # -- plumbing
@@ -329,19 +322,15 @@ class AnticompleteRun:
         self.records.append(record)
         self.fresh.note(top)
 
-    def _schedule(self, stage: int, idx: int):
-        if stage <= self.horizon:
-            bucket = self._pending.setdefault(stage, [])
-            if idx not in bucket:
-                insort(bucket, idx)
-
     def _enter(self, idx: int):
         """Build strategy idx, the one after the last one built."""
         if idx % 2 == 0:
             self.nstates.append(NStrategyState(k=idx // 2))
         else:
-            base = self._last_act_stage + 1
-            self.rstates.append(RStrategyState(e=idx // 2, restraint=base))
+            st = RStrategyState(e=idx // 2, restraint=self._last_act_stage + 1)
+            self.rstates.append(st)
+            if st.e in self.programs:
+                self.scripted.append(st)
 
     def _reset(self, idx: int, s: int):
         if idx % 2 == 0:
@@ -352,7 +341,6 @@ class AnticompleteRun:
             st = self.rstates[idx // 2]
             st.restraint = s + 1
             st.claimed_n = None
-            st.memo_epoch = -1
 
     def _visit(self, idx: int, s: int, reset: bool) -> bool:
         if reset:
@@ -373,30 +361,16 @@ class AnticompleteRun:
         if s == 0:
             return
         self._enter(s - 1)  # strategy s - 1 is new at s
-        pend = self._pending.pop(s, None)
-        if pend is None:
-            pend = [s - 1]
-        elif s - 1 not in pend:
-            insort(pend, s - 1)
-        floor = None
-        cur = -1
-        i = 0
-        while True:
-            if floor is None:
-                if i >= len(pend):
-                    break
-                idx = pend[i]
-                i += 1
-                if idx <= cur or idx >= s:
-                    continue
-            else:
-                idx = cur + 1
-                if idx >= s:
-                    break
-            cur = idx
-            acted = self._visit(idx, s, reset=(floor is not None))
-            if acted and floor is None:
-                floor = idx
+        for st in self.scripted:
+            idx = 2 * st.e + 1
+            if st.wake <= s and idx < s - 1 and self._visit(idx, s, reset=False):
+                break
+        else:
+            idx = s - 1
+            if not self._visit(idx, s, reset=False):
+                return
+        for later in range(idx + 1, s):
+            self._visit(later, s, reset=True)
 
     def run_to_horizon(self):
         while self.stage < self.horizon:

@@ -1038,7 +1038,10 @@ def decode(body, horizon):
         if table is None:
             raise UsageError(f"unknown record {parts[0]} in trace body")
         at = 0 if parts[0] == "map" else 2
-        fields = read_record(parts, table, at, dec)
+        try:
+            fields = read_record(parts, table, at, dec)
+        except ValueError as exc:
+            raise bad_record(parts, exc)
         if fields is None and parts[0] == "ev":
             raise UsageError(f"unknown event {parts[2]} in trace body")
         if fields is None:

@@ -167,14 +167,20 @@ def decode_event_log(body, kinds, names, horizon):
     for parts in body:
         want = names[len(finals)] if len(finals) < len(names) else None
         if parts[0] == "ev" and not finals:
-            rec = read_record(parts, events, 2, int)
+            try:
+                rec = read_record(parts, events, 2, int)
+            except ValueError as exc:
+                raise bad_record(parts, exc)
             if rec is None:
                 raise UsageError(f"unknown event {parts[2]} in trace body")
             if not 0 <= rec[0] <= horizon:
                 raise bad_record(parts, f"stage outside 0..{horizon}")
             records.append((parts[2], *rec))
         elif parts[0] == "final" and parts[1:2] in ([], [want]):
-            _, *stamped = read_record(parts, FINAL)  # a bare final is too short
+            try:
+                _, *stamped = read_record(parts, FINAL)  # a bare final is too short
+            except ValueError as exc:
+                raise bad_record(parts, exc)
             for e, t in stamped:
                 if not 1 <= t <= horizon:
                     raise UsageError(

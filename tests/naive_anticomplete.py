@@ -1,9 +1,10 @@
 """Naive reference for the anticomplete scheduler and its sigma search.
 
 `NaiveAnticompleteRun` steps every strategy with index < s at every stage s,
-builds every strategy it visits, notes every field of every record into the
-fresh-number source, and searches afresh at every step of a diagonalization
-strategy, with `sigma_search` below: the search as first written, which
+builds every strategy it visits, re-initializes a strategy by building it
+anew, notes every field of every record into the fresh-number source, and
+searches afresh at every step of a diagonalization strategy, with
+`sigma_search` below: the search as first written, which
 checks each guard one (position, bit) pair at a time against a dict of the
 forced bits. The event-driven `AnticompleteRun` and the mask-based search
 must produce the same records, A, B and D on every input.
@@ -209,7 +210,7 @@ def sigma_search(prog, n, s, a_mem, b_mem, d_mem):
 
 
 def naive_r_strategy_step(st, s, run) -> bool:
-    """`r_strategy_step` without the wake memo: every call searches."""
+    """`r_strategy_step` with the search above; it keeps no wake."""
     prog = run.programs.get(st.e, EMPTY_PROGRAM)
     if st.claimed_n is None:
         n = run.fresh.fresh()
@@ -240,6 +241,12 @@ class NaiveAnticompleteRun(AnticompleteRun):
             self.nstates.append(NStrategyState(k=len(self.nstates)))
         while 2 * len(self.rstates) + 1 <= idx:
             self.rstates.append(RStrategyState(e=len(self.rstates), restraint=base))
+
+    def _reset(self, idx, s):
+        if idx % 2 == 0:
+            self.nstates[idx // 2] = NStrategyState(k=idx // 2)
+        else:
+            self.rstates[idx // 2] = RStrategyState(e=idx // 2, restraint=s + 1)
 
     def _emit(self, record, top):
         self.records.append(record)

@@ -1,5 +1,6 @@
 """Finite-injury construction: strategies, scheduler, verifier."""
 
+import hashlib
 import random
 from itertools import product
 
@@ -19,8 +20,9 @@ from sepsim.anticomplete import (
     sigma_search,
     verify_anticomplete,
 )
-from sepsim.corpus import anticomplete_corpus
+from sepsim.corpus import anticomplete_corpus, anticomplete_scenario
 from sepsim.functionals import OracleProgram, OracleRule
+from sepsim.trace import run_scenario
 
 
 def always_zero_program(width):
@@ -326,7 +328,44 @@ class TestExactWakes:
         monkeypatch.setattr(anticomplete, "sigma_search", counted)
         for _, sc in anticomplete_corpus(20, 1000):
             run_anticomplete(sc.programs_by_index(), sc.horizon)
-        assert 0 < calls <= 1000
+        assert calls == 682
+
+    def test_corpus_run_steps_only_due_strategies(self, monkeypatch):
+        # a strategy is stepped when it is new, due by its wake, or after an
+        # act; a stale wake costs no step
+        steps = 0
+
+        def counted(step):
+            def wrapped(*args):
+                nonlocal steps
+                steps += 1
+                return step(*args)
+
+            return wrapped
+
+        for name in ("n_strategy_step", "r_strategy_step"):
+            monkeypatch.setattr(anticomplete, name, counted(getattr(anticomplete, name)))
+        for _, sc in anticomplete_corpus(20, 1000):
+            run_anticomplete(sc.programs_by_index(), sc.horizon)
+        assert steps == 21675
+
+
+# SHA-256 of run_scenario(anticomplete_scenario(seed, 3000)).render(), at
+# three times the horizon of the benchmark's anticomplete corpus
+LONG_HORIZON_DIGESTS = {
+    0: "7c3e70c63a1d52662ed500e3e1288a66defb7fe72da2e3446889ce0329a68d68",
+    1: "b237d29449a0f5898e72da05ec4ae97c62b4a8a7b6d1f44fc0d5ad02a446a605",
+    2: "d5875eb742480f467f43729d3d6a8a2c0db4cc0261f5a9a189c944b402ea9a4c",
+    3: "ecb617570f73377485e1a9410cd5b3dee28c78b816c7dd606bd044e949fcd810",
+    4: "e38bae0ec3e7008f1d9fb6752c9c3d8ba1c6eb2861927fc05a0deb32c0703e9b",
+    5: "f0d8454329a68ef69ad3d00ecfdcebc474417ca50e7dbb6a48cbebf5dee6a243",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LONG_HORIZON_DIGESTS))
+def test_trace_digest_at_horizon_3000(seed):
+    text = run_scenario(anticomplete_scenario(seed, 3000)).render()
+    assert hashlib.sha256(text.encode()).hexdigest() == LONG_HORIZON_DIGESTS[seed]
 
 
 class TestMaskSearch:

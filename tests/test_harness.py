@@ -1133,6 +1133,40 @@ class TestUpclosureRecordShapes:
         assert any(c.name == "mseq-monotone" and not c.passed for c in report.checks)
 
 
+class TestUnreadableTokenNamesRecord:
+    """A token its field cannot read names its record in the event log and
+    nosupermax bodies, as in upclosure's, and exits 2."""
+
+    @pytest.mark.parametrize(
+        "stem, start, at, token, reason",
+        [
+            ("anticomplete-readers", "ev 1 nact ", 3, "A", "invalid literal"),
+            ("twodegrees-mixed", "ev 25 axiom ", 4, "x", "invalid literal"),
+            ("nosupermax-chain", "ev 1 boundary ", 3, "x", "invalid literal"),
+            ("nosupermax-chain", "map ", 2, "x", "invalid literal"),
+            ("anticomplete-readers", "final B ", None, "x", "not enough values"),
+            ("anticomplete-readers", "ev 2 ract ", 7, "x", "'a' is not in list"),
+            ("anticomplete-readers", "ev 2 ract ", 8, "x", "'b' is not in list"),
+        ],
+        ids=["nact", "axiom", "boundary", "map", "final", "ract-a", "ract-b"],
+    )
+    def test_record_is_named(self, stem, start, at, token, reason, tmp_path, capsys):
+        # `at` None appends the token: a final entry without its ':'
+        sc = load_scenario((SAMPLES / f"{stem}.scn").read_text())
+        lines = run_scenario(sc).render().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith(start))
+        parts = lines[i].split()
+        if at is None:
+            parts.append(token)
+        else:
+            parts[at] = token
+        edited = " ".join(parts)
+        path = tmp_path / "edited.trc"
+        path.write_text("\n".join(lines[:i] + [edited] + lines[i + 1 :]) + "\n")
+        assert main(["verify", "--trace", str(path)]) == 2
+        assert f"record {edited}: {reason}" in capsys.readouterr().err
+
+
 def longest_record_of_each_kind(texts, body_of, split):
     """kind -> (text, index of its longest line of that kind, the first of
     them), over the body lines of every text; the records whose first token
@@ -2219,6 +2253,38 @@ class TestLint:
             and node.attr not in attrs
         ]
         assert not unread, unread
+
+    def test_every_slot_is_stored(self):
+        """Each name in a package class's `__slots__` is stored on `self` in
+        that class, so that no slot outlives the field it was made for."""
+        unstored = []
+        for path in sorted(PACKAGE.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for cls in ast.walk(tree):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                slots = [
+                    item.value
+                    for item in cls.body
+                    if isinstance(item, ast.Assign)
+                    and any(getattr(t, "id", None) == "__slots__" for t in item.targets)
+                ]
+                if not slots:
+                    continue
+                stored = {
+                    node.attr
+                    for node in ast.walk(cls)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                }
+                unstored += [
+                    f"{path.name}:{cls.lineno} {cls.name}.{name}"
+                    for name in ast.literal_eval(slots[0])
+                    if name not in stored
+                ]
+        assert not unstored, unstored
 
 
 def load_perfbench(stem):
