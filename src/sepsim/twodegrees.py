@@ -16,12 +16,13 @@ least column code that is neither in A nor blocked into B. The census bound
 possible; its failure is a hard fault, as is a promotion finding its witness
 already in B.
 
-Searches run on events. An epoch of index e is one value of its search
-counter, which moves whenever W_e, B or the set of available rules changes,
-so within an epoch every oracle answer is fixed and is computed once: a
-search resumes its convergence scan where the epoch's last search stopped.
-An index whose last search loop settled every eligible number stays quiet
-until its counter, its eligible bound or its live axioms change.
+Searches run on events. While W_e, B and the usable rules of index e stay
+as they are, every oracle answer is fixed and is computed once: a search
+resumes its convergence scan where the last one stopped, and an index whose
+last search loop settled every eligible number stays quiet until its
+eligible bound rises. `_forget(e)` drops both where their inputs change: at
+a W_e event, at a stage where a rule of e becomes available, and at every
+column firing.
 `tests/naive_twodegrees.py` keeps the per-stage reference stepper.
 
 Stage convention: scripted events stamped t are visible at stage t;
@@ -36,7 +37,7 @@ from functools import cache
 
 from .enumcore import StageSet, pair, unpair
 from .errors import HardFault, UsageError
-from .functionals import EMPTY_PROGRAM, bits_of, evaluate
+from .functionals import bits_of, evaluate
 from .report import CheckResult, first_counterexample
 from .scenario import INDEX, by_index, no_rules, width_cap
 from .trace import decode_event_log, encode_event_log
@@ -96,29 +97,32 @@ class TwoDegreesRun:
         # W_e as enumerated so far, as an oracle int
         self._w_bits: dict[int, int] = {e: 0 for e in self.w}
         self._k_now: set[int] = set()
-        self._search_counter: dict[int, int] = {e: 0 for e in self.scripted}
-        # per e: (epoch, {use gamma: scan}) with each scan of the epoch held
-        # as [next input, diverged, sorted zero-answer inputs outside B]
-        self._scans: dict[int, tuple[int, dict[int, list]]] = {}
-        # per e: the count of eligible numbers m, and (epoch, count) of the
-        # last loop that settled every one of them, None otherwise
+        # per e: {use gamma: scan}, each scan held as [next input, diverged,
+        # sorted zero-answer inputs outside B]
+        self._scans: dict[int, dict[int, list]] = {e: {} for e in self.scripted}
+        # per e: the count of eligible numbers m, and the count at which its
+        # last loop settled every one of them, None otherwise
         self._bound: dict[int, int] = {e: 0 for e in self.scripted}
-        self._quiet: dict[int, tuple[int, int] | None] = {}
-        self._avail_wakes: dict[int, list[int]] = {
-            e: sorted({row[0] for row in self.programs[e].compiled_rows()})
-            for e in self.scripted
-        }
-        self._avail_ptr: dict[int, int] = {e: 0 for e in self.scripted}
+        self._quiet: dict[int, int | None] = {e: None for e in self.scripted}
         # per program: its distinct uses ascending, each with the least
-        # availability among the rules of that use
+        # availability among the rules of that use; per stage, the indexes
+        # with a rule that becomes available there
         self._uses: dict[int, list[tuple[int, int]]] = {}
+        self._wakes: dict[int, set[int]] = {}
         for e in self.scripted:
             first: dict[int, int] = {}
             for available_at, use, *_ in self.programs[e].compiled_rows():
                 first[use] = min(first.get(use, available_at), available_at)
+                self._wakes.setdefault(available_at, set()).add(e)
             self._uses[e] = sorted(first.items())
 
     # -- strategy steps
+
+    def _forget(self, e: int):
+        """Drops index e's scans and quiet bound: W_e, B or its usable rules
+        changed."""
+        self._scans[e].clear()
+        self._quiet[e] = None
 
     def _search(self, e: int, m: int, s: int):
         """Least (gamma, x), gamma first: the functional on the length-gamma
@@ -127,22 +131,17 @@ class TwoDegreesRun:
 
         Returns ((gamma, x), capped): capped means every input up to s + 1
         converged for some usable gamma, so the failure may flip once the
-        stage bound rises. Within one epoch (one value of the search counter)
-        W_e, B and the usable rules are fixed, so every answer is too: each
-        gamma's convergence scan resumes where the last search of the epoch
-        stopped, and the witness is the first recorded zero past the
-        threshold."""
+        stage bound rises. Until `_forget(e)` runs, W_e, B and the usable
+        rules are fixed, so every answer is too: each gamma's convergence
+        scan resumes where the last search stopped, and the witness is the
+        first recorded zero past the threshold."""
         threshold = column_threshold(max(e, m))
         if threshold >= s:
             return None, True
-        counter = self._search_counter.get(e, 0)
-        epoch, scans = self._scans.get(e, (None, None))
-        if epoch != counter:
-            scans = {}
-            self._scans[e] = (counter, scans)
-        prog = self.programs.get(e, EMPTY_PROGRAM)
+        scans = self._scans[e]
+        prog = self.programs[e]
         capped = False
-        for gamma, available_at in self._uses.get(e, ()):
+        for gamma, available_at in self._uses[e]:
             if available_at > s:
                 continue
             scan = scans.get(gamma)
@@ -170,12 +169,10 @@ class TwoDegreesRun:
     def r_strategy_step(self, e: int, s: int, k_fresh):
         """One stage of the axiom strategy for index e: promotions for the
         numbers k_fresh that entered K at s with a surviving axiom, then
-        searches for every small enough uncovered number. A step whose epoch,
-        eligible bound and live axioms are those of a loop that settled every
-        number returns after the promotions."""
+        searches for every small enough uncovered number. A step whose
+        eligible bound is that of a loop that settled every number, with
+        nothing forgotten since, returns after the promotions."""
         for m in k_fresh:
-            if m > s:
-                continue
             ax = self.live.get((e, m))
             if ax is None:
                 continue
@@ -187,15 +184,12 @@ class TwoDegreesRun:
             ax.promoted_at = s
             self.a.add(ax.x, s + 1)
             self.records.append(("promote", s, e, m, ax.x))
-        if e not in self._bound:
-            return
-        counter = self._search_counter[e]
         bound = self._bound[e]
         # pair(n, i) >= n^3, so once e^3 >= s no threshold lies below s
         while bound <= s and e**3 < s and column_threshold(max(e, bound)) < s:
             bound += 1
         self._bound[e] = bound
-        if self._quiet.get(e) == (counter, bound):
+        if self._quiet[e] == bound:
             return
         settled = True
         for m in range(bound):
@@ -218,7 +212,7 @@ class TwoDegreesRun:
                 self.axioms.append(ax)
                 self.live[key] = ax
                 self.records.append(("axiom", s, e, m, x, gamma, ax.prefix))
-        self._quiet[e] = (counter, bound) if settled else None
+        self._quiet[e] = bound if settled else None
 
     def p_strategy_step(self, n: int, s: int):
         """Fires exactly when n enters C: the least unavailable-free column
@@ -241,33 +235,27 @@ class TwoDegreesRun:
         self.b.add(code, s + 1)
         self.records.append(("pfire", s, n, chosen, code))
         for e in self.scripted:
-            self._search_counter[e] += 1
+            self._forget(e)
 
     def run_stage(self):
         s = self.stage
         # scripted set growth visible at stage s
         k_fresh = self.k.by_stage.get(s, ())
         self._k_now.update(k_fresh)
-        for e in self.scripted:
-            ptr = self._avail_ptr[e]
-            wakes = self._avail_wakes[e]
-            while ptr < len(wakes) and wakes[ptr] <= s:
-                ptr += 1
-                self._search_counter[e] += 1
-            self._avail_ptr[e] = ptr
+        for e in self._wakes.get(s, ()):
+            self._forget(e)
         for e, w in self.w.items():
             fresh = w.by_stage.get(s, ())
             if not fresh:
                 continue
             self._w_bits[e] |= bits_of(fresh)
-            if e in self._search_counter:
-                self._search_counter[e] += 1
+            if e in self._scans:
+                self._forget(e)
             least = min(fresh)
             for key, ax in list(self.live.items()):
                 if key[0] == e and ax.gamma > least:
                     ax.death_stage = s
                     del self.live[key]
-                    self._quiet[e] = None
                     self.records.append(("kill", s, e, ax.m, ax.x, least))
         for e in self.scripted:
             self.r_strategy_step(e, s, k_fresh)
@@ -386,6 +374,8 @@ def verify_twodegrees(run: TwoDegreesRun):
         if ax.gamma > width_cap(horizon):
             viol.append((ax, "use length beyond any admissible rule"))
             continue
+        if run.b.member_at(ax.x, ax.created_at):
+            viol.append((ax, "witness already in B"))
         w = run.w.get(ax.e, no_w)
         want_prefix = "".join(
             "1" if w.member_at(i, ax.created_at) else "0" for i in range(ax.gamma)

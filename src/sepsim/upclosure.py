@@ -510,11 +510,12 @@ def decode(body, horizon):
 
 def check(sc, _run, recorded, detail):
     values = recorded["m_values"]
+    steps = enumerate(zip(values, values[1:]))
     checks = [
-        CheckResult(
+        first_counterexample(
             "mseq-monotone",
-            all(u < v for u, v in zip(values, values[1:])),
-            "recorded boundaries not strictly increasing",
+            [(n, u, n + 1, v) for n, (u, v) in steps if u >= v],
+            "boundary {2} = {3} is not above boundary {0} = {1}",
         ),
         CheckResult("pipeline-exactness", not detail, detail or ""),
     ]
@@ -524,11 +525,15 @@ def check(sc, _run, recorded, detail):
     if z is not None:
         dom_a = {e for e in a.final() if e < z.length}
         dom_b = {e for e in b.final() if e < z.length}
+        wrong = []
+        if not is_separator(z, dom_a, dom_b):
+            wrong = sorted(
+                [(p, 0, "A") for p in dom_a if z[p] == 0]
+                + [(p, 1, "B") for p in dom_b if z[p] == 1]
+            )
         checks.append(
-            CheckResult(
-                "separator-property",
-                is_separator(z, dom_a, dom_b),
-                "recorded string is not a separator of the scripted sides",
+            first_counterexample(
+                "separator-property", wrong, "position {0} reads {1} on a member of {2}"
             )
         )
         viol = []

@@ -4,10 +4,12 @@
 the convergence of every input from 0 and tests every candidate witness
 afresh, a search that may still flip (capped) is repeated at the next stage,
 and every eligible number is visited at every stage. Only a search that
-failed for good is remembered, in a memo the reference keeps for itself,
-until the search counter of its index moves. The event-driven
-`TwoDegreesRun` keeps no such memo (its resumed scans answer a repeat) and
-must produce the same records, A and B on every input.
+failed for good is remembered, in a memo the reference keeps for itself and
+keys by what the search reads: W_e at the stage, the size of B and the count
+of rules of e available by then, all read from the scripted sets and B, not
+from the run's own memo. The event-driven `TwoDegreesRun` keeps no such memo
+(its resumed scans answer a repeat) and must produce the same records, A and
+B on every input.
 """
 
 from sepsim.errors import HardFault
@@ -18,8 +20,8 @@ from sepsim.twodegrees import TwoDegreesRun, VeAxiom, column_threshold, prefix_s
 class NaiveTwoDegreesRun(TwoDegreesRun):
     def __init__(self, *args):
         super().__init__(*args)
-        # (e, m) -> the search counter at which its search failed for good
-        self._search_memo: dict[tuple[int, int], int] = {}
+        # (e, m) -> the search inputs on which its search failed for good
+        self._search_memo: dict[tuple[int, int], tuple] = {}
 
     def _search(self, e: int, m: int, s: int):
         prog = self.programs.get(e, EMPTY_PROGRAM)
@@ -66,19 +68,24 @@ class NaiveTwoDegreesRun(TwoDegreesRun):
             self.records.append(("promote", s, e, m, ax.x))
         if len(prog) == 0:
             return
-        counter = self._search_counter[e]
+        w = self.w.get(e)
+        inputs = (
+            frozenset(x for x, t in w.entry.items() if t <= s) if w else frozenset(),
+            len(self.b.entry),
+            sum(1 for row in prog.compiled_rows() if row[0] <= s),
+        )
         m = 0
         while m <= s and column_threshold(max(e, m)) < s:
             key = (e, m)
             if (
                 m not in self._k_now
                 and key not in self.live
-                and self._search_memo.get(key) != counter
+                and self._search_memo.get(key) != inputs
             ):
                 found, capped = self._search(e, m, s)
                 if found is None:
                     if not capped:
-                        self._search_memo[key] = counter
+                        self._search_memo[key] = inputs
                 else:
                     gamma, x = found
                     ax = VeAxiom(

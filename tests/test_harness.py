@@ -733,6 +733,23 @@ class TestRunVerify:
         committed = REPORTS / path.parent.name / f"{path.stem}.txt"
         assert verify_trace(parse_trace(text)).render() == committed.read_text()
 
+    @pytest.mark.parametrize(
+        "path", sorted(FAULTS.glob("*.trc")), ids=lambda path: path.stem
+    )
+    def test_failing_checks_name_a_counterexample(self, path):
+        # a failing check's detail holds a number: a position, a stage, a
+        # record, an element or an index. A certificate check names the two
+        # verdicts of the attempt its own name carries
+        failures = verify_trace(parse_trace(path.read_text())).failures()
+        assert failures
+        vague = [
+            c.line()
+            for c in failures
+            if not re.search(r"\d", c.detail)
+            and not re.fullmatch(r"a\d+-cert-outcome-agrees", c.name)
+        ]
+        assert vague == []
+
     def test_trailing_token_in_embedded_scenario_rejected(self):
         # the edited scenario renders to the recorded canonical text, so the
         # digest alone would not see it

@@ -1,7 +1,9 @@
 """Spectrum construction: axioms, blocking, column coding, censuses."""
 
+import hashlib
 import random
 import time
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 import sepsim.twodegrees as twodegrees
 from naive_twodegrees import NaiveTwoDegreesRun
-from sepsim.corpus import twodegrees_corpus
+from sepsim.corpus import twodegrees_corpus, twodegrees_scenario
 from sepsim.enumcore import pair
 from sepsim.errors import HardFault
 from sepsim.functionals import OracleProgram, OracleRule
@@ -128,6 +130,14 @@ class TestRStrategy:
         assert set(run.a.entry) == set()  # nothing promoted without K
         checks, _ = verify_twodegrees(run)
         assert all(c.passed for c in checks)
+
+    def test_firing_invalidates_recorded_zeros(self):
+        # phi0 answers 0 only on input 8; at stage 7 the scan records that
+        # zero, then column 2 fires pair(2, 0) = 8 into B, so the stage-8
+        # search must not hand out the stale witness
+        prog = prefix_program([("", {8}, 0)], 30)
+        run = run_twodegrees([(2, 7)], [], {}, {0: prog}, 20)
+        assert run.records == [("pfire", 7, 2, 0, 8)]
 
     def test_huge_program_index_walks_no_pairs(self):
         # pair(n, i) >= n^3: an index whose cube passes every stage never
@@ -301,6 +311,16 @@ class TestVerifier:
         by_name = {c.name: c for c in checks}
         assert not by_name["block-soundness"].passed
 
+    def test_witness_already_in_b_flagged(self):
+        run = TwoDegreesRun([(2, 7)], [], {}, {}, 20).replay(
+            [("pfire", 7, 2, 0, 8), ("axiom", 8, 0, 0, 8, 0, "")]
+        )
+        checks, _ = verify_twodegrees(run)
+        failed = {c.name: c.detail for c in checks if not c.passed}
+        assert failed == {
+            "block-soundness": "axiom for (0, 0) at stage 8: witness already in B"
+        }
+
 
 def random_search_program(rng, length, width, horizon):
     """A deterministic program on inputs below width that reads the first
@@ -380,3 +400,47 @@ class TestEventSearch:
                 run_twodegrees(*twodegrees_inputs(sc))
             per_horizon.append(calls)
         assert 0 < per_horizon[1] <= 1.1 * per_horizon[0], per_horizon
+
+    def test_corpus_work_is_pinned(self, monkeypatch):
+        # each index's memo is forgotten only at a W_e event, a rule
+        # becoming available or a column firing
+        calls = Counter()
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return call
+
+        search, evaluate = TwoDegreesRun._search, twodegrees.evaluate
+        monkeypatch.setattr(TwoDegreesRun, "_search", counted("search", search))
+        monkeypatch.setattr(twodegrees, "evaluate", counted("evaluate", evaluate))
+        for _, sc in twodegrees_corpus(20, 1000):
+            run_twodegrees(*twodegrees_inputs(sc))
+        assert calls == Counter(search=4629, evaluate=14696)
+
+
+# SHA-256 of run_scenario(load_scenario(twodegrees_scenario(seed, h)
+# .canonical())).render(), at three and ten times the corpus horizon
+LONG_HORIZON_DIGESTS = {
+    (3000, 0): "168261ba2dabee9b1ae11dd830878a6e1e03f340f380fa1447345baa9ea27cc2",
+    (3000, 1): "692ad9cb3dd8ee19a6908cf669d9ab3820b8238df59c1018f2754d2ee70fe8c4",
+    (3000, 2): "976f4f6630e5dd8b07746909f757fa98f6a55488f40d64bd6b829f69960e3c23",
+    (3000, 3): "f2f353ed70a348e2b561a9640d5ffe505b40112c3da18bb912ef37c33f4f4c24",
+    (3000, 4): "8d363e8584e709185bc7ec89cdeef72f71b83a5ba672a7e82a13c32ac08d100e",
+    (3000, 5): "7d627a465076579f944eed901129b26a3572f5208d9f28c999ad6b5771e4e0b4",
+    (10000, 0): "1e519b3a3646ce79f28b344c3f3f66dd3320b777977033937e22dbf4f5eec344",
+    (10000, 1): "a8112528fb5cd4d3d2f893d7517b319eb655a5f04eaf863cff5afe044415fc46",
+    (10000, 2): "ab0b41c02051129d20c8b354a6486951504b9825f8d7e97a4c315e2225317dee",
+    (10000, 3): "ffe4ab43be6eb4bd727645d1fe22d4c57eb8357beb671b4b5e34840182d5edbe",
+    (10000, 4): "cc80df72049e4584c14142b98f2f2913e33ca922b746a311af4440bd9785ba56",
+    (10000, 5): "da1f2faba6761ef028e25c3e92221b892b355d2950ae5916960698e7f1febad2",
+}
+
+
+@pytest.mark.parametrize("horizon, seed", sorted(LONG_HORIZON_DIGESTS))
+def test_trace_digest_at_long_horizon(horizon, seed):
+    sc = load_scenario(twodegrees_scenario(seed, horizon).canonical())
+    digest = hashlib.sha256(run_scenario(sc).render().encode()).hexdigest()
+    assert digest == LONG_HORIZON_DIGESTS[horizon, seed]
