@@ -2,8 +2,10 @@
 
 Two families of strategies run under a priority scheduler:
 
-* preservation strategies (one per k) freeze a number out of A and B by
-  restraining everything below the current stage once the stage passes k;
+* preservation strategies (one per k) act once per initialization, at the
+  first stage s past k, and freeze s out of A and B by imposing restraint
+  s + 1 on every strategy after them. The scheduler steps one only at that
+  stage, so a step is its act and it keeps no state;
 * diagonalization strategies (one per functional index e) repeatedly claim a
   fresh number n, hunt for a full-width oracle string sigma compatible with
   the current A/B whose functional output matches D up to n, copy the tail of
@@ -34,20 +36,11 @@ from __future__ import annotations
 import re
 from collections import Counter
 
-from .enumcore import FreshSource, StageSet
+from .enumcore import StageSet
 from .functionals import OracleProgram, bits_of, evaluate
 from .report import CheckResult, first_counterexample
 from .scenario import INDEX, no_rules
 from .trace import decode_event_log, encode_event_log
-
-
-class NStrategyState:
-    __slots__ = ("k", "satisfied_at", "restraint")
-
-    def __init__(self, k: int, satisfied_at: int | None = None, restraint: int = 0):
-        self.k = k
-        self.satisfied_at = satisfied_at
-        self.restraint = restraint
 
 
 class RStrategyState:
@@ -233,22 +226,11 @@ def apply_sigma(sigma: str, r: int, a_mem, b_mem):
 
 
 # ---------------------------------------------------------------------------
-# strategy steps
+# the diagonalization step
 #
-# Each record notes its largest field into the fresh-number source: the
-# stage s, or a restraint or claim above it. A strategy's index and every
-# position of a sigma lie below s.
-
-
-def n_strategy_step(st: NStrategyState, s: int, run: "AnticompleteRun") -> bool:
-    """Acts (once per initialization) at the first stage s > k, restraining
-    everything at or below s by imposing restraint s + 1."""
-    if st.satisfied_at is None and s > st.k:
-        st.satisfied_at = s
-        st.restraint = s + 1
-        run._emit(("nact", s, st.k, s + 1), s + 1)
-        return True
-    return False
+# Each record raises the run's top, the largest number recorded so far, to
+# its largest field: the stage s, or a restraint or claim above it. A
+# strategy's index and every position of a sigma lie below s.
 
 
 def r_strategy_step(st: RStrategyState, s: int, run: "AnticompleteRun") -> bool:
@@ -259,8 +241,7 @@ def r_strategy_step(st: RStrategyState, s: int, run: "AnticompleteRun") -> bool:
     strategy's wake to 0."""
     prog = run.programs.get(st.e)
     if st.claimed_n is None:
-        n = run.fresh.fresh()
-        st.claimed_n = n
+        n = st.claimed_n = run.top + 1
         run._emit(("rclaim", s, st.e, n), max(s, n))
     if prog is None:
         return False
@@ -293,10 +274,12 @@ class AnticompleteRun:
 
     At stage s, run_stage() steps, in index order until one acts, each
     scripted diagonalization strategy below s - 1 whose wake is at most s,
-    then strategy s - 1 (new at s); once one acts, it steps every strategy
-    below s after it; every other step is provably a no-op. The reference
-    stepper, which steps every strategy with index < s, lives with the
-    tests; the two produce identical traces.
+    then strategy s - 1 (new at s); once one acts, it re-initializes and
+    steps every strategy below s after it; every other step is provably a
+    no-op. A preservation strategy is thus stepped only when new or just
+    re-initialized, and always past its k, so each step is its one act. The
+    reference stepper, which steps every strategy with index < s, lives with
+    the tests; the two produce identical traces.
     """
 
     def __init__(self, programs: dict[int, OracleProgram], horizon: int):
@@ -306,61 +289,43 @@ class AnticompleteRun:
         self.a = StageSet(horizon=horizon)
         self.b = StageSet(horizon=horizon)
         self.d = StageSet(horizon=horizon)
-        self.fresh = FreshSource()
+        self.top = -1  # the largest number recorded so far; a claim is top + 1
         self.records: list[tuple] = []
         self.stage = 0
-        self.nstates: list[NStrategyState] = []
         self.rstates: list[RStrategyState] = []
         # the diagonalization strategies built so far that have a program
         self.scripted: list[RStrategyState] = []
         self._last_act_stage = -1
 
-    # -- plumbing
-
     def _emit(self, record: tuple, top: int):
         """Record an event whose largest field is top."""
         self.records.append(record)
-        self.fresh.note(top)
-
-    def _enter(self, idx: int):
-        """Build strategy idx, the one after the last one built."""
-        if idx % 2 == 0:
-            self.nstates.append(NStrategyState(k=idx // 2))
-        else:
-            st = RStrategyState(e=idx // 2, restraint=self._last_act_stage + 1)
-            self.rstates.append(st)
-            if st.e in self.programs:
-                self.scripted.append(st)
-
-    def _reset(self, idx: int, s: int):
-        if idx % 2 == 0:
-            st = self.nstates[idx // 2]
-            st.satisfied_at = None
-            st.restraint = 0
-        else:
-            st = self.rstates[idx // 2]
-            st.restraint = s + 1
-            st.claimed_n = None
+        if top > self.top:
+            self.top = top
 
     def _visit(self, idx: int, s: int, reset: bool) -> bool:
-        if reset:
-            self._reset(idx, s)
         if idx % 2 == 0:
-            acted = n_strategy_step(self.nstates[idx // 2], s, self)
+            self._emit(("nact", s, idx // 2, s + 1), s + 1)
         else:
-            acted = r_strategy_step(self.rstates[idx // 2], s, self)
-        if acted:
-            self._last_act_stage = s
-        return acted
-
-    # -- stepping
+            st = self.rstates[idx // 2]
+            if reset:
+                st.restraint = s + 1
+                st.claimed_n = None
+            if not r_strategy_step(st, s, self):
+                return False
+        self._last_act_stage = s
+        return True
 
     def run_stage(self):
         s = self.stage
         self.stage = s + 1
         if s == 0:
             return
-        self._enter(s - 1)  # strategy s - 1 is new at s
+        if s % 2 == 0:  # strategy s - 1 is new at s
+            st = RStrategyState(e=s // 2 - 1, restraint=self._last_act_stage + 1)
+            self.rstates.append(st)
+            if st.e in self.programs:
+                self.scripted.append(st)
         for st in self.scripted:
             idx = 2 * st.e + 1
             if st.wake <= s and idx < s - 1 and self._visit(idx, s, reset=False):

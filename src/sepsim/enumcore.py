@@ -2,8 +2,7 @@
 
 Everything downstream consumes these primitives: monotone stage-stamped sets
 (the c.e. approximations), finite binary strings standing in for separators,
-the injective column coding with code(n, i) >= n^3, and the fresh-number
-source that makes "pick a large number" reproducible.
+and the injective column coding with code(n, i) >= n^3.
 """
 
 from __future__ import annotations
@@ -180,26 +179,3 @@ def pair(n: int, i: int) -> int:
 def unpair(c: int) -> tuple[int, int] | None:
     return _SCHEME.decode(c)
 
-
-# ---------------------------------------------------------------------------
-# Fresh numbers
-
-
-class FreshSource:
-    """Single source for every "pick a large/fresh number" choice in a run.
-
-    Tracks the maximum of every number recorded in the trace so far; fresh()
-    hands out that maximum plus one. Keeps runs reproducible without a seed.
-    """
-
-    def __init__(self):
-        self._max = -1
-
-    def note(self, *numbers: int):
-        for v in numbers:
-            if v > self._max:
-                self._max = v
-
-    def fresh(self) -> int:
-        self._max += 1
-        return self._max

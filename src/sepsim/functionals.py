@@ -9,7 +9,8 @@ An oracle is a finite prefix given as a Python int and a length: bit i of the
 int is position i of the prefix, and no bit at or past the length is set. A
 guard is then checked as `bits & mask == want`. `bits_of` turns a finite set
 into its oracle int; strings of '0'/'1' appear only where traces record a
-prefix and as the sigma of anticomplete's copy step (`sigma_search`).
+prefix, as the sigma of anticomplete's copy step (`sigma_search`) and as
+upclosure's separator Z (`encode_separator`).
 
 A program holds its rules as compiled rows, (available_at, use, mask, want,
 output). `scenario.parse_scenario` reads each rule line straight into its

@@ -431,14 +431,13 @@ def derive_w(run: AttemptRun):
 
 
 class OutcomeReport:
-    __slots__ = ("ell", "k", "parity", "stable_values", "last_reset_of_k")
+    __slots__ = ("ell", "k", "parity", "stable_values")
 
-    def __init__(self, ell, k, parity, stable_values, last_reset_of_k):
+    def __init__(self, ell, k, parity, stable_values):
         self.ell = ell  # longest stable prefix over the window, minus one
         self.k = k  # first apparently divergent entry index
         self.parity = parity  # k % 2
         self.stable_values: list[int] = stable_values
-        self.last_reset_of_k: int | None = last_reset_of_k
 
 
 def detect_outcome(run: AttemptRun, window: int) -> OutcomeReport:
@@ -458,14 +457,7 @@ def detect_outcome(run: AttemptRun, window: int) -> OutcomeReport:
         if v is None:  # reachable only on corrupted records
             break
         values.append(v)
-    resets = run.entry_resets[k] if 0 <= k < len(run.entry_resets) else []
-    return OutcomeReport(
-        ell=ell,
-        k=k,
-        parity=k % 2,
-        stable_values=values,
-        last_reset_of_k=resets[-1] if resets else None,
-    )
+    return OutcomeReport(ell=ell, k=k, parity=k % 2, stable_values=values)
 
 
 def scenario_outcome(run: AttemptRun, horizon: int) -> OutcomeReport:
@@ -708,7 +700,8 @@ def _timeline_check(run, ref) -> CheckResult:
 
 
 def _cert_check(got, want) -> CheckResult:
-    """A certificate's verdict, stage and reason against the fresh run's."""
+    """A certificate's verdict, stage and reason against the fresh run's; a
+    failure names the certificate by its ell, k and settling stage."""
 
     def show(cert_res):
         if cert_res is None:
@@ -719,10 +712,12 @@ def _cert_check(got, want) -> CheckResult:
         stage = "" if res.witness_stage is None else f" at stage {res.witness_stage}"
         return f"rejected{stage}" + (f" ({res.reason})" if res.reason else "")
 
+    cert = (got or want)[0]
     return CheckResult(
-        f"a{(got or want)[0].attempt}-cert-outcome-agrees",
+        f"a{cert.attempt}-cert-outcome-agrees",
         show(got) == show(want),
-        f"recorded {show(got)}, recomputed {show(want)}",
+        f"certificate ell {cert.ell} k {cert.k} settling stage {cert.settling_stage}:"
+        f" recorded {show(got)}, recomputed {show(want)}",
     )
 
 

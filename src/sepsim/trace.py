@@ -35,7 +35,7 @@ import hashlib
 
 from . import __version__
 from .enumcore import PAIRING_SCHEME_ID
-from .errors import UsageError
+from .errors import HardFault, UsageError
 from .records import Tail, bad_record, read_record, record_table
 from .scenario import Scenario, audit_scenario, construction_module, parse_scenario
 
@@ -249,14 +249,22 @@ def run_upclosure_pipeline(sc: Scenario):
         return out
     z = encode_separator(c_final, values, a_final, b_final)
     out["z"] = z
+    # a block or boundary the construction guarantees but this run lacks is
+    # a hard fault, named by its place
     for n in range(len(values) - 1):
-        bit, stage = decode_block(z, a, b, values[n], values[n + 1], sc.horizon)
+        try:
+            bit, stage = decode_block(z, a, b, values[n], values[n + 1], sc.horizon)
+        except ValueError as exc:
+            raise HardFault(f"block {n} ({values[n]}, {values[n + 1]}]: {exc}")
         out["blocks"].append((n, bit, stage, 1 if n in c_final else 0))
     if sc.case.tag == 2:
         gamma, delta = sc.operator("gamma"), sc.operator("delta")
         table = WttAgreementTable(a, b, gamma, delta, f, sc.horizon)
         for n in range(len(values) - 1):
-            got, stage = recover_m_next(z, values[: n + 1], table)
+            try:
+                got, stage = recover_m_next(z, values[: n + 1], table)
+            except ValueError as exc:
+                raise HardFault(f"boundary {n + 1} = {values[n + 1]}: {exc}")
             out["recovered"].append((n + 1, got, stage, values[n + 1]))
     return out
 

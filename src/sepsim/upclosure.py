@@ -235,8 +235,7 @@ class WttAgreementTable:
     once per distinct (mask, ones) and side."""
 
     def __init__(self, a: StageSet, b: StageSet, gamma, delta, f, horizon):
-        self.a, self.b, self.gamma, self.delta = a, b, gamma, delta
-        self.f, self.horizon = f, horizon
+        self.a, self.b, self.f = a, b, f
         stages = {0, *a.entry.values(), *b.entry.values()}
         for op in (gamma, delta):
             stages.update(map(itemgetter(0), op.program.compiled_rows()))

@@ -2,21 +2,17 @@
 
 `NaiveAnticompleteRun` steps every strategy with index < s at every stage s,
 builds every strategy it visits, re-initializes a strategy by building it
-anew, notes every field of every record into the fresh-number source, and
-searches afresh at every step of a diagonalization strategy, with
-`sigma_search` below: the search as first written, which
-checks each guard one (position, bit) pair at a time against a dict of the
-forced bits. The event-driven `AnticompleteRun` and the mask-based search
-must produce the same records, A, B and D on every input.
+anew, and steps a preservation strategy as the construction states it: act
+once per initialization, at the first stage past k. Its top is the largest
+field of any record so far, each field noted on its own, and a claim is
+top + 1. It searches afresh at every step of a diagonalization strategy, with
+`sigma_search` below: the search as first written, which checks each guard
+one (position, bit) pair at a time against a dict of the forced bits. The
+event-driven `AnticompleteRun` and the mask-based search must produce the
+same records, A, B and D on every input.
 """
 
-from sepsim.anticomplete import (
-    AnticompleteRun,
-    NStrategyState,
-    RStrategyState,
-    apply_sigma,
-    n_strategy_step,
-)
+from sepsim.anticomplete import AnticompleteRun, RStrategyState, apply_sigma
 from sepsim.functionals import EMPTY_PROGRAM, bits_of, evaluate
 
 
@@ -209,12 +205,29 @@ def sigma_search(prog, n, s, a_mem, b_mem, d_mem):
     return sigma, None
 
 
+class NStrategyState:
+    __slots__ = ("k", "satisfied_at")
+
+    def __init__(self, k: int):
+        self.k = k
+        self.satisfied_at: int | None = None
+
+
+def n_strategy_step(st, s, run) -> bool:
+    """Acts (once per initialization) at the first stage s > k, restraining
+    everything at or below s by imposing restraint s + 1."""
+    if st.satisfied_at is None and s > st.k:
+        st.satisfied_at = s
+        run._emit(("nact", s, st.k, s + 1), s + 1)
+        return True
+    return False
+
+
 def naive_r_strategy_step(st, s, run) -> bool:
     """`r_strategy_step` with the search above; it keeps no wake."""
     prog = run.programs.get(st.e, EMPTY_PROGRAM)
     if st.claimed_n is None:
-        n = run.fresh.fresh()
-        st.claimed_n = n
+        n = st.claimed_n = run.top + 1
         run._emit(("rclaim", s, st.e, n), None)
     if len(prog) == 0:
         return False
@@ -235,6 +248,10 @@ def naive_r_strategy_step(st, s, run) -> bool:
 
 
 class NaiveAnticompleteRun(AnticompleteRun):
+    def __init__(self, programs, horizon):
+        super().__init__(programs, horizon)
+        self.nstates = []
+
     def _materialize(self, idx):
         base = self._last_act_stage + 1
         while 2 * len(self.nstates) <= idx:
@@ -251,10 +268,9 @@ class NaiveAnticompleteRun(AnticompleteRun):
     def _emit(self, record, top):
         self.records.append(record)
         for v in record[1:]:
-            if isinstance(v, int):
-                self.fresh.note(v)
-            elif isinstance(v, tuple):
-                self.fresh.note(*v)
+            for x in v if isinstance(v, tuple) else (v,):
+                if isinstance(x, int) and x > self.top:
+                    self.top = x
 
     def _visit(self, idx, s, reset):
         self._materialize(idx)

@@ -4,7 +4,7 @@ and boundary recovery.
 The functions as first written: `_agreement_window` rebuilds a block's
 window for one side and returns at the first position that never agrees;
 `recover_m_next` rebuilds its candidate stages (`candidate_stages`) from the
-table's sets and operators on every call, rebuilds the (m_n, x] windows for
+table's sets and the operators and horizon it is given on every call, rebuilds the (m_n, x] windows for
 every x at every candidate stage, rescans every earlier boundary's
 f-interval at every stage and walks the operators' agreement prefix afresh
 (`agree_prefix`) at every stage it reaches; `classify_case` and the
@@ -70,18 +70,20 @@ def agree_prefix(table, s):
     return w
 
 
-def candidate_stages(table):
+def candidate_stages(table, gamma, delta, horizon):
     """The stages the recovery search tries, built afresh from the table's
-    sets and operators on every call: 0, every entry stage of A and B and
-    every rule availability, up to the horizon, in order."""
+    sets and the given operators on every call: 0, every entry stage of A
+    and B and every rule availability, up to the horizon, in order."""
     stages = {0, *table.a.entry.values(), *table.b.entry.values()}
-    for op in (table.gamma, table.delta):
+    for op in (gamma, delta):
         for r in op.program.rules:
             stages.add(r.available_at)
-    return sorted(t for t in stages if t <= table.horizon)
+    return sorted(t for t in stages if t <= horizon)
 
 
-def recover_m_next(z, m_prefix, table):
+def recover_m_next(z, m_prefix, table, gamma, delta, horizon):
+    """`upclosure.recover_m_next`, given also the operators and horizon the
+    table was built from."""
     a, b, f = table.a, table.b, table.f
     m_n = m_prefix[-1]
     n = len(m_prefix) - 1
@@ -92,7 +94,7 @@ def recover_m_next(z, m_prefix, table):
         wb = _agreement_window(z, b.entry_stage, block, positive=False)
         windows.append((wa, wb))
 
-    for s in candidate_stages(table):
+    for s in candidate_stages(table, gamma, delta, horizon):
         ok = True
         for i in range(n):
             wa, wb = windows[i]

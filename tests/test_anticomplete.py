@@ -10,12 +10,9 @@ from hypothesis import strategies as st
 
 import naive_anticomplete
 import sepsim.anticomplete as anticomplete
-from naive_anticomplete import NaiveAnticompleteRun
+from naive_anticomplete import NaiveAnticompleteRun, NStrategyState, n_strategy_step
 from sepsim.anticomplete import (
-    AnticompleteRun,
-    NStrategyState,
     apply_sigma,
-    n_strategy_step,
     run_anticomplete,
     sigma_search,
     verify_anticomplete,
@@ -55,28 +52,30 @@ def least_sigma(*args):
 
 
 class TestNStrategy:
+    # the preservation strategy as the reference stepper runs it; the
+    # event-driven scheduler steps it only when it acts
     def test_waits_past_k(self):
-        run = AnticompleteRun({}, 10)
+        run = NaiveAnticompleteRun({}, 10)
         st = NStrategyState(k=5)
         assert not n_strategy_step(st, 3, run)
-        assert st.satisfied_at is None
+        assert st.satisfied_at is None and run.records == []
 
     def test_acts_at_first_opportunity(self):
-        run = AnticompleteRun({}, 10)
+        run = NaiveAnticompleteRun({}, 10)
         st = NStrategyState(k=5)
         assert n_strategy_step(st, 6, run)
         assert st.satisfied_at == 6
-        assert st.restraint == 7
+        assert run.records == [("nact", 6, 5, 7)]
         # acts exactly once between initializations
         assert not n_strategy_step(st, 7, run)
 
     def test_reacts_after_initialization(self):
-        run = AnticompleteRun({}, 20)
-        st = NStrategyState(k=5, satisfied_at=10, restraint=11)
+        run = NaiveAnticompleteRun({}, 20)
+        st = NStrategyState(k=5)
+        assert n_strategy_step(st, 6, run)
         st.satisfied_at = None  # initialized at stage 10
-        st.restraint = 0
         assert n_strategy_step(st, 11, run)
-        assert st.restraint == 12
+        assert run.records == [("nact", 6, 5, 7), ("nact", 11, 5, 12)]
 
 
 class TestApplySigma:
@@ -188,10 +187,6 @@ class TestSigmaSearch:
         assert least_sigma(prog, 1, 7, set(), set(), set()) == "0000000"
 
 
-def satisfied_ks(run):
-    return {st.k for st in run.nstates if st.satisfied_at is not None}
-
-
 class TestRuns:
     def test_stage_zero_runs_nothing(self):
         run = NaiveAnticompleteRun({}, 5)
@@ -203,8 +198,8 @@ class TestRuns:
         assert set(run.d.entry) == set()
         assert set(run.a.entry) == set() and set(run.b.entry) == set()
         # n-strategy k first runs at stage 2k+1 and acts there; stages go
-        # up to 99, so exactly k <= 49 are satisfied.
-        assert satisfied_ks(run) == set(range(50))
+        # up to 99, so exactly k <= 49 act, each once.
+        assert [r[2] for r in run.records if r[0] == "nact"] == list(range(50))
 
     def test_always_zero_adversary_acts_once(self):
         run = run_anticomplete({0: always_zero_program(80)}, 100)
@@ -332,22 +327,22 @@ class TestExactWakes:
 
     def test_corpus_run_steps_only_due_strategies(self, monkeypatch):
         # a strategy is stepped when it is new, due by its wake, or after an
-        # act; a stale wake costs no step
+        # act; a stale wake costs no step, and a preservation strategy is
+        # stepped only to act
         steps = 0
+        step = anticomplete.r_strategy_step
 
-        def counted(step):
-            def wrapped(*args):
-                nonlocal steps
-                steps += 1
-                return step(*args)
+        def counted(*args):
+            nonlocal steps
+            steps += 1
+            return step(*args)
 
-            return wrapped
-
-        for name in ("n_strategy_step", "r_strategy_step"):
-            monkeypatch.setattr(anticomplete, name, counted(getattr(anticomplete, name)))
+        monkeypatch.setattr(anticomplete, "r_strategy_step", counted)
+        nacts = 0
         for _, sc in anticomplete_corpus(20, 1000):
-            run_anticomplete(sc.programs_by_index(), sc.horizon)
-        assert steps == 21675
+            run = run_anticomplete(sc.programs_by_index(), sc.horizon)
+            nacts += sum(1 for r in run.records if r[0] == "nact")
+        assert (steps, nacts) == (11134, 10541)
 
 
 # SHA-256 of run_scenario(anticomplete_scenario(seed, 3000)).render(), at

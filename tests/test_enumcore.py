@@ -5,7 +5,6 @@ import random
 import pytest
 
 from sepsim.enumcore import (
-    FreshSource,
     PairingScheme,
     SeparatorSnapshot,
     StageSet,
@@ -230,12 +229,3 @@ class TestPairing:
                         count += 1
             assert count <= k * k * k
 
-
-class TestFreshSource:
-    def test_fresh_exceeds_everything_noted(self):
-        f = FreshSource()
-        f.note(5, 2, 9)
-        assert f.fresh() == 10
-        f.note(3)
-        assert f.fresh() == 11
-        assert f.fresh() == 12

@@ -380,7 +380,7 @@ class TestDetect:
         assert out.ell == 10  # holes 0..10 pin the first eleven entries
         assert out.k == 11 and out.parity == 1
         assert out.stable_values == list(range(11))
-        assert out.last_reset_of_k is not None and out.last_reset_of_k > 160
+        assert run.entry_resets[out.k][-1] > 160  # k was reset late
 
 
 class TestSpeedup:

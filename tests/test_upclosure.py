@@ -693,7 +693,9 @@ def assert_rows_match_naive(a, b, gamma, delta, f, horizon):
     table = WttAgreementTable(a, b, gamma, delta, f, horizon)
     a_final, b_final = a.snapshot(horizon), b.snapshot(horizon)
     assert table.width == min(f.domain, horizon)
-    assert table.candidate_stages == naive_upclosure.candidate_stages(table)
+    assert table.candidate_stages == naive_upclosure.candidate_stages(
+        table, gamma, delta, horizon
+    )
     for w in range(table.width):
         for got, op, entry, target in (
             (table._gamma[w], gamma, a.entry, b_final),
@@ -798,8 +800,9 @@ class TestAgreementRowsAgainstNaive:
 
 def recovery_calls(sc, name, flips):
     """The arguments of one recover_m_next call per block of the scenario's
-    case-2 m-sequence, on Z with each count of bits in `flips` flipped, and
-    the block (m_n, m_{n+1}] each call ends at."""
+    case-2 m-sequence, on Z with each count of bits in `flips` flipped, the
+    operators and horizon its table was built from, and the block
+    (m_n, m_{n+1}] each call ends at."""
     f, gamma, delta = operators(sc)
     a, b = sc.stage_set("A"), sc.stage_set("B")
     values, _ = m_sequence(*covered_points(a.final() | b.final(), f), 9)
@@ -813,7 +816,9 @@ def recovery_calls(sc, name, flips):
             bits[y] = "1" if bits[y] == "0" else "0"
         zz = SeparatorSnapshot("".join(bits))
         for n in range(len(values) - 1):
-            calls.append(((zz, values[: n + 1], table), values[n + 1]))
+            calls.append(
+                ((zz, values[: n + 1], table), (gamma, delta, sc.horizon), values[n + 1])
+            )
     return calls
 
 
@@ -912,18 +917,21 @@ class TestWindowFoldAgainstNaive:
 
     @staticmethod
     def assert_match(calls):
-        got = [outcome(upclosure.recover_m_next, *args) for args, _ in calls]
-        want = [outcome(naive_upclosure.recover_m_next, *args) for args, _ in calls]
+        got = [outcome(upclosure.recover_m_next, *args) for args, _, _ in calls]
+        want = [
+            outcome(naive_upclosure.recover_m_next, *args, *built)
+            for args, built, _ in calls
+        ]
         assert got == want
         # each table works agree_prefix out once per stage; the reference
         # walks it afresh on every call
-        tables = {id(args[-1]): args[-1] for args, _ in calls}.values()
+        tables = {id(args[-1]): args[-1] for args, _, _ in calls}.values()
         assert any(table._prefixes for table in tables)
         for table in tables:
             for s, w in table._prefixes.items():
                 assert w == naive_upclosure.agree_prefix(table, s) == table.agree_prefix(s)
-        for (z, prefix, table), m_n1 in calls:
-            assert_blocks_match((z, table.a, table.b, prefix[-1], m_n1, table.horizon))
+        for (z, prefix, table), (_, _, horizon), m_n1 in calls:
+            assert_blocks_match((z, table.a, table.b, prefix[-1], m_n1, horizon))
         return want
 
     def test_every_corpus_block_with_flipped_bits(self):
