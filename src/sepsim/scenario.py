@@ -115,14 +115,16 @@ class Scenario:
     """One experiment. A scenario parsed from canonical text keeps that text,
     and canonical() returns it; a built one renders its text on each call.
 
-    Assigning any field drops the kept text, and assigning the rules or the
-    bound table drops the programs and operators built from them. The fields
-    of a parsed scenario are read-only containers (tuples, and read-only
-    mappings for sets and rules), so no change can bypass an assignment."""
+    Assigning any field drops the kept text, the stage sets and the agreement
+    table, and assigning the rules or the bound table drops the programs and
+    operators built from them. The fields of a parsed scenario are read-only
+    containers (tuples, and read-only mappings for sets and rules), so no
+    change can bypass an assignment."""
 
     __slots__ = (
         "construction", "horizon", "sets", "_rules", "bound_table", "case", "certs",
         "_rows", "_text", "_noncanonical_line", "_programs", "_operators", "_bound",
+        "_stage_sets", "_table",
     )
 
     def __init__(
@@ -139,11 +141,13 @@ class Scenario:
         # program name -> (input -> its rows, each rule's input), in rule
         # order, as parse_scenario reads them; None in a built scenario
         self._rows = None
-        # program name -> its OracleProgram, filled by program(), and its
-        # UseBoundedOperator, filled by operator(); the use bound, by use_bound()
+        # program name -> its OracleProgram and UseBoundedOperator, filled by
+        # program() and operator(); set name -> its StageSet, by stage_set();
+        # the use bound and the table, by use_bound() and agreement_table()
         self._programs: dict[str, OracleProgram] = {}
         self._operators: dict[str, UseBoundedOperator] = {}
-        self._bound = None
+        self._stage_sets: dict[str, StageSet] = {}
+        self._bound = self._table = None
         self.construction = construction
         self.horizon = horizon
         self.sets = {} if sets is None else sets
@@ -155,7 +159,8 @@ class Scenario:
     def __setattr__(self, name, value):
         object.__setattr__(self, name, value)
         if name[0] != "_":  # a field: what was derived from it is stale
-            self._text = None
+            self._text = self._table = None
+            self._stage_sets.clear()
             if name in ("rules", "bound_table"):
                 self._programs.clear()
                 self._operators.clear()
@@ -234,13 +239,31 @@ class Scenario:
     # -- typed views
 
     def stage_set(self, name: str) -> StageSet:
-        return StageSet(self.sets.get(name, []), horizon=self.horizon)
+        """The named set as a StageSet at the horizon, built once like
+        program(). Only upclosure calls it, and its audit, pipeline and check
+        share each set, so none may `add` to it."""
+        staged = self._stage_sets.get(name)
+        if staged is None:
+            staged = StageSet(self.sets.get(name, []), horizon=self.horizon)
+            self._stage_sets[name] = staged
+        return staged
+
+    def agreement_table(self):
+        """upclosure's WttAgreementTable of A, B, gamma, delta, f and the
+        horizon, built once like program() for the case-2 audit and pipeline;
+        it imports upclosure only when called."""
+        if self._table is None:
+            from .upclosure import WttAgreementTable
+            sets = self.stage_set("A"), self.stage_set("B")
+            ops = self.operator("gamma"), self.operator("delta")
+            self._table = WttAgreementTable(*sets, *ops, self.use_bound(), self.horizon)
+        return self._table
 
     def program(self, name: str) -> OracleProgram:
         """The program of that name, empty when no rule names it. Each is
-        built once per Scenario, on first access, and shared by the schema
-        check, the audit, the run and the verifier; a built scenario's rules
-        are fixed from then on."""
+        built once per Scenario on first access, as are the operators, bound,
+        sets and table, and shared by the schema check, the audit, the run and
+        the verifier; a built scenario's fields are fixed from then on."""
         prog = self._programs.get(name)
         if prog is None:
             if self._rows is None:

@@ -206,12 +206,12 @@ def decode_event_log(body, kinds, names, horizon):
 
 
 def run_upclosure_pipeline(sc: Scenario):
-    """Audit is assumed done at load; classify, build boundaries, encode,
-    decode every block, and in the least-x flavour re-derive each boundary
-    from the encoded separator. upclosure's fresh calls it through this
-    module, whose attribute the benchmark's tracer rebinds to time it."""
+    """Audit is assumed done at load, on the scenario's own stage sets and
+    agreement table, which this run reads; classify, build boundaries,
+    encode, decode every block, and in the least-x flavour re-derive each
+    boundary from the encoded separator. upclosure's fresh calls it through
+    this module, whose attribute the benchmark's tracer rebinds to time it."""
     from .upclosure import (
-        WttAgreementTable,
         classify_case,
         covered_points,
         decode_block,
@@ -258,8 +258,7 @@ def run_upclosure_pipeline(sc: Scenario):
             raise HardFault(f"block {n} ({values[n]}, {values[n + 1]}]: {exc}")
         out["blocks"].append((n, bit, stage, 1 if n in c_final else 0))
     if sc.case.tag == 2:
-        gamma, delta = sc.operator("gamma"), sc.operator("delta")
-        table = WttAgreementTable(a, b, gamma, delta, f, sc.horizon)
+        table = sc.agreement_table()
         for n in range(len(values) - 1):
             try:
                 got, stage = recover_m_next(z, values[: n + 1], table)

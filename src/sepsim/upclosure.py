@@ -19,7 +19,7 @@ Every decoder reads one fold, `agreement_windows`, which narrows Z's two
 agreement windows on a block (the stages at which Z agrees with A_s, and
 with the complement of B_s) to closed intervals, empty for a side that
 never agrees, and can widen a block it returned: the recovery search
-carries the windows of (m_n, x] along x. The blocks of one run share one
+carries the windows of (m_n, x] along x. The blocks share the scenario's
 `WttAgreementTable`, which holds what the search does not relearn per
 block: the sets, operators, f and horizon, the candidate stages, the cover
 stage of each f-interval and the operators' agreement rows. The case check
@@ -216,9 +216,10 @@ def _row(windows, horizon):
 
 
 class WttAgreementTable:
-    """Per-scenario cache for the recovery search: the scripted sets, the
-    operators, f and the horizon it was built from; the sorted candidate
-    stages up to the horizon (0, every entry stage of A and B and every rule
+    """Per-scenario cache, built by `Scenario.agreement_table`, for the
+    recovery search and the case-2 audit: the scripted sets, the operators,
+    f and the horizon it was built from; the sorted candidate stages up to
+    the horizon (0, every entry stage of A and B and every rule
     availability); the cover stage of each x, worked out on first use; and
     for each input w, the stages at which the two operators both halt on the
     current-approximation oracle and match the final target sets. Sets and
@@ -353,10 +354,14 @@ def audit_hypotheses(
     delta: UseBoundedOperator,
     f: UseBound,
     horizon: int,
+    table: WttAgreementTable | None = None,
 ):
     """Pre-run audit: A and B disjoint, at least one point outside their
     union, and the operators compute each side from the other bit by bit on
-    [0, horizon) at the horizon. Raises HypothesisViolation otherwise."""
+    [0, horizon) at the horizon. Raises HypothesisViolation otherwise. Given
+    the table of the same sets, operators, f and horizon, the inputs below
+    its agree_prefix at the horizon pass unapplied (a row holds there
+    exactly when wtt_apply gives the target), so wtt_apply names a failure."""
     a_final = a.snapshot(horizon)
     b_final = b.snapshot(horizon)
     inter = a_final & b_final
@@ -369,8 +374,9 @@ def audit_hypotheses(
         raise HypothesisViolation(
             "scripted sets cover every point below the horizon; no holes left"
         )
+    start = 0 if table is None else table.agree_prefix(horizon)
     a_bits, b_bits = bits_of(a_final), bits_of(b_final)
-    for x in range(width):
+    for x in range(start, width):
         got = wtt_apply(gamma, a_bits, x, horizon)
         want = 1 if x in b_final else 0
         if got != want:
@@ -417,6 +423,7 @@ def check_schema(sc):
 
 
 def audit(sc):
+    # case 1 builds no table, which would cost more than the walk it spares
     audit_hypotheses(
         sc.stage_set("A"),
         sc.stage_set("B"),
@@ -424,6 +431,7 @@ def audit(sc):
         sc.operator("delta"),
         sc.use_bound(),
         sc.horizon,
+        sc.agreement_table() if sc.case.tag == 2 else None,
     )
 
 

@@ -9,6 +9,8 @@ split nor decoded, and check reads the fresh run's own objects, with detail
 None. Any other body is split into tokens; one that still differs is
 decoded, so a malformed one exits 2 with no report, and check reads the
 decoded log, with detail naming its first record that differs from the run.
+Only reading the body exits 2: an error of the fresh run, or of checking
+it, is a HardFault naming the construction (exit 1).
 """
 
 from __future__ import annotations
@@ -35,22 +37,29 @@ def check_run(trace: Trace, ran=None) -> VerificationReport:
     module = construction_module(trace.construction)
     sc = trace.scenario
     detail = None
+    reading = False  # whether the step under way reads the recorded body
+    faults = (ValueError, IndexError, KeyError, TypeError)
     try:
         if ran is None:
             try:
                 ran = module.fresh(sc)
-            except HardFault:
-                # a malformed body exits 2 even when the run hard-faults
+            except (HardFault, *faults):
+                # a malformed body exits 2 even when the run fails
+                reading = True
                 module.decode(split_body(trace.body), sc.horizon)
+                reading = False
                 raise
             fresh = module.encode(ran[1])
             if trace.body != fresh:
                 body = split_body(trace.body)
                 detail = first_divergence(body, map(str.split, fresh)) or None
-                if detail is not None:
+                reading = detail is not None
+                if reading:
                     ran = ran[0], module.decode(body, sc.horizon)
         report = VerificationReport(trace.construction, trace.scenario_hash)
         report.checks, report.caveats = module.check(sc, *ran, detail)
-    except (ValueError, IndexError, KeyError, TypeError) as exc:
+    except faults as exc:
+        if not reading:
+            raise HardFault(f"{trace.construction} raised {type(exc).__name__}: {exc}")
         raise UsageError(f"malformed trace body: {exc}")
     return report

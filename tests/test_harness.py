@@ -606,6 +606,12 @@ def mutations():
     }
 
 
+def early_events(sc, last=93):
+    """The scenario's sets with every event moved to stage `last` at the
+    latest, so that each loads at any horizon past `last`."""
+    return {name: [(e, min(t, last)) for e, t in events] for name, events in sc.sets.items()}
+
+
 class TestKeptText:
     """A parsed scenario keeps its canonical text until a field changes; a
     changed one writes the trace that a freshly rendered copy writes."""
@@ -627,6 +633,40 @@ class TestKeptText:
         trace = run_scenario(sc).render()
         assert trace == run_scenario(built).render()
         assert trace != run_scenario(load_scenario(text)).render()
+
+    @pytest.mark.parametrize("field", ["horizon", "sets"])
+    def test_a_changed_field_drops_the_sets_and_table(self, field):
+        """A case-2 upclosure scenario changed after its audit built its
+        stage sets and agreement table runs on ones built anew."""
+        built = upclosure_scenario(3, 2)
+        if field == "horizon":
+            built.sets = early_events(built)
+
+        def change(sc):
+            if field == "horizon":
+                sc.horizon = 95
+            else:
+                sc.sets = early_events(sc)
+
+        text = built.canonical()
+        sc = load_scenario(text)
+        table, a = sc._table, sc.stage_set("A")
+        assert table is not None and a is sc.stage_set("A")
+        change(sc)
+        change(built)
+        assert sc.agreement_table() is not table and sc.stage_set("A") is not a
+        trace = run_scenario(sc).render()
+        assert trace == run_scenario(built).render()
+        assert trace != run_scenario(load_scenario(text)).render()
+
+    @pytest.mark.parametrize("horizon", [94, 97, 100])
+    def test_a_case2_horizon_override_runs_as_written(self, horizon):
+        built = upclosure_scenario(3, 2)
+        built.sets = early_events(built)
+        text = built.canonical()
+        written = text.replace("horizon 100\n", f"horizon {horizon}\n")
+        trace = run_scenario(load_scenario(text, horizon_override=horizon)).render()
+        assert trace == run_scenario(load_scenario(written)).render()
 
     def test_parsed_fields_are_read_only(self):
         sc = parse_scenario(upclosure_scenario(0, 2).canonical())
@@ -1766,6 +1806,43 @@ class TestOneVerifyPath:
         assert main(["verify", "--trace", str(path)]) == code
         want = "error: unknown record bogus" if code == 2 else "hard fault: no free"
         assert capsys.readouterr().err.startswith(want)
+
+    @pytest.mark.parametrize("body, code", [("bogus 1", 2), (None, 1)])
+    def test_an_error_of_the_fresh_run_is_a_hard_fault(
+        self, body, code, tmp_path, capsys, monkeypatch
+    ):
+        """An error raised by the run, not by reading the body, names the
+        construction and exits 1; a malformed body still exits 2 first."""
+
+        def boom(_):
+            raise ValueError("boom in the run")
+
+        monkeypatch.setattr(construction_module("nosupermax"), "fresh", boom)
+        lines = (FAULTS / "nosupermax-map.trc").read_text().splitlines()
+        if body is not None:
+            lines.insert(lines.index("scenario-end") + 1, body)
+        path = tmp_path / "faulting.trc"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["verify", "--trace", str(path)]) == code
+        want = (
+            "error: unknown record bogus in trace body\n"
+            if code == 2
+            else "hard fault: nosupermax raised ValueError: boom in the run\n"
+        )
+        assert capsys.readouterr().err == want
+
+    def test_an_error_checking_the_own_run_is_a_hard_fault(self, capsys, monkeypatch):
+        """verify --scenario checks the run it just made, and reads no body."""
+
+        def broken(*_):
+            raise KeyError("k")
+
+        monkeypatch.setattr(construction_module("nosupermax"), "check", broken)
+        path = SAMPLES / "nosupermax-sparse.scn"
+        assert main(["verify", "--scenario", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.err == "hard fault: nosupermax raised KeyError: 'k'\n"
+        assert out.out == ""
 
 
 class TestVerifyScenario:

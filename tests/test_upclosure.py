@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+from collections import Counter
+from functools import cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +14,7 @@ import sepsim.functionals as functionals
 import sepsim.upclosure as upclosure
 from sepsim.corpus import upclosure_corpus, upclosure_scenario
 from sepsim.enumcore import SeparatorSnapshot, StageSet
-from sepsim.errors import HypothesisViolation
+from sepsim.errors import HypothesisViolation, UsageError
 from sepsim.functionals import (
     OracleProgram,
     OracleRule,
@@ -21,7 +23,7 @@ from sepsim.functionals import (
     bits_of,
     wtt_apply,
 )
-from sepsim.scenario import load_scenario
+from sepsim.scenario import load_scenario, parse_scenario
 from sepsim.trace import parse_trace, run_scenario, run_upclosure_pipeline
 from sepsim.upclosure import (
     CaseTag,
@@ -512,6 +514,138 @@ class TestAudit:
                 )
 
 
+@cache
+def case2_lines(seed):
+    """The token lists of the lines of case-2 corpus scenario `seed`."""
+    lines = upclosure_scenario(seed, 2).canonical().splitlines()
+    return tuple(tuple(line.split()) for line in lines)
+
+
+def edit_slots(parts):
+    """The tokens of a scenario line that an edit may replace: a rule's
+    output, use, availability and guard positions, and a set's stamp."""
+    if parts[0] == "rule":
+        return [3, 4, 5, *range(7, len(parts), 2)]
+    return [3] if parts[0] == "set" else []
+
+
+def edited(seed, lineno, slot, value):
+    """The text of case-2 corpus scenario `seed` with one token replaced."""
+    lines = [list(parts) for parts in case2_lines(seed)]
+    lines[lineno][slot] = str(value)
+    return "\n".join(map(" ".join, lines)) + "\n"
+
+
+def rule_edit(seed, prog, x, slot, value=None):
+    """The edit of the rule of `prog` for input x in scenario `seed`: its
+    token at `slot` becomes `value`, or its output is flipped."""
+    lines = case2_lines(seed)
+    lineno = next(i for i, p in enumerate(lines) if p[:3] == ("rule", prog, str(x)))
+    if value is None:
+        value = 1 - int(lines[lineno][slot])
+    return seed, lineno, slot, value
+
+
+@st.composite
+def case2_edits(draw):
+    """One token of a rule or set line of a case-2 corpus scenario (horizon
+    100, so inputs 0..99), replaced: an output flipped, a use or an
+    availability anywhere up to past the horizon, a guard position below
+    the use, a stamp below the horizon."""
+    seed = draw(st.integers(0, 9))
+    lines = case2_lines(seed)
+    lineno = draw(st.sampled_from([i for i, p in enumerate(lines) if edit_slots(p)]))
+    parts = lines[lineno]
+    slot = draw(st.sampled_from(edit_slots(parts)))
+    if parts[0] == "set":
+        values = st.integers(0, 99)
+    elif slot == 3:
+        values = st.just(1 - int(parts[3]))
+    elif slot in (4, 5):
+        values = st.integers(0, 110)
+    else:
+        values = st.integers(0, int(parts[4]) - 1)
+    return seed, lineno, slot, draw(values)
+
+
+def audit_message(*args):
+    """The message of the HypothesisViolation the audit raises, or None."""
+    try:
+        audit_hypotheses(*args)
+    except HypothesisViolation as exc:
+        return str(exc)
+    return None
+
+
+# edits whose audit first fails on each operator at input 0 and at the last
+# input, by a flipped output, and where an operator diverges, since its rule
+# becomes available only past the horizon
+GAMMA_AT_0 = rule_edit(0, "gamma", 0, 3)
+DELTA_AT_0 = rule_edit(1, "delta", 0, 3)
+GAMMA_AT_LAST = rule_edit(2, "gamma", 99, 3)
+DELTA_AT_LAST = rule_edit(3, "delta", 99, 3)
+DELTA_DIVERGES = rule_edit(4, "delta", 50, 5, 101)
+FIXED_EDITS = {
+    GAMMA_AT_0: "first operator disagrees with target at bit 0 (got",
+    DELTA_AT_0: "second operator disagrees with target at bit 0 (got",
+    GAMMA_AT_LAST: "first operator disagrees with target at bit 99 (got",
+    DELTA_AT_LAST: "second operator disagrees with target at bit 99 (got",
+    DELTA_DIVERGES: "second operator disagrees with target at bit 50 (got None",
+}
+
+
+class TestAuditFromTable:
+    """The case-2 audit skips the inputs below the table's agree_prefix at
+    the horizon and applies the operators only to name a failure; the walk
+    from input 0 (no table) is the reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case2_edits())
+    @example(GAMMA_AT_0)
+    @example(DELTA_AT_0)
+    @example(GAMMA_AT_LAST)
+    @example(DELTA_AT_LAST)
+    @example(DELTA_DIVERGES)
+    def test_edited_scenarios_get_the_walks_verdict(self, edit):
+        try:
+            sc = parse_scenario(edited(*edit))
+        except UsageError:
+            return
+        args = (
+            sc.stage_set("A"), sc.stage_set("B"), sc.operator("gamma"),
+            sc.operator("delta"), sc.use_bound(), sc.horizon,
+        )
+        assert audit_message(*args, sc.agreement_table()) == audit_message(*args)
+
+    @pytest.mark.parametrize("edit", list(FIXED_EDITS))
+    def test_fixed_edits_fail_where_named(self, edit):
+        with pytest.raises(HypothesisViolation) as exc:
+            load_scenario(edited(*edit))
+        assert str(exc.value).startswith(FIXED_EDITS[edit])
+
+    def test_corpus_work(self, monkeypatch):
+        """load, run, render, parse and verify of upclosure_corpus(10): each
+        case-1 scenario is audited twice, over 2 operators and 100 inputs;
+        each case-2 audit reads the table its run builds anyway."""
+        counts = Counter()
+
+        def counted(name, fn):
+            def call(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return call
+
+        init = WttAgreementTable.__init__
+        monkeypatch.setattr(upclosure, "wtt_apply", counted("wtt_apply", wtt_apply))
+        monkeypatch.setattr(functionals, "evaluate", counted("evaluate", functionals.evaluate))
+        monkeypatch.setattr(WttAgreementTable, "__init__", counted("tables", init))
+        for _, sc in upclosure_corpus(10):
+            trace = run_scenario(load_scenario(sc.canonical())).render()
+            assert verify_trace(parse_trace(trace)).passed
+        assert (counts["wtt_apply"], counts["evaluate"], counts["tables"]) == (4000, 4000, 20)
+
+
 def naive_agreement(a, b, gamma, delta, f, horizon):
     """rows[w][t]: whether each operator, applied to the stage-t snapshot of
     its source at stage t, gives the final target bit of input w."""
@@ -889,6 +1023,23 @@ class TestOperatorsBuiltOnce:
             # gamma and delta: for the schema check, the audit and the
             # pipeline of the loaded scenario, then of the trace's
             assert len(built) == 4
+
+    @pytest.mark.parametrize("case, tables", [(1, 0), (2, 2)])
+    def test_each_scenario_builds_its_sets_and_table_once(self, case, tables, monkeypatch):
+        built = Counter()
+        for cls in (StageSet, WttAgreementTable):
+
+            def counted(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
+                built[_cls] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        sc = load_scenario(upclosure_scenario(3, case).canonical())
+        assert sc.stage_set("A") is sc.stage_set("A")
+        assert verify_trace(parse_trace(run_scenario(sc).render())).passed
+        # A, B and C for the loaded scenario, then for the trace's; a case-2
+        # table for each, which its audit builds and its pipeline reads
+        assert (built[StageSet], built[WttAgreementTable]) == (6, tables)
 
 
 @pytest.mark.parametrize("case", [1, 2])
