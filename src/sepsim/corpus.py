@@ -11,76 +11,55 @@ from __future__ import annotations
 
 import random
 
-from .functionals import OracleRule
+from .functionals import bits_of, program_rows
 from .nosupermax import SpeedupCertificate, detect_outcome, run_attempt
 from .scenario import Scenario
 from .upclosure import CaseTag
 
 
 # ---------------------------------------------------------------------------
-# adversary program builders (rule lists)
+# adversary program builders: each gives a program's rows, as
+# functionals.program_rows does, a row being (available_at, use, mask, want,
+# output)
 
 
 def always_zero_rules(width):
-    return [OracleRule(guard=(), input=y, output=0, use=0) for y in range(width)]
+    return program_rows((y, (0, 0, 0, 0, 0)) for y in range(width))
 
 
 def reader_rules(a, b, width, avail=0):
     """Answer on y is the oracle bit at position a*y + b."""
-    rules = []
+    pairs = []
     for y in range(width):
         p = a * y + b
         for bit in (0, 1):
-            rules.append(
-                OracleRule(
-                    guard=((p, bit),),
-                    input=y,
-                    output=bit,
-                    use=p + 1,
-                    available_at=avail,
-                )
-            )
-    return rules
+            pairs.append((y, (avail, p + 1, 1 << p, bit << p, bit)))
+    return program_rows(pairs)
 
 
 def or_reader_rules(a, b, gap, width, avail=0):
     """Answer on y is the disjunction of two oracle bits."""
-    rules = []
+    pairs = []
     for y in range(width):
         p = a * y + b
         q = p + gap
         use = q + 1
-        rules.append(
-            OracleRule(guard=((p, 0), (q, 0)), input=y, output=0, use=use,
-                       available_at=avail)
-        )
-        rules.append(
-            OracleRule(guard=((p, 1),), input=y, output=1, use=use,
-                       available_at=avail)
-        )
-        rules.append(
-            OracleRule(guard=((p, 0), (q, 1)), input=y, output=1, use=use,
-                       available_at=avail)
-        )
-    return rules
+        both = 1 << p | 1 << q
+        pairs.append((y, (avail, use, both, 0, 0)))
+        pairs.append((y, (avail, use, 1 << p, 1 << p, 1)))
+        pairs.append((y, (avail, use, both, 1 << q, 1)))
+    return program_rows(pairs)
 
 
 def prefix_rules(epochs, width):
     """One rule family per oracle-prefix epoch (pairwise incompatible)."""
-    rules = []
+    pairs = []
     for prefix, zeros, avail in epochs:
-        guard = tuple((p, int(prefix[p])) for p in range(len(prefix)))
+        mask = (1 << len(prefix)) - 1
+        want = int(prefix[::-1] or "0", 2)  # bit p is prefix[p]
         for y in range(width):
-            rules.append(
-                OracleRule(
-                    guard=guard,
-                    input=y,
-                    output=0 if y in zeros else 1,
-                    use=len(prefix),
-                    available_at=avail,
-                )
-            )
-    return rules
+            pairs.append((y, (avail, len(prefix), mask, want, 0 if y in zeros else 1)))
+    return program_rows(pairs)
 
 
 def w_epoch_rules(w_events, length, zeros_per_epoch, width, avail=0):
@@ -341,21 +320,14 @@ def upclosure_scenario(seed, case_tag, horizon=100, domain=64) -> Scenario:
         return [(e, rng.randrange(0, horizon - 1)) for e in sorted(members)]
 
     def op_rules(source, target):
-        rules = []
+        """Each x answers whether it is in the target, guarded by the source's
+        bits below f(x), all required to hold 1."""
+        bits, pairs = bits_of(source), []
         for x in range(horizon):
-            guard = tuple((p, 1) for p in sorted(source) if p < fmap[x])
-            rules.append(
-                OracleRule(
-                    guard=guard,
-                    input=x,
-                    output=1 if x in target else 0,
-                    use=fmap[x],
-                    available_at=rng.randrange(0, horizon // 2)
-                    if rng.random() < 0.5
-                    else 0,
-                )
-            )
-        return rules
+            guard = bits & ((1 << fmap[x]) - 1)
+            avail = rng.randrange(0, horizon // 2) if rng.random() < 0.5 else 0
+            pairs.append((x, (avail, fmap[x], guard, guard, 1 if x in target else 0)))
+        return program_rows(pairs)
 
     # block indices that land in C: enough for eight blocks
     c_mem = {n for n in range(9) if rng.random() < 0.5}

@@ -12,11 +12,12 @@ into its oracle int; strings of '0'/'1' appear only where traces record a
 prefix, as the sigma of anticomplete's copy step (`sigma_search`) and as
 upclosure's separator Z (`encode_separator`).
 
-A program holds its rules as compiled rows, (available_at, use, mask, want,
-output). `scenario.parse_scenario` reads each rule line straight into its
-row, so a parsed program builds no OracleRule unless a reader asks for its
-`rules`; programs built from OracleRules, as the corpus and the tests build
-them, compile the same rows.
+A rule is a compiled row, (available_at, use, mask, want, output), and a
+program's rows are grouped as (input -> its rows, each rule's input in rule
+order), the shape `program_rows` gives. `scenario.parse_scenario` reads each
+rule line straight into its row, and the corpus builders emit rows, so no
+OracleRule is built unless a reader asks for a program's `rules` or an error
+message names a rule.
 """
 
 from __future__ import annotations
@@ -94,6 +95,17 @@ class OracleRule:
         return hash(self._key())
 
 
+def program_rows(pairs):
+    """The rows of a program, (input -> its rows, each rule's input), from
+    (input, row) pairs in rule order; rows_in_order's inverse."""
+    by_input: dict[int, list] = {}
+    order = []
+    for y, row in pairs:
+        by_input.setdefault(y, []).append(row)
+        order.append(y)
+    return by_input, order
+
+
 def rows_in_order(by_input, order):
     """(input, row) for each rule of a program's rows, in rule order: `order`
     holds each rule's input, and by_input[y] the rows of input y in order."""
@@ -108,34 +120,17 @@ class OracleProgram:
     """A deterministic finite functional, held as compiled rows.
 
     A row is one rule as (available_at, use, mask, want, output), its guard
-    as a (mask, want) pair that rules with equal guards share. A program is
-    built from OracleRules or from rows already compiled, which is how
-    parse_scenario reads a rule line; its rules are then derived on first
-    access. Determinism: two rules for the same input whose guards could
-    both be satisfied by one oracle must agree on output and use
-    (availability may differ; it only delays convergence). Guards a and b
-    are compatible iff (want_a ^ want_b) & mask_a & mask_b == 0.
+    as a (mask, want) pair that rules with equal guards share; its rules are
+    derived on first access. Determinism: two rules for the same input whose
+    guards could both be satisfied by one oracle must agree on output and
+    use (availability may differ; it only delays convergence). Guards a and
+    b are compatible iff (want_a ^ want_b) & mask_a & mask_b == 0.
     """
 
-    def __init__(self, rules=(), rows=None):
-        """From OracleRules, or from `rows`: the pair (input -> its rows in
-        rule order, the input of each rule in rule order)."""
-        if rows is None:
-            rules = tuple(rules)
-            by_input: dict[int, list] = {}
-            order = []
-            masks: dict[tuple, tuple[int, int]] = {}  # guard -> (mask, want)
-            for r in rules:
-                pair = masks.get(r.guard)
-                if pair is None:
-                    pair = masks[r.guard] = guard_mask(r.guard)
-                row = (r.available_at, r.use, pair[0], pair[1], r.output)
-                by_input.setdefault(r.input, []).append(row)
-                order.append(r.input)
-        else:
-            by_input, order = rows
-            rules = None
-        self._rules = rules
+    def __init__(self, rows=None):
+        """From `rows`, as program_rows gives them; None for no rules."""
+        by_input, order = ({}, []) if rows is None else rows
+        self._rules = None
         self._read = by_input  # rows in rule order, from which rules derive
         self._order = order
         # input -> compiled_for(input)
@@ -162,7 +157,7 @@ class OracleProgram:
 
     @property
     def rules(self) -> tuple[OracleRule, ...]:
-        """The rules in the order given or read."""
+        """The rules in rule order, derived from the rows on first access."""
         if self._rules is None:
             self._rules = tuple(
                 OracleRule(guard_of(mask, want), y, output, use, available_at)
@@ -180,9 +175,6 @@ class OracleProgram:
     def compiled_rows(self):
         """Every row, input by input, each input's as compiled_for gives them."""
         return chain.from_iterable(self._compiled.values())
-
-
-EMPTY_PROGRAM = OracleProgram()
 
 
 def evaluate(prog: OracleProgram, bits: int, length: int, y: int, s: int):

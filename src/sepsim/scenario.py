@@ -35,10 +35,11 @@ The text is read once, into what the schema check, the audit, the run and
 the verifier use. A rule line becomes its compiled row (see
 `functionals.OracleProgram`) as it is read: each distinct guard text is
 parsed and compiled to its (mask, want) pair and top position once, and no
-OracleRule is built. As it reads, the parser notes the first line at which
-the text departs from canonical form: records out of canonical order, a
-repeated or missing header record, a blank or comment line, whitespace other
-than single spaces, or an integer not in canonical decimal (a sign, a
+OracleRule is built. Built scenarios hold the same rows, and canonical text
+is rendered from them. As it reads, the parser notes the first line at
+which the text departs from canonical form: records out of canonical order,
+a repeated or missing header record, a blank or comment line, whitespace
+other than single spaces, or an integer not in canonical decimal (a sign, a
 leading zero, an underscore or non-ASCII digits). A Scenario parsed from
 canonical text keeps that text, and canonical() returns it without
 rendering; a scenario file may still carry comments and any record order.
@@ -69,6 +70,7 @@ from .functionals import (
     UseBoundedOperator,
     checked_guard,
     guard_mask,
+    guard_of,
     rows_in_order,
 )
 from .records import count_error, read_record, record_table
@@ -112,18 +114,22 @@ def width_cap(horizon: int) -> int:
 
 
 class Scenario:
-    """One experiment. A scenario parsed from canonical text keeps that text,
-    and canonical() returns it; a built one renders its text on each call.
+    """One experiment. Its rules map each program name to that program's
+    rows, (input -> its rows, each rule's input), as `functionals.
+    program_rows` gives them, in parsed and built scenarios alike. A scenario
+    parsed from canonical text keeps that text, and canonical() returns it; a
+    built one renders its text from the rows on each call.
 
     Assigning any field drops the kept text, the stage sets and the agreement
     table, and assigning the rules or the bound table drops the programs and
     operators built from them. The fields of a parsed scenario are read-only
-    containers (tuples, and read-only mappings for sets and rules), so no
-    change can bypass an assignment."""
+    containers (tuples, and read-only mappings for sets and rules). A
+    program shares its scenario's rows, so rules are replaced by assignment,
+    never changed in place."""
 
     __slots__ = (
-        "construction", "horizon", "sets", "_rules", "bound_table", "case", "certs",
-        "_rows", "_text", "_noncanonical_line", "_programs", "_operators", "_bound",
+        "construction", "horizon", "sets", "rules", "bound_table", "case", "certs",
+        "_text", "_noncanonical_line", "_programs", "_operators", "_bound",
         "_stage_sets", "_table",
     )
 
@@ -132,15 +138,12 @@ class Scenario:
         construction: str,
         horizon: int = DEFAULT_HORIZON,
         sets: dict[str, list[tuple[int, int]]] | None = None,
-        rules: dict[str, list[OracleRule]] | None = None,
+        rules: dict[str, tuple[dict[int, list], list[int]]] | None = None,
         bound_table: list[tuple[int, int]] | None = None,
         case=None,
     ):
         self._text = None  # the canonical text, kept by parse_scenario
         self._noncanonical_line = None
-        # program name -> (input -> its rows, each rule's input), in rule
-        # order, as parse_scenario reads them; None in a built scenario
-        self._rows = None
         # program name -> its OracleProgram and UseBoundedOperator, filled by
         # program() and operator(); set name -> its StageSet, by stage_set();
         # the use bound and the table, by use_bound() and agreement_table()
@@ -167,28 +170,11 @@ class Scenario:
                 self._bound = None
 
     @property
-    def rules(self):
-        """Program name -> its rules; a parsed scenario's are derived from its
-        programs, as a read-only mapping of tuples."""
-        if self._rows is None:
-            return self._rules
-        return MappingProxyType({name: self.program(name).rules for name in self._rows})
-
-    @rules.setter
-    def rules(self, rules):
-        self._rules = rules
-        self._rows = None
-
-    @property
     def noncanonical_line(self):
         """The number of the first line at which the text this scenario was
         parsed from departs from canonical form; None when that text was
         canonical, or when the scenario was built."""
         return self._noncanonical_line
-
-    def _program_names(self):
-        """The names of the programs that have rules, without building any."""
-        return self._rules.keys() if self._rows is None else self._rows.keys()
 
     # -- canonical form
 
@@ -216,23 +202,22 @@ class Scenario:
                 lines.append(f"set {name} {e} {t}")
         for x, fx in sorted(self.bound_table):
             lines.append(f"bound f {x} {fx}")
-        texts = {}  # guard -> " <npairs> <pos> <bit>...", rendered once
-        rules = self.rules
-        for prog in sorted(rules):
+        # (mask, want) -> its guard and " <npairs> <pos> <bit>...", made once
+        guards = {}
+        for prog, (by_input, _) in sorted(self.rules.items()):
             rows = []
-            for r in rules[prog]:
-                g = r.guard
-                text = texts.get(g)
-                if text is None:
-                    text = f" {len(g)}"
-                    for p, b in g:
-                        text += f" {p} {b}"
-                    texts[g] = text
-                rows.append((r.input, r.use, r.available_at, g, r.output, text))
+            for y, compiled in by_input.items():
+                for avail, use, mask, want, out in compiled:
+                    guard = guards.get((mask, want))
+                    if guard is None:
+                        g = guard_of(mask, want)
+                        text = f" {len(g)}" + "".join(f" {p} {b}" for p, b in g)
+                        guard = guards[mask, want] = g, text
+                    rows.append((y, use, avail, guard[0], out, guard[1]))
             rows.sort()  # equal keys render equal lines
             for x, use, avail, _, out, text in rows:
                 lines.append(f"rule {prog} {x} {out} {use} {avail}{text}")
-        texts.clear()  # the lines hold copies; free the texts before the join
+        guards.clear()  # the lines hold copies; free the texts before the join
         lines += ("end", "")
         return "\n".join(lines)
 
@@ -266,16 +251,11 @@ class Scenario:
         the verifier; a built scenario's fields are fixed from then on."""
         prog = self._programs.get(name)
         if prog is None:
-            if self._rows is None:
-                prog = OracleProgram(self._rules.get(name, ()))
-            else:
-                rows = self._rows.get(name)
-                prog = OracleProgram(rows=rows) if rows else OracleProgram()
-            self._programs[name] = prog
+            prog = self._programs[name] = OracleProgram(self.rules.get(name))
         return prog
 
     def programs_by_index(self) -> dict[int, OracleProgram]:
-        names = by_index(self._program_names(), "phi")
+        names = by_index(self.rules, "phi")
         return {i: self.program(name) for i, name in names.items()}
 
     def use_bound(self) -> UseBound:
@@ -300,14 +280,11 @@ class Scenario:
     def _use_over(self, name: str, cap: int):
         """The first use past the cap among the rules of that program, in
         rule order, without building it; None when there is none."""
-        if self._rows is None:
-            uses = [r.use for r in self._rules[name]]
-        else:
-            by_input, order = self._rows[name]
-            if max(map(itemgetter(1), chain.from_iterable(by_input.values()))) <= cap:
-                return None
-            uses = (row[1] for _, row in rows_in_order(by_input, order))
-        return next((use for use in uses if use > cap), None)
+        by_input, order = self.rules[name]
+        uses = map(itemgetter(1), chain.from_iterable(by_input.values()))
+        if max(uses, default=0) <= cap:
+            return None
+        return next(row[1] for _, row in rows_in_order(by_input, order) if row[1] > cap)
 
 
 def _schema_error(msg, lineno=None):
@@ -573,11 +550,11 @@ def parse_scenario(text: str) -> Scenario:
         construction,
         horizon,
         sets=MappingProxyType({name: tuple(events) for name, events in sets.items()}),
+        rules=MappingProxyType(programs),
         bound_table=tuple(bounds),
         case=case,
     )
     sc.certs = tuple(certs)
-    sc._rows = programs
     validate_schema(sc)
     # the spaces between the tokens of each record: one fewer than its tokens
     spaces = 3 + (0 if case is None else 3 - case.tag)  # `case 1 <k>` or `case 2`
@@ -623,7 +600,7 @@ def validate_schema(sc: Scenario):
                 raise _schema_error(f"set {name} element {e} enters twice")
             seen.add(e)
         module.check_set(name, events)
-    for name in sc._program_names():
+    for name in sc.rules:
         if module.PROGRAM_NAMES is None or not module.PROGRAM_NAMES.fullmatch(name):
             raise _schema_error(
                 f"program {name} not allowed for {sc.construction}"

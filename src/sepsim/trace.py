@@ -236,7 +236,10 @@ def run_upclosure_pipeline(sc: Scenario):
             values.append(f(values[-1]))
         missing = None
     else:
-        values, missing = m_sequence(gaps, covered, max_blocks + 1)
+        # the recovery search, like the audit, reads the operators only on
+        # inputs below the horizon, so each boundary is a covered x there
+        below = [x for x in covered if x < sc.horizon]
+        values, missing = m_sequence(gaps, below, max_blocks + 1)
     out = {
         "consistent": consistent,
         "m_values": values,

@@ -93,8 +93,9 @@ def m_sequence(gaps, covered, count: int):
     """First `count` case-2 block boundaries, from the gap list and covered
     points of the final snapshots (see `covered_points`): -1, then each the
     least covered x with a hole in (last boundary, x]. Returns (values,
-    missing), where missing is the first index not witnessed within the
-    bound table, None when there is none.
+    missing), where missing is the first index no covered point given
+    witnesses, None when there is none; the pipeline gives the covered
+    points below the horizon.
     """
     if count <= 0:
         return [], None

@@ -12,8 +12,9 @@ event-driven `AnticompleteRun` and the mask-based search must produce the
 same records, A, B and D on every input.
 """
 
+from rule_rows import EMPTY_PROGRAM
 from sepsim.anticomplete import AnticompleteRun, RStrategyState, apply_sigma
-from sepsim.functionals import EMPTY_PROGRAM, bits_of, evaluate
+from sepsim.functionals import bits_of, evaluate
 
 
 def sigma_search(prog, n, s, a_mem, b_mem, d_mem):

@@ -3,14 +3,16 @@
 `naive_parse_scenario` is the plain record-by-record parser: every record
 but a rule has a fixed token count (`case 1 <k>` takes 3, `case 2` takes 2),
 and every rule is checked by `naive_rule` (sort the guard, refuse a repeated
-position, then check each entry) before it becomes an `OracleRule`.
+position, then check each entry) before it becomes an `OracleRule`, and a
+program's OracleRules are compiled into its rows (`rule_rows.rows_of`).
 `naive_compatible` decides guard compatibility through a position -> bit
 dict. `naive_canonical` renders a scenario's canonical text pair by pair,
-rule by rule. The fast paths in `sepsim.scenario` and `sepsim.functionals`
-must agree with these on every input: the same scenario (and text), or the
-same error.
+rule by rule, from its programs' `rules`. The fast paths in
+`sepsim.scenario` and `sepsim.functionals` must agree with these on every
+input: the same scenario (and text), or the same error.
 """
 
+from rule_rows import rows_of
 from sepsim.errors import UsageError
 from sepsim.functionals import OracleRule
 from sepsim.nosupermax import SpeedupCertificate
@@ -57,6 +59,7 @@ def naive_parse_scenario(text: str) -> Scenario:
     if not lines or lines[0].split("#")[0].strip() != "sepsim-scenario 1":
         raise _schema_error("missing or unsupported scenario header", 1)
     sc = Scenario(construction="")
+    rules = {}  # program name -> its OracleRules, in rule order
     horizon_seen = False
     ended = False
     for lineno, raw in enumerate(lines[1:], start=2):
@@ -116,7 +119,7 @@ def naive_parse_scenario(text: str) -> Scenario:
                 guard = tuple(
                     (int(nums[2 * i]), int(nums[2 * i + 1])) for i in range(npairs)
                 )
-                sc.rules.setdefault(name, []).append(
+                rules.setdefault(name, []).append(
                     naive_rule(
                         guard=guard,
                         input=int(parts[2]),
@@ -139,6 +142,7 @@ def naive_parse_scenario(text: str) -> Scenario:
         raise _schema_error("missing construction record")
     if not horizon_seen:
         sc.horizon = DEFAULT_HORIZON
+    sc.rules = {name: rows_of(program) for name, program in rules.items()}
     validate_schema(sc)
     return sc
 
@@ -159,7 +163,7 @@ def naive_canonical(sc: Scenario) -> str:
         lines.append(f"bound f {x} {fx}")
     for prog in sorted(sc.rules):
         for r in sorted(
-            sc.rules[prog],
+            sc.program(prog).rules,
             key=lambda r: (r.input, r.use, r.available_at, r.guard, r.output),
         ):
             parts = ["rule", prog, str(r.input), str(r.output), str(r.use)]

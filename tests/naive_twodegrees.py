@@ -12,8 +12,9 @@ from the run's own memo. The event-driven `TwoDegreesRun` keeps no such memo
 B on every input.
 """
 
+from rule_rows import EMPTY_PROGRAM
 from sepsim.errors import HardFault
-from sepsim.functionals import EMPTY_PROGRAM, evaluate
+from sepsim.functionals import evaluate
 from sepsim.twodegrees import TwoDegreesRun, VeAxiom, column_threshold, prefix_string
 
 

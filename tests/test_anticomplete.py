@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import naive_anticomplete
 import sepsim.anticomplete as anticomplete
 from naive_anticomplete import NaiveAnticompleteRun, NStrategyState, n_strategy_step
+from rule_rows import program_of
 from sepsim.anticomplete import (
     apply_sigma,
     run_anticomplete,
@@ -23,7 +24,7 @@ from sepsim.trace import run_scenario
 
 
 def always_zero_program(width):
-    return OracleProgram(
+    return program_of(
         [OracleRule(guard=(), input=y, output=0, use=0) for y in range(width)]
     )
 
@@ -43,7 +44,7 @@ def bit_reader_program(position_of, width, available_at=0):
                 guard=((p, 1),), input=y, output=1, use=p + 1, available_at=available_at
             )
         )
-    return OracleProgram(rules)
+    return program_of(rules)
 
 
 def least_sigma(*args):
@@ -130,7 +131,7 @@ class TestSigmaSearch:
     def test_lexicographic_least_with_choice(self):
         # y=0 satisfiable by position 1 being 0 or position 0 being 1:
         # least sigma picks 00... over 10...
-        prog = OracleProgram(
+        prog = program_of(
             [
                 OracleRule(guard=((1, 0),), input=0, output=0, use=2),
                 OracleRule(guard=((0, 1),), input=0, output=0, use=2),
@@ -158,7 +159,7 @@ class TestSigmaSearch:
 
     def test_propagation_failure_wakes_at_the_next_usable_rule(self):
         # y=0 and y=1 pin bit 0 to different values; y=1 gains a rule at 7
-        prog = OracleProgram(
+        prog = program_of(
             [
                 OracleRule(guard=((0, 0),), input=0, output=0, use=1),
                 OracleRule(guard=((0, 1),), input=1, output=0, use=1),
@@ -173,7 +174,7 @@ class TestSigmaSearch:
         # y=0 wants bits 0 and 1 equal, y=1 wants them different until its
         # rule for 00 comes at stage 7; neither has a single candidate
         table = {0: [0, 1, 1, 0], 1: [0, 0, 0, 1]}
-        prog = OracleProgram(
+        prog = program_of(
             [
                 OracleRule(
                     guard=((0, p), (1, q)), input=y, output=out, use=2,
@@ -288,7 +289,7 @@ def random_wake_program(rng, width, horizon):
                     available_at=available_at,
                 )
             )
-    return OracleProgram(rules)
+    return program_of(rules)
 
 
 class TestExactWakes:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from naive_parse import naive_compatible, naive_rule
+from rule_rows import program_of
 from sepsim.functionals import (
     OracleProgram,
     OracleRule,
@@ -64,11 +65,11 @@ def random_valid_program(rng, n_rules=10, max_pos=5):
     kept = []
     for r in rules:
         try:
-            OracleProgram(kept + [r])
+            program_of(kept + [r])
             kept.append(r)
         except ValueError:
             pass
-    return OracleProgram(kept)
+    return program_of(kept)
 
 
 class TestEvaluate:
@@ -78,14 +79,14 @@ class TestEvaluate:
             assert evaluate(prog, *oracle("10101"), y, 100) is None
 
     def test_direct_match(self):
-        prog = OracleProgram(
+        prog = program_of(
             [OracleRule(guard=((0, 1),), input=5, output=0, use=1)]
         )
         assert evaluate(prog, *oracle("1"), 5, 0) == (0, 1)
         assert evaluate(prog, *oracle("111"), 5, 0) == (0, 1)
 
     def test_short_oracle_diverges(self):
-        prog = OracleProgram(
+        prog = program_of(
             [OracleRule(guard=((0, 1),), input=5, output=0, use=3)]
         )
         # guard satisfied but the oracle is shorter than the use
@@ -93,7 +94,7 @@ class TestEvaluate:
         assert evaluate(prog, *oracle("110"), 5, 0) == (0, 3)
 
     def test_not_yet_available(self):
-        prog = OracleProgram(
+        prog = program_of(
             [OracleRule(guard=(), input=0, output=1, use=0, available_at=7)]
         )
         assert evaluate(prog, *oracle(""), 0, 6) is None
@@ -155,7 +156,7 @@ class TestEvaluate:
 
     def test_nondeterminism_rejected(self):
         with pytest.raises(ValueError, match="nondeterministic"):
-            OracleProgram(
+            program_of(
                 [
                     OracleRule(guard=(), input=0, output=0, use=0),
                     OracleRule(guard=((1, 1),), input=0, output=1, use=2),
@@ -235,9 +236,9 @@ class TestDeterminismCheck:
         clash = naive_compatible(ga, gb) and out_a != out_b
         if clash:
             with pytest.raises(ValueError, match="nondeterministic"):
-                OracleProgram(rules)
+                program_of(rules)
         else:
-            OracleProgram(rules)
+            program_of(rules)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -255,10 +256,10 @@ class TestDeterminismCheck:
     def test_program_names_the_same_input(self, rules):
         y = naive_conflict(rules)
         if y is None:
-            OracleProgram(rules)
+            program_of(rules)
             return
         with pytest.raises(ValueError) as excinfo:
-            OracleProgram(rules)
+            program_of(rules)
         assert str(excinfo.value) == (
             f"nondeterministic program: rules for input {y} with "
             f"compatible guards disagree on output or use"
@@ -287,7 +288,7 @@ def identity_operator(domain):
         rules.append(OracleRule(guard=((x, 1),), input=x, output=1, use=x + 1))
         rules.append(OracleRule(guard=((x, 0),), input=x, output=0, use=x + 1))
     bound = UseBound(table=tuple(x + 1 for x in range(domain)))
-    return UseBoundedOperator(program=OracleProgram(rules), bound=bound)
+    return UseBoundedOperator(program=program_of(rules), bound=bound)
 
 
 class TestWttApply:
@@ -306,7 +307,7 @@ class TestWttApply:
 
     def test_rule_use_over_bound_rejected(self):
         bound = UseBound(table=(1,))
-        prog = OracleProgram([OracleRule(guard=(), input=0, output=0, use=2)])
+        prog = program_of([OracleRule(guard=(), input=0, output=0, use=2)])
         with pytest.raises(ValueError, match="use 2 > bound"):
             UseBoundedOperator(program=prog, bound=bound)
 

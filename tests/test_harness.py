@@ -21,9 +21,11 @@ from hypothesis import strategies as st
 import sepsim
 import sepsim.scenario
 import sepsim.trace
+import sepsim.upclosure
 import sepsim.verify
 from cli_env import cli_env
 from naive_parse import naive_canonical, naive_parse_scenario
+from rule_rows import rows_of
 from sepsim.cli import main
 from sepsim.corpus import (
     anticomplete_corpus,
@@ -34,9 +36,10 @@ from sepsim.corpus import (
     twodegrees_scenario,
     upclosure_corpus,
     upclosure_scenario,
+    wrong_cert_fixtures,
 )
 from sepsim.errors import HardFault, HypothesisViolation, SepsimError, UsageError
-from sepsim.functionals import OracleProgram
+from sepsim.functionals import OracleProgram, guard_mask, program_rows
 from sepsim.report import VerificationReport, first_divergence
 from sepsim.scenario import (
     CONSTRUCTIONS,
@@ -46,6 +49,8 @@ from sepsim.scenario import (
     load_scenario,
     load_scenario_file,
     parse_scenario,
+    validate_schema,
+    width_cap,
 )
 from sepsim.trace import Trace, parse_trace, run_scenario
 from sepsim.verify import split_body, verify_trace
@@ -179,7 +184,8 @@ class TestScenarioParsing:
         sc = upclosure_scenario(2, 2)
         # flip one gamma output: the operator no longer computes the target
         bad = None
-        for i, r in enumerate(sc.rules["gamma"]):
+        rules = list(sc.program("gamma").rules)
+        for i, r in enumerate(rules):
             if r.input == 4:
                 from sepsim.functionals import OracleRule
 
@@ -190,8 +196,9 @@ class TestScenarioParsing:
                     use=r.use,
                     available_at=r.available_at,
                 )
-                sc.rules["gamma"][i] = bad
+                rules[i] = bad
                 break
+        sc.rules = {**sc.rules, "gamma": rows_of(rules)}
         assert bad is not None
         with pytest.raises(HypothesisViolation, match="bit 4"):
             load_scenario(sc.canonical())
@@ -539,8 +546,8 @@ class TestCanonicalText:
         built = []
         init = OracleProgram.__init__
 
-        def counted(self, rules=(), rows=None):
-            init(self, rules, rows)
+        def counted(self, rows=None):
+            init(self, rows)
             built.append(self)
 
         monkeypatch.setattr(OracleProgram, "__init__", counted)
@@ -552,6 +559,112 @@ class TestCanonicalText:
         assert elapsed < 0.1, elapsed
         want = f"program {name}: rule use 99999999999 exceeds the horizon by more"
         assert f"{want} than 4096" in capsys.readouterr().err
+
+
+def upclosure_grid(horizon):
+    """upclosure_scenario over 60 seeds, domains 16, 32 and 64 and both
+    cases at one horizon."""
+    for seed in range(60):
+        for domain in (16, 32, 64):
+            for case in (1, 2):
+                yield upclosure_scenario(seed, case, horizon=horizon, domain=domain)
+
+
+# SHA-256 of the concatenated canonical texts of each builder's scenarios,
+# so that a change to a builder that alters a scenario fails here and not
+# only where a trace happens to be pinned
+CORPUS_DIGESTS = {
+    "anticomplete": "c4f0c1be6d6882e1a02f1defcb659007aa60a48cf3535b5231c9e276f682b46c",
+    "twodegrees": "c1287dcc3f87bbb7ab7718ee46da4e3995899d87cd096a4a80f3f65194063966",
+    "upclosure": "a11edd00022e4eef48af1fffeb235bc4a71543d1a1df2fb30ea921bdc3743f3a",
+    "wrong-cert": "8714b6bcc12bf7a4d2698c1392bb0c2dd54b978cdec3c27ecde2f47137dbc7e7",
+    "upclosure-grid-60": "ce62217f44555d18804429c013c9fa08a80fce96f14a5641d3f04d0506970131",
+    "upclosure-grid-300": "da76e7b66cc14153a1775ca528b28d6790f8f9c8c692bd2587e0c47487cbe96c",
+    "upclosure-grid-2000": "659bb5d25149dfb16063a39d7e646cdacabc7052ea2608e8b7feb5d9a9544bf0",
+}
+CORPUS_BUILDS = {
+    "anticomplete": lambda: (sc for _, sc in anticomplete_corpus(20, 1000)),
+    "twodegrees": lambda: (sc for _, sc in twodegrees_corpus(20, 1000)),
+    "upclosure": lambda: (sc for _, sc in upclosure_corpus(100)),
+    "wrong-cert": lambda: (sc for _, sc, _ in wrong_cert_fixtures()),
+    **{f"upclosure-grid-{h}": partial(upclosure_grid, h) for h in (60, 300, 2000)},
+}
+
+
+class TestCorpusText:
+    @pytest.mark.parametrize("name", CORPUS_DIGESTS)
+    def test_builder_text_is_pinned(self, name):
+        h = hashlib.sha256()
+        for sc in CORPUS_BUILDS[name]():
+            h.update(sc.canonical().encode())
+        assert h.hexdigest() == CORPUS_DIGESTS[name]
+
+
+@st.composite
+def random_programs(draw):
+    """A horizon and programs phi0.. as (input, row) pairs in rule order: a
+    few inputs, guards drawn from a pool that rules share, rules repeated,
+    and uses and availabilities up to the width cap. A rule takes the output
+    and use of the earlier rules of its input that a guard could satisfy
+    with it, and is left out when they disagree or its guard would reach
+    past that use, so every program is deterministic."""
+    horizon = draw(st.integers(1, 60))
+    cap = width_cap(horizon)
+    position = st.integers(0, 12) | st.integers(0, cap - 1)
+    pool = draw(
+        st.lists(st.dictionaries(position, st.integers(0, 1), max_size=4), min_size=1, max_size=5)
+    )
+    programs = []
+    for _ in range(draw(st.integers(1, 3))):
+        pairs = []
+        for _ in range(draw(st.integers(1, 12))):
+            if pairs and draw(st.booleans()):
+                pairs.append(pairs[draw(st.integers(0, len(pairs) - 1))])
+                continue
+            y = draw(st.integers(0, 3))
+            mask, want = guard_mask(draw(st.sampled_from(pool)).items())
+            use = draw(st.integers(mask.bit_length(), cap))
+            avail = draw(st.integers(0, 3) | st.integers(0, cap))
+            out = draw(st.integers(0, 1))
+            agree = {
+                (row[1], row[4])
+                for x, row in pairs
+                if x == y and (want ^ row[3]) & mask & row[2] == 0
+            }
+            if agree:
+                (use, out), *others = agree
+                if others or mask >> use:
+                    continue
+            pairs.append((y, (avail, use, mask, want, out)))
+        programs.append(pairs)
+    return horizon, programs
+
+
+class TestRenderFromRows:
+    @settings(max_examples=200, deadline=None)
+    @given(random_programs())
+    def test_rows_round_trip(self, drawn):
+        """A built scenario renders its rows as the naive rule-by-rule text,
+        and that text parses back, as canonical, to the same rows."""
+        horizon, programs = drawn
+        rules = {f"phi{e}": program_rows(pairs) for e, pairs in enumerate(programs)}
+        sc = Scenario("anticomplete", horizon, rules=rules)
+        text = sc.canonical()
+        assert text == naive_canonical(sc)
+        parsed = parse_scenario(text)
+        assert parsed.noncanonical_line is None and parsed.canonical() == text
+        assert sorted(parsed.rules) == sorted(rules)
+        for name, (by_input, order) in rules.items():
+            got_by_input, got_order = parsed.rules[name]
+            assert got_order == sorted(order)
+            assert {y: sorted(rows) for y, rows in got_by_input.items()} == {
+                y: sorted(rows) for y, rows in by_input.items()
+            }
+
+    def test_a_program_without_rows_passes_the_schema(self):
+        sc = Scenario("anticomplete", 10, rules={"phi0": program_rows(())})
+        validate_schema(sc)
+        assert len(sc.program("phi0")) == 0
 
 
 class TestProgramBuilds:
@@ -566,8 +679,8 @@ class TestProgramBuilds:
         built = []
         init = OracleProgram.__init__
 
-        def counted(self, rules=(), rows=None):
-            init(self, rules, rows)
+        def counted(self, rows=None):
+            init(self, rows)
             built.append(tuple(self.rules))
 
         monkeypatch.setattr(OracleProgram, "__init__", counted)
@@ -577,7 +690,7 @@ class TestProgramBuilds:
         assert report.passed
         # once for the loaded Scenario, once for the trace's
         assert sorted(sc.rules) == ["delta", "gamma"]
-        assert Counter(built) == {tuple(rules): 2 for rules in sc.rules.values()}
+        assert Counter(built) == {sc.program(name).rules: 2 for name in sc.rules}
 
 
 def mutations():
@@ -588,7 +701,7 @@ def mutations():
         sc.sets = {name: list(events[:-1]) for name, events in sc.sets.items()}
 
     def rules(sc):
-        sc.rules = {name: list(rules[1:]) for name, rules in sc.rules.items()}
+        sc.rules = {name: rows_of(sc.program(name).rules[1:]) for name in sc.rules}
 
     def bound_table(sc):
         table = sorted(sc.bound_table)
@@ -1876,11 +1989,18 @@ class TestVerifyScenario:
             assert not verified.exists() and not runs
 
 
-# upclosure scenarios whose runs lack a block decoding or a recovered
-# boundary: a shrunken case-2 corpus scenario, and a corpus scenario whose
-# case is declared anew
+# a shrunken case-2 corpus scenario, whose boundaries all recover since they
+# are taken below the horizon; the tests of a recovery that never settles
+# make the search fail (`not_settled`)
 UNSETTLED = upclosure_scenario(0, 2, horizon=40, domain=64).canonical()
+# an upclosure scenario whose run lacks a block decoding: a corpus scenario
+# whose case is declared anew
 UNDECIDED = upclosure_scenario(33, 2).canonical().replace("case 2\n", "case 1 0\n")
+
+
+def not_settled(*_):
+    """A boundary recovery whose stage search never succeeds."""
+    raise ValueError("not settled")
 
 
 def built_text(builder, seed, horizon):
@@ -1923,29 +2043,51 @@ class TestEveryScenarioExits:
     """Each input ends in exit 0, 1, 2 or 3, never in a raw traceback."""
 
     @pytest.mark.parametrize(
-        "text, fault",
+        "text, search, fault",
         [
-            (UNSETTLED, "boundary 7 = 43: not settled"),
-            (UNDECIDED, "block 5 (17, 21]: undecided at horizon"),
+            (UNSETTLED, not_settled, "boundary 1 = 1: not settled"),
+            (UNDECIDED, None, "block 5 (17, 21]: undecided at horizon"),
         ],
         ids=["unsettled", "undecided"],
     )
     @pytest.mark.parametrize("command", ["run", "verify"])
     def test_missing_upclosure_step_is_a_hard_fault(
-        self, command, text, fault, tmp_path, capsys
+        self, command, text, search, fault, tmp_path, capsys, monkeypatch
     ):
+        if search is not None:
+            monkeypatch.setattr(sepsim.upclosure, "recover_m_next", search)
         path = tmp_path / "scn.txt"
         path.write_text(text)
         assert main([command, "--scenario", str(path)]) == 1
         assert capsys.readouterr().err == f"hard fault: {fault}\n"
 
-    def test_well_formed_trace_of_a_faulting_run_is_a_hard_fault(self, tmp_path, capsys):
+    def test_well_formed_trace_of_a_faulting_run_is_a_hard_fault(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(sepsim.upclosure, "recover_m_next", not_settled)
         sc = load_scenario(UNSETTLED)
         body = ["caseok true", "mseq -1", "mseq-missing -", "z -"]
         path = tmp_path / "hand.trc"
         path.write_text(Trace(sc, UNSETTLED, digest(sc), body).render())
         assert main(["verify", "--trace", str(path)]) == 1
-        assert capsys.readouterr().err == "hard fault: boundary 7 = 43: not settled\n"
+        assert capsys.readouterr().err == "hard fault: boundary 1 = 1: not settled\n"
+
+    @pytest.mark.parametrize("domain", [48, 64, 100])
+    def test_case2_boundaries_recover_below_the_horizon(self, domain, tmp_path, capsys):
+        """Each case-2 boundary is a covered point below the horizon, where
+        the recovery search reads the operators, so every shrunken case-2
+        corpus scenario verifies; taken anywhere in f's domain, 308 of these
+        480 hard-faulted with `boundary n = x: not settled`."""
+        path = tmp_path / "scn.txt"
+        failed = []
+        for horizon in (20, 30, 40, 60):
+            for seed in range(40):
+                sc = upclosure_scenario(seed, 2, horizon=horizon, domain=domain)
+                path.write_text(sc.canonical())
+                code = main(["verify", "--scenario", str(path)])
+                if code != 0:
+                    failed.append((horizon, seed, code, capsys.readouterr().err))
+        assert not failed, (len(failed), failed[:3])
 
     @settings(max_examples=60, deadline=None)
     @given(text=BUILT_SCENARIOS)
@@ -2308,14 +2450,14 @@ class TestColdStart:
         assert "result pass" in report.read_text()
 
 
-def attribute_reads():
-    """Every attribute read in src, tests, tools or perfbench, and every
-    name loaded there: (names, attrs). Each part of a dotted string, such as
-    perfbench's tracing targets, counts as an attribute read."""
+def attribute_reads(folders=("src", "tests", "tools", "perfbench")):
+    """Every attribute read in the folders, and every name loaded there:
+    (names, attrs). Each part of a dotted string, such as perfbench's
+    tracing targets, counts as an attribute read."""
     root = PACKAGE.parents[1]
     dotted = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
     names, attrs = set(), set()
-    for folder in ("src", "tests", "tools", "perfbench"):
+    for folder in folders:
         for path in sorted((root / folder).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
                 loaded = isinstance(getattr(node, "ctx", None), ast.Load)
@@ -2352,13 +2494,14 @@ class TestLint:
             ]
         assert not unused, unused
 
-    def test_every_definition_is_read(self):
-        """Each module-level function, class and constant of the package is
-        read somewhere in src, tests, tools or perfbench: loaded as a name or
-        an attribute, or named in a dotted string such as perfbench's tracing
-        targets. A method, dunders aside, must be read as an attribute or in a
-        dotted string."""
-        names, attrs = attribute_reads()
+    @staticmethod
+    def unread_definitions(folders):
+        """Each module-level function, class and constant of the package, and
+        each method but a dunder, that no file in the folders reads: a
+        definition is read when loaded as a name or an attribute or named in
+        a dotted string such as perfbench's tracing targets, a method only as
+        an attribute or in a dotted string."""
+        names, attrs = attribute_reads(folders)
         unread = []
         for path in sorted(PACKAGE.glob("*.py")):
             for node in ast.parse(path.read_text(), filename=str(path)).body:
@@ -2383,6 +2526,16 @@ class TestLint:
                     for name, reads in defined
                     if name.rpartition(".")[2] not in reads
                 ]
+        return unread
+
+    def test_every_definition_is_read(self):
+        unread = self.unread_definitions(("src", "tests", "tools", "perfbench"))
+        assert not unread, unread
+
+    def test_no_definition_is_read_by_tests_alone(self):
+        """The package ships no test-only code: each of its definitions is
+        read outside tests/, by the package itself, the tools or perfbench."""
+        unread = self.unread_definitions(("src", "tools", "perfbench"))
         assert not unread, unread
 
     def test_every_parameter_is_read(self):

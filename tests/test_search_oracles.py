@@ -3,10 +3,10 @@ brute-force enumeration on small instances."""
 
 import random
 
+from rule_rows import program_of
 from sepsim.anticomplete import sigma_search
 from sepsim.enumcore import SeparatorSnapshot, StageSet
 from sepsim.functionals import (
-    OracleProgram,
     OracleRule,
     UseBound,
     UseBoundedOperator,
@@ -49,7 +49,7 @@ def random_small_program(rng, max_pos, n_inputs):
             rules.append(OracleRule(guard=((p, 1),), input=y, output=1, use=use))
             rules.append(OracleRule(guard=((p, 0), (q, 1)), input=y, output=1,
                                     use=use))
-    return OracleProgram(rules)
+    return program_of(rules)
 
 
 class TestSigmaSearchExhaustive:
@@ -120,7 +120,7 @@ class TestWitnessSearchExhaustive:
                                    output=0 if y in zeros else 1,
                                    use=len(prefix), available_at=avail)
                     )
-            prog = OracleProgram(rules)
+            prog = program_of(rules)
             b_mem = set(rng.sample(range(30), rng.randrange(0, 4)))
             s = rng.randrange(3, 28)
             e, m = rng.randrange(0, 2), rng.randrange(0, 2)

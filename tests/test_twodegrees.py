@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import sepsim.twodegrees as twodegrees
 from naive_twodegrees import NaiveTwoDegreesRun
+from rule_rows import program_of
 from sepsim.corpus import twodegrees_corpus, twodegrees_scenario
 from sepsim.enumcore import pair
 from sepsim.errors import HardFault
@@ -63,7 +64,7 @@ def prefix_program(epochs, width):
                     available_at=avail,
                 )
             )
-    return OracleProgram(rules)
+    return program_of(rules)
 
 
 def w_epoch_program(w_events, length, zeros_per_epoch, width, avail=0):
@@ -345,7 +346,7 @@ def random_search_program(rng, length, width, horizon):
                     available_at=rng.randrange(horizon) if late else 0,
                 )
             )
-    return OracleProgram(rules)
+    return program_of(rules)
 
 
 def run_outcome(cls, *inputs):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import naive_upclosure
 import sepsim.functionals as functionals
 import sepsim.upclosure as upclosure
+from rule_rows import program_of, rows_of
 from sepsim.corpus import upclosure_corpus, upclosure_scenario
 from sepsim.enumcore import SeparatorSnapshot, StageSet
 from sepsim.errors import HypothesisViolation, UsageError
@@ -55,7 +56,7 @@ def member_reader(members, f, avail_of=None):
                 available_at=0 if avail_of is None else avail_of(x),
             )
         )
-    return UseBoundedOperator(program=OracleProgram(rules), bound=f)
+    return UseBoundedOperator(program=program_of(rules), bound=f)
 
 
 def build_settled(rng, case_tag, horizon=100, domain=64):
@@ -157,7 +158,7 @@ class TestWidthCap:
         """At h = 4200 the corpus builder writes rule uses up to 4202 and
         bound values up to 4208, past 4096 but within the horizon + 4096."""
         sc = load_scenario(upclosure_scenario(3, case_tag, 4200).canonical())
-        assert max(r.use for rules in sc.rules.values() for r in rules) > 4096
+        assert max(r.use for name in sc.rules for r in sc.program(name).rules) > 4096
         report = verify_trace(parse_trace(run_scenario(sc).render()))
         assert report.passed, report.render()
 
@@ -500,7 +501,7 @@ class TestAudit:
                     available_at=r.available_at,
                 )
             rules.append(r)
-        bad = UseBoundedOperator(program=OracleProgram(rules), bound=sc["f"])
+        bad = UseBoundedOperator(program=program_of(rules), bound=sc["f"])
         with pytest.raises(HypothesisViolation, match="bit 4"):
             audit_hypotheses(sc["a"], sc["b"], bad, sc["delta"], sc["f"], sc["horizon"])
 
@@ -741,7 +742,7 @@ def agreement_inputs(draw):
                         available_at=draw(st.integers(0, horizon + 1)),
                     )
                 )
-        return UseBoundedOperator(program=OracleProgram(rules), bound=f)
+        return UseBoundedOperator(program=program_of(rules), bound=f)
 
     return a, b, operator(a), operator(b), f, horizon
 
@@ -857,7 +858,7 @@ def mutated_case2(draw):
     Each input keeps one output and use, so the programs stay deterministic."""
     sc = upclosure_scenario(draw(st.integers(0, 99)), 2)
     for name in ("gamma", "delta"):
-        rules = sc.rules[name]
+        rules = list(sc.program(name).rules)
         for _ in range(draw(st.integers(0, 12))):
             i = draw(st.integers(0, len(rules) - 1))
             r = rules[i]
@@ -878,6 +879,7 @@ def mutated_case2(draw):
                 rules.append(new)
             else:
                 rules[i] = new
+        sc.rules = {**sc.rules, name: rows_of(rules)}
     return sc
 
 
@@ -911,7 +913,7 @@ class TestAgreementRowsAgainstNaive:
         a = StageSet([(1, 3), (2, 6)], horizon=10)
         b = StageSet([], horizon=10)
         rules = [OracleRule(guard, 0, output, 3, at) for guard, output, at in rules]
-        gamma = UseBoundedOperator(program=OracleProgram(rules), bound=f)
+        gamma = UseBoundedOperator(program=program_of(rules), bound=f)
         delta = UseBoundedOperator(program=OracleProgram(), bound=f)
         table = assert_rows_match_naive(a, b, gamma, delta, f, 10)
         assert table._gamma[0] == row
@@ -965,10 +967,11 @@ def unguarded(seed):
     for name in ("A", "B"):
         sc.sets[name] = [(e, rng.randrange(sc.horizon)) for e, _ in sc.sets[name]]
     for name in ("gamma", "delta"):
-        sc.rules[name] = [
+        rules = [
             OracleRule((), r.input, r.output, r.use, rng.choice((0, r.available_at)))
-            for r in sc.rules[name]
+            for r in sc.program(name).rules
         ]
+        sc.rules = {**sc.rules, name: rows_of(rules)}
     return sc
 
 

@@ -32,6 +32,7 @@ from sepsim.corpus import (  # noqa: E402
 )
 from sepsim.corpus import chain_certificates  # noqa: E402
 from sepsim.enumcore import pair  # noqa: E402
+from sepsim.functionals import bits_of, program_rows  # noqa: E402
 from sepsim.scenario import Scenario, load_scenario  # noqa: E402
 from sepsim.trace import parse_trace, run_scenario  # noqa: E402
 from sepsim.upclosure import CaseTag  # noqa: E402
@@ -82,28 +83,23 @@ def covered_block_upclosure():
     table = [(x, x + 2) for x in range(40)]
     a = [(y, 1) for y in range(1, 11, 2)]
     b = [(y, 5 + y) for y in range(2, 11, 2)]
-    rules_g, rules_d = [], []
-    from sepsim.functionals import OracleRule
-
     a_mem = {y for y, _ in a}
     b_mem = {y for y, _ in b}
-    fmap = dict(table)
-    for x in range(40):
-        guard_a = tuple((p, 1) for p in sorted(a_mem) if p < fmap[x])
-        guard_b = tuple((p, 1) for p in sorted(b_mem) if p < fmap[x])
-        rules_g.append(
-            OracleRule(guard=guard_a, input=x, output=1 if x in b_mem else 0,
-                       use=fmap[x])
-        )
-        rules_d.append(
-            OracleRule(guard=guard_b, input=x, output=1 if x in a_mem else 0,
-                       use=fmap[x])
-        )
+
+    def op_rows(source, target):
+        """x answers whether it is in the target, guarded by the source's
+        bits below f(x), all required to hold 1."""
+        bits, pairs = bits_of(source), []
+        for x, fx in table:
+            guard = bits & ((1 << fx) - 1)
+            pairs.append((x, (0, fx, guard, guard, 1 if x in target else 0)))
+        return program_rows(pairs)
+
     return Scenario(
         construction="upclosure",
         horizon=40,
         sets={"A": a, "B": b, "C": []},
-        rules={"gamma": rules_g, "delta": rules_d},
+        rules={"gamma": op_rows(a_mem, b_mem), "delta": op_rows(b_mem, a_mem)},
         bound_table=table,
         case=CaseTag(1, 0),
     )
